@@ -1,14 +1,12 @@
 //! Criterion version of experiment E4: happened-before construction
 //! (transitive closure vs vector clocks) and all-pairs race detection
-//! (naive vs per-variable index vs statically pruned) — the §7 cost
+//! (naive vs the staged scan unfiltered and statically pruned) — the §7 cost
 //! concern, with `ppd lint`'s GMOD/GREF candidate index as the pruner.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ppd_analysis::EBlockStrategy;
 use ppd_bench::workloads;
-use ppd_graph::{
-    detect_races_indexed, detect_races_naive, detect_races_pruned, TransitiveClosure, VectorClocks,
-};
+use ppd_graph::{detect_races, detect_races_naive, TransitiveClosure, VectorClocks};
 
 fn bench_race_detection(c: &mut Criterion) {
     let mut ordering = c.benchmark_group("E4_ordering");
@@ -38,10 +36,10 @@ fn bench_race_detection(c: &mut Criterion) {
             b.iter(|| detect_races_naive(g, &ord))
         });
         detect.bench_with_input(BenchmarkId::new("indexed", n), &g, |b, g| {
-            b.iter(|| detect_races_indexed(g, &ord))
+            b.iter(|| detect_races(g, &ord, None))
         });
         detect.bench_with_input(BenchmarkId::new("pruned", n), &g, |b, g| {
-            b.iter(|| detect_races_pruned(g, &ord, &cands))
+            b.iter(|| detect_races(g, &ord, Some(&cands)))
         });
     }
     detect.finish();

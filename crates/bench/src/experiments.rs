@@ -8,10 +8,8 @@ use crate::workloads::{self, Workload};
 use ppd_analysis::{BitVarSet, EBlockStrategy, ListVarSet, VarSetRepr};
 use ppd_core::Controller;
 use ppd_graph::{
-    detect_races_absint, detect_races_absint_counted, detect_races_indexed,
-    detect_races_indexed_counted, detect_races_mhp, detect_races_mhp_counted, detect_races_naive,
-    detect_races_naive_counted, detect_races_par, detect_races_pruned, detect_races_pruned_counted,
-    detect_races_typed, detect_races_typed_counted, TransitiveClosure, VectorClocks,
+    detect_races, detect_races_naive, detect_races_par, stage_pairs, TransitiveClosure,
+    VectorClocks,
 };
 use ppd_lang::{BodyId, ProcId, VarId};
 use ppd_runtime::CountingTracer;
@@ -194,21 +192,23 @@ pub fn e4_race_detection() -> Table {
         let t_vclock = median_of(REPS, || VectorClocks::compute(g));
         let ord = VectorClocks::compute(g);
         let t_naive = median_of(REPS, || detect_races_naive(g, &ord));
-        let t_pruned = median_of(REPS, || detect_races_pruned(g, &ord, cands));
-        let t_mhp = median_of(REPS, || detect_races_mhp(g, &ord, mhp_cands));
-        let t_typed = median_of(REPS, || detect_races_typed(g, &ord, typed_cands));
-        let t_absint = median_of(REPS, || detect_races_absint(g, &ord, absint_cands));
-        let (races, naive_pairs) = detect_races_naive_counted(g, &ord);
-        let (_, indexed_pairs) = detect_races_indexed_counted(g, &ord);
-        let (pruned_races, pruned_pairs) = detect_races_pruned_counted(g, &ord, cands);
-        let (mhp_races, mhp_pairs) = detect_races_mhp_counted(g, &ord, mhp_cands);
-        let (typed_races, typed_pairs) = detect_races_typed_counted(g, &ord, typed_cands);
-        let (absint_races, absint_pairs) = detect_races_absint_counted(g, &ord, absint_cands);
-        assert_eq!(races, pruned_races, "pruning changed the race set");
-        assert_eq!(races, mhp_races, "MHP pruning changed the race set");
-        assert_eq!(races, typed_races, "typed-channel pruning changed the race set");
-        assert_eq!(races, absint_races, "interval pruning changed the race set");
-        assert!(absint_pairs <= typed_pairs, "absint examined more pairs than typed");
+        let t_pruned = median_of(REPS, || detect_races(g, &ord, Some(cands)));
+        let t_mhp = median_of(REPS, || detect_races(g, &ord, Some(mhp_cands)));
+        let t_typed = median_of(REPS, || detect_races(g, &ord, Some(typed_cands)));
+        let t_absint = median_of(REPS, || detect_races(g, &ord, Some(absint_cands)));
+        let races = detect_races_naive(g, &ord);
+        let stages = [cands, mhp_cands, typed_cands, absint_cands];
+        for (stage, c) in ["GMOD/GREF", "MHP", "typed-channel", "interval"].into_iter().zip(stages)
+        {
+            assert_eq!(
+                races,
+                detect_races(g, &ord, Some(c)),
+                "{stage} pruning changed the race set"
+            );
+        }
+        let pairs = stage_pairs(g, &stages);
+        let f = &pairs.filtered;
+        assert!(f[3] <= f[2], "absint examined more pairs than typed");
         // Snapshot entries the MHP trim avoided: same program prepared
         // without the trim logs this many more (variable, value) pairs.
         let untrimmed = ppd_core::PpdSession::prepare_with(
@@ -233,9 +233,7 @@ pub fn e4_race_detection() -> Table {
             fmt_duration(t_mhp),
             fmt_duration(t_typed),
             fmt_duration(t_absint),
-            format!(
-                "{naive_pairs}/{indexed_pairs}/{pruned_pairs}/{mhp_pairs}/{typed_pairs}/{absint_pairs}"
-            ),
+            format!("{}/{}/{}/{}/{}/{}", pairs.naive, pairs.indexed, f[0], f[1], f[2], f[3]),
             format!(
                 "{}/{}/{}/{}",
                 cands.len(),
@@ -252,7 +250,8 @@ pub fn e4_race_detection() -> Table {
     t.note("static may-happen-in-parallel fixpoint, then by per-payload-type channel");
     t.note("sync groups from `ppd check`, then by flow-sensitive interval analysis");
     t.note("(element-granular array regions). pairs n/i/p/m/t/a: distinct cross-process");
-    t.note("edge pairs examined per stage — identical races every time. cands g/m/t/a:");
+    t.note("edge pairs examined per stage — identical races every time — all counted in");
+    t.note("one enumeration of the staged scan (`stage_pairs`). cands g/m/t/a:");
     t.note("static candidate-index sizes after each filter; on the disjoint_* sweeps the");
     t.note("interval stage proves the per-process array slices disjoint and empties the");
     t.note("index, the static counterpart of the cell-granular dynamic scan. The");
@@ -484,7 +483,7 @@ pub fn e7_parallel_scaling_with(max_jobs: usize) -> Table {
     // (tens of thousands of candidate pairs).
     let sg = dense_graph(8, 96, 8);
     let ord = VectorClocks::compute(&sg);
-    let races_seq = detect_races_indexed(&sg, &ord);
+    let races_seq = detect_races(&sg, &ord, None);
 
     let mut cold_base = Duration::ZERO;
     let mut scan_base = Duration::ZERO;
@@ -1085,7 +1084,7 @@ pub fn f61_figure() -> Table {
     let empty_edges = g.internal_edges().iter().filter(|e| e.events == 0).count();
     t.row(vec!["zero-event edges (paper's e4)".into(), empty_edges.to_string()]);
     let ord = VectorClocks::compute(g);
-    let races = detect_races_indexed(g, &ord);
+    let races = detect_races(g, &ord, None);
     for (i, r) in races.iter().enumerate() {
         t.row(vec![format!("race {}", i + 1), ppd_graph::race::describe_race(g, session.rp(), r)]);
     }

@@ -13,7 +13,7 @@ use crate::replay::{DebugStats, ReplayEngine};
 use crate::session::{Execution, PpdSession};
 use crate::PpdError;
 use ppd_analysis::VarSetRepr;
-use ppd_graph::{detect_races_par, DynEdgeKind, DynNodeId, DynamicGraph, Race, VectorClocks};
+use ppd_graph::{detect_races_par, stage_pairs, DynEdgeKind, DynNodeId, DynamicGraph, Race};
 use ppd_lang::{ProcId, VarId};
 use ppd_log::{IntervalRef, LogEntry};
 use ppd_runtime::Outcome;
@@ -308,7 +308,7 @@ impl<'p> Controller<'p> {
     /// The bounded portion of the dynamic graph presented to the user
     /// (§3.2.3: "there is a practical limit to the size of the graph
     /// determined by the screen size"): the inverted dependence tree of
-    /// depth at most `depth` rooted at `root`, nodes in seq order.
+    /// depth at most `depth` rooted at `root`, nodes in `(seq, id)` order.
     pub fn present(&self, root: DynNodeId, depth: usize) -> Vec<DynNodeId> {
         let _q = self.engine.query_timer_for("present", format!("root={root} depth={depth}"));
         let graph = self.builder.graph();
@@ -330,7 +330,7 @@ impl<'p> Controller<'p> {
             frontier = next;
         }
         let mut out: Vec<DynNodeId> = seen.into_iter().collect();
-        out.sort_by_key(|n| graph.node(*n).seq);
+        out.sort_by_key(|&n| (graph.node(n).seq, n));
         out
     }
 
@@ -494,17 +494,11 @@ impl<'p> Controller<'p> {
     /// proof can miss a dynamic race, so the pruned result equals the
     /// naive scan's).
     pub fn races(&self) -> Vec<RaceReport> {
-        let _q = self.engine.query_timer_for("races", format!("jobs={}", self.engine.jobs()));
-        let g = &self.execution.pgraph;
-        let ord = VectorClocks::compute(g);
-        let cands = &self.session.analyses().absint_candidates;
         let jobs = self.engine.jobs();
-        let races = if jobs > 1 {
-            detect_races_par(g, &ord, Some(cands), jobs)
-        } else {
-            ppd_graph::detect_races_absint(g, &ord, cands)
-        };
-        races
+        let _q = self.engine.query_timer_for("races", format!("jobs={jobs}"));
+        let g = &self.execution.pgraph;
+        let cands = &self.session.analyses().absint_candidates;
+        detect_races_par(g, self.execution.ordering(), Some(cands), jobs)
             .into_iter()
             .map(|race| RaceReport {
                 race,
@@ -524,19 +518,18 @@ impl<'p> Controller<'p> {
     /// `pruned` (GMOD/GREF candidates), `mhp` (MHP-refined), `typed`
     /// (payload-class-refined), `absint` (interval-region-refined).
     /// Every stage returns the same race set — the counts measure how
-    /// much work each static layer removes (`ppd races --stats`).
+    /// much work each static layer removes (`ppd races --stats`). One
+    /// enumeration yields them all, with no ordering query.
     pub fn race_stage_pairs(&self) -> Vec<(&'static str, usize)> {
-        let g = &self.execution.pgraph;
-        let ord = VectorClocks::compute(g);
         let a = self.session.analyses();
-        vec![
-            ("naive", ppd_graph::detect_races_naive_counted(g, &ord).1),
-            ("indexed", ppd_graph::detect_races_indexed_counted(g, &ord).1),
-            ("pruned", ppd_graph::detect_races_pruned_counted(g, &ord, &a.race_candidates).1),
-            ("mhp", ppd_graph::detect_races_mhp_counted(g, &ord, &a.mhp_candidates).1),
-            ("typed", ppd_graph::detect_races_typed_counted(g, &ord, &a.typed_candidates).1),
-            ("absint", ppd_graph::detect_races_absint_counted(g, &ord, &a.absint_candidates).1),
-        ]
+        let stages =
+            [&a.race_candidates, &a.mhp_candidates, &a.typed_candidates, &a.absint_candidates];
+        let p = stage_pairs(&self.execution.pgraph, &stages);
+        let names = ["pruned", "mhp", "typed", "absint"];
+        [("naive", p.naive), ("indexed", p.indexed)]
+            .into_iter()
+            .chain(names.into_iter().zip(p.filtered))
+            .collect()
     }
 
     /// Wait-for cycle analysis (§6: the parallel dynamic graph "can also

@@ -9,10 +9,11 @@
 
 use crate::PpdError;
 use ppd_analysis::{Analyses, AnalysisConfig, EBlockPlan, EBlockStrategy};
-use ppd_graph::{ParallelGraph, StaticGraph};
+use ppd_graph::{ParallelGraph, StaticGraph, VectorClocks};
 use ppd_lang::{ProcId, ResolvedProgram};
 use ppd_log::LogStore;
 use ppd_runtime::{ExecConfig, LogMeter, Machine, NullTracer, Outcome, SchedulerSpec, Tracer};
+use std::sync::OnceLock;
 
 /// Parameters of one execution-phase run.
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
@@ -67,6 +68,9 @@ pub struct Execution {
     /// The configuration that produced this execution (needed to
     /// reproduce it).
     pub config: RunConfig,
+    /// [`Execution::ordering`]'s cache; rebuilt on demand, never saved.
+    #[serde(skip)]
+    ordering: OnceLock<VectorClocks>,
 }
 
 /// Everything `run.json` carries next to the segments: the execution
@@ -91,6 +95,15 @@ fn write_run_record(dir: &std::path::Path, record: &RunRecord) -> Result<(), Ppd
 }
 
 impl Execution {
+    /// The happened-before order of [`pgraph`](Self::pgraph) as vector
+    /// clocks (§6.1), computed on first use and cached, so repeated race
+    /// queries on one execution order its events once. The cache is
+    /// never invalidated: `pgraph` must not be mutated after the first
+    /// call.
+    pub fn ordering(&self) -> &VectorClocks {
+        self.ordering.get_or_init(|| VectorClocks::compute(&self.pgraph))
+    }
+
     /// Serializes the execution record (outcome, output, logs, parallel
     /// graph, config) for offline debugging.
     ///
@@ -178,6 +191,7 @@ impl Execution {
             pgraph: record.pgraph,
             steps: record.steps,
             config: record.config,
+            ordering: OnceLock::new(),
         })
     }
 
@@ -305,6 +319,7 @@ impl PpdSession {
             pgraph: result.pgraph.expect("parallel graph enabled"),
             steps: result.steps,
             config,
+            ordering: OnceLock::new(),
         }
     }
 
@@ -364,6 +379,7 @@ impl PpdSession {
             pgraph: result.pgraph.expect("parallel graph enabled"),
             steps: result.steps,
             config,
+            ordering: OnceLock::new(),
         };
         let record = RunRecord {
             outcome: execution.outcome.clone(),

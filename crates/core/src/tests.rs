@@ -741,6 +741,43 @@ fn present_bounds_the_visible_graph() {
 }
 
 #[test]
+fn present_order_is_identical_across_controllers() {
+    // Both parameter nodes of a call carry the call's seq, so presented
+    // fragments have ties that only the node-id tie-break orders the
+    // same way in every controller.
+    let session = prepare(
+        "shared int out; \
+         int add(int a, int b) { return a + b; } \
+         process Main { int x = 1; int y = 2; out = add(x, y); print(out); }",
+    );
+    let execution = session.execute(RunConfig::default());
+    let present = || {
+        let mut controller = Controller::new(&session, &execution);
+        controller.start().unwrap();
+        for node in controller.unexpanded() {
+            controller.expand(node).unwrap();
+        }
+        let graph = controller.graph();
+        graph
+            .nodes()
+            .iter()
+            .map(|n| {
+                let list = controller.present(n.id, 64);
+                list.into_iter().map(|m| (graph.node(m).seq, m)).collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>()
+    };
+    let first = present();
+    assert_eq!(first, present(), "two controllers presented different orders");
+    assert!(
+        first.iter().all(|list| list.windows(2).all(|w| w[0] < w[1])),
+        "not in (seq, id) order"
+    );
+    let ties = first.iter().any(|list| list.windows(2).any(|w| w[0].0 == w[1].0));
+    assert!(ties, "no presented fragment has equal-seq nodes; the test lost its point");
+}
+
+#[test]
 fn dynamic_graph_is_cell_precise_for_arrays() {
     // a[0] and a[1] are distinct cells: the read of a[0] depends on the
     // first store, not the second.

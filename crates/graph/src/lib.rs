@@ -32,7 +32,7 @@
 //! g.end_process(ProcId(1), 3);
 //!
 //! let ord = VectorClocks::compute(&g);
-//! let races = race::detect_races_indexed(&g, &ord);
+//! let races = race::detect_races(&g, &ord, None);
 //! assert_eq!(races.len(), 1);
 //! ```
 
@@ -53,11 +53,8 @@ pub use parallel::{
     SyncNodeKind,
 };
 pub use race::{
-    candidates_from_graph, detect_races_absint, detect_races_absint_counted, detect_races_indexed,
-    detect_races_indexed_counted, detect_races_mhp, detect_races_mhp_counted, detect_races_naive,
-    detect_races_naive_counted, detect_races_par, detect_races_par_counted, detect_races_pruned,
-    detect_races_pruned_counted, detect_races_typed, detect_races_typed_counted, is_race_free,
-    ConflictKind, Race, RaceCandidates,
+    candidates_from_graph, detect_races, detect_races_absint, detect_races_naive, detect_races_par,
+    is_race_free, stage_pairs, ConflictKind, Race, RaceCandidates, StagePairs,
 };
 pub use simplified::{SimpleEdgeId, SimpleNode, SimplifiedGraph, UnitEdges};
 pub use staticpdg::{BodyStaticGraph, StaticEdge, StaticGraph, StaticNode};

@@ -100,9 +100,10 @@ impl Ordering for TransitiveClosure {
 /// Reachability via vector clocks: O(V·P) space for P processes.
 #[derive(Debug, Clone)]
 pub struct VectorClocks {
-    /// clock[node][proc] = number of that process's nodes known to
-    /// happen-before-or-equal this node.
-    clocks: Vec<Vec<u32>>,
+    /// Row-major `[node][proc]`: the number of that process's nodes
+    /// known to happen-before-or-equal the node. One allocation, so an
+    /// execution can keep its clocks cached cheaply.
+    clocks: Vec<u32>,
     procs: usize,
 }
 
@@ -124,26 +125,27 @@ impl VectorClocks {
         let mut order = topo_order(&adj);
         order.reverse(); // predecessors first
 
-        let mut clocks = vec![vec![0u32; procs]; n];
+        let mut clocks = vec![0u32; n * procs];
         let mut proc_counter = vec![0u32; procs];
+        let mut clock = vec![0u32; procs];
         for &v in &order {
             let p = graph.nodes()[v].proc.index();
-            let mut clock = vec![0u32; procs];
+            clock.fill(0);
             for &u in &preds[v] {
-                for (c, &uc) in clock.iter_mut().zip(&clocks[u]) {
+                for (c, &uc) in clock.iter_mut().zip(&clocks[u * procs..(u + 1) * procs]) {
                     *c = (*c).max(uc);
                 }
             }
             proc_counter[p] += 1;
             clock[p] = clock[p].max(proc_counter[p]);
-            clocks[v] = clock;
+            clocks[v * procs..(v + 1) * procs].copy_from_slice(&clock);
         }
         VectorClocks { clocks, procs }
     }
 
     /// The clock of a node (test/diagnostic use).
     pub fn clock(&self, n: SyncNodeId) -> &[u32] {
-        &self.clocks[n.index()]
+        &self.clocks[n.index() * self.procs..(n.index() + 1) * self.procs]
     }
 
     /// Number of processes covered.
@@ -157,7 +159,7 @@ impl Ordering for VectorClocks {
         if a == b {
             return false;
         }
-        let (ca, cb) = (&self.clocks[a.index()], &self.clocks[b.index()]);
+        let (ca, cb) = (self.clock(a), self.clock(b));
         let mut strictly_less = false;
         for (x, y) in ca.iter().zip(cb) {
             if x > y {

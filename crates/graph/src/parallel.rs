@@ -480,8 +480,8 @@ mod serde_tests {
         assert_eq!(g2.internal_edges().len(), g.internal_edges().len());
         assert_eq!(g2.sync_edges().len(), g.sync_edges().len());
         let (o1, o2) = (VectorClocks::compute(&g), VectorClocks::compute(&g2));
-        let r1 = crate::race::detect_races_indexed(&g, &o1);
-        let r2 = crate::race::detect_races_indexed(&g2, &o2);
+        let r1 = crate::race::detect_races(&g, &o1, None);
+        let r2 = crate::race::detect_races(&g2, &o2, None);
         assert_eq!(r1, r2);
         assert_eq!(r1.len(), 2);
     }

@@ -371,7 +371,7 @@ fn fig61_graph_and_races_from_execution() {
     // The message produced a sync edge pair (send->recv, recv->unblock).
     assert_eq!(g.sync_edges().len(), 2);
     let ord = ppd_graph::VectorClocks::compute(&g);
-    let races = ppd_graph::detect_races_indexed(&g, &ord);
+    let races = ppd_graph::detect_races(&g, &ord, None);
     assert_eq!(races.len(), 2, "{races:?}");
 }
 
@@ -387,7 +387,7 @@ fn locked_bank_is_race_free() {
         assert!(
             ppd_graph::is_race_free(&g, &ord),
             "seed {seed}: {:?}",
-            ppd_graph::detect_races_indexed(&g, &ord)
+            ppd_graph::detect_races(&g, &ord, None)
         );
     }
 }
@@ -398,7 +398,7 @@ fn racy_bank_races_detected() {
     let r = run(&s);
     let g = r.pgraph.expect("graph");
     let ord = ppd_graph::VectorClocks::compute(&g);
-    let races = ppd_graph::detect_races_indexed(&g, &ord);
+    let races = ppd_graph::detect_races(&g, &ord, None);
     assert!(!races.is_empty());
 }
 

@@ -12,7 +12,7 @@
 
 use ppd::analysis::{lint, EBlockStrategy};
 use ppd::core::{Controller, PpdSession, RunConfig};
-use ppd::graph::{detect_races_naive_counted, detect_races_pruned_counted, dot, VectorClocks};
+use ppd::graph::{detect_races, detect_races_naive, dot, stage_pairs, VectorClocks};
 use ppd::runtime::SchedulerSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -95,13 +95,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..RunConfig::default()
     });
     let ord = VectorClocks::compute(&execution.pgraph);
-    let (naive, naive_pairs) = detect_races_naive_counted(&execution.pgraph, &ord);
-    let (pruned, pruned_pairs) =
-        detect_races_pruned_counted(&execution.pgraph, &ord, &racy.analyses().race_candidates);
+    let cands = &racy.analyses().race_candidates;
+    let naive = detect_races_naive(&execution.pgraph, &ord);
+    let pruned = detect_races(&execution.pgraph, &ord, Some(cands));
     assert_eq!(naive, pruned, "pruning must not change the race set");
+    let pairs = stage_pairs(&execution.pgraph, &[cands]);
     println!(
-        "  naive examined {naive_pairs} edge pair(s); pruned examined {pruned_pairs}\n  \
+        "  naive examined {} edge pair(s); pruned examined {}\n  \
          both report {} race pair(s) — the GMOD/GREF index is correctness-preserving",
+        pairs.naive,
+        pairs.filtered[0],
         naive.len()
     );
     Ok(())

@@ -49,6 +49,22 @@ fn races_detects_the_bank_race_and_exits_nonzero() {
 }
 
 #[test]
+fn races_stats_output_matches_golden() {
+    // The race reports and the per-stage pair chain, byte for byte, at
+    // one worker and at eight.
+    for name in ["bank", "lintdemo", "phils", "bounds"] {
+        let golden = std::fs::read_to_string(format!("tests/golden/{name}.races_stats.txt"))
+            .expect("golden file");
+        for jobs in ["1", "8"] {
+            let program = format!("programs/{name}.ppd");
+            let args = ["races", &program, "--stats", "--schedules", "3", "--jobs", jobs];
+            let (stdout, stderr, _) = run_ppd(&args);
+            assert_eq!(stdout, golden, "{name} at --jobs {jobs} drifted from its golden\n{stderr}");
+        }
+    }
+}
+
+#[test]
 fn races_clean_program_exits_zero() {
     let (stdout, _, ok) =
         run_ppd(&["races", "programs/overdraw.ppd", "--inputs", "50", "--schedules", "3"]);

@@ -1,7 +1,10 @@
 //! Shared helpers for the integration-test suite: a deterministic
 //! generator of always-valid single-process programs, driven by a byte
-//! string (so proptest failures shrink well).
+//! string (so proptest failures shrink well), and the slow race-scan
+//! oracles in [`race_oracle`].
 #![allow(dead_code)]
+
+pub mod race_oracle;
 
 /// Deterministic program generator: interprets `bytes` as a stream of
 /// construction decisions for a single-process program over four

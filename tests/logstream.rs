@@ -332,14 +332,10 @@ fn recovered_live_tails_answer_queries_identically_across_formats() {
             "{tag}: every flushed entry is recoverable"
         );
         assert!(!logs.recovery_warnings().is_empty(), "{tag}: recovery warns");
-        let recovered = Execution {
-            outcome: execution.outcome.clone(),
-            output: execution.output.clone(),
-            logs,
-            pgraph: execution.pgraph.clone(),
-            steps: execution.steps,
-            config: execution.config.clone(),
-        };
+        // Execution is deterministic: a re-run carries the same record,
+        // whose in-memory logs are then swapped for the recovered ones.
+        let mut recovered = session.execute(RunConfig::default());
+        recovered.logs = logs;
         assert_eq!(
             base,
             transcript(&session, &recovered),

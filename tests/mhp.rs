@@ -2,9 +2,9 @@
 //!
 //! Two safety contracts from the static MHP analysis:
 //!
-//! 1. **Race preservation** — `detect_races_mhp` (GMOD/GREF candidates
-//!    refined by the MHP fixpoint) reports exactly the race set of
-//!    `detect_races_naive` on every corpus program, every on-disk
+//! 1. **Race preservation** — the staged scan over the MHP index
+//!    (GMOD/GREF candidates refined by the MHP fixpoint) reports exactly
+//!    the race set of `detect_races_naive` on every corpus program, every on-disk
 //!    example, and randomized synchronized programs, while scanning no
 //!    more edge pairs than the GMOD/GREF-only index — and strictly
 //!    fewer on Figure 6.1, whose send/recv pair orders `P1` and `P3`.
@@ -16,11 +16,7 @@
 
 use ppd::analysis::{AnalysisConfig, EBlockStrategy};
 use ppd::core::{Controller, PpdSession, RunConfig};
-use ppd::graph::{
-    detect_races_mhp, detect_races_mhp_counted, detect_races_naive, detect_races_naive_counted,
-    detect_races_pruned, detect_races_pruned_counted, detect_races_typed,
-    detect_races_typed_counted, VectorClocks,
-};
+use ppd::graph::{detect_races, detect_races_naive, stage_pairs, VectorClocks};
 use ppd::lang::{corpus, ProcId};
 use ppd::log::LogEntry;
 use ppd::runtime::SchedulerSpec;
@@ -46,28 +42,18 @@ fn check(
     let ord = VectorClocks::compute(g);
 
     let naive = detect_races_naive(g, &ord);
-    assert_eq!(
-        detect_races_pruned(g, &ord, gmod_index),
-        naive,
-        "{name}: GMOD/GREF pruning changed the race set"
-    );
-    assert_eq!(
-        detect_races_mhp(g, &ord, mhp_index),
-        naive,
-        "{name}: MHP pruning changed the race set"
-    );
-    assert_eq!(
-        detect_races_typed(g, &ord, typed_index),
-        naive,
-        "{name}: typed-channel pruning changed the race set"
-    );
+    let stages = [gmod_index, mhp_index, typed_index];
+    for (stage, index) in ["GMOD/GREF", "MHP", "typed-channel"].into_iter().zip(stages) {
+        assert_eq!(
+            detect_races(g, &ord, Some(index)),
+            naive,
+            "{name}: {stage} pruning changed the race set"
+        );
+    }
 
-    let (_, naive_pairs) = detect_races_naive_counted(g, &ord);
-    let (_, pruned_pairs) = detect_races_pruned_counted(g, &ord, gmod_index);
-    let (also_mhp, mhp_pairs) = detect_races_mhp_counted(g, &ord, mhp_index);
-    let (also_typed, typed_pairs) = detect_races_typed_counted(g, &ord, typed_index);
-    assert_eq!(also_mhp, naive, "{name}: counted MHP variant disagrees");
-    assert_eq!(also_typed, naive, "{name}: counted typed variant disagrees");
+    let pairs = stage_pairs(g, &stages);
+    let naive_pairs = pairs.naive;
+    let [pruned_pairs, mhp_pairs, typed_pairs] = [0, 1, 2].map(|i| pairs.filtered[i]);
     assert!(
         typed_pairs <= mhp_pairs && mhp_pairs <= pruned_pairs && pruned_pairs <= naive_pairs,
         "{name}: pair counts not monotone \

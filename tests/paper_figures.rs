@@ -227,7 +227,7 @@ fn figure_6_1_parallel_graph_and_race() {
     // §6.3's analysis: P1's write is ordered before P3's read through
     // the message; P2's write is simultaneous with both.
     let ord = VectorClocks::compute(g);
-    let races = ppd::graph::detect_races_indexed(g, &ord);
+    let races = ppd::graph::detect_races(g, &ord, None);
     assert_eq!(races.len(), 2);
     let kinds: Vec<ConflictKind> = races.iter().map(|r| r.kind).collect();
     assert!(kinds.contains(&ConflictKind::WriteWrite)); // e1 vs e2
@@ -253,7 +253,7 @@ fn figure_6_1_ordered_pair_is_not_a_race() {
     let execution = session.execute(RunConfig::default());
     let g = &execution.pgraph;
     let ord = VectorClocks::compute(g);
-    for r in ppd::graph::detect_races_indexed(g, &ord) {
+    for r in ppd::graph::detect_races(g, &ord, None) {
         let procs = (g.internal_edge(r.first).proc, g.internal_edge(r.second).proc);
         assert_ne!(
             procs,

@@ -10,9 +10,7 @@
 
 use ppd::analysis::EBlockStrategy;
 use ppd::core::{Controller, PpdSession, RunConfig, ShardedTraceCache};
-use ppd::graph::{
-    detect_races_indexed, detect_races_mhp, detect_races_naive, detect_races_par, VectorClocks,
-};
+use ppd::graph::{detect_races, detect_races_naive, detect_races_par, VectorClocks};
 use ppd::lang::{corpus, ProcId};
 use ppd::log::{IntervalIndex, LogStore};
 use ppd::runtime::SchedulerSpec;
@@ -145,8 +143,8 @@ fn parallel_race_scan_matches_every_sequential_detector() {
             r.dedup();
             r
         };
-        let indexed = detect_races_indexed(g, &ord);
-        let mhp = detect_races_mhp(g, &ord, &session.analyses().mhp_candidates);
+        let indexed = detect_races(g, &ord, None);
+        let mhp = detect_races(g, &ord, Some(&session.analyses().mhp_candidates));
         assert_eq!(indexed, mhp, "{name}: MHP pruning changed the race set");
         for jobs in JOB_COUNTS {
             let par = detect_races_par(g, &ord, None, jobs);

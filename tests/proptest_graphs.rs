@@ -1,13 +1,16 @@
 //! Property-based tests on the graph algorithms: the two
-//! happened-before implementations agree, the two race detectors agree,
-//! and the ordering axioms of §6.1 hold on randomized parallel dynamic
-//! graphs.
+//! happened-before implementations agree, the naive and staged race
+//! scans agree, the one-pass stage counter matches a counted scan per
+//! stage, and the ordering axioms of §6.1 hold on randomized parallel
+//! dynamic graphs.
 
+mod common;
+
+use common::race_oracle;
 use ppd::analysis::{BitVarSet, ListVarSet, VarSetRepr};
 use ppd::graph::{
-    candidates_from_graph, detect_races_indexed, detect_races_naive, detect_races_naive_counted,
-    detect_races_pruned, detect_races_pruned_counted, Ordering as Hb, ParallelGraph, SyncEdgeLabel,
-    SyncNodeKind, TransitiveClosure, VectorClocks,
+    candidates_from_graph, detect_races, detect_races_naive, stage_pairs, Ordering as Hb,
+    ParallelGraph, RaceCandidates, SyncEdgeLabel, SyncNodeKind, TransitiveClosure, VectorClocks,
 };
 use ppd::lang::{ProcId, VarId};
 use proptest::prelude::*;
@@ -61,6 +64,38 @@ fn random_pgraph(script: &[u8], procs: u32, vars: u32) -> ParallelGraph {
         g.end_process(ProcId(p), t);
     }
     g
+}
+
+/// A random candidate index over `vars` variables and `procs` processes:
+/// bit `k` of the byte stream decides the `k`-th `(var, p, q)`
+/// combination, so independently drawn indexes are generally not nested.
+fn random_index(bits: &[u8], procs: u32, vars: u32) -> RaceCandidates {
+    let mut out = RaceCandidates::new();
+    let mut k = 0;
+    for v in 0..vars {
+        for p in 0..procs {
+            for q in p + 1..procs {
+                if bits.get(k / 8).is_some_and(|b| b >> (k % 8) & 1 == 1) {
+                    out.insert(VarId(v), ProcId(p), ProcId(q));
+                }
+                k += 1;
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn naive_pair_count_is_the_closed_form() {
+    // Σ_{p<q} nₚ·n_q from per-process edge counts equals the O(E²)
+    // all-pairs loop. Script action 2 cuts a process's current edge at a
+    // new sync node.
+    let single = random_pgraph(&[0, 2, 0, 0, 0, 2, 0, 0], 1, 1); // 3 edges
+    let two = random_pgraph(&[0, 2, 0, 0, 0, 2, 0, 0, 1, 2, 0, 0], 2, 1); // 3 + 2 edges
+    for (g, pairs) in [(ParallelGraph::new(1), 0), (single, 0), (two, 6)] {
+        assert_eq!(race_oracle::naive_pairs(&g), pairs);
+        assert_eq!(stage_pairs(&g, &[]).naive, pairs);
+    }
 }
 
 proptest! {
@@ -120,7 +155,7 @@ proptest! {
         let g = random_pgraph(&script, procs, 3);
         let ord = VectorClocks::compute(&g);
         let naive = detect_races_naive(&g, &ord);
-        let indexed = detect_races_indexed(&g, &ord);
+        let indexed = detect_races(&g, &ord, None);
         prop_assert_eq!(naive, indexed);
     }
 
@@ -136,11 +171,32 @@ proptest! {
         let g = random_pgraph(&script, procs, 3);
         let ord = VectorClocks::compute(&g);
         let cands = candidates_from_graph(&g);
-        let (naive, naive_pairs) = detect_races_naive_counted(&g, &ord);
-        let (pruned, pruned_pairs) = detect_races_pruned_counted(&g, &ord, &cands);
+        let naive = detect_races_naive(&g, &ord);
+        let (pruned, pruned_pairs) = race_oracle::counted_scan(&g, &ord, Some(&cands));
         prop_assert_eq!(&naive, &pruned);
-        prop_assert_eq!(naive, detect_races_pruned(&g, &ord, &cands));
-        prop_assert!(pruned_pairs <= naive_pairs);
+        prop_assert_eq!(naive, detect_races(&g, &ord, Some(&cands)));
+        prop_assert!(pruned_pairs <= race_oracle::naive_pairs(&g));
+    }
+
+    #[test]
+    fn stage_counter_matches_counted_scans(
+        script in proptest::collection::vec(any::<u8>(), 8..200),
+        bits in proptest::collection::vec(any::<u8>(), 12..13),
+        procs in 2u32..5,
+    ) {
+        // Four independently drawn indexes, deliberately not nested:
+        // each stage count must still equal that index's own scan.
+        let g = random_pgraph(&script, procs, 3);
+        let ord = VectorClocks::compute(&g);
+        let indexes: Vec<RaceCandidates> =
+            bits.chunks(3).map(|b| random_index(b, procs, 3)).collect();
+        let refs: Vec<&RaceCandidates> = indexes.iter().collect();
+        let counted = stage_pairs(&g, &refs);
+        prop_assert_eq!(counted.naive, race_oracle::naive_pairs(&g));
+        prop_assert_eq!(counted.indexed, race_oracle::counted_scan(&g, &ord, None).1);
+        for (i, c) in indexes.iter().enumerate() {
+            prop_assert_eq!(counted.filtered[i], race_oracle::counted_scan(&g, &ord, Some(c)).1);
+        }
     }
 
     #[test]
@@ -149,7 +205,7 @@ proptest! {
     ) {
         let g = random_pgraph(&script, 3, 2);
         let ord = VectorClocks::compute(&g);
-        for r in detect_races_indexed(&g, &ord) {
+        for r in detect_races(&g, &ord, None) {
             // Definition 6.1: neither edge precedes the other.
             prop_assert!(!g.edge_precedes(&ord, r.first, r.second));
             prop_assert!(!g.edge_precedes(&ord, r.second, r.first));

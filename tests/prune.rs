@@ -3,16 +3,16 @@
 //! schedules, each stage of the static prune chain
 //! `absint ⊆ typed ⊆ mhp ⊆ gmod/gref ⊆ naive` returns exactly the race
 //! set of `detect_races_naive` while examining no more edge pairs than
-//! the stage before it — and the parallel backend at 8 jobs agrees
-//! bit-for-bit with the sequential scan at 1 job.
+//! the stage before it — the one-pass stage counter agrees with a
+//! separate counted scan per stage — and the parallel backend at 8 jobs
+//! agrees bit-for-bit with the sequential scan at 1 job.
 
+mod common;
+
+use common::race_oracle;
 use ppd::analysis::EBlockStrategy;
 use ppd::core::{PpdSession, RunConfig};
-use ppd::graph::{
-    detect_races_absint_counted, detect_races_mhp_counted, detect_races_naive_counted,
-    detect_races_par_counted, detect_races_pruned_counted, detect_races_typed_counted,
-    VectorClocks,
-};
+use ppd::graph::{detect_races, detect_races_naive, detect_races_par, stage_pairs, VectorClocks};
 use ppd::lang::corpus;
 use ppd::runtime::SchedulerSpec;
 
@@ -27,8 +27,9 @@ struct StagePairs {
 }
 
 /// Runs `source` under `scheduler`, checks that all five detector
-/// stages agree on the race set (sequentially and at 8 jobs), and that
-/// the examined-pair counts never grow along the chain.
+/// stages agree on the race set (sequentially and at 8 jobs), that the
+/// one-pass stage counter matches each stage's own counted scan, and
+/// that the examined-pair counts never grow along the chain.
 fn check_schedule(name: &str, source: &str, scheduler: SchedulerSpec) -> StagePairs {
     let session = PpdSession::prepare(source, EBlockStrategy::per_subroutine())
         .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -38,39 +39,37 @@ fn check_schedule(name: &str, source: &str, scheduler: SchedulerSpec) -> StagePa
     let g = &execution.pgraph;
     let ord = VectorClocks::compute(g);
 
-    let (naive, naive_pairs) = detect_races_naive_counted(g, &ord);
-    let (pruned, pruned_pairs) = detect_races_pruned_counted(g, &ord, &a.race_candidates);
-    let (mhp, mhp_pairs) = detect_races_mhp_counted(g, &ord, &a.mhp_candidates);
-    let (typed, typed_pairs) = detect_races_typed_counted(g, &ord, &a.typed_candidates);
-    let (absint, absint_pairs) = detect_races_absint_counted(g, &ord, &a.absint_candidates);
-
-    assert_eq!(naive, pruned, "{name}: gmod/gref pruning changed the race set");
-    assert_eq!(naive, mhp, "{name}: MHP pruning changed the race set");
-    assert_eq!(naive, typed, "{name}: typed pruning changed the race set");
-    assert_eq!(naive, absint, "{name}: interval pruning changed the race set");
-    assert!(
-        pruned_pairs <= naive_pairs,
-        "{name}: pruned examined more pairs ({pruned_pairs} > {naive_pairs})"
+    let naive = detect_races_naive(g, &ord);
+    let stages = [&a.race_candidates, &a.mhp_candidates, &a.typed_candidates, &a.absint_candidates];
+    let counted = stage_pairs(g, &stages);
+    assert_eq!(counted.naive, race_oracle::naive_pairs(g), "{name}: naive pair count drifted");
+    assert_eq!(
+        counted.indexed,
+        race_oracle::counted_scan(g, &ord, None).1,
+        "{name}: indexed pair count drifted"
     );
-    assert!(mhp_pairs <= pruned_pairs, "{name}: mhp examined more pairs than gmod/gref");
-    assert!(typed_pairs <= mhp_pairs, "{name}: typed examined more pairs than mhp");
-    assert!(absint_pairs <= typed_pairs, "{name}: absint examined more pairs than typed");
+    for (i, (stage, cands)) in
+        ["gmod/gref", "MHP", "typed", "interval"].iter().zip(stages).enumerate()
+    {
+        let (races, pairs) = race_oracle::counted_scan(g, &ord, Some(cands));
+        assert_eq!(naive, races, "{name}: {stage} pruning changed the race set");
+        assert_eq!(naive, detect_races(g, &ord, Some(cands)), "{name}: {stage} scan disagrees");
+        assert_eq!(counted.filtered[i], pairs, "{name}: {stage} pair count drifted");
+    }
+    let [pruned, mhp, typed, absint] = [0, 1, 2, 3].map(|i| counted.filtered[i]);
+    assert!(pruned <= counted.naive, "{name}: pruned examined more pairs ({pruned} > naive)");
+    assert!(mhp <= pruned, "{name}: mhp examined more pairs than gmod/gref");
+    assert!(typed <= mhp, "{name}: typed examined more pairs than mhp");
+    assert!(absint <= typed, "{name}: absint examined more pairs than typed");
 
     // The parallel backend over the final (absint) candidate index must
-    // agree bit-for-bit at 1 and 8 jobs — same races, same pair count.
+    // agree bit-for-bit at 1 and 8 jobs.
     for jobs in [1, 8] {
-        let (par, par_pairs) = detect_races_par_counted(g, &ord, Some(&a.absint_candidates), jobs);
+        let par = detect_races_par(g, &ord, Some(&a.absint_candidates), jobs);
         assert_eq!(par, naive, "{name}: parallel scan at {jobs} jobs disagrees");
-        assert_eq!(par_pairs, absint_pairs, "{name}: parallel pair count at {jobs} jobs drifted");
     }
 
-    StagePairs {
-        naive: naive_pairs,
-        pruned: pruned_pairs,
-        mhp: mhp_pairs,
-        typed: typed_pairs,
-        absint: absint_pairs,
-    }
+    StagePairs { naive: counted.naive, pruned, mhp, typed, absint }
 }
 
 fn check(name: &str, source: &str) -> StagePairs {
@@ -96,9 +95,16 @@ fn corpus_prune_chain_preserves_races() {
 
 #[test]
 fn corpus_prune_chain_preserves_races_on_random_schedules() {
-    for prog in corpus::terminating() {
+    // The terminating corpus plus two generated many-process programs
+    // whose dense synchronization gives the stage counter large inputs.
+    let generated = [
+        ("gen_prodcons(150)", corpus::gen_prodcons(150)),
+        ("gen_token_ring(100)", corpus::gen_token_ring(100)),
+    ];
+    let programs = corpus::terminating().into_iter().map(|p| (p.name, p.source.to_string()));
+    for (name, source) in programs.chain(generated) {
         for seed in 0..4 {
-            check_schedule(prog.name, prog.source, SchedulerSpec::Random { seed });
+            check_schedule(name, &source, SchedulerSpec::Random { seed });
         }
     }
 }
