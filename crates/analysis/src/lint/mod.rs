@@ -216,17 +216,29 @@ pub fn default_passes() -> Vec<BoxedLintPass> {
     ]
 }
 
-/// Runs `passes` over the program and returns the diagnostics sorted by
-/// source position (then code) and with exact duplicates removed, for
-/// deterministic output.
+/// Runs `passes` over the program, one work-stealing task per pass
+/// across `jobs` threads, and returns the diagnostics sorted by source
+/// position (then code) and with exact duplicates removed. Passes only
+/// read the shared analyses and per-pass results are concatenated in
+/// registration order before the sort, so the output is
+/// **bit-identical** at any thread count.
 pub fn run_passes(
     rp: &ResolvedProgram,
     analyses: &Analyses,
     passes: &[BoxedLintPass],
+    jobs: usize,
 ) -> Vec<Diagnostic> {
     let ctx = LintContext { rp, analyses };
-    let per_pass: Vec<Vec<Diagnostic>> =
-        passes.iter().map(|p| run_pass_instrumented(p, &ctx)).collect();
+    let per_pass: Vec<Vec<Diagnostic>> = if jobs <= 1 || passes.len() <= 1 {
+        passes.iter().map(|p| run_pass_instrumented(p, &ctx)).collect()
+    } else {
+        use rayon::prelude::*;
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(jobs)
+            .build()
+            .expect("thread pool build is infallible");
+        pool.install(|| passes.par_iter().map(|p| run_pass_instrumented(p, &ctx)).collect())
+    };
     finalize(per_pass)
 }
 
@@ -236,31 +248,6 @@ fn run_pass_instrumented(pass: &BoxedLintPass, ctx: &LintContext) -> Vec<Diagnos
     let _span = ppd_obs::spans_enabled()
         .then(|| ppd_obs::span_dyn("lint", format!("pass:{}", pass.name())));
     pass.run(ctx)
-}
-
-/// Runs `passes` with one work-stealing task per pass across `jobs`
-/// threads. Passes only read the shared analyses, and per-pass results
-/// are concatenated in registration order before the same sort + dedup
-/// as [`run_passes`] — so the output is **bit-identical** to the
-/// sequential runner at any thread count.
-pub fn run_passes_par(
-    rp: &ResolvedProgram,
-    analyses: &Analyses,
-    passes: &[BoxedLintPass],
-    jobs: usize,
-) -> Vec<Diagnostic> {
-    if jobs <= 1 || passes.len() <= 1 {
-        return run_passes(rp, analyses, passes);
-    }
-    use rayon::prelude::*;
-    let ctx = LintContext { rp, analyses };
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(jobs)
-        .build()
-        .expect("thread pool build is infallible");
-    let per_pass: Vec<Vec<Diagnostic>> =
-        pool.install(|| passes.par_iter().map(|p| run_pass_instrumented(p, &ctx)).collect());
-    finalize(per_pass)
 }
 
 /// The shared deterministic finalization: flatten in registration
@@ -279,15 +266,10 @@ fn finalize(per_pass: Vec<Vec<Diagnostic>>) -> Vec<Diagnostic> {
     diags
 }
 
-/// Runs the default registry.
-pub fn run_default(rp: &ResolvedProgram, analyses: &Analyses) -> Vec<Diagnostic> {
-    run_passes(rp, analyses, &default_passes())
-}
-
-/// Runs the default registry across `jobs` worker threads; output is
-/// identical to [`run_default`].
-pub fn run_default_par(rp: &ResolvedProgram, analyses: &Analyses, jobs: usize) -> Vec<Diagnostic> {
-    run_passes_par(rp, analyses, &default_passes(), jobs)
+/// Runs the default registry across `jobs` worker threads (see
+/// [`run_passes`]).
+pub fn run_default(rp: &ResolvedProgram, analyses: &Analyses, jobs: usize) -> Vec<Diagnostic> {
+    run_passes(rp, analyses, &default_passes(), jobs)
 }
 
 /// The shared variables `stmt` may read and write, including its
@@ -339,7 +321,7 @@ pub(crate) mod testutil {
     pub fn lint(src: &str) -> (ResolvedProgram, Vec<Diagnostic>) {
         let rp = ppd_lang::compile(src).unwrap();
         let analyses = Analyses::run(&rp);
-        let diags = run_default(&rp, &analyses);
+        let diags = run_default(&rp, &analyses, 1);
         (rp, diags)
     }
 

@@ -780,7 +780,7 @@ const E11_REPS: usize = 101;
 const E11_BATCH: u64 = 4096;
 
 /// E11 — cost of the production-telemetry layer itself, held to the
-/// same §7 envelope as the logging it observes ([`PAPER_CLAIM_PCT`]):
+/// same §7 envelope as the logging it observes (`PAPER_CLAIM_PCT`, < 15%):
 ///
 /// - the E6-representative **cold** flowback query with a journal
 ///   attached vs. bare (interleaved minima; the journal adds a
@@ -1124,7 +1124,7 @@ fn e10_write_store(
     use ppd_log::LogEntry;
     const PROCS: usize = 4;
     let mut w =
-        ppd_log::SegmentWriter::create_with(dir, PROCS, 1 << 20, format).expect("create E10 store");
+        ppd_log::SegmentWriter::create(dir, PROCS, 1 << 20, format).expect("create E10 store");
     let mut written = 0u64;
     let mut rng = 0x2545_F491_4F6C_DD1Du64;
     let mut next = move || {

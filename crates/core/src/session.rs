@@ -130,7 +130,9 @@ impl Execution {
     /// `ppd debug/races/lint --log-dir` — without rescanning the logs.
     ///
     /// `segment_bytes` is the per-segment payload capacity; `0` uses
-    /// [`ppd_log::DEFAULT_SEGMENT_BYTES`].
+    /// [`ppd_log::DEFAULT_SEGMENT_BYTES`]. `format` frames the segment
+    /// payloads — [`ppd_log::SegmentFormat::V2Compressed`] for
+    /// `--compress` stores.
     ///
     /// # Errors
     ///
@@ -139,24 +141,9 @@ impl Execution {
         &self,
         dir: &std::path::Path,
         segment_bytes: usize,
-    ) -> Result<ppd_log::SinkReport, PpdError> {
-        self.save_dir_with(dir, segment_bytes, ppd_log::SegmentFormat::default())
-    }
-
-    /// [`save_dir`](Self::save_dir) with an explicit segment payload
-    /// format — [`ppd_log::SegmentFormat::V2Compressed`] for
-    /// `--compress` stores.
-    ///
-    /// # Errors
-    ///
-    /// As [`save_dir`](Self::save_dir).
-    pub fn save_dir_with(
-        &self,
-        dir: &std::path::Path,
-        segment_bytes: usize,
         format: ppd_log::SegmentFormat,
     ) -> Result<ppd_log::SinkReport, PpdError> {
-        let report = self.logs.write_dir_with(dir, segment_bytes, format)?;
+        let report = self.logs.write_dir(dir, segment_bytes, format)?;
         let record = RunRecord {
             outcome: self.outcome.clone(),
             output: self.output.clone(),
@@ -169,7 +156,7 @@ impl Execution {
     }
 
     /// Opens an execution saved by [`Execution::save_dir`] (or streamed
-    /// by [`PpdSession::execute_streaming`]): the logs come back
+    /// by [`PpdSession::execute_streaming_with`]): the logs come back
     /// segment-backed — `mmap` + footer decode, no full rescan — and
     /// entries decode lazily per process as debugging touches them.
     ///
@@ -333,29 +320,15 @@ impl PpdSession {
     /// directory can also be reopened later with
     /// [`Execution::load_dir`].
     ///
-    /// `segment_bytes` as in [`Execution::save_dir`].
+    /// `segment_bytes` as in [`Execution::save_dir`]. When `compress`
+    /// is set, the sink seals ~256 KiB payload blocks through the LZ77
+    /// compressor as the program runs, so the store never exists
+    /// uncompressed on disk.
     ///
     /// # Errors
     ///
     /// Returns [`PpdError::Store`] if the sink hit an IO error during
     /// the run or the finished store cannot be reopened.
-    pub fn execute_streaming(
-        &self,
-        config: RunConfig,
-        dir: &std::path::Path,
-        segment_bytes: usize,
-    ) -> Result<Execution, PpdError> {
-        self.execute_streaming_with(config, dir, segment_bytes, false)
-    }
-
-    /// [`execute_streaming`](Self::execute_streaming) with block
-    /// compression toggled: when `compress` is set, the sink seals
-    /// ~256 KiB payload blocks through the LZ77 compressor as the
-    /// program runs, so the store never exists uncompressed on disk.
-    ///
-    /// # Errors
-    ///
-    /// As [`execute_streaming`](Self::execute_streaming).
     pub fn execute_streaming_with(
         &self,
         config: RunConfig,
@@ -470,7 +443,7 @@ mod tests {
         let exec = session.execute(RunConfig::default());
         let dir = std::env::temp_dir().join(format!("ppd-session-save-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        exec.save_dir(&dir, 512).unwrap();
+        exec.save_dir(&dir, 512, ppd_log::SegmentFormat::default()).unwrap();
         let loaded = Execution::load_dir(&dir).unwrap();
         assert!(loaded.logs.is_segmented());
         assert_eq!(loaded.outcome, exec.outcome);
@@ -494,7 +467,8 @@ mod tests {
         let mem = session.execute(RunConfig::default());
         let dir = std::env::temp_dir().join(format!("ppd-session-stream-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let streamed = session.execute_streaming(RunConfig::default(), &dir, 256).unwrap();
+        let streamed =
+            session.execute_streaming_with(RunConfig::default(), &dir, 256, false).unwrap();
         assert!(streamed.logs.is_segmented(), "streamed logs reopen segment-backed");
         assert_eq!(streamed.outcome, mem.outcome);
         assert_eq!(streamed.output, mem.output);
@@ -546,7 +520,7 @@ mod tests {
         assert!(mem.refresh_logs().unwrap().is_none());
         let dir = std::env::temp_dir().join(format!("ppd-session-refresh-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        mem.save_dir(&dir, 512).unwrap();
+        mem.save_dir(&dir, 512, ppd_log::SegmentFormat::default()).unwrap();
         let mut loaded = Execution::load_dir(&dir).unwrap();
         let before = loaded.logs.total_entries();
         let stats = loaded.refresh_logs().unwrap().expect("segment-backed");

@@ -149,33 +149,6 @@ impl IntervalIndex {
         IntervalIndex { procs }
     }
 
-    /// [`IntervalIndex::build`] sharded by process across a
-    /// work-stealing pool: each process's log is an independent
-    /// single-pass stack matching, so the per-process tables build
-    /// concurrently and are merged in process order — the result is
-    /// identical to the sequential build.
-    pub fn build_par(store: &LogStore, jobs: usize) -> IntervalIndex {
-        if jobs <= 1 || store.process_count() <= 1 {
-            return Self::build(store);
-        }
-        let mut span = ppd_obs::span("log", "index_build_par");
-        span.arg("procs", store.process_count());
-        span.arg("jobs", jobs);
-        use rayon::prelude::*;
-        let procs_in: Vec<ProcId> = (0..store.process_count()).map(|p| ProcId(p as u32)).collect();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(jobs)
-            .build()
-            .expect("thread pool build is infallible");
-        let procs = pool.install(|| {
-            procs_in
-                .par_iter()
-                .map(|&proc| Self::build_proc(proc, &store.log(proc).entries))
-                .collect()
-        });
-        IntervalIndex { procs }
-    }
-
     fn build_proc(proc: ProcId, entries: &[LogEntry]) -> ProcIndex {
         Self::build_proc_events(
             proc,

@@ -13,15 +13,15 @@
 //! the nested-interval postlog substitution of §5.2 / Figure 5.2. The
 //! [`IntervalIndex`] is built once per execution by a single-pass stack
 //! matching of prelog/postlog pairs and serves all interval queries in
-//! O(1) amortized time; [`binio`] adds a compact binary serialization
-//! next to the JSON one.
+//! O(1) amortized time.
 //!
 //! For out-of-core logs, [`segment`] defines an append-only segmented
 //! on-disk format whose CRC-guarded footers carry counts, offsets and a
-//! structural digest: [`SegmentedLog`] opens a directory by `mmap` +
-//! footer decode (no full rescan — the [`IntervalIndex`] rebuilds from
-//! digests), and decodes a process's entries lazily from the mapped
-//! bytes. [`LogSource`] is the common query surface over both backings.
+//! structural digest, over the compact [`binio`] entry codec:
+//! [`SegmentedLog`] opens a directory by `mmap` + footer decode (no
+//! full rescan — the [`IntervalIndex`] rebuilds from digests), and
+//! decodes a process's entries lazily from the mapped bytes. A
+//! [`LogStore`] serves the same queries over either backing.
 //!
 //! ## Example
 //!
@@ -44,7 +44,6 @@ pub mod entry;
 pub mod index;
 pub mod mmap;
 pub mod segment;
-pub mod source;
 pub mod store;
 
 pub use binio::{BinError, BinErrorKind};
@@ -55,5 +54,4 @@ pub use segment::{
     SegmentWriter, SegmentedLog, SinkReport, VerifyReport, DEFAULT_BLOCK_BYTES,
     DEFAULT_SEGMENT_BYTES,
 };
-pub use source::LogSource;
 pub use store::{IntervalRef, LogCursor, LogStore, ProcessLog};

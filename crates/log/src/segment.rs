@@ -17,29 +17,30 @@
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
 //! │ header   "PPDS" ver  proc  seq  base_seq          (varints)  │
-//! │ payload  v1: entry … entry       (binio tagged wire format)  │
-//! │          v2: lzb frame … lzb frame   (whole entries per      │
-//! │              frame; raw or compressed, checksummed)          │
+//! │ payload  lzb frame … lzb frame       (whole binio entries    │
+//! │          per frame; raw or compressed, checksummed)          │
 //! │ footer   payload_crc:u32le                                   │
 //! │          entry_count payload_len logical_bytes               │
 //! │          counts[6] min_time max_time                         │
 //! │          offsets (delta varints)  digest (pre/postlog events)│
-//! │          v2: block table (uncomp_len stored_len per block)   │
+//! │          block table (uncomp_len stored_len per block)       │
 //! │ trailer  footer_len:u32le  footer_crc:u32le  "PPDF"          │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! **Version 1** stores the payload raw. **Version 2** splits the
-//! payload into fixed-target blocks (~[`DEFAULT_BLOCK_BYTES`]
-//! uncompressed, whole entries only) and frames each independently
-//! with the vendored `lzb` compressor — either actually compressed or
-//! through the raw escape, so incompressible data costs at most a few
-//! framing bytes. The footer's block table maps uncompressed offsets
-//! to file offsets; entry offsets stay *uncompressed*-relative, so a
-//! range query binary-searches the table and decompresses exactly the
-//! blocks it needs ([`SegmentedLog::entries_in_range`]), while bulk
-//! paths (`verify`, preload) decompress segments in parallel over the
-//! vendored work-stealing pool.
+//! There is one segment version, [`SEGMENT_VERSION`]; a header naming
+//! any other is corruption wherever the file sits, never a misparse.
+//! The payload is split into fixed-target blocks
+//! (~[`DEFAULT_BLOCK_BYTES`] uncompressed, whole entries only), each
+//! framed independently with the vendored `lzb` compressor — either
+//! actually compressed ([`SegmentFormat::V2Compressed`]) or through the
+//! raw escape ([`SegmentFormat::V2Raw`]), so incompressible data costs
+//! at most a few framing bytes. The footer's block table maps
+//! uncompressed offsets to file offsets; entry offsets stay
+//! *uncompressed*-relative, so a range query binary-searches the table
+//! and decompresses exactly the blocks it needs
+//! ([`SegmentedLog::entries_in_range`]), while `verify` decompresses
+//! segments in parallel over the vendored work-stealing pool.
 //!
 //! Two CRC32s (IEEE) guard a segment, split so that open-time cost is
 //! proportional to the *footer*, not the log: the trailer's
@@ -56,13 +57,13 @@
 //! flushes sealed frames incrementally ([`SegmentWriter::flush`]), an
 //! unsealed final segment is not garbage — it is the live tail of a
 //! run that is still going (or was killed mid-flush). Open scans it
-//! record-by-record (v1) or checksummed-frame-by-frame (v2) to the
-//! last valid entry and serves the recovered prefix like any other
-//! entries; the scan position is kept as a per-segment **high-water
-//! mark** so [`SegmentedLog::refresh`] can cheaply re-open a directory
-//! a still-running program is appending to: sealed segments are reused
-//! by `(proc, seq)`, the tail scan resumes where it left off, and the
-//! footer-built index is extended incrementally instead of rebuilt.
+//! checksummed frame by frame to the last valid entry and serves the
+//! recovered prefix like any other entries; the scan position is kept
+//! as a per-segment **high-water mark** so [`SegmentedLog::refresh`]
+//! can cheaply re-open a directory a still-running program is
+//! appending to: sealed segments are reused by `(proc, seq)`, the tail
+//! scan resumes where it left off, and the footer-built index is
+//! extended incrementally instead of rebuilt.
 //! An unsealed segment that is *not* its process's last file is a hard
 //! corruption error, as before.
 
@@ -73,7 +74,6 @@ use crate::mmap::Mapping;
 use crate::store::{LogStore, ProcessLog};
 use ppd_lang::ProcId;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Write as _;
@@ -83,15 +83,14 @@ use std::sync::{Arc, OnceLock};
 
 const SEG_MAGIC: &[u8; 4] = b"PPDS";
 const FOOT_MAGIC: &[u8; 4] = b"PPDF";
-/// The original raw-payload segment version.
-pub const SEGMENT_VERSION_V1: u8 = 1;
-/// Current segment version: block-framed payloads (raw or compressed).
+/// The segment version: block-framed payloads (raw or compressed). It is
+/// also the manifest version.
 pub const SEGMENT_VERSION: u8 = 2;
 /// footer_len (4) + footer_crc (4) + "PPDF" (4).
 const TRAILER_LEN: usize = 12;
 /// Default payload capacity before a segment seals.
 pub const DEFAULT_SEGMENT_BYTES: usize = 64 * 1024;
-/// Target uncompressed bytes per v2 payload block. Effective block
+/// Target uncompressed bytes per payload block. Effective block
 /// size is `min(capacity, DEFAULT_BLOCK_BYTES)`.
 pub const DEFAULT_BLOCK_BYTES: usize = 256 * 1024;
 /// The directory manifest file name.
@@ -218,28 +217,19 @@ struct Manifest {
     processes: usize,
 }
 
-/// How [`SegmentWriter`] lays payload bytes on disk.
+/// How [`SegmentWriter`] frames payload blocks on disk. Both formats
+/// write [`SEGMENT_VERSION`] segments and read back identically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum SegmentFormat {
-    /// Version-1 raw payloads (back-compat writer, mainly for tests).
-    V1,
-    /// Version-2 block framing through the raw escape: walkable,
-    /// checksummed frames without the compression cost.
+    /// Block framing through the raw escape: walkable, checksummed
+    /// frames without the compression cost.
     #[default]
     V2Raw,
-    /// Version-2 block framing with lzb compression.
+    /// Block framing with lzb compression.
     V2Compressed,
 }
 
 impl SegmentFormat {
-    /// The header/manifest version byte this format writes.
-    pub fn version(self) -> u8 {
-        match self {
-            SegmentFormat::V1 => SEGMENT_VERSION_V1,
-            _ => SEGMENT_VERSION,
-        }
-    }
-
     /// Whether payload blocks go through the lzb matcher.
     pub fn compressed(self) -> bool {
         self == SegmentFormat::V2Compressed
@@ -264,8 +254,8 @@ pub struct VerifyReport {
     pub segments: usize,
     /// Entries decoded and checked against footer metadata.
     pub entries: u64,
-    /// Entries served from recovered unsealed tails (checksummed at
-    /// scan time for v2, best-effort for v1 — not re-verified here).
+    /// Entries served from recovered unsealed tails (their frames were
+    /// checksummed at scan time — not re-verified here).
     pub recovered: u64,
     /// Recovery warnings carried over from open (recovered or dropped
     /// unsealed tails).
@@ -303,7 +293,7 @@ pub(crate) struct DigestEvent {
     pub(crate) time: u64,
 }
 
-/// One v2 payload block: where its uncompressed bytes fall in the
+/// One payload block: where its uncompressed bytes fall in the
 /// logical payload and where its stored frame falls in the file
 /// (relative to the payload start).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,7 +314,7 @@ pub struct BlockMeta {
 pub struct SegmentMeta {
     /// File name within the log directory.
     pub file: String,
-    /// Segment format version (1 = raw payload, 2 = framed blocks).
+    /// Segment format version (always [`SEGMENT_VERSION`]).
     pub version: u8,
     /// Owning process.
     pub proc: u32,
@@ -335,8 +325,7 @@ pub struct SegmentMeta {
     pub base_seq: u64,
     /// Entries in the payload.
     pub entry_count: u64,
-    /// Uncompressed payload byte length (equals the stored length for
-    /// version 1).
+    /// Uncompressed payload byte length.
     pub payload_len: u64,
     /// Stored payload byte length in the file.
     pub stored_len: u64,
@@ -357,7 +346,7 @@ pub struct SegmentMeta {
     offsets: Vec<u64>,
     /// Prelog/postlog digest, in entry order.
     digest: Vec<DigestEvent>,
-    /// v2 block table (empty for version 1).
+    /// Block table, in payload order.
     blocks: Vec<BlockMeta>,
 }
 
@@ -372,12 +361,12 @@ impl SegmentMeta {
         self.offsets.get(i).copied()
     }
 
-    /// The v2 block table (empty for version-1 segments).
+    /// The block table, in payload order.
     pub fn blocks(&self) -> &[BlockMeta] {
         &self.blocks
     }
 
-    /// Number of stored payload blocks (0 for version-1 segments).
+    /// Number of stored payload blocks.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
     }
@@ -395,19 +384,25 @@ fn parse_file_name(name: &str) -> Option<(u32, u64)> {
     Some((proc.parse().ok()?, seq.parse().ok()?))
 }
 
-/// Parses header + footer of one sealed segment. `Err(detail)` means
-/// the bytes are not a sealed segment (the caller decides whether that
-/// is a recoverable unsealed tail or hard corruption).
+/// The version byte of a complete segment header (magic plus version)
+/// that names a version other than [`SEGMENT_VERSION`]. Such a file is
+/// corrupt wherever it sits — never an unsealed tail to recover a
+/// prefix from — so open rejects it before either parse below.
+fn unsupported_version(bytes: &[u8]) -> Option<u8> {
+    let version = *bytes.get(SEG_MAGIC.len())?;
+    (bytes.starts_with(SEG_MAGIC) && version != SEGMENT_VERSION).then_some(version)
+}
+
+/// Parses header + footer of one sealed segment whose version
+/// [`unsupported_version`] has accepted. `Err(detail)` means the bytes
+/// are not a sealed segment (the caller decides whether that is a
+/// recoverable unsealed tail or hard corruption).
 fn parse_segment(file: &str, bytes: &[u8]) -> Result<SegmentMeta, String> {
     if bytes.len() < SEG_MAGIC.len() + 1 + TRAILER_LEN {
         return Err(format!("file too short ({} bytes) to be a sealed segment", bytes.len()));
     }
     if &bytes[..4] != SEG_MAGIC {
         return Err("bad segment magic".into());
-    }
-    let version = bytes[4];
-    if version != SEGMENT_VERSION_V1 && version != SEGMENT_VERSION {
-        return Err(format!("unsupported segment version {version}"));
     }
     let trailer = &bytes[bytes.len() - TRAILER_LEN..];
     if &trailer[8..12] != FOOT_MAGIC {
@@ -449,11 +444,6 @@ fn parse_segment(file: &str, bytes: &[u8]) -> Result<SegmentMeta, String> {
     let mut r = Reader::with_base(&bytes[footer_start + 4..body_end], footer_start + 4);
     let entry_count = r.varint().map_err(err_str)?;
     let payload_len = r.varint().map_err(err_str)?;
-    if version == SEGMENT_VERSION_V1 && payload_start + payload_len as usize != footer_start {
-        return Err(format!(
-            "payload length {payload_len} inconsistent with footer position {footer_start}"
-        ));
-    }
     let logical_bytes = r.varint().map_err(err_str)?;
     let mut counts = [0u64; 6];
     for c in &mut counts {
@@ -488,47 +478,41 @@ fn parse_segment(file: &str, bytes: &[u8]) -> Result<SegmentMeta, String> {
             time: r.varint().map_err(err_str)?,
         });
     }
-    // v2: the block table maps uncompressed payload offsets to stored
-    // frame offsets, so readers can seek without decompressing the
-    // whole payload.
-    let mut blocks = Vec::new();
-    let stored_len = if version >= SEGMENT_VERSION {
-        let n_blocks = r.varint().map_err(err_str)? as usize;
-        let mut uoff = 0u64;
-        let mut soff = 0u64;
-        blocks.reserve(n_blocks.min(1 << 16));
-        for _ in 0..n_blocks {
-            let ulen = r.varint().map_err(err_str)?;
-            let slen = r.varint().map_err(err_str)?;
-            blocks.push(BlockMeta {
-                uncomp_off: uoff,
-                uncomp_len: ulen,
-                stored_off: soff,
-                stored_len: slen,
-            });
-            uoff += ulen;
-            soff += slen;
-        }
-        if uoff != payload_len {
-            return Err(format!(
-                "block table uncompressed total {uoff} disagrees with payload length {payload_len}"
-            ));
-        }
-        if payload_start + soff as usize != footer_start {
-            return Err(format!(
-                "block table stored total {soff} inconsistent with footer position {footer_start}"
-            ));
-        }
-        soff
-    } else {
-        payload_len
-    };
+    // The block table maps uncompressed payload offsets to stored frame
+    // offsets, so readers can seek without decompressing the whole
+    // payload.
+    let n_blocks = r.varint().map_err(err_str)? as usize;
+    let mut blocks = Vec::with_capacity(n_blocks.min(1 << 16));
+    let mut uoff = 0u64;
+    let mut stored_len = 0u64;
+    for _ in 0..n_blocks {
+        let ulen = r.varint().map_err(err_str)?;
+        let slen = r.varint().map_err(err_str)?;
+        blocks.push(BlockMeta {
+            uncomp_off: uoff,
+            uncomp_len: ulen,
+            stored_off: stored_len,
+            stored_len: slen,
+        });
+        uoff += ulen;
+        stored_len += slen;
+    }
+    if uoff != payload_len {
+        return Err(format!(
+            "block table uncompressed total {uoff} disagrees with payload length {payload_len}"
+        ));
+    }
+    if payload_start + stored_len as usize != footer_start {
+        return Err(format!(
+            "block table stored total {stored_len} inconsistent with footer position {footer_start}"
+        ));
+    }
     if r.remaining() != 0 {
         return Err(format!("{} trailing bytes after footer body", r.remaining()));
     }
     Ok(SegmentMeta {
         file: file.to_string(),
-        version,
+        version: SEGMENT_VERSION,
         proc,
         seq,
         base_seq,
@@ -569,16 +553,15 @@ struct ProcWriter {
     seq: u64,
     /// Global entry index of the current segment's first entry.
     base_seq: u64,
-    /// Header + *stored* payload bytes accumulated so far (raw entries
-    /// for v1, sealed lzb frames for v2).
+    /// Header + *stored* payload bytes (sealed lzb frames) accumulated
+    /// so far.
     buf: Vec<u8>,
-    /// v2: uncompressed entry bytes waiting to be framed as a block.
+    /// Uncompressed entry bytes waiting to be framed as a block.
     block_buf: Vec<u8>,
-    /// v2: sealed `(uncompressed_len, stored_len)` per block.
+    /// Sealed `(uncompressed_len, stored_len)` per block.
     blocks: Vec<(u64, u64)>,
-    /// v2: uncompressed payload bytes already framed into `buf`.
+    /// Uncompressed payload bytes already framed into `buf`.
     uncomp_len: u64,
-    payload_start: usize,
     /// Bytes of `buf` already flushed to the segment file.
     flushed: usize,
     /// The open segment file, once anything has been flushed.
@@ -596,16 +579,16 @@ struct ProcWriter {
 /// one at a time (the runtime calls it from every log write), and a
 /// segment is sealed — footer built, CRC stamped, file flushed — as
 /// soon as its payload reaches capacity, **while the program is still
-/// running**. In the v2 formats each segment's payload is framed into
-/// blocks as it grows, and [`SegmentWriter::flush`] pushes the sealed
-/// frames to disk so a live reader can recover them before the segment
-/// seals. [`SegmentWriter::finish`] seals the partial tails and
-/// (re)writes the manifest.
+/// running**. Each segment's payload is framed into blocks as it
+/// grows, and [`SegmentWriter::flush`] pushes the sealed frames to
+/// disk so a live reader can recover them before the segment seals.
+/// [`SegmentWriter::finish`] seals the partial tails and (re)writes the
+/// manifest.
 #[derive(Debug)]
 pub struct SegmentWriter {
     dir: PathBuf,
     capacity: usize,
-    /// Uncompressed bytes per v2 block.
+    /// Uncompressed bytes per block.
     block_bytes: usize,
     format: SegmentFormat,
     procs: Vec<ProcWriter>,
@@ -617,8 +600,8 @@ pub struct SegmentWriter {
 
 impl SegmentWriter {
     /// Creates `dir` (if needed), writes the manifest, and prepares one
-    /// stream per process, in the default [`SegmentFormat`]. `capacity`
-    /// is the payload size at which a segment seals; 0 means
+    /// stream per process, framing blocks in `format`. `capacity` is the
+    /// payload size at which a segment seals; 0 means
     /// [`DEFAULT_SEGMENT_BYTES`].
     ///
     /// # Errors
@@ -626,19 +609,6 @@ impl SegmentWriter {
     /// Returns [`SegError::Io`] if the directory or manifest cannot be
     /// written.
     pub fn create(
-        dir: &Path,
-        processes: usize,
-        capacity: usize,
-    ) -> Result<SegmentWriter, SegError> {
-        Self::create_with(dir, processes, capacity, SegmentFormat::default())
-    }
-
-    /// [`create`](Self::create) with an explicit payload format.
-    ///
-    /// # Errors
-    ///
-    /// As [`create`](Self::create).
-    pub fn create_with(
         dir: &Path,
         processes: usize,
         capacity: usize,
@@ -662,8 +632,8 @@ impl SegmentWriter {
         Ok(w)
     }
 
-    /// Overrides the uncompressed block target (v2 formats only) —
-    /// used by tests and benches to force multi-block segments.
+    /// Overrides the uncompressed block target — used by tests and
+    /// benches to force multi-block segments.
     pub fn with_block_bytes(mut self, bytes: usize) -> SegmentWriter {
         self.block_bytes = bytes.max(1);
         self
@@ -672,7 +642,7 @@ impl SegmentWriter {
     fn write_manifest(&self, processes: usize) -> Result<(), SegError> {
         let manifest = Manifest {
             format: "ppd-segmented-log".to_string(),
-            version: self.format.version(),
+            version: SEGMENT_VERSION,
             processes,
         };
         let path = self.dir.join(MANIFEST_NAME);
@@ -683,15 +653,13 @@ impl SegmentWriter {
 
     /// Starts a fresh segment buffer for process `p` (header only).
     fn begin_segment(&mut self, p: usize) {
-        let version = self.format.version();
         let pw = &mut self.procs[p];
         pw.buf.clear();
         pw.buf.extend_from_slice(SEG_MAGIC);
-        pw.buf.push(version);
+        pw.buf.push(SEGMENT_VERSION);
         binio::put_varint(&mut pw.buf, u64::from(p as u32));
         binio::put_varint(&mut pw.buf, pw.seq);
         binio::put_varint(&mut pw.buf, pw.base_seq);
-        pw.payload_start = pw.buf.len();
         pw.block_buf.clear();
         pw.blocks.clear();
         pw.uncomp_len = 0;
@@ -713,18 +681,12 @@ impl SegmentWriter {
         if self.error.is_some() {
             return;
         }
-        let v1 = self.format == SegmentFormat::V1;
         let capacity = self.capacity;
         let block_bytes = self.block_bytes;
         let p = proc.index();
         let pw = &mut self.procs[p];
-        if v1 {
-            pw.offsets.push((pw.buf.len() - pw.payload_start) as u64);
-            binio::put_entry(&mut pw.buf, e);
-        } else {
-            pw.offsets.push(pw.uncomp_len + pw.block_buf.len() as u64);
-            binio::put_entry(&mut pw.block_buf, e);
-        }
+        pw.offsets.push(pw.uncomp_len + pw.block_buf.len() as u64);
+        binio::put_entry(&mut pw.block_buf, e);
         pw.counts[kind_slot(e)] += 1;
         pw.logical_bytes += e.size_bytes() as u64;
         let t = e.time();
@@ -741,19 +703,15 @@ impl SegmentWriter {
         }
         pw.entries += 1;
         self.report.entries += 1;
-        if v1 {
-            if pw.buf.len() - pw.payload_start >= capacity {
-                self.seal(p, false);
-            }
-        } else if pw.uncomp_len as usize + pw.block_buf.len() >= capacity {
+        if pw.uncomp_len as usize + pw.block_buf.len() >= capacity {
             self.seal(p, false);
         } else if pw.block_buf.len() >= block_bytes {
             self.seal_block(p);
         }
     }
 
-    /// v2: frames the pending uncompressed block into the stored
-    /// buffer (compressed, or through the raw escape).
+    /// Frames the pending uncompressed block into the stored buffer
+    /// (compressed, or through the raw escape).
     fn seal_block(&mut self, p: usize) {
         let compress = self.format.compressed();
         let pw = &mut self.procs[p];
@@ -795,16 +753,14 @@ impl SegmentWriter {
         }
     }
 
-    /// Flushes every process's stream: pending v2 blocks are framed
-    /// and all sealed bytes are pushed to disk. After a flush, a
+    /// Flushes every process's stream: pending blocks are framed and
+    /// all sealed bytes are pushed to disk. After a flush, a
     /// concurrent [`SegmentedLog::open`] (or
     /// [`SegmentedLog::refresh`]) of the directory recovers every
     /// flushed entry from the unsealed live tails.
     pub fn flush(&mut self) {
         for p in 0..self.procs.len() {
-            if self.format != SegmentFormat::V1 {
-                self.seal_block(p);
-            }
+            self.seal_block(p);
             self.flush_buf(p);
         }
     }
@@ -814,13 +770,10 @@ impl SegmentWriter {
     /// every manifest-listed process owns at least one file (an empty
     /// directory entry is indistinguishable from data loss otherwise).
     fn seal(&mut self, p: usize, force: bool) {
-        if self.format != SegmentFormat::V1 {
-            self.seal_block(p);
-        }
+        self.seal_block(p);
         if self.procs[p].entries == 0 && !(force && self.procs[p].seq == 0) {
             return;
         }
-        let v1 = self.format == SegmentFormat::V1;
         let name = segment_file_name(p as u32, self.procs[p].seq);
         let path = self.dir.join(&name);
         let (tail, buf_len) = {
@@ -828,14 +781,12 @@ impl SegmentWriter {
             if pw.min_time == u64::MAX {
                 pw.min_time = 0;
             }
-            let payload_len =
-                if v1 { (pw.buf.len() - pw.payload_start) as u64 } else { pw.uncomp_len };
             let mut footer = Vec::new();
             // Payload crc first (fixed width): covers header + stored
             // payload, i.e. everything already in `pw.buf`.
             footer.extend_from_slice(&crc32(&pw.buf).to_le_bytes());
             binio::put_varint(&mut footer, pw.entries);
-            binio::put_varint(&mut footer, payload_len);
+            binio::put_varint(&mut footer, pw.uncomp_len);
             binio::put_varint(&mut footer, pw.logical_bytes);
             for c in pw.counts {
                 binio::put_varint(&mut footer, c);
@@ -858,12 +809,10 @@ impl SegmentWriter {
                 binio::put_varint(&mut footer, ev.instance);
                 binio::put_varint(&mut footer, ev.time);
             }
-            if !v1 {
-                binio::put_varint(&mut footer, pw.blocks.len() as u64);
-                for &(ulen, slen) in &pw.blocks {
-                    binio::put_varint(&mut footer, ulen);
-                    binio::put_varint(&mut footer, slen);
-                }
+            binio::put_varint(&mut footer, pw.blocks.len() as u64);
+            for &(ulen, slen) in &pw.blocks {
+                binio::put_varint(&mut footer, ulen);
+                binio::put_varint(&mut footer, slen);
             }
             let footer_crc = crc32(&footer);
             let mut tail = footer;
@@ -931,24 +880,14 @@ impl SegmentWriter {
     }
 }
 
-/// Packs an in-memory store into `dir` as a segmented log in the
-/// default format.
+/// Packs an in-memory store into `dir` as a segmented log in `format`
+/// (`ppd log pack --compress` writes [`SegmentFormat::V2Compressed`]).
 ///
 /// # Errors
 ///
 /// Returns [`SegError::Io`] if the directory or a segment cannot be
 /// written.
-pub fn write_store(store: &LogStore, dir: &Path, capacity: usize) -> Result<SinkReport, SegError> {
-    write_store_with(store, dir, capacity, SegmentFormat::default())
-}
-
-/// [`write_store`] with an explicit payload format (`ppd log pack
-/// --compress`).
-///
-/// # Errors
-///
-/// As [`write_store`].
-pub fn write_store_with(
+pub fn write_store(
     store: &LogStore,
     dir: &Path,
     capacity: usize,
@@ -957,7 +896,7 @@ pub fn write_store_with(
     let mut span = ppd_obs::span("log", "segment_pack");
     span.arg("procs", store.process_count());
     span.arg("compress", u64::from(format.compressed()));
-    let mut w = SegmentWriter::create_with(dir, store.process_count(), capacity, format)?;
+    let mut w = SegmentWriter::create(dir, store.process_count(), capacity, format)?;
     for p in 0..store.process_count() {
         let proc = ProcId(p as u32);
         for e in &store.log(proc).entries {
@@ -978,14 +917,12 @@ pub fn write_store_with(
 #[derive(Debug, Clone)]
 pub struct RecoveredTail {
     file: String,
-    version: u8,
     base_seq: u64,
     entries: Vec<LogEntry>,
     digest: Vec<DigestEvent>,
     counts: [u64; 6],
     logical_bytes: u64,
-    /// File offset just past the last fully recovered record (an entry
-    /// boundary for v1, a frame boundary for v2).
+    /// File offset just past the last fully recovered frame.
     scanned_bytes: usize,
     /// File length at scan time — a cheap "did it grow" probe.
     file_len: u64,
@@ -1042,11 +979,12 @@ impl RecoveredTail {
     }
 }
 
-/// Scans an unsealed tail segment record-by-record to the last valid
+/// Scans an unsealed tail segment frame by frame to the last valid
 /// entry. `Err(why)` means the file cannot be trusted at all (bad
 /// header, or it does not continue the sealed chain) and must be
-/// dropped. `resume` restarts an earlier scan from its high-water mark
-/// instead of the payload start.
+/// dropped; open has already rejected unsupported versions. `resume`
+/// restarts an earlier scan from its high-water mark instead of the
+/// payload start.
 fn scan_tail(
     file: &str,
     bytes: &[u8],
@@ -1061,10 +999,6 @@ fn scan_tail(
     }
     if &bytes[..4] != SEG_MAGIC {
         return Err("bad segment magic".into());
-    }
-    let version = bytes[4];
-    if version != SEGMENT_VERSION_V1 && version != SEGMENT_VERSION {
-        return Err(format!("unsupported segment version {version}"));
     }
     let hdr = |e: BinError| format!("header decode failed: {e}");
     let mut h = Reader::with_base(&bytes[5..], 5);
@@ -1082,7 +1016,6 @@ fn scan_tail(
     let mut tail = match resume {
         Some(old)
             if old.file == file
-                && old.version == version
                 && old.scanned_bytes >= payload_start
                 && old.scanned_bytes <= bytes.len() =>
         {
@@ -1090,7 +1023,6 @@ fn scan_tail(
         }
         _ => RecoveredTail {
             file: file.to_string(),
-            version,
             base_seq,
             entries: Vec::new(),
             digest: Vec::new(),
@@ -1103,53 +1035,24 @@ fn scan_tail(
     };
     tail.file_len = bytes.len() as u64;
     tail.detail = unsealed_detail.to_string();
-    if version == SEGMENT_VERSION_V1 {
-        // Raw entry stream: decode until the bytes stop making sense.
-        // v1 has no frame checksums, so guard against the scan running
-        // off the real entries into footer bytes that happen to decode:
-        // logical times are nondecreasing within a process, and a
-        // decoded "entry" that time-travels is garbage.
-        let mut r = Reader::with_base(&bytes[tail.scanned_bytes..], tail.scanned_bytes);
-        let mut last_time = tail.entries.last().map(LogEntry::time).unwrap_or(0);
+    // Every frame is checksummed and holds whole entries, so recovery is
+    // exact: walk frames until one is truncated or fails its crc, decode
+    // each in full.
+    let mut data = Vec::new();
+    'frames: while tail.scanned_bytes < bytes.len() {
+        let at = tail.scanned_bytes;
+        data.clear();
+        let Ok(consumed) = lzb::decompress_into(&bytes[at..], &mut data) else { break };
+        let mut r = Reader::new(&data);
+        let mut pending = Vec::new();
         while r.remaining() > 0 {
-            match binio::get_entry(&mut r) {
-                Ok(e) if e.time() >= last_time => {
-                    last_time = e.time();
-                    tail.push_entry(e);
-                    tail.scanned_bytes = r.offset();
-                }
-                _ => break,
-            }
+            let Ok(e) = binio::get_entry(&mut r) else { break 'frames };
+            pending.push(e);
         }
-    } else {
-        // Framed stream: every frame is checksummed and holds whole
-        // entries, so recovery is exact — walk frames until one is
-        // truncated or fails its crc, decode each in full.
-        let mut data = Vec::new();
-        while tail.scanned_bytes < bytes.len() {
-            let at = tail.scanned_bytes;
-            data.clear();
-            let Ok(consumed) = lzb::decompress_into(&bytes[at..], &mut data) else { break };
-            let mut r = Reader::new(&data);
-            let mut pending = Vec::new();
-            let mut clean = true;
-            while r.remaining() > 0 {
-                match binio::get_entry(&mut r) {
-                    Ok(e) => pending.push(e),
-                    Err(_) => {
-                        clean = false;
-                        break;
-                    }
-                }
-            }
-            if !clean {
-                break;
-            }
-            for e in pending {
-                tail.push_entry(e);
-            }
-            tail.scanned_bytes = at + consumed;
+        for e in pending {
+            tail.push_entry(e);
         }
+        tail.scanned_bytes = at + consumed;
     }
     Ok(tail)
 }
@@ -1157,6 +1060,12 @@ fn scan_tail(
 // ---------------------------------------------------------------------
 // Reader
 // ---------------------------------------------------------------------
+
+/// Worker threads for the concurrent open and verify passes: every
+/// hardware thread the host will give us.
+fn available_jobs() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
 
 /// One mapped, footer-verified segment.
 #[derive(Debug)]
@@ -1187,11 +1096,11 @@ pub struct SegmentedLog {
     /// How many entries have been decoded since open — the scan
     /// counter the no-full-rescan acceptance test asserts on.
     entries_decoded: AtomicU64,
-    /// How many v2 payload blocks have been decompressed since open —
-    /// the counter the block-seeking tests assert on.
+    /// How many payload blocks have been decompressed since open — the
+    /// counter the block-seeking tests assert on.
     blocks_decompressed: AtomicU64,
-    /// How many stored payload bytes have been read (mapped v1 slices
-    /// or compressed v2 frames) since open.
+    /// How many stored payload bytes (block frames) have been read since
+    /// open.
     bytes_read: AtomicU64,
     /// Per process, per sealed segment: access-heatmap counters,
     /// parallel to `procs`.
@@ -1230,10 +1139,13 @@ pub struct HeatRecord {
 
 impl SegmentedLog {
     /// Opens a log directory: reads the manifest, maps every `.seg`
-    /// file, and parses/CRC-checks footers only. An unsealed **final**
-    /// segment of a process is scanned for recoverable entries (the
-    /// live tail of a still-running or killed writer); an invalid
-    /// segment anywhere else is an error.
+    /// file, and parses/CRC-checks footers only — concurrently across
+    /// every hardware thread, since the per-segment work is independent
+    /// and at multi-GB sizes the CRC pass dominates the open cost. An
+    /// unsealed **final** segment of a process is scanned for
+    /// recoverable entries (the live tail of a still-running or killed
+    /// writer); an invalid segment anywhere else, or a segment of an
+    /// unsupported version anywhere, is an error.
     ///
     /// # Errors
     ///
@@ -1241,20 +1153,7 @@ impl SegmentedLog {
     /// non-tail corruption, or a manifest-listed process with no
     /// segment files at all.
     pub fn open(dir: &Path) -> Result<SegmentedLog, SegError> {
-        let jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self::open_with_jobs(dir, jobs)
-    }
-
-    /// [`open`](Self::open) with an explicit worker count: segments are
-    /// mapped and their footers CRC-checked and parsed concurrently —
-    /// the per-segment work is independent, and at multi-GB sizes the
-    /// CRC pass dominates the open cost.
-    ///
-    /// # Errors
-    ///
-    /// As [`open`](Self::open).
-    pub fn open_with_jobs(dir: &Path, jobs: usize) -> Result<SegmentedLog, SegError> {
-        Self::open_inner(dir, jobs, None)
+        Self::open_inner(dir, None)
     }
 
     /// Re-opens this log's directory cheaply: sealed segments already
@@ -1269,15 +1168,11 @@ impl SegmentedLog {
     ///
     /// As [`open`](Self::open).
     pub fn refresh(&self) -> Result<SegmentedLog, SegError> {
-        let jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        Self::open_inner(&self.dir, jobs, Some(self))
+        Self::open_inner(&self.dir, Some(self))
     }
 
-    fn open_inner(
-        dir: &Path,
-        jobs: usize,
-        prior: Option<&SegmentedLog>,
-    ) -> Result<SegmentedLog, SegError> {
+    fn open_inner(dir: &Path, prior: Option<&SegmentedLog>) -> Result<SegmentedLog, SegError> {
+        let jobs = available_jobs();
         let mut span = ppd_obs::span("log", "segment_open");
         span.arg("jobs", jobs);
         span.arg("refresh", u64::from(prior.is_some()));
@@ -1289,7 +1184,7 @@ impl SegmentedLog {
         if manifest.format != "ppd-segmented-log" {
             return Err(SegError::Manifest(format!("unknown format `{}`", manifest.format)));
         }
-        if manifest.version != SEGMENT_VERSION_V1 && manifest.version != SEGMENT_VERSION {
+        if manifest.version != SEGMENT_VERSION {
             return Err(SegError::Manifest(format!(
                 "unsupported segmented-log version {}",
                 manifest.version
@@ -1327,6 +1222,7 @@ impl SegmentedLog {
             Reused(Arc<LoadedSegment>),
             Sealed(Box<LoadedSegment>),
             Io(std::io::Error),
+            Unsupported(u8),
             Unsealed(Box<Mapping>, String),
         }
         let parse_one = |triple: &(u32, u64, String)| {
@@ -1337,9 +1233,12 @@ impl SegmentedLog {
             let path = dir.join(name);
             match Mapping::open(&path) {
                 Err(e) => FileParse::Io(e),
-                Ok(map) => match parse_segment(name, &map) {
-                    Ok(meta) => FileParse::Sealed(Box::new(LoadedSegment { map, meta })),
-                    Err(detail) => FileParse::Unsealed(Box::new(map), detail),
+                Ok(map) => match unsupported_version(&map) {
+                    Some(v) => FileParse::Unsupported(v),
+                    None => match parse_segment(name, &map) {
+                        Ok(meta) => FileParse::Sealed(Box::new(LoadedSegment { map, meta })),
+                        Err(detail) => FileParse::Unsealed(Box::new(map), detail),
+                    },
                 },
             }
         };
@@ -1372,6 +1271,12 @@ impl SegmentedLog {
             }
             match outcome {
                 FileParse::Io(e) => return Err(io_err(&dir.join(name), e)),
+                FileParse::Unsupported(v) => {
+                    return Err(SegError::Corrupt {
+                        file: name.clone(),
+                        detail: format!("unsupported segment version {v}"),
+                    })
+                }
                 FileParse::Reused(seg) => {
                     stats.segments_reused += 1;
                     procs[*proc as usize].push(seg);
@@ -1634,13 +1539,12 @@ impl SegmentedLog {
         self.entries_decoded.load(Ordering::Relaxed)
     }
 
-    /// How many v2 payload blocks have been decompressed since open.
+    /// How many payload blocks have been decompressed since open.
     pub fn blocks_decompressed(&self) -> u64 {
         self.blocks_decompressed.load(Ordering::Relaxed)
     }
 
-    /// Stored payload bytes read since open (mapped v1 slices and
-    /// compressed v2 frames actually consumed).
+    /// Stored payload bytes (block frames) read since open.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read.load(Ordering::Relaxed)
     }
@@ -1754,15 +1658,9 @@ impl SegmentedLog {
         old.extend_from_events(streams)
     }
 
-    /// The uncompressed payload of one sealed segment: borrowed
-    /// straight from the mapping for v1, decompressed block-by-block
-    /// for v2.
-    fn segment_payload<'a>(&self, seg: &'a LoadedSegment) -> Result<Cow<'a, [u8]>, SegError> {
-        if seg.meta.version == SEGMENT_VERSION_V1 {
-            let end = seg.meta.payload_start + seg.meta.payload_len as usize;
-            self.note_read(seg, 0, 0, seg.meta.payload_len);
-            return Ok(Cow::Borrowed(&seg.map[seg.meta.payload_start..end]));
-        }
+    /// The uncompressed payload of one sealed segment, decompressed
+    /// block by block.
+    fn segment_payload(&self, seg: &LoadedSegment) -> Result<Vec<u8>, SegError> {
         let mut out = Vec::with_capacity(seg.meta.payload_len as usize);
         let mut at = seg.meta.payload_start;
         for (i, b) in seg.meta.blocks.iter().enumerate() {
@@ -1778,12 +1676,11 @@ impl SegmentedLog {
             at += n;
         }
         self.note_read(seg, 0, seg.meta.blocks.len() as u64, seg.meta.stored_len);
-        Ok(Cow::Owned(out))
+        Ok(out)
     }
 
-    /// Decodes one process's payloads into an entry vector, straight
-    /// from the mapped (v1) or block-decompressed (v2) bytes, with the
-    /// recovered tail appended.
+    /// Decodes one process's payloads into an entry vector from the
+    /// block-decompressed bytes, with the recovered tail appended.
     fn try_decode_proc(&self, proc: ProcId) -> Result<ProcessLog, SegError> {
         let mut span = ppd_obs::span("log", "segment_decode");
         span.arg("proc", proc.index());
@@ -1820,11 +1717,9 @@ impl SegmentedLog {
     }
 
     /// Decodes the half-open global entry range `[start, end)` of one
-    /// process **without** materializing the whole log: for v2
-    /// segments only the blocks covering the range are decompressed
-    /// (binary search over the footer block table), for v1 the mapped
-    /// bytes are sliced by the footer offsets; the recovered tail is
-    /// served from memory.
+    /// process **without** materializing the whole log: only the blocks
+    /// covering the range are decompressed (binary search over the
+    /// footer block table); the recovered tail is served from memory.
     ///
     /// # Errors
     ///
@@ -1857,38 +1752,28 @@ impl SegmentedLog {
             let to_off = seg.meta.offsets.get(hi as usize).copied().unwrap_or(seg.meta.payload_len);
             let decode_err =
                 |err: BinError| SegError::Decode(err.with_context(seg.meta.file.clone()));
-            if seg.meta.version == SEGMENT_VERSION_V1 {
-                let s = seg.meta.payload_start + from_off as usize;
-                let e = seg.meta.payload_start + to_off as usize;
-                let mut r = Reader::new(&seg.map[s..e]);
-                for _ in lo..hi {
-                    out.push(binio::get_entry(&mut r).map_err(decode_err)?);
-                }
-                self.note_read(seg, hi - lo, 0, to_off - from_off);
-            } else {
-                let blocks = seg.meta.blocks();
-                let first = blocks.partition_point(|b| b.uncomp_off + b.uncomp_len <= from_off);
-                let mut data = Vec::new();
-                let start_at = seg.meta.payload_start + blocks[first].stored_off as usize;
-                let mut at = start_at;
-                let mut k = first;
-                while k < blocks.len() && blocks[k].uncomp_off < to_off {
-                    let n = lzb::decompress_into(&seg.map[at..], &mut data).map_err(|e| {
-                        SegError::Corrupt {
-                            file: seg.meta.file.clone(),
-                            detail: format!("block {k}: {e}"),
-                        }
-                    })?;
-                    at += n;
-                    k += 1;
-                }
-                self.note_read(seg, hi - lo, (k - first) as u64, (at - start_at) as u64);
-                let rel = (from_off - blocks[first].uncomp_off) as usize;
-                let rel_end = (to_off - blocks[first].uncomp_off) as usize;
-                let mut r = Reader::new(&data[rel..rel_end]);
-                for _ in lo..hi {
-                    out.push(binio::get_entry(&mut r).map_err(decode_err)?);
-                }
+            let blocks = seg.meta.blocks();
+            let first = blocks.partition_point(|b| b.uncomp_off + b.uncomp_len <= from_off);
+            let mut data = Vec::new();
+            let start_at = seg.meta.payload_start + blocks[first].stored_off as usize;
+            let mut at = start_at;
+            let mut k = first;
+            while k < blocks.len() && blocks[k].uncomp_off < to_off {
+                let n = lzb::decompress_into(&seg.map[at..], &mut data).map_err(|e| {
+                    SegError::Corrupt {
+                        file: seg.meta.file.clone(),
+                        detail: format!("block {k}: {e}"),
+                    }
+                })?;
+                at += n;
+                k += 1;
+            }
+            self.note_read(seg, hi - lo, (k - first) as u64, (at - start_at) as u64);
+            let rel = (from_off - blocks[first].uncomp_off) as usize;
+            let rel_end = (to_off - blocks[first].uncomp_off) as usize;
+            let mut r = Reader::new(&data[rel..rel_end]);
+            for _ in lo..hi {
+                out.push(binio::get_entry(&mut r).map_err(decode_err)?);
             }
             from_disk += hi - lo;
         }
@@ -1906,38 +1791,12 @@ impl SegmentedLog {
         Ok(out)
     }
 
-    /// Decodes every process's payload concurrently on a work-stealing
-    /// pool of `jobs` threads (the `from_binary_par` analogue for
-    /// segment directories). Idempotent.
-    pub fn preload(&self, jobs: usize) {
-        if jobs <= 1 || self.procs.len() <= 1 {
-            for p in 0..self.procs.len() {
-                self.process_log(ProcId(p as u32));
-            }
-            return;
-        }
-        use rayon::prelude::*;
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(jobs)
-            .build()
-            .expect("thread pool build is infallible");
-        let procs: Vec<ProcId> = (0..self.procs.len()).map(|p| ProcId(p as u32)).collect();
-        let _: Vec<()> = pool.install(|| {
-            procs
-                .par_iter()
-                .map(|&p| {
-                    self.process_log(p);
-                })
-                .collect()
-        });
-    }
-
     /// Full integrity check of one segment; returns its entry count.
     fn verify_segment(&self, seg: &LoadedSegment) -> Result<u64, SegError> {
         let corrupt = |detail: String| SegError::Corrupt { file: seg.meta.file.clone(), detail };
         // The payload crc covers header + *stored* payload — checked
         // first so a flipped bit is pinned to the checksum, whether it
-        // lands in a raw v1 payload or inside a compressed frame.
+        // lands in a raw-escape or a compressed frame.
         let stored_end = seg.meta.payload_start + seg.meta.stored_len as usize;
         let actual_crc = crc32(&seg.map[..stored_end]);
         if actual_crc != seg.meta.payload_crc {
@@ -2005,25 +1864,15 @@ impl SegmentedLog {
     /// only checks footer CRCs), decompresses and decodes every
     /// payload, and cross-checks footer metadata (entry counts, offset
     /// tables, block tables, digests, time spans) against the decoded
-    /// entries.
+    /// entries. The per-segment passes are independent, so they run
+    /// concurrently across every hardware thread on the vendored
+    /// work-stealing pool.
     ///
     /// # Errors
     ///
     /// Returns the first inconsistency found (in file order).
     pub fn verify(&self) -> Result<VerifyReport, SegError> {
-        let jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        self.verify_with_jobs(jobs)
-    }
-
-    /// [`verify`](Self::verify) over an explicit worker count: the
-    /// per-segment CRC + block decompression + decode passes are
-    /// independent, so they run concurrently on the vendored
-    /// work-stealing pool.
-    ///
-    /// # Errors
-    ///
-    /// As [`verify`](Self::verify).
-    pub fn verify_with_jobs(&self, jobs: usize) -> Result<VerifyReport, SegError> {
+        let jobs = available_jobs();
         let segs: Vec<&Arc<LoadedSegment>> = self.procs.iter().flatten().collect();
         let results: Vec<Result<u64, SegError>> = if jobs <= 1 || segs.len() <= 1 {
             segs.iter().map(|s| self.verify_segment(s)).collect()
@@ -2101,7 +1950,7 @@ mod tests {
     /// The entries of `s` round-trip byte-identically through a
     /// directory written in `format`.
     fn assert_round_trip(s: &LogStore, dir: &Path, capacity: usize, format: SegmentFormat) {
-        let report = write_store_with(s, dir, capacity, format).unwrap();
+        let report = write_store(s, dir, capacity, format).unwrap();
         assert_eq!(report.entries, s.total_entries() as u64);
         let seg = SegmentedLog::open(dir).unwrap();
         assert!(seg.warnings().is_empty(), "{:?}", seg.warnings());
@@ -2122,7 +1971,7 @@ mod tests {
     fn tiny_capacity_round_trips_across_many_segments() {
         let dir = tmp_dir("many-segments");
         let s = sample_store(40);
-        let report = write_store(&s, &dir, 64).unwrap();
+        let report = write_store(&s, &dir, 64, SegmentFormat::default()).unwrap();
         assert!(report.segments > 4, "capacity 64 must split: {report:?}");
         assert_eq!(report.entries, s.total_entries() as u64);
         let seg = SegmentedLog::open(&dir).unwrap();
@@ -2137,11 +1986,9 @@ mod tests {
     #[test]
     fn every_format_round_trips() {
         let s = sample_store(25);
-        for (name, format) in [
-            ("rt-v1", SegmentFormat::V1),
-            ("rt-v2raw", SegmentFormat::V2Raw),
-            ("rt-v2z", SegmentFormat::V2Compressed),
-        ] {
+        for (name, format) in
+            [("rt-v2raw", SegmentFormat::V2Raw), ("rt-v2z", SegmentFormat::V2Compressed)]
+        {
             let dir = tmp_dir(name);
             assert_round_trip(&s, &dir, 256, format);
             let _ = std::fs::remove_dir_all(&dir);
@@ -2149,19 +1996,45 @@ mod tests {
     }
 
     #[test]
-    fn v1_segments_have_no_blocks_v2_do() {
-        let s = sample_store(10);
-        let d1 = tmp_dir("fmt-v1");
-        write_store_with(&s, &d1, 512, SegmentFormat::V1).unwrap();
-        let l1 = SegmentedLog::open(&d1).unwrap();
-        assert!(l1.segments(ProcId(0)).all(|m| m.version == 1 && m.block_count() == 0));
-        assert_eq!(l1.total_stored_bytes(), l1.total_payload_bytes());
-        let d2 = tmp_dir("fmt-v2");
-        write_store_with(&s, &d2, 512, SegmentFormat::V2Raw).unwrap();
-        let l2 = SegmentedLog::open(&d2).unwrap();
-        assert!(l2.segments(ProcId(0)).all(|m| m.version == 2 && m.block_count() > 0));
-        let _ = std::fs::remove_dir_all(&d1);
-        let _ = std::fs::remove_dir_all(&d2);
+    fn unsupported_versions_are_corruption_wherever_they_sit() {
+        let dir = tmp_dir("bad-version");
+        write_store(&sample_store(40), &dir, 64, SegmentFormat::default()).unwrap();
+        let (tail, not_tail) = {
+            let seg = SegmentedLog::open(&dir).unwrap();
+            assert!(seg.segments(ProcId(0)).all(|m| m.version == 2 && m.block_count() > 0));
+            (seg.segments(ProcId(1)).last().unwrap().file.clone(), segment_file_name(0, 0))
+        };
+        // A version byte naming another format fails the open with an
+        // error naming the file — as a process's last segment too, where
+        // an unsealed tail would have been recovered with a warning.
+        for (victim, version) in [(&tail, 3), (&tail, 1), (&not_tail, 1), (&not_tail, 3)] {
+            let path = dir.join(victim);
+            let good = std::fs::read(&path).unwrap();
+            let mut bad = good.clone();
+            bad[4] = version;
+            std::fs::write(&path, &bad).unwrap();
+            match SegmentedLog::open(&dir) {
+                Err(SegError::Corrupt { file, detail }) => {
+                    assert_eq!(&file, victim, "error names the segment");
+                    assert_eq!(detail, format!("unsupported segment version {version}"));
+                }
+                other => panic!("expected corruption for version {version}, got {other:?}"),
+            }
+            std::fs::write(&path, &good).unwrap();
+        }
+        // A manifest of another version is refused before any segment.
+        std::fs::write(
+            dir.join(MANIFEST_NAME),
+            r#"{"format":"ppd-segmented-log","version":1,"processes":2}"#,
+        )
+        .unwrap();
+        match SegmentedLog::open(&dir) {
+            Err(SegError::Manifest(detail)) => {
+                assert!(detail.contains("unsupported segmented-log version 1"), "{detail}")
+            }
+            other => panic!("expected a manifest error, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -2197,8 +2070,8 @@ mod tests {
         }
         let draw = tmp_dir("ratio-raw");
         let dz = tmp_dir("ratio-z");
-        write_store_with(&s, &draw, 1 << 20, SegmentFormat::V2Raw).unwrap();
-        write_store_with(&s, &dz, 1 << 20, SegmentFormat::V2Compressed).unwrap();
+        write_store(&s, &draw, 1 << 20, SegmentFormat::V2Raw).unwrap();
+        write_store(&s, &dz, 1 << 20, SegmentFormat::V2Compressed).unwrap();
         let raw = SegmentedLog::open(&draw).unwrap();
         let z = SegmentedLog::open(&dz).unwrap();
         assert_eq!(raw.total_payload_bytes(), z.total_payload_bytes());
@@ -2218,7 +2091,7 @@ mod tests {
     fn open_and_index_decode_nothing() {
         let dir = tmp_dir("no-rescan");
         let s = sample_store(20);
-        write_store(&s, &dir, 256).unwrap();
+        write_store(&s, &dir, 256, SegmentFormat::default()).unwrap();
         let seg = SegmentedLog::open(&dir).unwrap();
         let idx = seg.index();
         assert_eq!(seg.entries_decoded(), 0, "open + index must not decode entries");
@@ -2241,7 +2114,7 @@ mod tests {
     fn footer_stats_match_store() {
         let dir = tmp_dir("footer-stats");
         let s = sample_store(10);
-        write_store(&s, &dir, 512).unwrap();
+        write_store(&s, &dir, 512, SegmentFormat::default()).unwrap();
         let seg = SegmentedLog::open(&dir).unwrap();
         assert_eq!(seg.total_entries(), s.total_entries() as u64);
         assert_eq!(seg.total_logical_bytes(), s.total_bytes() as u64);
@@ -2252,7 +2125,7 @@ mod tests {
     #[test]
     fn footer_bit_flip_is_hard_corruption_at_open() {
         let dir = tmp_dir("bit-flip-footer");
-        write_store(&sample_store(40), &dir, 64).unwrap();
+        write_store(&sample_store(40), &dir, 64, SegmentFormat::default()).unwrap();
         // Flip one footer byte of process 0's first (non-tail) segment:
         // the footer crc check at open must refuse it.
         let victim = dir.join(segment_file_name(0, 0));
@@ -2273,7 +2146,7 @@ mod tests {
     #[test]
     fn payload_bit_flip_opens_but_fails_verify() {
         let dir = tmp_dir("bit-flip-payload");
-        write_store(&sample_store(40), &dir, 64).unwrap();
+        write_store(&sample_store(40), &dir, 64, SegmentFormat::default()).unwrap();
         // Flip one payload byte: open only checks footers (that is the
         // whole point of the crc split), so the store opens — and
         // `verify` pins the damage to the payload crc.
@@ -2295,13 +2168,12 @@ mod tests {
     #[test]
     fn truncated_tail_recovers_a_prefix_with_warning() {
         for (name, format) in [
-            ("truncated-tail-v1", SegmentFormat::V1),
             ("truncated-tail-v2", SegmentFormat::V2Raw),
             ("truncated-tail-v2z", SegmentFormat::V2Compressed),
         ] {
             let dir = tmp_dir(name);
             let s = sample_store(40);
-            write_store_with(&s, &dir, 64, format).unwrap();
+            write_store(&s, &dir, 64, format).unwrap();
             // Truncate process 1's last segment mid-payload, as if the
             // writer died during the flush: cut strictly inside the
             // stored payload so at least one entry is unrecoverable.
@@ -2337,8 +2209,7 @@ mod tests {
         let dir = tmp_dir("live-tail");
         let s = sample_store(12);
         // Big capacity: nothing seals, everything lives in the tails.
-        let mut w =
-            SegmentWriter::create_with(&dir, 2, 1 << 20, SegmentFormat::V2Compressed).unwrap();
+        let mut w = SegmentWriter::create(&dir, 2, 1 << 20, SegmentFormat::V2Compressed).unwrap();
         for p in 0..2 {
             let pid = ProcId(p);
             for e in &s.log(pid).entries {
@@ -2370,7 +2241,7 @@ mod tests {
         let dir = tmp_dir("refresh");
         let s = sample_store(30);
         let half: Vec<Vec<LogEntry>> = (0..2).map(|p| s.log(ProcId(p)).entries.clone()).collect();
-        let mut w = SegmentWriter::create_with(&dir, 2, 256, SegmentFormat::V2Compressed).unwrap();
+        let mut w = SegmentWriter::create(&dir, 2, 256, SegmentFormat::V2Compressed).unwrap();
         for (p, entries) in half.iter().enumerate() {
             for e in &entries[..entries.len() / 2] {
                 w.append(ProcId(p as u32), e);
@@ -2411,7 +2282,7 @@ mod tests {
         let s = sample_store(200);
         // One huge segment per process, tiny blocks: a narrow range
         // must not decompress the whole payload.
-        let mut w = SegmentWriter::create_with(&dir, 2, 1 << 22, SegmentFormat::V2Compressed)
+        let mut w = SegmentWriter::create(&dir, 2, 1 << 22, SegmentFormat::V2Compressed)
             .unwrap()
             .with_block_bytes(512);
         for p in 0..2 {
@@ -2442,7 +2313,7 @@ mod tests {
         let mut s = LogStore::new(2);
         s.push(ProcId(0), prelog(0, 0, 1));
         s.push(ProcId(0), postlog(0, 0, 2));
-        write_store(&s, &dir, 0).unwrap();
+        write_store(&s, &dir, 0, SegmentFormat::default()).unwrap();
         assert!(dir.join(segment_file_name(1, 0)).exists(), "empty process still owns a file");
         let seg = SegmentedLog::open(&dir).unwrap();
         assert!(seg.process_log(ProcId(1)).entries.is_empty());
@@ -2454,7 +2325,7 @@ mod tests {
     #[test]
     fn zero_segment_process_is_a_positioned_error() {
         let dir = tmp_dir("zero-seg");
-        write_store(&sample_store(5), &dir, 0).unwrap();
+        write_store(&sample_store(5), &dir, 0, SegmentFormat::default()).unwrap();
         // Delete every segment of process 1; the manifest still lists
         // it, so open must refuse with an error naming the process.
         for ent in std::fs::read_dir(&dir).unwrap() {
@@ -2477,7 +2348,7 @@ mod tests {
     fn verify_checks_payload_against_footer() {
         let dir = tmp_dir("verify-good");
         let s = sample_store(15);
-        write_store(&s, &dir, 128).unwrap();
+        write_store(&s, &dir, 128, SegmentFormat::default()).unwrap();
         let seg = SegmentedLog::open(&dir).unwrap();
         let report = seg.verify().unwrap();
         assert_eq!(report.entries, s.total_entries() as u64);

@@ -132,32 +132,22 @@ impl LogStore {
         Ok(LogStore { repr: Repr::Seg(Arc::new(seg)), index: OnceLock::new() })
     }
 
-    /// Packs this store's entries into `dir` as a segmented log
-    /// (`segment_bytes` = payload capacity per segment; 0 for the
-    /// default).
+    /// Packs this store's entries into `dir` as a segmented log in
+    /// `format` (`segment_bytes` = payload capacity per segment; 0 for
+    /// the default; `ppd log pack --compress` writes
+    /// [`SegmentFormat::V2Compressed`]).
     ///
     /// # Errors
     ///
     /// Returns [`SegError::Io`] if the directory or a segment cannot
     /// be written.
-    pub fn write_dir(&self, dir: &Path, segment_bytes: usize) -> Result<SinkReport, SegError> {
-        crate::segment::write_store(self, dir, segment_bytes)
-    }
-
-    /// [`write_dir`](Self::write_dir) with an explicit payload format
-    /// (`ppd log pack --compress` writes
-    /// [`SegmentFormat::V2Compressed`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`write_dir`](Self::write_dir).
-    pub fn write_dir_with(
+    pub fn write_dir(
         &self,
         dir: &Path,
         segment_bytes: usize,
         format: SegmentFormat,
     ) -> Result<SinkReport, SegError> {
-        crate::segment::write_store_with(self, dir, segment_bytes, format)
+        crate::segment::write_store(self, dir, segment_bytes, format)
     }
 
     /// Re-opens a segment-backed store's directory in place — cheap when
@@ -212,16 +202,6 @@ impl LogStore {
         }
     }
 
-    /// Decodes every process eagerly, concurrently across `jobs`
-    /// threads — the segment-directory analogue of
-    /// [`from_binary_par`](Self::from_binary_par). A no-op for
-    /// in-memory stores.
-    pub fn preload(&self, jobs: usize) {
-        if let Repr::Seg(seg) = &self.repr {
-            seg.preload(jobs);
-        }
-    }
-
     /// The in-memory entry vectors, converting a segment-backed store
     /// by materializing every process first.
     fn logs_mut(&mut self) -> &mut Vec<ProcessLog> {
@@ -256,18 +236,6 @@ impl LogStore {
     pub fn index(&self) -> Arc<IntervalIndex> {
         Arc::clone(self.index.get_or_init(|| match &self.repr {
             Repr::Mem(_) => Arc::new(IntervalIndex::build(self)),
-            Repr::Seg(seg) => seg.index(),
-        }))
-    }
-
-    /// Like [`index`](Self::index), but a cold in-memory build is
-    /// sharded by process across `jobs` worker threads. The cached
-    /// result (and any already-cached one) is identical to the
-    /// sequential build. Segment-backed stores load from footers
-    /// either way.
-    pub fn index_par(&self, jobs: usize) -> Arc<IntervalIndex> {
-        Arc::clone(self.index.get_or_init(|| match &self.repr {
-            Repr::Mem(_) => Arc::new(IntervalIndex::build_par(self, jobs)),
             Repr::Seg(seg) => seg.index(),
         }))
     }
@@ -402,36 +370,6 @@ impl LogStore {
     /// Returns a deserialization error on malformed input.
     pub fn from_json(json: &str) -> Result<LogStore, serde_json::Error> {
         serde_json::from_str(json)
-    }
-
-    /// Serializes the store in the compact binary log format — the honest
-    /// on-disk byte count for experiment E2, typically several times
-    /// smaller than the JSON encoding.
-    pub fn to_binary(&self) -> Vec<u8> {
-        crate::binio::encode(self)
-    }
-
-    /// Loads a store from the compact binary format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BinError`](crate::binio::BinError) — carrying the
-    /// byte offset and process-frame context of the failure — on a bad
-    /// magic number, unknown version/tag, or truncated input.
-    pub fn from_binary(bytes: &[u8]) -> Result<LogStore, crate::binio::BinError> {
-        crate::binio::decode(bytes)
-    }
-
-    /// Loads a store from the compact binary format, decoding the
-    /// per-process frames across `jobs` worker threads. Identical
-    /// result to [`from_binary`](Self::from_binary).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`BinError`](crate::binio::BinError) on a bad magic
-    /// number, unknown version/tag, or truncated input.
-    pub fn from_binary_par(bytes: &[u8], jobs: usize) -> Result<LogStore, crate::binio::BinError> {
-        crate::binio::decode_par(bytes, jobs)
     }
 }
 
@@ -626,7 +564,7 @@ mod tests {
         let dir = std::env::temp_dir().join("ppd-store-dir-roundtrip");
         let _ = std::fs::remove_dir_all(&dir);
         let s = fig52_store();
-        let report = s.write_dir(&dir, 0).unwrap();
+        let report = s.write_dir(&dir, 0, SegmentFormat::default()).unwrap();
         assert_eq!(report.entries, 4);
         let back = LogStore::open_dir(&dir).unwrap();
         assert!(back.is_segmented());
@@ -642,7 +580,7 @@ mod tests {
     fn push_on_segment_backed_store_materializes() {
         let dir = std::env::temp_dir().join("ppd-store-dir-push");
         let _ = std::fs::remove_dir_all(&dir);
-        fig52_store().write_dir(&dir, 0).unwrap();
+        fig52_store().write_dir(&dir, 0, SegmentFormat::default()).unwrap();
         let mut back = LogStore::open_dir(&dir).unwrap();
         back.push(ProcId(0), prelog(7, 0, 9));
         assert!(!back.is_segmented());

@@ -388,7 +388,7 @@ impl<'p> Machine<'p> {
             } else {
                 ppd_log::SegmentFormat::default()
             };
-            match ppd_log::SegmentWriter::create_with(dir, nprocs, config.segment_bytes, format) {
+            match ppd_log::SegmentWriter::create(dir, nprocs, config.segment_bytes, format) {
                 Ok(w) => sink = Some(w),
                 Err(e) => {
                     let err = format!("cannot create log sink: {e}");

@@ -52,8 +52,8 @@
 //!                       `ppd log pack` (default 65536)
 //!   --compress          run/debug/races/`ppd log pack`: compress segment
 //!                       payloads block-by-block (LZ77 frames, ~256 KiB
-//!                       blocks) as they are sealed; queries decompress
-//!                       only the blocks they touch
+//!                       blocks) as they are sealed; a query decodes each
+//!                       process it replays in full, on first touch
 //!   --journal FILE      debug/races: append one JSONL record per
 //!                       Controller query (kind, args, wall latency,
 //!                       cache hits/misses/evictions, log entries
@@ -585,9 +585,9 @@ fn diags_json(
 }
 
 fn cmd_lint(session: &PpdSession, opts: &Options, source: &str) -> ExitCode {
-    use ppd::analysis::lint::{run_default_par, Severity};
+    use ppd::analysis::lint::{run_default, Severity};
     let file = ppd::lang::SourceFile::new(opts.file.clone(), source);
-    let diags = run_default_par(session.rp(), session.analyses(), opts.jobs);
+    let diags = run_default(session.rp(), session.analyses(), opts.jobs);
     let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
     let warnings = diags.len() - errors;
     match opts.format.as_str() {
@@ -1137,7 +1137,7 @@ fn cmd_log_pack(mut args: impl Iterator<Item = String>) -> ExitCode {
         } else {
             ppd::log::SegmentFormat::default()
         };
-        return match execution.save_dir_with(dir, segment_bytes, format) {
+        return match execution.save_dir(dir, segment_bytes, format) {
             Ok(report) => {
                 println!(
                     "packed {} entries into {} segment(s), {} bytes, at {}",

@@ -21,11 +21,8 @@ use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
 /// Every on-disk payload layout the store can read.
-const FORMATS: [(&str, SegmentFormat); 3] = [
-    ("v1", SegmentFormat::V1),
-    ("v2raw", SegmentFormat::V2Raw),
-    ("v2z", SegmentFormat::V2Compressed),
-];
+const FORMATS: [(&str, SegmentFormat); 2] =
+    [("v2raw", SegmentFormat::V2Raw), ("v2z", SegmentFormat::V2Compressed)];
 
 /// Fresh per-test store directory under the system temp dir.
 fn tmp_dir(name: &str) -> PathBuf {
@@ -126,7 +123,7 @@ fn transcript(session: &PpdSession, execution: &Execution) -> Vec<String> {
 /// Saves `execution` to `dir` and reloads it, asserting the reload is
 /// segment-backed and per-process bit-identical before returning it.
 fn save_and_reload(name: &str, execution: &Execution, dir: &Path) -> Execution {
-    execution.save_dir(dir, SEG_BYTES).expect("save_dir succeeds");
+    execution.save_dir(dir, SEG_BYTES, SegmentFormat::default()).expect("save_dir succeeds");
     let loaded = Execution::load_dir(dir).expect("load_dir succeeds");
     assert!(loaded.logs.is_segmented(), "{name}: reload must be segment-backed");
     for p in 0..execution.logs.process_count() {
@@ -160,7 +157,7 @@ fn footer_index_matches_rebuilt_index() {
     for (name, session, config) in workloads() {
         let dir = tmp_dir(&format!("index-{name}"));
         let execution = session.execute(config);
-        execution.save_dir(&dir, SEG_BYTES).expect("save_dir succeeds");
+        execution.save_dir(&dir, SEG_BYTES, SegmentFormat::default()).expect("save_dir succeeds");
         let loaded = Execution::load_dir(&dir).expect("load_dir succeeds");
         let seg = loaded.logs.segmented().expect("segment-backed").clone();
         // The index the footers give us, without touching a payload…
@@ -201,7 +198,7 @@ fn opening_a_store_decodes_no_entries() {
             .expect("corpus program compiles");
     let execution = session.execute(RunConfig::default());
     let dir = tmp_dir("no-rescan");
-    execution.save_dir(&dir, 256).expect("save_dir succeeds");
+    execution.save_dir(&dir, 256, SegmentFormat::default()).expect("save_dir succeeds");
     let loaded = Execution::load_dir(&dir).expect("load_dir succeeds");
     let seg = loaded.logs.segmented().expect("segment-backed").clone();
     assert!(seg.total_entries() > 0);
@@ -225,8 +222,9 @@ fn streamed_runs_match_in_memory_runs() {
     for (name, session, config) in workloads() {
         let dir = tmp_dir(&format!("streamed-{name}"));
         let in_memory = session.execute(config.clone());
-        let streamed =
-            session.execute_streaming(config, &dir, SEG_BYTES).expect("streaming run succeeds");
+        let streamed = session
+            .execute_streaming_with(config, &dir, SEG_BYTES, false)
+            .expect("streaming run succeeds");
         assert!(streamed.logs.is_segmented(), "{name}");
         assert_eq!(streamed.outcome, in_memory.outcome, "{name}: outcomes diverged");
         assert_eq!(
@@ -247,7 +245,7 @@ fn truncated_tail_still_loads_with_warning() {
         .expect("corpus program compiles");
     let execution = session.execute(RunConfig::default());
     let dir = tmp_dir("truncated-tail");
-    execution.save_dir(&dir, 256).expect("save_dir succeeds");
+    execution.save_dir(&dir, 256, SegmentFormat::default()).expect("save_dir succeeds");
     // Truncate the highest-seq segment file of some process mid-file.
     let mut segs: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
@@ -271,17 +269,17 @@ fn truncated_tail_still_loads_with_warning() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Bit-identical query transcripts across raw v1, raw v2 and compressed
-/// v2 stores of the same execution: the payload layout must never leak
-/// into a debugger answer.
+/// Bit-identical query transcripts across raw and compressed stores of
+/// the same execution: the payload layout must never leak into a
+/// debugger answer.
 #[test]
-fn transcripts_identical_across_v1_v2raw_and_v2_compressed() {
+fn transcripts_identical_across_v2raw_and_v2_compressed() {
     for (name, session, config) in workloads() {
         let execution = session.execute(config);
         let base = transcript(&session, &execution);
         for (tag, format) in FORMATS {
             let dir = tmp_dir(&format!("fmt-{tag}-{name}"));
-            execution.save_dir_with(&dir, SEG_BYTES, format).expect("save_dir_with succeeds");
+            execution.save_dir(&dir, SEG_BYTES, format).expect("save_dir succeeds");
             let loaded = Execution::load_dir(&dir).expect("load_dir succeeds");
             for p in 0..execution.logs.process_count() {
                 let pid = ProcId(p as u32);
@@ -303,7 +301,7 @@ fn transcripts_identical_across_v1_v2raw_and_v2_compressed() {
 
 /// Live-tail recovery parity: a writer that flushed but never sealed
 /// (the still-running-program shape) leaves only unsealed tails, and the
-/// recovered store answers every query identically in all three formats.
+/// recovered store answers every query identically in both formats.
 #[test]
 fn recovered_live_tails_answer_queries_identically_across_formats() {
     let session = PpdSession::prepare(corpus::QUICKSORT.source, EBlockStrategy::per_subroutine())
@@ -313,7 +311,7 @@ fn recovered_live_tails_answer_queries_identically_across_formats() {
     let nprocs = execution.logs.process_count();
     for (tag, format) in FORMATS {
         let dir = tmp_dir(&format!("live-{tag}"));
-        let mut w = SegmentWriter::create_with(&dir, nprocs, 1 << 20, format)
+        let mut w = SegmentWriter::create(&dir, nprocs, 1 << 20, format)
             .expect("writer creates")
             .with_block_bytes(64);
         for p in 0..nprocs {
@@ -361,7 +359,7 @@ fn compressed_truncation_recovers_exact_prefix() {
         // One big segment per process, framed into many tiny blocks so
         // the cut lands well inside the frame sequence.
         let dir = tmp_dir(&format!("zcut-{cut_mid_frame}"));
-        let mut w = SegmentWriter::create_with(&dir, nprocs, 1 << 20, SegmentFormat::V2Compressed)
+        let mut w = SegmentWriter::create(&dir, nprocs, 1 << 20, SegmentFormat::V2Compressed)
             .expect("writer creates")
             .with_block_bytes(64);
         for p in 0..nprocs {
@@ -416,7 +414,7 @@ fn zero_segment_process_is_a_positioned_store_error() {
             .expect("corpus program compiles");
     let execution = session.execute(RunConfig::default());
     let dir = tmp_dir("zero-seg");
-    execution.save_dir(&dir, SEG_BYTES).expect("save_dir succeeds");
+    execution.save_dir(&dir, SEG_BYTES, SegmentFormat::default()).expect("save_dir succeeds");
     let victim = execution.logs.process_count() - 1;
     let prefix = format!("p{victim:04}-");
     for entry in std::fs::read_dir(&dir).unwrap() {

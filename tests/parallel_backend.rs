@@ -1,10 +1,10 @@
 //! Determinism suite for the parallel debugging backend.
 //!
-//! Every parallel path — work-stealing e-block replay, the sharded
-//! race scan, parallel log decode and index construction — must be
-//! bit-identical to its sequential twin: same race sets, same flowback
-//! slices, same dynamic-graph fingerprints, at jobs ∈ {1, 2, 8}, over
-//! the corpus, the `programs/` directory, and randomized schedules.
+//! Every parallel path — work-stealing e-block replay and the sharded
+//! race scan — must be bit-identical to its sequential twin: same race
+//! sets, same flowback slices, same dynamic-graph fingerprints, at
+//! jobs ∈ {1, 2, 8}, over the corpus, the `programs/` directory, and
+//! randomized schedules.
 //! Plus a thread-stress test of the sharded trace cache's global byte
 //! budget (never exceeded, no lost insertions, coherent counters).
 
@@ -12,7 +12,6 @@ use ppd::analysis::EBlockStrategy;
 use ppd::core::{Controller, PpdSession, RunConfig, ShardedTraceCache};
 use ppd::graph::{detect_races, detect_races_naive, detect_races_par, VectorClocks};
 use ppd::lang::{corpus, ProcId};
-use ppd::log::{IntervalIndex, LogStore};
 use ppd::runtime::SchedulerSpec;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -153,40 +152,6 @@ fn parallel_race_scan_matches_every_sequential_detector() {
             let par_pruned =
                 detect_races_par(g, &ord, Some(&session.analyses().mhp_candidates), jobs);
             assert_eq!(par_pruned, mhp, "{name}: pruned par scan diverged at jobs={jobs}");
-        }
-    }
-}
-
-#[test]
-fn parallel_log_decode_and_index_match_sequential() {
-    for (name, session, config) in workloads() {
-        let execution = session.execute(config);
-        let bytes = execution.logs.to_binary();
-        let seq = LogStore::from_binary(&bytes).expect("sequential decode");
-        for jobs in JOB_COUNTS {
-            let par = LogStore::from_binary_par(&bytes, jobs).expect("parallel decode");
-            assert_eq!(par.process_count(), seq.process_count(), "{name}");
-            for p in 0..seq.process_count() {
-                let pid = ProcId(p as u32);
-                assert_eq!(par.log(pid).entries, seq.log(pid).entries, "{name} proc {p}");
-            }
-            assert_eq!(par.to_binary(), bytes, "{name}: parallel decode round-trip");
-            // Index construction sharded by process = single-pass build.
-            let built = IntervalIndex::build(&seq);
-            let built_par = IntervalIndex::build_par(&par, jobs);
-            for p in 0..seq.process_count() {
-                let pid = ProcId(p as u32);
-                assert_eq!(
-                    built_par.intervals(pid),
-                    built.intervals(pid),
-                    "{name}: index intervals diverged for proc {p} at jobs={jobs}"
-                );
-                assert_eq!(
-                    built_par.open_intervals(pid),
-                    built.open_intervals(pid),
-                    "{name}: open intervals diverged for proc {p} at jobs={jobs}"
-                );
-            }
         }
     }
 }
