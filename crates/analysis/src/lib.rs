@@ -102,16 +102,11 @@ pub struct AnalysisConfig {
     /// behaviour is unchanged because emission and consumption share
     /// the same trimmed sets).
     pub mhp_snapshot_trim: bool,
-    /// Run the static type checker and, when it reports no errors, also
-    /// compute the type-refined MHP relation ([`Analyses::mhp_typed`])
-    /// and candidate index ([`Analyses::typed_candidates`]). The untyped
-    /// [`Analyses::mhp`] baseline is always computed.
-    pub typed_sync_groups: bool,
 }
 
 impl Default for AnalysisConfig {
     fn default() -> AnalysisConfig {
-        AnalysisConfig { mhp_snapshot_trim: true, typed_sync_groups: true }
+        AnalysisConfig { mhp_snapshot_trim: true }
     }
 }
 
@@ -147,7 +142,7 @@ pub struct Analyses {
     /// [`Analyses::race_candidates`], used as the second pruning stage.
     pub mhp_candidates: RaceCandidates,
     /// The type checker's result: `Some` only when the program
-    /// type-checks with no errors (and typed analysis is enabled).
+    /// type-checks with no errors.
     pub types: Option<ppd_lang::types::TypeInfo>,
     /// The type-refined MHP relation (typed channel aliasing); `Some`
     /// exactly when [`Analyses::types`] is.
@@ -204,12 +199,8 @@ impl Analyses {
         let race_candidates = RaceCandidates::from_modref(rp, &modref);
         let mhp_candidates = mhp.refine_candidates(rp, &effects, &modref, &race_candidates);
         // Typed layer: only trusted when the program type-checks clean.
-        let types = if config.typed_sync_groups {
-            let tc = ppd_lang::types::check(rp);
-            tc.is_ok().then_some(tc.info)
-        } else {
-            None
-        };
+        let tc = ppd_lang::types::check(rp);
+        let types = tc.is_ok().then_some(tc.info);
         let mhp_typed =
             types.as_ref().map(|ti| MhpAnalysis::compute_typed(rp, &cfgs, &doms, &callgraph, ti));
         let typed_candidates = match &mhp_typed {

@@ -214,10 +214,7 @@ pub fn e4_race_detection() -> Table {
         let untrimmed = ppd_core::PpdSession::prepare_with(
             &w.source,
             EBlockStrategy::per_subroutine(),
-            ppd_analysis::AnalysisConfig {
-                mhp_snapshot_trim: false,
-                ..ppd_analysis::AnalysisConfig::default()
-            },
+            ppd_analysis::AnalysisConfig { mhp_snapshot_trim: false },
         )
         .expect("workload compiles");
         let full = snapshot_values(&untrimmed.execute(w.config()).logs);

@@ -27,9 +27,15 @@
 //! Eviction order is per-shard-LRU-first rather than the exact global
 //! LRU of the sequential cache — an approximation that only ever costs
 //! a re-replay, never correctness.
+//!
+//! The cache owns no counters of its own: hits, misses and evictions
+//! are bumped in the [`Registry`] it was created with (`cache.hits`,
+//! `cache.misses`, `cache.evictions`), the one store every stats view
+//! reads. Only the byte gauge that enforces the budget lives here.
 
 use ppd_analysis::EBlockId;
 use ppd_lang::ProcId;
+use ppd_obs::{Counter, Registry};
 use ppd_runtime::TraceEvent;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -54,39 +60,12 @@ struct Shard {
     map: HashMap<CacheKey, Entry>,
 }
 
-/// Point-in-time counters for [`ShardedTraceCache`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Hits per shard, indexed by shard number.
-    pub shard_hits: Vec<u64>,
-    /// Misses per shard, indexed by shard number.
-    pub shard_misses: Vec<u64>,
-    /// Entries evicted to stay under the byte budget.
-    pub evictions: u64,
-    /// Bytes currently held.
-    pub bytes: usize,
-    /// Traces currently held.
-    pub traces: usize,
-}
-
-impl CacheStats {
-    /// Total hits across shards.
-    pub fn hits(&self) -> u64 {
-        self.shard_hits.iter().sum()
-    }
-
-    /// Total misses across shards.
-    pub fn misses(&self) -> u64 {
-        self.shard_misses.iter().sum()
-    }
-}
-
 /// The sharded, byte-budgeted concurrent trace cache.
 pub struct ShardedTraceCache {
     shards: Vec<Mutex<Shard>>,
-    hits: Vec<AtomicU64>,
-    misses: Vec<AtomicU64>,
-    evictions: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
     /// Global byte gauge; only ever raised by a successful CAS
     /// reservation against `budget`, so it never exceeds it.
     bytes: AtomicUsize,
@@ -96,13 +75,14 @@ pub struct ShardedTraceCache {
 }
 
 impl ShardedTraceCache {
-    /// An empty cache with the given global byte budget.
-    pub fn new(budget: usize) -> ShardedTraceCache {
+    /// An empty cache with the given global byte budget, counting its
+    /// hits, misses and evictions into `registry`.
+    pub fn new(budget: usize, registry: &Registry) -> ShardedTraceCache {
         ShardedTraceCache {
             shards: (0..SHARD_COUNT).map(|_| Mutex::new(Shard::default())).collect(),
-            hits: (0..SHARD_COUNT).map(|_| AtomicU64::new(0)).collect(),
-            misses: (0..SHARD_COUNT).map(|_| AtomicU64::new(0)).collect(),
-            evictions: AtomicU64::new(0),
+            hits: registry.counter("cache.hits"),
+            misses: registry.counter("cache.misses"),
+            evictions: registry.counter("cache.evictions"),
             bytes: AtomicUsize::new(0),
             budget: AtomicUsize::new(budget),
             enabled: AtomicBool::new(true),
@@ -116,32 +96,31 @@ impl ShardedTraceCache {
         (h.finish() as usize) & (SHARD_COUNT - 1)
     }
 
-    /// Looks up a memoized trace, bumping its LRU stamp. Records a hit
-    /// or miss against the key's shard; a disabled cache always misses.
+    /// Looks up a memoized trace, bumping its LRU stamp. Counts a hit
+    /// or miss; a disabled cache always misses.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<Vec<TraceEvent>>> {
         // Probes are the hottest instrumented site (one per warm
-        // replay), so a *hit* records no span — hits are counted in
-        // the shard counters and surface as `cache.hits` — and a warm
-        // query pays one clock read. Misses record retroactively.
+        // replay), so a *hit* records no span — hits are counted as
+        // `cache.hits` — and a warm query pays one clock read. Misses
+        // record retroactively.
         let probe_start = ppd_obs::spans_enabled().then(ppd_obs::now_ns);
-        let s = Self::shard_of(key);
         if !self.enabled.load(Ordering::Relaxed) {
-            self.misses[s].fetch_add(1, Ordering::Relaxed);
+            self.misses.inc();
             if let Some(t0) = probe_start {
                 ppd_obs::record_span_since("cache", "probe_disabled", t0);
             }
             return None;
         }
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut shard = self.shards[s].lock().unwrap();
+        let mut shard = self.shards[Self::shard_of(key)].lock().unwrap();
         match shard.map.get_mut(key) {
             Some(entry) => {
                 entry.last_used = tick;
-                self.hits[s].fetch_add(1, Ordering::Relaxed);
+                self.hits.inc();
                 Some(Arc::clone(&entry.events))
             }
             None => {
-                self.misses[s].fetch_add(1, Ordering::Relaxed);
+                self.misses.inc();
                 drop(shard);
                 if let Some(t0) = probe_start {
                     ppd_obs::record_span_since("cache", "probe_miss", t0);
@@ -205,7 +184,7 @@ impl ShardedTraceCache {
             if let Some(victim) = victim {
                 let entry = shard.map.remove(&victim).expect("victim present under lock");
                 self.bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.evictions.inc();
                 ppd_obs::instant("cache", "evict");
                 return true;
             }
@@ -231,7 +210,7 @@ impl ShardedTraceCache {
         }
     }
 
-    /// Drops every entry (counters are preserved).
+    /// Drops every entry (counts are preserved).
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock().unwrap();
@@ -259,43 +238,5 @@ impl ShardedTraceCache {
     /// Whether the cache holds no traces.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Zeroes the hit/miss/eviction counters without touching held
-    /// traces (used by `stats reset` to time a warm query from zero).
-    pub fn reset_counters(&self) {
-        for h in &self.hits {
-            h.store(0, Ordering::Relaxed);
-        }
-        for m in &self.misses {
-            m.store(0, Ordering::Relaxed);
-        }
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
-    /// Total hits across shards (lock-free; for per-query deltas).
-    pub fn hits_total(&self) -> u64 {
-        self.hits.iter().map(|h| h.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total misses across shards (lock-free).
-    pub fn misses_total(&self) -> u64 {
-        self.misses.iter().map(|m| m.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Total evictions (lock-free).
-    pub fn evictions_total(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// A snapshot of the counters and gauges.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            shard_hits: self.hits.iter().map(|h| h.load(Ordering::Relaxed)).collect(),
-            shard_misses: self.misses.iter().map(|m| m.load(Ordering::Relaxed)).collect(),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes: self.bytes(),
-            traces: self.len(),
-        }
     }
 }

@@ -1571,9 +1571,8 @@ impl SegmentedLog {
     }
 
     /// Records a read of `entries` / `blocks` / `bytes` against one
-    /// segment's heatmap slot and the store-wide + global counters.
-    /// (`entries_decoded` totals are bumped by the callers, which also
-    /// count tail entries.)
+    /// segment's heatmap slot and the store-wide counters. (The
+    /// `entries_decoded` total is bumped by the callers.)
     fn note_read(&self, seg: &LoadedSegment, entries: u64, blocks: u64, bytes: u64) {
         let h = &self.heat[seg.meta.proc as usize][seg.meta.seq as usize];
         h.entries.fetch_add(entries, Ordering::Relaxed);
@@ -1581,12 +1580,6 @@ impl SegmentedLog {
         h.bytes.fetch_add(bytes, Ordering::Relaxed);
         self.blocks_decompressed.fetch_add(blocks, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-        if blocks > 0 {
-            ppd_obs::global().counter("log.segment_blocks_inflated").add(blocks);
-        }
-        if bytes > 0 {
-            ppd_obs::global().counter("log.segment_bytes_read").add(bytes);
-        }
     }
 
     /// Whether every mapped segment is backed by a real `mmap` (as
@@ -1701,7 +1694,6 @@ impl SegmentedLog {
         }
         span.arg("entries", entries.len());
         self.entries_decoded.fetch_add(sealed as u64, Ordering::Relaxed);
-        ppd_obs::global().counter("log.segment_entries_decoded").add(sealed as u64);
         Ok(ProcessLog { entries })
     }
 
@@ -1787,7 +1779,6 @@ impl SegmentedLog {
             }
         }
         self.entries_decoded.fetch_add(from_disk, Ordering::Relaxed);
-        ppd_obs::global().counter("log.segment_entries_decoded").add(from_disk);
         Ok(out)
     }
 

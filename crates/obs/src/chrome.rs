@@ -3,11 +3,9 @@
 //! Emits the [Trace Event Format] consumed by Perfetto and
 //! `chrome://tracing`: one process (`pid` 1), one track per recording
 //! thread (`tid`), `"M"` metadata events naming the tracks, `"X"`
-//! complete events for spans (the default file format), and `"i"`
-//! instant events for point annotations. [`begin_end_events`] offers
-//! the equivalent stream as balanced `"B"`/`"E"` pairs, reconstructed
-//! deterministically from each thread's `(seq, depth)` order — no
-//! re-sorting by wall time is ever needed.
+//! complete events for spans, and thread-scoped `"i"` instant events
+//! for point annotations. Each track's events follow its `(seq)` start
+//! order, so no re-sorting by wall time is ever needed.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
@@ -18,9 +16,9 @@ use std::fmt::Write as _;
 /// One trace event in an exportable stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Phase: `"X"`, `"B"`, `"E"`, `"i"`, or `"M"`.
+    /// Phase: `"X"`, `"i"`, or `"M"`.
     pub ph: char,
-    /// Event name (empty for `"E"` phases).
+    /// Event name.
     pub name: String,
     /// Category.
     pub cat: String,
@@ -37,7 +35,12 @@ pub struct TraceEvent {
 /// The fixed pid every event carries (single-process tool).
 pub const TRACE_PID: u64 = 1;
 
-fn push_metadata(out: &mut Vec<TraceEvent>, thread_names: &[(u64, String)]) {
+/// Converts drained spans into `"X"`/`"i"` events (plus `"M"` track
+/// names). `records` must be sorted by `(tid, seq)`, the order
+/// [`take_spans`](crate::take_spans) returns. Timestamps are clamped
+/// to be non-decreasing per track.
+pub fn complete_events(records: &[SpanRecord], thread_names: &[(u64, String)]) -> Vec<TraceEvent> {
+    let mut out = Vec::with_capacity(records.len() + thread_names.len());
     for (tid, name) in thread_names {
         out.push(TraceEvent {
             ph: 'M',
@@ -49,19 +52,6 @@ fn push_metadata(out: &mut Vec<TraceEvent>, thread_names: &[(u64, String)]) {
             args: vec![("name".into(), name.clone())],
         });
     }
-}
-
-fn record_args(rec: &SpanRecord) -> Vec<(String, String)> {
-    rec.args.iter().map(|(k, v)| ((*k).to_string(), v.to_string())).collect()
-}
-
-/// Converts drained spans into `"X"`/`"i"` events (plus `"M"` track
-/// names). `records` must be sorted by `(tid, seq)`, the order
-/// [`take_spans`](crate::take_spans) returns. Timestamps are clamped
-/// to be non-decreasing per track.
-pub fn complete_events(records: &[SpanRecord], thread_names: &[(u64, String)]) -> Vec<TraceEvent> {
-    let mut out = Vec::with_capacity(records.len() + thread_names.len());
-    push_metadata(&mut out, thread_names);
     let mut cur_tid = u64::MAX;
     let mut last_ts = 0u64;
     for rec in records {
@@ -78,81 +68,8 @@ pub fn complete_events(records: &[SpanRecord], thread_names: &[(u64, String)]) -
             tid: rec.tid,
             ts_ns,
             dur_ns: rec.dur_ns,
-            args: record_args(rec),
+            args: rec.args.iter().map(|(k, v)| ((*k).to_string(), v.to_string())).collect(),
         });
-    }
-    out
-}
-
-/// Converts drained spans into balanced `"B"`/`"E"` pairs (plus `"i"`
-/// instants and `"M"` track names). `records` must be sorted by
-/// `(tid, seq)`. Reconstruction walks each thread's records in start
-/// order keeping a stack of open spans: a record at depth `d` first
-/// closes every open span at depth ≥ `d` (they finished before it
-/// started — RAII guards cannot interleave otherwise), then opens
-/// itself. Every `"B"` therefore gets exactly one `"E"`, properly
-/// nested, with non-decreasing timestamps per track.
-pub fn begin_end_events(records: &[SpanRecord], thread_names: &[(u64, String)]) -> Vec<TraceEvent> {
-    struct Open {
-        depth: u32,
-        end_ns: u64,
-        tid: u64,
-    }
-    let mut out = Vec::with_capacity(records.len() * 2 + thread_names.len());
-    push_metadata(&mut out, thread_names);
-    let mut stack: Vec<Open> = Vec::new();
-    let mut cur_tid = u64::MAX;
-    let mut last_ts = 0u64;
-
-    fn emit_end(out: &mut Vec<TraceEvent>, open: Open, last_ts: &mut u64) {
-        let ts_ns = open.end_ns.max(*last_ts);
-        *last_ts = ts_ns;
-        out.push(TraceEvent {
-            ph: 'E',
-            name: String::new(),
-            cat: String::new(),
-            tid: open.tid,
-            ts_ns,
-            dur_ns: 0,
-            args: Vec::new(),
-        });
-    }
-
-    for rec in records {
-        if rec.tid != cur_tid {
-            while let Some(open) = stack.pop() {
-                emit_end(&mut out, open, &mut last_ts);
-            }
-            cur_tid = rec.tid;
-            last_ts = 0;
-        }
-        // An instant at depth d sits inside d open spans (depths
-        // 0..d-1); a span at depth d replaces any sibling at depth d.
-        while stack.last().is_some_and(|open| open.depth >= rec.depth) {
-            let open = stack.pop().expect("checked non-empty");
-            emit_end(&mut out, open, &mut last_ts);
-        }
-        let ts_ns = rec.start_ns.max(last_ts);
-        last_ts = ts_ns;
-        out.push(TraceEvent {
-            ph: if rec.instant { 'i' } else { 'B' },
-            name: rec.name.clone().into_owned(),
-            cat: rec.cat.to_string(),
-            tid: rec.tid,
-            ts_ns,
-            dur_ns: 0,
-            args: record_args(rec),
-        });
-        if !rec.instant {
-            stack.push(Open {
-                depth: rec.depth,
-                end_ns: ts_ns.max(rec.start_ns + rec.dur_ns),
-                tid: rec.tid,
-            });
-        }
-    }
-    while let Some(open) = stack.pop() {
-        emit_end(&mut out, open, &mut last_ts);
     }
     out
 }
@@ -172,9 +89,7 @@ pub fn event_json(e: &TraceEvent) -> String {
     if e.ph == 'X' {
         let _ = write!(s, ",\"dur\":{}.{:03}", e.dur_ns / 1000, e.dur_ns % 1000);
     }
-    if e.ph != 'E' {
-        let _ = write!(s, ",\"name\":{}", json_string(&e.name));
-    }
+    let _ = write!(s, ",\"name\":{}", json_string(&e.name));
     if !e.cat.is_empty() {
         let _ = write!(s, ",\"cat\":{}", json_string(&e.cat));
     }
@@ -210,15 +125,9 @@ fn events_json(events: &[TraceEvent]) -> String {
 }
 
 /// Renders drained spans as a complete Chrome trace JSON document
-/// using `"X"` complete events — the default `--trace-out` format.
+/// using `"X"` complete events — the `--trace-out` format.
 pub fn trace_json(records: &[SpanRecord], thread_names: &[(u64, String)]) -> String {
     events_json(&complete_events(records, thread_names))
-}
-
-/// Renders drained spans as a Chrome trace JSON document using
-/// balanced `"B"`/`"E"` pairs (equivalent content to [`trace_json`]).
-pub fn trace_json_begin_end(records: &[SpanRecord], thread_names: &[(u64, String)]) -> String {
-    events_json(&begin_end_events(records, thread_names))
 }
 
 #[cfg(test)]
@@ -262,46 +171,13 @@ mod tests {
     }
 
     #[test]
-    fn begin_end_pairs_balance_and_nest() {
-        // outer(0..10_000) { inner(2000..3000) } then sibling(12_000..).
-        let records = vec![
-            rec("outer", 0, 0, 0, 0, 10_000),
-            rec("inner", 0, 1, 1, 2000, 1000),
-            rec("sibling", 0, 2, 0, 12_000, 1000),
-        ];
-        let events = begin_end_events(&records, &[]);
-        let phases: Vec<char> = events.iter().map(|e| e.ph).collect();
-        assert_eq!(phases, vec!['B', 'B', 'E', 'E', 'B', 'E']);
-        // Non-decreasing ts on the single track.
-        let mut last = 0;
-        for e in &events {
-            assert!(e.ts_ns >= last, "ts went backwards: {events:?}");
-            last = e.ts_ns;
-        }
-    }
-
-    #[test]
-    fn begin_end_closes_tracks_independently() {
-        let records = vec![rec("a", 0, 0, 0, 100, 50), rec("b", 1, 0, 0, 10, 5)];
-        let events = begin_end_events(&records, &[]);
-        let opens = events.iter().filter(|e| e.ph == 'B').count();
-        let closes = events.iter().filter(|e| e.ph == 'E').count();
-        assert_eq!(opens, 2);
-        assert_eq!(closes, 2);
-        // Track 0 closes before track 1's events begin.
-        let idx_e0 = events.iter().position(|e| e.ph == 'E' && e.tid == 0).unwrap();
-        let idx_b1 = events.iter().position(|e| e.ph == 'B' && e.tid == 1).unwrap();
-        assert!(idx_e0 < idx_b1);
-    }
-
-    #[test]
     fn instants_do_not_open_spans() {
         let mut mark = rec("mark", 0, 1, 1, 500, 0);
         mark.instant = true;
         let records = vec![rec("outer", 0, 0, 0, 0, 1000), mark];
-        let events = begin_end_events(&records, &[]);
+        let events = complete_events(&records, &[]);
         let phases: Vec<char> = events.iter().map(|e| e.ph).collect();
-        assert_eq!(phases, vec!['B', 'i', 'E']);
+        assert_eq!(phases, vec!['X', 'i']);
         let json = event_json(&events[1]);
         assert!(json.contains("\"s\":\"t\""), "{json}");
     }

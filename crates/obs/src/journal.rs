@@ -2,20 +2,38 @@
 //!
 //! A [`Journal`] is a cheaply clonable handle to an append-only JSONL
 //! file. Each completed top-level query appends one [`QueryRecord`]
-//! line capturing what the query was and exactly what it paid for —
-//! wall latency, cache hits/misses/evictions, log entries decoded,
-//! segment blocks inflated, and bytes read — so the paper's
-//! "pay only for what you touch" claim is auditable per query and
-//! across whole sessions (`ppd obs report` aggregates a journal).
+//! line capturing what the query was and exactly what it paid for:
+//! its wall latency plus one delta per [`COSTS`] field — replays,
+//! trace events, cache hits/misses/evictions, and the segment-store
+//! reads (entries decoded, blocks inflated, bytes read) counted by the
+//! store the query's execution reads from. The paper's "pay only for
+//! what you touch" claim is thereby auditable per query and across
+//! whole sessions (`ppd obs report` aggregates a journal).
 //!
 //! The record schema is versioned (`"v":1`) and field order is fixed,
 //! so journals diff cleanly and parse with any JSON-lines reader.
 
-use crate::metrics::json_string;
+use crate::metrics::push_json_string;
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// The cost fields of a v1 record, in record order. The one table the
+/// writer ([`QueryRecord::to_json`]), the replay engine that fills
+/// [`QueryRecord::costs`], and `ppd obs report` all read.
+pub const COSTS: [&str; 9] = [
+    "replays",
+    "trace_events",
+    "log_entries_scanned",
+    "cache_hits",
+    "cache_misses",
+    "cache_evictions",
+    "entries_decoded",
+    "blocks_inflated",
+    "bytes_read",
+];
 
 /// One journal line: a completed query and its costs.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -28,48 +46,24 @@ pub struct QueryRecord {
     pub start_ns: u64,
     /// Wall latency in nanoseconds.
     pub latency_ns: u64,
-    /// Replays performed by this query.
-    pub replays: u64,
-    /// Trace events regenerated.
-    pub trace_events: u64,
-    /// Log entries scanned during replay.
-    pub log_entries_scanned: u64,
-    /// Trace-cache hits.
-    pub cache_hits: u64,
-    /// Trace-cache misses.
-    pub cache_misses: u64,
-    /// Trace-cache evictions.
-    pub cache_evictions: u64,
-    /// Segment-store log entries decoded.
-    pub entries_decoded: u64,
-    /// Compressed segment blocks inflated.
-    pub blocks_inflated: u64,
-    /// Bytes read from segment stores.
-    pub bytes_read: u64,
+    /// What the query paid, one value per [`COSTS`] field, same order.
+    pub costs: [u64; COSTS.len()],
 }
 
 impl QueryRecord {
     /// The single JSONL line for this record (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"v\":1,\"kind\":{},\"args\":{},\"start_ns\":{},\"latency_ns\":{},\
-             \"replays\":{},\"trace_events\":{},\"log_entries_scanned\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
-             \"entries_decoded\":{},\"blocks_inflated\":{},\"bytes_read\":{}}}",
-            json_string(&self.kind),
-            json_string(&self.args),
-            self.start_ns,
-            self.latency_ns,
-            self.replays,
-            self.trace_events,
-            self.log_entries_scanned,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.entries_decoded,
-            self.blocks_inflated,
-            self.bytes_read
-        )
+        let mut out = String::with_capacity(384 + self.kind.len() + self.args.len());
+        out.push_str("{\"v\":1,\"kind\":");
+        push_json_string(&mut out, &self.kind);
+        out.push_str(",\"args\":");
+        push_json_string(&mut out, &self.args);
+        let _ = write!(out, ",\"start_ns\":{},\"latency_ns\":{}", self.start_ns, self.latency_ns);
+        for (name, value) in COSTS.iter().zip(self.costs) {
+            let _ = write!(out, ",\"{name}\":{value}");
+        }
+        out.push('}');
+        out
     }
 }
 
@@ -144,15 +138,7 @@ mod tests {
             args: "node=3 proc=1".to_string(),
             start_ns: 12,
             latency_ns: 3456,
-            replays: 2,
-            trace_events: 40,
-            log_entries_scanned: 17,
-            cache_hits: 1,
-            cache_misses: 2,
-            cache_evictions: 0,
-            entries_decoded: 99,
-            blocks_inflated: 3,
-            bytes_read: 4096,
+            costs: [2, 40, 17, 1, 2, 0, 99, 3, 4096],
         }
     }
 
@@ -176,6 +162,7 @@ mod tests {
             "blocks_inflated",
             "bytes_read",
         ];
+        assert_eq!(fields[2..], COSTS, "the cost table is the v1 record order");
         let mut pos = 0;
         for f in fields {
             let at =

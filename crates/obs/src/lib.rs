@@ -2,23 +2,22 @@
 //!
 //! Low-overhead observability for every phase of the debugger: RAII
 //! **spans** recorded into lock-free-on-the-hot-path thread-local
-//! buffers, a **metrics** registry of counters / gauges / fixed-bucket
-//! histograms, and three sinks over both:
+//! buffers, and a **metrics** registry of counters / gauges /
+//! fixed-bucket histograms. Each sink is a view over the span stream or
+//! over counts that have exactly one owner, such as a [`Registry`]:
 //!
 //! - a Chrome trace-event JSON writer ([`chrome`]) whose output loads
 //!   in Perfetto / `chrome://tracing`, one track per thread (so one
 //!   track per pool worker, with steal annotations);
 //! - a JSON metrics snapshot ([`metrics::Snapshot::to_json`]);
-//! - an in-terminal summary table ([`summary`]).
-//!
-//! On top of these sit three production-telemetry pieces:
-//!
-//! - an always-on [`flight`] recorder — a fixed ring of the last ~1k
-//!   coarse events, dumped on panic (black-box trace);
-//! - a structured query [`journal`] — one JSONL record per Controller
-//!   query with latency and byte/entry/cache accounting;
 //! - an [`openmetrics`] text exposition of any [`Registry`]
-//!   (`--metrics-out`, Prometheus-scrapeable).
+//!   (`--metrics-out`, Prometheus-scrapeable);
+//! - a structured query [`journal`] — one JSONL record per Controller
+//!   query with its latency and the cost deltas named in
+//!   [`journal::COSTS`].
+//!
+//! Beside them sits an always-on [`flight`] recorder — a fixed ring of
+//! the last ~1k coarse events, dumped on panic (black-box trace).
 //!
 //! ## Cost model
 //!
@@ -62,7 +61,6 @@ pub mod journal;
 pub mod metrics;
 pub mod openmetrics;
 pub mod span;
-pub mod summary;
 
 pub use flight::{FlightEvent, FlightRecorder};
 pub use journal::{Journal, QueryRecord};

@@ -12,7 +12,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 
 /// Number of power-of-two histogram buckets: bucket `i` counts values
 /// `v` with `bit_width(v) == i`, i.e. `[2^(i-1), 2^i)`, so the range
@@ -57,11 +56,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `d` (may be negative).
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
@@ -102,12 +96,6 @@ impl Histogram {
         self.0.buckets[i].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Records a duration in nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: Duration) {
-        self.record(d.as_nanos() as u64);
     }
 
     /// Number of recorded values.
@@ -346,28 +334,17 @@ impl Snapshot {
             "{{\"counters\":{{{counters}}},\"gauges\":{{{gauges}}},\"histograms\":{{{hists}}}}}"
         )
     }
-
-    /// Aligned human-readable table.
-    pub fn render(&self) -> String {
-        let width = self.entries.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for (name, value) in &self.entries {
-            let v = match value {
-                SnapValue::Counter(v) => v.to_string(),
-                SnapValue::Gauge(v) => v.to_string(),
-                SnapValue::Histogram { count, mean, p99, .. } => {
-                    format!("n={count} mean={mean:.0} p99<={p99}")
-                }
-            };
-            let _ = writeln!(out, "{name:width$}  {v}");
-        }
-        out
-    }
 }
 
 /// Escapes `s` as a JSON string literal (with quotes).
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_json_string(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal (with quotes).
+pub(crate) fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -383,7 +360,6 @@ pub fn json_string(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -464,14 +440,5 @@ mod tests {
     fn json_string_escapes() {
         assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn render_aligns() {
-        let reg = Registry::new();
-        reg.counter("long.metric.name").add(1);
-        reg.counter("x").add(2);
-        let text = reg.snapshot().render();
-        assert!(text.contains("long.metric.name  1"), "{text}");
     }
 }

@@ -4,8 +4,8 @@
 //! registry on first use; the buffer outlives the thread (it is held
 //! by an `Arc`), so spans recorded by short-lived pool workers survive
 //! until [`take_spans`] collects them. Guards are strictly nested by
-//! construction (RAII), which is what lets the Chrome writer emit
-//! balanced begin/end pairs without ever re-sorting by time.
+//! construction (RAII), so each thread's `(seq, depth)` order is its
+//! span tree — no re-sorting by wall time is ever needed.
 
 use std::borrow::Cow;
 use std::fmt::Display;
@@ -135,21 +135,6 @@ impl SpanGuard {
             a.args.push((key, Cow::Borrowed(value)));
         }
     }
-
-    /// Replaces the span's name with another static string — lets a
-    /// hot site fold an outcome into the name (`probe` →
-    /// `probe_hit`) with zero allocation instead of attaching an arg.
-    pub fn set_name(&mut self, name: &'static str) {
-        if let Some(a) = &mut self.0 {
-            a.name = Cow::Borrowed(name);
-        }
-    }
-
-    /// Whether this guard is live (spans were enabled at creation).
-    /// Lets callers skip building expensive annotations.
-    pub fn is_recording(&self) -> bool {
-        self.0.is_some()
-    }
 }
 
 impl Drop for SpanGuard {
@@ -205,7 +190,7 @@ pub fn span_dyn(cat: &'static str, name: String) -> SpanGuard {
 /// probes, where a hit should cost a single clock read and only a
 /// miss leaves a span. The caller must not open or close other spans
 /// on this thread between the `start_ns` reading and this call, or
-/// the begin/end reconstruction's start-order invariant breaks.
+/// the record's `seq` no longer follows start order.
 pub fn record_span_since(cat: &'static str, name: &'static str, start_ns: u64) {
     if !spans_enabled() {
         return;

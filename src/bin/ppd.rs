@@ -77,6 +77,7 @@
 use ppd::analysis::EBlockStrategy;
 use ppd::core::{shared_state_at, Controller, Execution, PpdSession, RunConfig};
 use ppd::graph::{dot, DynNodeId, DynNodeKind};
+use ppd::obs::journal::COSTS;
 use ppd::runtime::{Outcome, SchedulerSpec};
 use std::io::{self, BufRead, Write as _};
 use std::process::ExitCode;
@@ -325,9 +326,9 @@ fn main() -> ExitCode {
 }
 
 /// Writes the OpenMetrics exposition for `--metrics-out`: the global
-/// registry, optionally a replay-engine snapshot, and the per-segment
-/// access heatmap as labeled counter families. Returns false (after
-/// printing) on I/O failure.
+/// registry, optionally a replay-engine snapshot with the store's read
+/// totals, and the per-segment access heatmap as labeled counter
+/// families. Returns false (after printing) on I/O failure.
 fn write_metrics_out(
     path: &str,
     engine: Option<ppd::obs::Snapshot>,
@@ -337,6 +338,15 @@ fn write_metrics_out(
     exp.add_snapshot(&ppd::obs::global().snapshot());
     if let Some(snap) = engine {
         exp.add_snapshot(&snap);
+        // The store owns its read counts; the totals are its heatmap's.
+        let total = |f: fn(&ppd::log::HeatRecord) -> u64| heat.iter().map(f).sum::<u64>();
+        for (name, value) in [
+            ("log.segment_entries_decoded", total(|h| h.entries_decoded)),
+            ("log.segment_blocks_inflated", total(|h| h.blocks_inflated)),
+            ("log.segment_bytes_read", total(|h| h.bytes_read)),
+        ] {
+            exp.counter(name, &format!("counter {name}"), &[], value);
+        }
     }
     for h in heat {
         if h.entries_decoded == 0 && h.blocks_inflated == 0 && h.bytes_read == 0 {
@@ -1418,27 +1428,38 @@ fn cmd_obs(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// One parsed `--journal` line (schema `"v":1`). Owned scalar fields
-/// only: the vendored serde_derive stub handles exactly that shape.
-#[derive(serde::Deserialize)]
+/// One parsed `--journal` line (schema `"v":1`); the costs are read
+/// through the writer's own field table, [`COSTS`].
 struct JournalLine {
     v: u64,
     kind: String,
-    // Carried for tooling that slices by argument; the report itself
-    // rolls up by kind only.
-    #[allow(dead_code)]
-    args: String,
     start_ns: u64,
     latency_ns: u64,
-    replays: u64,
-    trace_events: u64,
-    log_entries_scanned: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_evictions: u64,
-    entries_decoded: u64,
-    blocks_inflated: u64,
-    bytes_read: u64,
+    costs: [u64; COSTS.len()],
+}
+
+impl JournalLine {
+    /// The value of cost field `name` (one of [`COSTS`]).
+    fn cost(&self, name: &str) -> u64 {
+        COSTS.iter().zip(self.costs).find_map(|(c, v)| (*c == name).then_some(v)).unwrap_or(0)
+    }
+}
+
+impl serde::Deserialize for JournalLine {
+    fn from_content(c: &serde::Content) -> Result<Self, serde::DeError> {
+        const TY: &str = "JournalLine";
+        let m = c.as_map().ok_or_else(|| serde::DeError::msg("expected map for JournalLine"))?;
+        let (v, kind) = (serde::field(m, "v", TY)?, serde::field(m, "kind", TY)?);
+        // Required by the schema; the report rolls up by kind only.
+        serde::field::<String>(m, "args", TY)?;
+        let (start_ns, latency_ns) =
+            (serde::field(m, "start_ns", TY)?, serde::field(m, "latency_ns", TY)?);
+        let mut costs = [0; COSTS.len()];
+        for (slot, name) in costs.iter_mut().zip(COSTS) {
+            *slot = serde::field(m, name, TY)?;
+        }
+        Ok(JournalLine { v, kind, start_ns, latency_ns, costs })
+    }
 }
 
 /// Exact percentile over a sorted sample: the smallest value with at
@@ -1489,9 +1510,9 @@ fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
     records.sort_by_key(|r| r.start_ns);
     let n = records.len() as u64;
     let sum = |f: fn(&JournalLine) -> u64| records.iter().map(f).sum::<u64>();
-    let (hits, misses) = (sum(|r| r.cache_hits), sum(|r| r.cache_misses));
+    let (hits, misses) = (sum(|r| r.cost("cache_hits")), sum(|r| r.cost("cache_misses")));
     let latency_total = sum(|r| r.latency_ns);
-    let bytes_total = sum(|r| r.bytes_read);
+    let bytes_total = sum(|r| r.cost("bytes_read"));
     let mut lat_sorted: Vec<u64> = records.iter().map(|r| r.latency_ns).collect();
     lat_sorted.sort_unstable();
     let (p50, p95, p99) = (
@@ -1503,8 +1524,8 @@ fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
     // cache shows up as a rising rate.
     let half = records.len() / 2;
     let rate = |rs: &[JournalLine]| -> f64 {
-        let h: u64 = rs.iter().map(|r| r.cache_hits).sum();
-        let m: u64 = rs.iter().map(|r| r.cache_misses).sum();
+        let h: u64 = rs.iter().map(|r| r.cost("cache_hits")).sum();
+        let m: u64 = rs.iter().map(|r| r.cost("cache_misses")).sum();
         if h + m == 0 {
             0.0
         } else {
@@ -1518,9 +1539,9 @@ fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
         match kinds.iter_mut().find(|(k, _, _)| *k == r.kind) {
             Some((_, lats, bytes)) => {
                 lats.push(r.latency_ns);
-                *bytes += r.bytes_read;
+                *bytes += r.cost("bytes_read");
             }
-            None => kinds.push((r.kind.clone(), vec![r.latency_ns], r.bytes_read)),
+            None => kinds.push((r.kind.clone(), vec![r.latency_ns], r.cost("bytes_read"))),
         }
     }
     for (_, lats, _) in &mut kinds {
@@ -1551,12 +1572,12 @@ fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
              \"hit_rate_pct\":{:.4},\"hit_rate_first_half_pct\":{early:.4},\
              \"hit_rate_second_half_pct\":{late:.4},\"by_kind\":[{}]}}",
             ppd::obs::metrics::json_string(path),
-            sum(|r| r.replays),
-            sum(|r| r.trace_events),
-            sum(|r| r.log_entries_scanned),
-            sum(|r| r.cache_evictions),
-            sum(|r| r.entries_decoded),
-            sum(|r| r.blocks_inflated),
+            sum(|r| r.cost("replays")),
+            sum(|r| r.cost("trace_events")),
+            sum(|r| r.cost("log_entries_scanned")),
+            sum(|r| r.cost("cache_evictions")),
+            sum(|r| r.cost("entries_decoded")),
+            sum(|r| r.cost("blocks_inflated")),
             bytes_total as f64 / n as f64,
             if hits + misses == 0 { 0.0 } else { 100.0 * hits as f64 / (hits + misses) as f64 },
             by_kind.join(","),
@@ -1589,20 +1610,20 @@ fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
         "bytes read per query      {:.1} ({bytes_total} total)",
         bytes_total as f64 / n as f64
     );
-    println!("blocks inflated           {}", sum(|r| r.blocks_inflated));
-    println!("entries decoded           {}", sum(|r| r.entries_decoded));
+    println!("blocks inflated           {}", sum(|r| r.cost("blocks_inflated")));
+    println!("entries decoded           {}", sum(|r| r.cost("entries_decoded")));
     println!("hit rate trend            {early:.1}% (first half) -> {late:.1}% (second half)");
     println!();
     // The aggregate block mirrors `ppd debug --stats` line-for-line:
     // on a deterministic run, summing a session's journal reproduces
     // the session's own counters bit-for-bit.
     println!("aggregates (same layout as ppd debug --stats):");
-    println!("replays performed     {}", sum(|r| r.replays));
+    println!("replays performed     {}", sum(|r| r.cost("replays")));
     let hr = if hits + misses == 0 { 0.0 } else { 100.0 * hits as f64 / (hits + misses) as f64 };
     println!("cache hits / misses   {hits} / {misses} ({hr:.1}% hit rate)");
-    println!("evictions             {}", sum(|r| r.cache_evictions));
-    println!("trace events          {}", sum(|r| r.trace_events));
-    println!("log entries scanned   {}", sum(|r| r.log_entries_scanned));
+    println!("evictions             {}", sum(|r| r.cost("cache_evictions")));
+    println!("trace events          {}", sum(|r| r.cost("trace_events")));
+    println!("log entries scanned   {}", sum(|r| r.cost("log_entries_scanned")));
     println!(
         "queries               {n} in {:.3}ms",
         std::time::Duration::from_nanos(latency_total).as_secs_f64() * 1e3

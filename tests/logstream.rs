@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::Gen;
+use common::{expand_all, fingerprint, workloads, Gen};
 use ppd::analysis::EBlockStrategy;
 use ppd::core::{Controller, Execution, PpdSession, RunConfig};
 use ppd::lang::{corpus, ProcId};
@@ -34,63 +34,6 @@ fn tmp_dir(name: &str) -> PathBuf {
 /// Small capacity so every workload spans multiple segments per process.
 const SEG_BYTES: usize = 512;
 
-/// The corpus + `programs/` workload sweep (mirrors the parallel
-/// backend determinism suite).
-fn workloads() -> Vec<(String, PpdSession, RunConfig)> {
-    let mut out = Vec::new();
-    let corpus_set: Vec<(&str, &str, Vec<Vec<i64>>)> = vec![
-        ("flowback_demo", corpus::FLOWBACK_DEMO.source, vec![vec![42, 10]]),
-        ("producer_consumer", corpus::PRODUCER_CONSUMER.source, vec![]),
-        ("fig41", corpus::FIG_4_1.source, vec![vec![5, 3, 2]]),
-        ("fig61", corpus::FIG_6_1.source, vec![]),
-        ("quicksort", corpus::QUICKSORT.source, vec![]),
-    ];
-    for (name, source, inputs) in corpus_set {
-        let session = PpdSession::prepare(source, EBlockStrategy::per_subroutine())
-            .expect("corpus program compiles");
-        out.push((name.to_owned(), session, RunConfig { inputs, ..RunConfig::default() }));
-    }
-    for entry in std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/programs"))
-        .expect("programs/ exists")
-    {
-        let path = entry.expect("dir entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("ppd") {
-            continue;
-        }
-        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let source = std::fs::read_to_string(&path).expect("program reads");
-        let session = PpdSession::prepare(&source, EBlockStrategy::per_subroutine())
-            .expect("programs/ compiles");
-        let inputs = if name == "overdraw" { vec![vec![95]] } else { vec![] };
-        out.push((name, session, RunConfig { inputs, ..RunConfig::default() }));
-    }
-    out
-}
-
-/// A total, order-stable description of the dynamic graph.
-fn fingerprint(controller: &Controller<'_>) -> String {
-    use std::fmt::Write as _;
-    let graph = controller.graph();
-    let mut out = String::new();
-    for n in graph.nodes() {
-        let mut preds: Vec<String> =
-            graph.dependence_preds(n.id).iter().map(|(p, k)| format!("{}:{k:?}", p.0)).collect();
-        preds.sort();
-        let _ = writeln!(
-            out,
-            "#{} {:?} {} proc{} seq{} {:?} <- [{}]",
-            n.id.0,
-            n.kind,
-            n.label,
-            n.proc.0,
-            n.seq,
-            n.value,
-            preds.join(", ")
-        );
-    }
-    out
-}
-
 /// Full debug transcript: start + expand everything + flowback +
 /// slice + races — every answer a user could compare between the
 /// in-memory and the reopened-from-disk execution.
@@ -99,16 +42,7 @@ fn transcript(session: &PpdSession, execution: &Execution) -> Vec<String> {
     let mut out = Vec::new();
     match c.start() {
         Ok(root) => {
-            loop {
-                let pending = c.unexpanded();
-                let before = c.graph().len();
-                for node in pending {
-                    let _ = c.expand(node);
-                }
-                if c.graph().len() == before {
-                    break;
-                }
-            }
+            expand_all(&mut c);
             out.push(fingerprint(&c));
             out.push(format!("flowback: {:?}", c.flowback(root)));
             out.push(format!("slice: {:?}", c.backward_slice(root)));

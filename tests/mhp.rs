@@ -306,7 +306,7 @@ fn run_fingerprint(src: &str, trim: bool) -> (String, usize) {
     let session = PpdSession::prepare_with(
         src,
         EBlockStrategy::per_subroutine(),
-        AnalysisConfig { mhp_snapshot_trim: trim, ..AnalysisConfig::default() },
+        AnalysisConfig { mhp_snapshot_trim: trim },
     )
     .unwrap();
     let execution = session.execute(RunConfig::default());
@@ -385,7 +385,7 @@ fn snapshot_trim_is_invisible_on_corpus() {
             let session = PpdSession::prepare_with(
                 prog.source,
                 EBlockStrategy::per_subroutine(),
-                AnalysisConfig { mhp_snapshot_trim: true, ..AnalysisConfig::default() },
+                AnalysisConfig { mhp_snapshot_trim: true },
             )
             .unwrap();
             session.execute(RunConfig { inputs: inputs.clone(), ..RunConfig::default() }).output
@@ -394,7 +394,7 @@ fn snapshot_trim_is_invisible_on_corpus() {
             let session = PpdSession::prepare_with(
                 prog.source,
                 EBlockStrategy::per_subroutine(),
-                AnalysisConfig { mhp_snapshot_trim: false, ..AnalysisConfig::default() },
+                AnalysisConfig { mhp_snapshot_trim: false },
             )
             .unwrap();
             session.execute(RunConfig { inputs, ..RunConfig::default() }).output

@@ -1,9 +1,15 @@
 //! Telemetry-layer tests: OpenMetrics exposition (golden + properties),
-//! query-journal JSONL round-trips, and the flight-dump schema — the
-//! artifacts behind `--metrics-out`, `--journal` and `--flight-out`.
+//! query-journal JSONL round-trips and store-read isolation, and the
+//! flight-dump schema — the artifacts behind `--metrics-out`,
+//! `--journal` and `--flight-out`.
 
+use ppd::analysis::EBlockStrategy;
+use ppd::core::{Controller, Execution, PpdSession, RunConfig};
+use ppd::lang::{corpus, ProcId};
+use ppd::log::SegmentFormat;
 use ppd::obs::{Exposition, Journal, QueryRecord, Registry};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 // ---------------------------------------------------------------------
 // OpenMetrics golden
@@ -215,15 +221,7 @@ fn journal_round_trips_through_jsonl() {
             args: "node=3 var=1".into(),
             start_ns: 10,
             latency_ns: 250,
-            replays: 2,
-            trace_events: 40,
-            log_entries_scanned: 9,
-            cache_hits: 1,
-            cache_misses: 2,
-            cache_evictions: 0,
-            entries_decoded: 12,
-            blocks_inflated: 1,
-            bytes_read: 4096,
+            costs: [2, 40, 9, 1, 2, 0, 12, 1, 4096],
         },
         QueryRecord {
             kind: "weird \"kind\"\nwith newline".into(),
@@ -246,15 +244,17 @@ fn journal_round_trips_through_jsonl() {
         assert_eq!(got.args, want.args);
         assert_eq!(got.start_ns, want.start_ns);
         assert_eq!(got.latency_ns, want.latency_ns);
-        assert_eq!(got.replays, want.replays);
-        assert_eq!(got.trace_events, want.trace_events);
-        assert_eq!(got.log_entries_scanned, want.log_entries_scanned);
-        assert_eq!(got.cache_hits, want.cache_hits);
-        assert_eq!(got.cache_misses, want.cache_misses);
-        assert_eq!(got.cache_evictions, want.cache_evictions);
-        assert_eq!(got.entries_decoded, want.entries_decoded);
-        assert_eq!(got.blocks_inflated, want.blocks_inflated);
-        assert_eq!(got.bytes_read, want.bytes_read);
+        let [replays, trace_events, scanned, hits, misses, evictions, decoded, inflated, bytes] =
+            want.costs;
+        assert_eq!(got.replays, replays);
+        assert_eq!(got.trace_events, trace_events);
+        assert_eq!(got.log_entries_scanned, scanned);
+        assert_eq!(got.cache_hits, hits);
+        assert_eq!(got.cache_misses, misses);
+        assert_eq!(got.cache_evictions, evictions);
+        assert_eq!(got.entries_decoded, decoded);
+        assert_eq!(got.blocks_inflated, inflated);
+        assert_eq!(got.bytes_read, bytes);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -276,15 +276,7 @@ proptest! {
             args: args_bytes.iter().map(|&b| b as char).collect(),
             start_ns: nums[0],
             latency_ns: nums[1],
-            replays: nums[2],
-            trace_events: nums[3],
-            log_entries_scanned: nums[4],
-            cache_hits: nums[5],
-            cache_misses: nums[6],
-            cache_evictions: nums[7],
-            entries_decoded: nums[8],
-            blocks_inflated: nums[9],
-            bytes_read: nums[10],
+            costs: std::array::from_fn(|i| nums[2 + i]),
         };
         let line = rec.to_json();
         prop_assert!(!line.contains('\n'));
@@ -292,9 +284,59 @@ proptest! {
         prop_assert_eq!(got.v, 1);
         prop_assert_eq!(got.kind, rec.kind);
         prop_assert_eq!(got.args, rec.args);
-        prop_assert_eq!(got.bytes_read, rec.bytes_read);
+        prop_assert_eq!(got.bytes_read, rec.costs[8]);
         prop_assert_eq!(got.latency_ns, rec.latency_ns);
     }
+}
+
+/// A journaled query is charged only for reads of its own execution's
+/// store: segment decodes of another store, on another thread, while
+/// the query runs never land in its record.
+#[test]
+fn journal_charges_only_the_queried_store() {
+    let dir = std::env::temp_dir().join(format!("ppd-journal-iso-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session =
+        PpdSession::prepare(corpus::FLOWBACK_DEMO.source, EBlockStrategy::per_subroutine())
+            .expect("corpus program compiles");
+    let run = session.execute(RunConfig { inputs: vec![vec![42, 10]], ..RunConfig::default() });
+    let load = |name: &str| {
+        let sub = dir.join(name);
+        run.save_dir(&sub, 512, SegmentFormat::default()).expect("save_dir succeeds");
+        Execution::load_dir(&sub).expect("load_dir succeeds")
+    };
+    let (a, b) = (load("a"), load("b"));
+    let (seg_a, seg_b) = (a.logs.segmented().unwrap(), b.logs.segmented().unwrap());
+    let journal_path = dir.join("j.jsonl");
+    let journal = Journal::create(&journal_path).unwrap();
+    let (reading, stop) = (AtomicBool::new(false), AtomicBool::new(false));
+    std::thread::scope(|scope| {
+        // Store B is read in a loop for the whole time A is queried.
+        scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                for p in 0..b.logs.process_count() {
+                    seg_b.entries_in_range(ProcId(p as u32), 0, u64::MAX).unwrap();
+                }
+                reading.store(true, Ordering::Relaxed);
+            }
+        });
+        while !reading.load(Ordering::Relaxed) {
+            std::thread::yield_now();
+        }
+        let mut c = Controller::new(&session, &a);
+        c.set_journal(journal.clone());
+        c.start().expect("debugging starts");
+        stop.store(true, Ordering::Relaxed);
+    });
+    let text = std::fs::read_to_string(&journal_path).unwrap();
+    let charged: u64 = text
+        .lines()
+        .map(|l| serde_json::from_str::<ParsedRecord>(l).unwrap().entries_decoded)
+        .sum();
+    assert!(seg_a.entries_decoded() > 0, "the query decodes its own store");
+    assert!(seg_b.entries_decoded() > 0, "the other store was read meanwhile");
+    assert_eq!(charged, seg_a.entries_decoded(), "journal charged reads of another store");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------

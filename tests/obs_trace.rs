@@ -1,13 +1,13 @@
 //! Trace-sink tests: the Chrome trace-event writer's schema is pinned
 //! by golden file, and a property test checks that *every* valid span
 //! nesting — randomized open/close/instant sequences across several
-//! threads — reconstructs to balanced, properly nested `"B"`/`"E"`
-//! pairs with non-decreasing timestamps per track.
+//! threads — exports one `"X"` per span and one `"i"` per instant, with
+//! non-decreasing timestamps per track.
 //!
 //! Run with `PPD_UPDATE_GOLDEN=1` to regenerate the golden file after
 //! an intentional format change.
 
-use ppd_obs::chrome::{begin_end_events, complete_events, trace_json, trace_json_begin_end};
+use ppd_obs::chrome::{complete_events, trace_json};
 use ppd_obs::SpanRecord;
 use proptest::prelude::*;
 use std::borrow::Cow;
@@ -141,18 +141,6 @@ fn trace_json_matches_golden_and_schema() {
     assert!(doc.contains("\"name\":\"pool-worker-0\""), "{doc}");
 }
 
-#[test]
-fn begin_end_json_matches_golden_and_balances() {
-    let (records, names) = fixture();
-    let doc = trace_json_begin_end(&records, &names);
-    check_golden("trace.chrome_be.json", &doc);
-    let lines = event_lines(&doc);
-    let b = lines.iter().filter(|l| field(l, "ph") == Some("\"B\"")).count();
-    let e = lines.iter().filter(|l| field(l, "ph") == Some("\"E\"")).count();
-    assert_eq!(b, e, "unbalanced begin/end pairs: {doc}");
-    assert_eq!(b, 4, "four non-instant spans in the fixture");
-}
-
 /// One simulated recording thread, producing records exactly the way
 /// the RAII guards do: `seq` at open in start order, the finished
 /// record pushed at close (so out of start order until sorted), depth
@@ -210,63 +198,6 @@ impl SimThread {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// Any valid guard history — arbitrary interleavings of opens,
-    /// closes and instants on up to three threads — reconstructs to
-    /// balanced `B`/`E` pairs per track, LIFO-nested, with
-    /// non-decreasing timestamps.
-    #[test]
-    fn random_nestings_produce_balanced_begin_end_pairs(
-        ops in proptest::collection::vec(any::<u8>(), 0..96)
-    ) {
-        let mut threads = [SimThread::new(0), SimThread::new(1), SimThread::new(2)];
-        for op in &ops {
-            let t = &mut threads[(op >> 2) as usize % 3];
-            match op % 4 {
-                0 | 1 => t.open(), // bias toward nesting
-                2 => t.close(),
-                _ => t.instant(),
-            }
-        }
-        let mut records: Vec<SpanRecord> = Vec::new();
-        for t in threads {
-            records.extend(t.finish());
-        }
-        records.sort_by_key(|r| (r.tid, r.seq));
-        let spans = records.iter().filter(|r| !r.instant).count();
-
-        let events = begin_end_events(&records, &[]);
-        let b = events.iter().filter(|e| e.ph == 'B').count();
-        let e = events.iter().filter(|e| e.ph == 'E').count();
-        prop_assert_eq!(b, spans, "every span opens exactly once");
-        prop_assert_eq!(b, e, "every B has exactly one E");
-
-        // LIFO nesting: an E always closes the most recent open B on
-        // its own track, and no track interleaves with another.
-        let mut stack: Vec<u64> = Vec::new();
-        let mut last_ts: Option<(u64, u64)> = None;
-        for ev in &events {
-            match ev.ph {
-                'B' => stack.push(ev.tid),
-                'E' => {
-                    let open_tid = stack.pop().expect("E without open B");
-                    prop_assert_eq!(open_tid, ev.tid, "E crossed tracks");
-                }
-                'i' => prop_assert!(
-                    stack.iter().all(|&t| t == ev.tid) ,
-                    "instant emitted while another track is open"
-                ),
-                ph => prop_assert!(false, "unexpected phase {}", ph),
-            }
-            if let Some((prev_tid, prev_ts)) = last_ts {
-                if prev_tid == ev.tid {
-                    prop_assert!(ev.ts_ns >= prev_ts, "ts regressed within a track");
-                }
-            }
-            last_ts = Some((ev.tid, ev.ts_ns));
-        }
-        prop_assert!(stack.is_empty(), "spans left open at end of stream");
-    }
 
     /// Complete-event export preserves one `X` per span, one `i` per
     /// instant, and clamps timestamps monotonically per track.

@@ -8,92 +8,19 @@
 //! Plus a thread-stress test of the sharded trace cache's global byte
 //! budget (never exceeded, no lost insertions, coherent counters).
 
+mod common;
+
+use common::{expand_all, fingerprint, workloads};
 use ppd::analysis::EBlockStrategy;
 use ppd::core::{Controller, PpdSession, RunConfig, ShardedTraceCache};
 use ppd::graph::{detect_races, detect_races_naive, detect_races_par, VectorClocks};
 use ppd::lang::{corpus, ProcId};
+use ppd::obs::Registry;
 use ppd::runtime::SchedulerSpec;
 use proptest::prelude::*;
 use std::sync::Arc;
 
 const JOB_COUNTS: [usize; 3] = [1, 2, 8];
-
-/// The corpus + `programs/` workload sweep.
-fn workloads() -> Vec<(String, PpdSession, RunConfig)> {
-    let mut out = Vec::new();
-    let corpus_set: Vec<(&str, &str, Vec<Vec<i64>>)> = vec![
-        ("flowback_demo", corpus::FLOWBACK_DEMO.source, vec![vec![42, 10]]),
-        ("producer_consumer", corpus::PRODUCER_CONSUMER.source, vec![]),
-        ("fig41", corpus::FIG_4_1.source, vec![vec![5, 3, 2]]),
-        ("fig61", corpus::FIG_6_1.source, vec![]),
-        ("quicksort", corpus::QUICKSORT.source, vec![]),
-    ];
-    for (name, source, inputs) in corpus_set {
-        let session = PpdSession::prepare(source, EBlockStrategy::per_subroutine())
-            .expect("corpus program compiles");
-        out.push((name.to_owned(), session, RunConfig { inputs, ..RunConfig::default() }));
-    }
-    for entry in std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/programs"))
-        .expect("programs/ exists")
-    {
-        let path = entry.expect("dir entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("ppd") {
-            continue;
-        }
-        let name = path.file_stem().unwrap().to_string_lossy().into_owned();
-        let source = std::fs::read_to_string(&path).expect("program reads");
-        let session = PpdSession::prepare(&source, EBlockStrategy::per_subroutine())
-            .expect("programs/ compiles");
-        // overdraw.ppd reads one input (the CLI demos pass `--inputs 95`);
-        // bounds.ppd's sampler probes one input (3 stays in bounds, so
-        // the run completes and every interval replays cleanly).
-        let inputs = match name.as_str() {
-            "overdraw" => vec![vec![95]],
-            "bounds" => vec![vec![3]],
-            _ => vec![],
-        };
-        out.push((name, session, RunConfig { inputs, ..RunConfig::default() }));
-    }
-    out
-}
-
-/// A total, order-stable description of the dynamic graph.
-fn fingerprint(controller: &Controller<'_>) -> String {
-    use std::fmt::Write as _;
-    let graph = controller.graph();
-    let mut out = String::new();
-    for n in graph.nodes() {
-        let mut preds: Vec<String> =
-            graph.dependence_preds(n.id).iter().map(|(p, k)| format!("{}:{k:?}", p.0)).collect();
-        preds.sort();
-        let _ = writeln!(
-            out,
-            "#{} {:?} {} proc{} seq{} {:?} <- [{}]",
-            n.id.0,
-            n.kind,
-            n.label,
-            n.proc.0,
-            n.seq,
-            n.value,
-            preds.join(", ")
-        );
-    }
-    out
-}
-
-/// Expands every expandable node until none remain.
-fn expand_all(controller: &mut Controller<'_>) {
-    loop {
-        let pending = controller.unexpanded();
-        let before = controller.graph().len();
-        for node in pending {
-            let _ = controller.expand(node);
-        }
-        if controller.graph().len() == before {
-            break;
-        }
-    }
-}
 
 /// Full debug transcript at a given thread count: parallel prefetch of
 /// every interval, then start + expand everything + flowback + slices
@@ -211,7 +138,8 @@ fn sharded_cache_stress_budget_and_counters() {
     // budget is under constant eviction pressure.
     const BUDGET: usize = ENTRY_BYTES * 24;
 
-    let cache = Arc::new(ShardedTraceCache::new(BUDGET));
+    let registry = Registry::new();
+    let cache = Arc::new(ShardedTraceCache::new(BUDGET, &registry));
     let events: Arc<Vec<ppd::runtime::TraceEvent>> = Arc::new(Vec::new());
     let done = Arc::new(AtomicUsize::new(0));
     let violations = Arc::new(AtomicUsize::new(0));
@@ -269,22 +197,23 @@ fn sharded_cache_stress_budget_and_counters() {
     assert_eq!(violations.load(Ordering::SeqCst), 0, "budget exceeded mid-run");
     assert_eq!(lost.load(Ordering::SeqCst), 0, "a within-budget insert was dropped");
 
-    let stats = cache.stats();
     // Gauge coherence at quiescence: the atomic byte gauge equals the
     // sum of what the shards actually hold, and the entry count implied
     // by the uniform entry size matches.
-    assert_eq!(stats.bytes, cache.len() * ENTRY_BYTES, "byte gauge out of sync with shards");
-    assert!(stats.bytes <= BUDGET);
+    assert_eq!(cache.bytes(), cache.len() * ENTRY_BYTES, "byte gauge out of sync with shards");
+    assert!(cache.bytes() <= BUDGET);
     assert!(cache.len() <= BUDGET / ENTRY_BYTES);
-    assert!(stats.evictions > 0, "budget pressure must evict");
+    let evictions = registry.counter("cache.evictions").get();
+    assert!(evictions > 0, "budget pressure must evict");
     // Every insert beyond capacity evicted exactly one entry.
-    let inserted_new = stats.evictions as usize + cache.len();
+    let inserted_new = evictions as usize + cache.len();
     assert!(
         inserted_new <= (THREADS as u64 * KEYS_PER_THREAD) as usize,
         "more evictions+residents than inserts"
     );
-    assert_eq!(stats.shard_hits.len(), ppd::core::SHARD_COUNT);
-    assert_eq!(stats.shard_misses.len(), ppd::core::SHARD_COUNT);
+    // Every probe counted exactly once, as a hit or a miss.
+    let probes = registry.counter("cache.hits").get() + registry.counter("cache.misses").get();
+    assert_eq!(probes, 2 * THREADS as u64 * KEYS_PER_THREAD);
 }
 
 /// Budget shrink under load: `set_budget` must evict down and the new
@@ -292,7 +221,7 @@ fn sharded_cache_stress_budget_and_counters() {
 #[test]
 fn sharded_cache_budget_shrink_holds() {
     use ppd::analysis::EBlockId;
-    let cache = ShardedTraceCache::new(4096);
+    let cache = ShardedTraceCache::new(4096, &Registry::new());
     let events: Arc<Vec<ppd::runtime::TraceEvent>> = Arc::new(Vec::new());
     for i in 0..40u64 {
         assert!(cache.insert((ProcId(0), EBlockId(i as u32), i), Arc::clone(&events), 100));

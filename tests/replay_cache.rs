@@ -7,6 +7,9 @@
 //! repeating a query on a warm Controller must perform zero new
 //! replays (the PR's acceptance criterion), observable via `DebugStats`.
 
+mod common;
+
+use common::{expand_all, fingerprint};
 use ppd::analysis::EBlockStrategy;
 use ppd::core::{Controller, PpdSession, RunConfig};
 use ppd::graph::DynNodeId;
@@ -21,46 +24,6 @@ fn flowback_demo() -> (PpdSession, ppd::core::Execution) {
     let execution = session.execute(config);
     assert!(execution.outcome.is_failure(), "flowback demo fails by design");
     (session, execution)
-}
-
-/// A total, order-stable description of the dynamic graph: every node
-/// with its kind, label, value, and dependence predecessors.
-fn fingerprint(controller: &Controller<'_>) -> String {
-    use std::fmt::Write as _;
-    let graph = controller.graph();
-    let mut out = String::new();
-    for n in graph.nodes() {
-        let mut preds: Vec<String> =
-            graph.dependence_preds(n.id).iter().map(|(p, k)| format!("{}:{k:?}", p.0)).collect();
-        preds.sort();
-        let _ = writeln!(
-            out,
-            "#{} {:?} {} proc{} seq{} {:?} <- [{}]",
-            n.id.0,
-            n.kind,
-            n.label,
-            n.proc.0,
-            n.seq,
-            n.value,
-            preds.join(", ")
-        );
-    }
-    out
-}
-
-/// Expands every expandable node, breadth-first, until none remain (or
-/// expansion stops making progress).
-fn expand_all(controller: &mut Controller<'_>) {
-    loop {
-        let pending = controller.unexpanded();
-        let before = controller.graph().len();
-        for node in pending {
-            let _ = controller.expand(node);
-        }
-        if controller.graph().len() == before {
-            break;
-        }
-    }
 }
 
 /// Acceptance criterion: repeating the same flowback/expansion query on
