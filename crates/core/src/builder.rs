@@ -11,11 +11,15 @@
 //! loops become unexpanded loop nodes. The Controller can later expand
 //! either by replaying the nested interval and feeding it with
 //! `attach_to` pointing at the node.
+//!
+//! Node labels are copied from the session's statement-label table,
+//! which is rendered once per session at the first feed, so a feed
+//! never pretty-prints a statement.
 
-use ppd_analysis::{Analyses, EBlockId, EBlockPlan, VarSetRepr};
+use crate::session::PpdSession;
+use ppd_analysis::{EBlockId, VarSetRepr};
 use ppd_graph::{DynEdgeKind, DynNodeId, DynNodeKind, DynamicGraph};
-use ppd_lang::ast::{walk_stmts, Stmt};
-use ppd_lang::{pretty, BodyId, ProcId, ResolvedProgram, StmtId, Value, VarId};
+use ppd_lang::{BodyId, ProcId, StmtId, Value, VarId};
 use ppd_runtime::{CellRef, EventKind, ReadSource, TraceEvent};
 use std::collections::HashMap;
 
@@ -64,27 +68,14 @@ struct FrameCtx {
 
 /// Incremental dynamic-graph builder.
 pub struct GraphBuilder<'p> {
-    rp: &'p ResolvedProgram,
-    analyses: &'p Analyses,
-    plan: &'p EBlockPlan,
+    session: &'p PpdSession,
     graph: DynamicGraph,
-    stmt_index: HashMap<StmtId, &'p Stmt>,
 }
 
 impl<'p> GraphBuilder<'p> {
-    /// Creates an empty builder.
-    pub fn new(
-        rp: &'p ResolvedProgram,
-        analyses: &'p Analyses,
-        plan: &'p EBlockPlan,
-    ) -> GraphBuilder<'p> {
-        let mut stmt_index = HashMap::new();
-        for body in rp.bodies() {
-            walk_stmts(rp.body_block(body), &mut |s| {
-                stmt_index.insert(s.id, s);
-            });
-        }
-        GraphBuilder { rp, analyses, plan, graph: DynamicGraph::new(), stmt_index }
+    /// Creates an empty builder over a prepared program.
+    pub fn new(session: &'p PpdSession) -> GraphBuilder<'p> {
+        GraphBuilder { session, graph: DynamicGraph::new() }
     }
 
     /// The graph built so far.
@@ -120,7 +111,7 @@ impl<'p> GraphBuilder<'p> {
             substituted: Vec::new(),
             sub_counts: HashMap::new(),
         };
-        let entry_label = format!("ENTRY {}", self.rp.body_name(body));
+        let entry_label = format!("ENTRY {}", self.session.rp().body_name(body));
         let entry = self.graph.add_node(DynNodeKind::Entry, proc, entry_label, None, 0);
         st.nodes.push(entry);
         if let Some(parent) = attach_to {
@@ -174,9 +165,10 @@ impl<'p> GraphBuilder<'p> {
     }
 
     fn label_of(&self, stmt: StmtId) -> String {
-        self.stmt_index
-            .get(&stmt)
-            .map(|s| pretty::stmt_label(s, &self.rp.program.interner))
+        self.session
+            .statement_labels()
+            .get(stmt.index())
+            .cloned()
             .unwrap_or_else(|| stmt.to_string())
     }
 
@@ -240,7 +232,8 @@ impl<'p> GraphBuilder<'p> {
                     // The callee may have written shared variables; later
                     // reads of them depend on this node.
                     let eb = self
-                        .plan
+                        .session
+                        .plan()
                         .body_eblock(BodyId::Func(*func))
                         .expect("substituted calls have e-blocks");
                     self.invalidate_defined(st, eb, node);
@@ -250,8 +243,9 @@ impl<'p> GraphBuilder<'p> {
                 } else {
                     // Expanded call: create %n nodes for every parameter
                     // and bind the callee's parameter cells to them.
-                    let params = self.rp.funcs[func.index()].params.clone();
-                    let callee_entry_label = format!("ENTRY {}", self.rp.func_name(*func));
+                    let rp = self.session.rp();
+                    let params = rp.funcs[func.index()].params.clone();
+                    let callee_entry_label = format!("ENTRY {}", rp.func_name(*func));
                     let centry = self.graph.add_node(
                         DynNodeKind::Entry,
                         st.proc,
@@ -300,7 +294,7 @@ impl<'p> GraphBuilder<'p> {
                 }
             }
             EventKind::LoopSubstituted { eblock } => {
-                let stmt = match &self.plan.eblock(*eblock).region {
+                let stmt = match &self.session.plan().eblock(*eblock).region {
                     ppd_analysis::Region::Loop { stmt, .. } => *stmt,
                     _ => event.stmt,
                 };
@@ -359,7 +353,7 @@ impl<'p> GraphBuilder<'p> {
         // controlling predicate; entry-dependent statements hang off the
         // frame's entry (or its sub-graph node).
         let frame = st.frames.last().expect("frame");
-        let parents = self.analyses.control_deps(frame.body).parents(event.stmt);
+        let parents = self.session.analyses().control_deps(frame.body).parents(event.stmt);
         let mut wired = false;
         for &(pred_stmt, _) in parents {
             if let Some(&pnode) = frame.preds.get(&pred_stmt) {
@@ -428,7 +422,7 @@ impl<'p> GraphBuilder<'p> {
     /// After a substitution, reads of anything the skipped region may
     /// have written must depend on the substituted node.
     fn invalidate_defined(&mut self, st: &mut FeedState, eb: EBlockId, node: DynNodeId) {
-        for var in self.plan.eblock(eb).defined.to_vec() {
+        for var in self.session.plan().eblock(eb).defined.to_vec() {
             st.def_map.retain(|cell, _| cell.var != var);
             st.var_fallback.insert(var, node);
         }

@@ -62,7 +62,7 @@ impl<'p> Controller<'p> {
         Controller {
             session,
             execution,
-            builder: GraphBuilder::new(session.rp(), session.analyses(), session.plan()),
+            builder: GraphBuilder::new(session),
             engine: ReplayEngine::new(session, execution),
             expansions: HashMap::new(),
             materialized: Vec::new(),

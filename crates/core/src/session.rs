@@ -10,7 +10,8 @@
 use crate::PpdError;
 use ppd_analysis::{Analyses, AnalysisConfig, EBlockPlan, EBlockStrategy};
 use ppd_graph::{ParallelGraph, StaticGraph, VectorClocks};
-use ppd_lang::{ProcId, ResolvedProgram};
+use ppd_lang::ast::walk_stmts;
+use ppd_lang::{pretty, ProcId, ResolvedProgram, StmtId};
 use ppd_log::LogStore;
 use ppd_runtime::{ExecConfig, LogMeter, Machine, NullTracer, Outcome, SchedulerSpec, Tracer};
 use std::sync::OnceLock;
@@ -205,6 +206,9 @@ pub struct PpdSession {
     analyses: Analyses,
     plan: EBlockPlan,
     static_graph: StaticGraph,
+    /// [`PpdSession::statement_labels`]'s cache, filled at the first
+    /// graph feed.
+    stmt_labels: OnceLock<Vec<String>>,
 }
 
 impl PpdSession {
@@ -263,7 +267,7 @@ impl PpdSession {
         let analyses = Analyses::run_with(&rp, config);
         let plan = analyses.eblock_plan(&rp, strategy);
         let static_graph = StaticGraph::build(&rp, &analyses);
-        PpdSession { rp, analyses, plan, static_graph }
+        PpdSession { rp, analyses, plan, static_graph, stmt_labels: OnceLock::new() }
     }
 
     /// The resolved program.
@@ -284,6 +288,24 @@ impl PpdSession {
     /// The static program dependence graph (§4.1).
     pub fn static_graph(&self) -> &StaticGraph {
         &self.static_graph
+    }
+
+    /// Every statement's dynamic-graph label (`sq = sqrt(d)`,
+    /// `d > 0`, ...), indexed by [`StmtId`], rendered once on first use
+    /// and cached. A statement outside every body is labelled by its id.
+    pub(crate) fn statement_labels(&self) -> &[String] {
+        self.stmt_labels.get_or_init(|| {
+            let mut labels = vec![None; self.rp.program.stmt_count as usize];
+            for body in self.rp.bodies() {
+                walk_stmts(self.rp.body_block(body), &mut |s| {
+                    labels[s.id.index()] = Some(pretty::stmt_label(s, &self.rp.program.interner));
+                });
+            }
+            let fallback = |(i, label): (usize, Option<String>)| {
+                label.unwrap_or_else(|| StmtId(i as u32).to_string())
+            };
+            labels.into_iter().enumerate().map(fallback).collect()
+        })
     }
 
     /// Execution phase (§3.2.2): runs the instrumented object code,

@@ -9,10 +9,17 @@
 //! The graph is built *incrementally* by the PPD Controller from traces
 //! the emulation package regenerates on demand; this module is the data
 //! structure plus its queries, and stays agnostic about who builds it.
+//!
+//! Storage is flat, because the Controller builds and frees many
+//! fragments per query: node ids are dense indexes into one node
+//! vector, and each node's outgoing and incoming edges form singly
+//! linked lists threaded through one edge vector (a node holds its first
+//! and last edge, an edge the next one of its source and of its target).
+//! Adding a node or an edge allocates nothing per node, and every
+//! adjacency query lists edges in insertion order.
 
 use ppd_lang::{FuncId, ProcId, StmtId, Value, VarId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Dense id of a dynamic-graph node.
@@ -71,7 +78,7 @@ pub enum DynNodeKind {
 }
 
 /// A dynamic-graph node instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DynNode {
     /// This node's id.
     pub id: DynNodeId,
@@ -109,15 +116,44 @@ pub enum DynEdgeKind {
     ValueFlow,
 }
 
+/// End of an edge list.
+const NIL: u32 = u32::MAX;
+
+/// A node's outgoing and incoming edge lists: first and last edge index
+/// of each, [`NIL`] when empty.
+#[derive(Debug, Clone, Copy)]
+struct NodeEdges {
+    first_out: u32,
+    last_out: u32,
+    first_in: u32,
+    last_in: u32,
+}
+
+impl NodeEdges {
+    const EMPTY: NodeEdges =
+        NodeEdges { first_out: NIL, last_out: NIL, first_in: NIL, last_in: NIL };
+}
+
+/// An edge's place in its lists: the next outgoing edge of its source
+/// and the next incoming edge of its target.
+#[derive(Debug, Clone, Copy)]
+struct EdgeLinks {
+    next_out: u32,
+    next_in: u32,
+}
+
+/// An edge: source, target, kind.
+type Edge = (DynNodeId, DynNodeId, DynEdgeKind);
+
 /// The dynamic program dependence graph.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DynamicGraph {
     nodes: Vec<DynNode>,
-    edges: Vec<(DynNodeId, DynNodeId, DynEdgeKind)>,
-    #[serde(skip)]
-    out_adj: HashMap<DynNodeId, Vec<usize>>,
-    #[serde(skip)]
-    in_adj: HashMap<DynNodeId, Vec<usize>>,
+    edges: Vec<Edge>,
+    /// Parallel to `nodes`.
+    node_edges: Vec<NodeEdges>,
+    /// Parallel to `edges`.
+    links: Vec<EdgeLinks>,
 }
 
 impl DynamicGraph {
@@ -137,22 +173,52 @@ impl DynamicGraph {
     ) -> DynNodeId {
         let id = DynNodeId(self.nodes.len() as u32);
         self.nodes.push(DynNode { id, kind, proc, label: label.into(), value, seq });
+        self.node_edges.push(NodeEdges::EMPTY);
         id
     }
 
     /// Adds an edge. Duplicate edges are ignored.
     pub fn add_edge(&mut self, from: DynNodeId, to: DynNodeId, kind: DynEdgeKind) {
-        if self
-            .out_adj
-            .get(&from)
-            .is_some_and(|es| es.iter().any(|&i| self.edges[i].1 == to && self.edges[i].2 == kind))
-        {
+        if self.out_edges(from).any(|(_, t, k)| t == to && k == kind) {
             return;
         }
-        let ix = self.edges.len();
+        assert!(self.edges.len() < NIL as usize, "edge ids must fit below NIL");
+        let ix = self.edges.len() as u32;
         self.edges.push((from, to, kind));
-        self.out_adj.entry(from).or_default().push(ix);
-        self.in_adj.entry(to).or_default().push(ix);
+        self.links.push(EdgeLinks { next_out: NIL, next_in: NIL });
+        let src = &mut self.node_edges[from.index()];
+        match src.last_out {
+            NIL => src.first_out = ix,
+            last => self.links[last as usize].next_out = ix,
+        }
+        src.last_out = ix;
+        let dst = &mut self.node_edges[to.index()];
+        match dst.last_in {
+            NIL => dst.first_in = ix,
+            last => self.links[last as usize].next_in = ix,
+        }
+        dst.last_in = ix;
+    }
+
+    /// `node`'s outgoing edges, in insertion order.
+    fn out_edges(&self, node: DynNodeId) -> impl Iterator<Item = Edge> + '_ {
+        self.edge_list(self.node_edges[node.index()].first_out, |l| l.next_out)
+    }
+
+    /// `node`'s incoming edges, in insertion order.
+    fn in_edges(&self, node: DynNodeId) -> impl Iterator<Item = Edge> + '_ {
+        self.edge_list(self.node_edges[node.index()].first_in, |l| l.next_in)
+    }
+
+    /// The edge list starting at `first`, following `next`.
+    fn edge_list(
+        &self,
+        first: u32,
+        next: fn(&EdgeLinks) -> u32,
+    ) -> impl Iterator<Item = Edge> + '_ {
+        let step = |i: u32| (i != NIL).then_some(i);
+        std::iter::successors(step(first), move |&i| step(next(&self.links[i as usize])))
+            .map(|i| self.edges[i as usize])
     }
 
     /// All nodes.
@@ -191,15 +257,7 @@ impl DynamicGraph {
         node: DynNodeId,
         pred: impl Fn(DynEdgeKind) -> bool,
     ) -> Vec<(DynNodeId, DynEdgeKind)> {
-        self.in_adj
-            .get(&node)
-            .map(|es| {
-                es.iter()
-                    .map(|&i| (self.edges[i].0, self.edges[i].2))
-                    .filter(|&(_, k)| pred(k))
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.in_edges(node).filter(|&(_, _, k)| pred(k)).map(|(f, _, k)| (f, k)).collect()
     }
 
     /// Outgoing edges of `node` matching `pred`.
@@ -208,15 +266,7 @@ impl DynamicGraph {
         node: DynNodeId,
         pred: impl Fn(DynEdgeKind) -> bool,
     ) -> Vec<(DynNodeId, DynEdgeKind)> {
-        self.out_adj
-            .get(&node)
-            .map(|es| {
-                es.iter()
-                    .map(|&i| (self.edges[i].1, self.edges[i].2))
-                    .filter(|&(_, k)| pred(k))
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.out_edges(node).filter(|&(_, _, k)| pred(k)).map(|(_, t, k)| (t, k)).collect()
     }
 
     /// All dependence (data + control + sync) predecessors — one step of
@@ -294,16 +344,6 @@ impl DynamicGraph {
         }
         out.sort_by_key(|n| self.node(*n).seq);
         out
-    }
-
-    /// Rebuilds the adjacency indexes (after deserialization).
-    pub fn rebuild_adjacency(&mut self) {
-        self.out_adj.clear();
-        self.in_adj.clear();
-        for (i, &(f, t, _)) in self.edges.iter().enumerate() {
-            self.out_adj.entry(f).or_default().push(i);
-            self.in_adj.entry(t).or_default().push(i);
-        }
     }
 }
 
@@ -391,19 +431,6 @@ mod tests {
             *expanded = true;
         }
         assert!(g.unexpanded_subgraphs().is_empty());
-    }
-
-    #[test]
-    fn serde_round_trip_rebuilds_adjacency() {
-        let mut g = DynamicGraph::new();
-        let a = singular(&mut g, 0, "a", 1, 0);
-        let b = singular(&mut g, 1, "b", 2, 1);
-        g.add_edge(a, b, DynEdgeKind::Data { var: VarId(3) });
-        let json = serde_json::to_string(&g).unwrap();
-        let mut g2: DynamicGraph = serde_json::from_str(&json).unwrap();
-        assert!(g2.dependence_preds(b).is_empty(), "adjacency skipped in serde");
-        g2.rebuild_adjacency();
-        assert_eq!(g2.dependence_preds(b).len(), 1);
     }
 }
 

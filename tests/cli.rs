@@ -65,6 +65,40 @@ fn races_stats_output_matches_golden() {
 }
 
 #[test]
+fn debug_transcripts_match_golden() {
+    // `graph`, then back/forward/slice/expand on every unexpanded call or
+    // loop node, then `graph` and `dot` again: the listed edges, byte for
+    // byte and in order, at one worker and at eight.
+    let cases: [(&str, &[&str]); 4] = [
+        ("overdraw", &["programs/overdraw.ppd", "--inputs", "95"]),
+        ("bank_loops", &["programs/bank.ppd", "--strategy", "loops"]),
+        ("workqueue_loops", &["programs/workqueue.ppd", "--strategy", "loops"]),
+        ("stencil_loops", &["programs/stencil.ppd", "--strategy", "loops"]),
+    ];
+    for (name, args) in cases {
+        let script = std::fs::read(format!("tests/fixtures/{name}.debug.in")).expect("script");
+        let golden =
+            std::fs::read_to_string(format!("tests/golden/{name}.debug.txt")).expect("golden file");
+        for jobs in ["1", "8"] {
+            let mut child = ppd()
+                .arg("debug")
+                .args(args)
+                .args(["--jobs", jobs])
+                .stdin(Stdio::piped())
+                .stdout(Stdio::piped())
+                .spawn()
+                .expect("spawn");
+            use std::io::Write;
+            child.stdin.take().unwrap().write_all(&script).unwrap();
+            let out = child.wait_with_output().unwrap();
+            assert!(out.status.success(), "{name} at --jobs {jobs} failed");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(stdout, golden, "{name} at --jobs {jobs} drifted from its golden");
+        }
+    }
+}
+
+#[test]
 fn races_clean_program_exits_zero() {
     let (stdout, _, ok) =
         run_ppd(&["races", "programs/overdraw.ppd", "--inputs", "50", "--schedules", "3"]);

@@ -2,18 +2,21 @@
 //! happened-before implementations agree, the naive and staged race
 //! scans agree, the one-pass stage counter matches a counted scan per
 //! stage, and the ordering axioms of §6.1 hold on randomized parallel
-//! dynamic graphs.
+//! dynamic graphs. The dynamic dependence graph's adjacency queries
+//! answer exactly what its edge list says, in insertion order.
 
 mod common;
 
 use common::race_oracle;
 use ppd::analysis::{BitVarSet, ListVarSet, VarSetRepr};
 use ppd::graph::{
-    candidates_from_graph, detect_races, detect_races_naive, stage_pairs, Ordering as Hb,
-    ParallelGraph, RaceCandidates, SyncEdgeLabel, SyncNodeKind, TransitiveClosure, VectorClocks,
+    candidates_from_graph, detect_races, detect_races_naive, stage_pairs, DynEdgeKind, DynNodeId,
+    DynNodeKind, DynamicGraph, Ordering as Hb, ParallelGraph, RaceCandidates, SyncEdgeLabel,
+    SyncNodeKind, TransitiveClosure, VectorClocks,
 };
-use ppd::lang::{ProcId, VarId};
+use ppd::lang::{ProcId, StmtId, VarId};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Builds a random — but always acyclic — parallel dynamic graph with
 /// shared-variable accesses sprinkled on its internal edges.
@@ -95,6 +98,57 @@ fn naive_pair_count_is_the_closed_form() {
     for (g, pairs) in [(ParallelGraph::new(1), 0), (single, 0), (two, 6)] {
         assert_eq!(race_oracle::naive_pairs(&g), pairs);
         assert_eq!(stage_pairs(&g, &[]).naive, pairs);
+    }
+}
+
+/// Drives a random script of `add_node`/`add_edge` calls over a few
+/// nodes, so exact `(from, to, kind)` repeats and same-pair edges of
+/// different kinds are common. Returns the graph and every `add_edge`
+/// call in the order it was made.
+fn random_dyngraph(script: &[u8]) -> (DynamicGraph, Vec<(DynNodeId, DynNodeId, DynEdgeKind)>) {
+    const KINDS: [DynEdgeKind; 6] = [
+        DynEdgeKind::Flow,
+        DynEdgeKind::Data { var: VarId(0) },
+        DynEdgeKind::Data { var: VarId(1) },
+        DynEdgeKind::Control,
+        DynEdgeKind::Sync,
+        DynEdgeKind::ValueFlow,
+    ];
+    let mut g = DynamicGraph::new();
+    let mut calls = Vec::new();
+    for op in script.chunks_exact(3) {
+        if g.is_empty() || op[0] % 4 == 0 {
+            // Seqs repeat and arrive out of order, as across processes.
+            let seq = u64::from(op[1] % 16);
+            let kind = DynNodeKind::Singular { stmt: StmtId(u32::from(op[2])) };
+            g.add_node(kind, ProcId(0), format!("n{}", g.len()), None, seq);
+        } else {
+            let n = g.len() as u32;
+            let from = DynNodeId(u32::from(op[1]) % n);
+            let to = DynNodeId(u32::from(op[2] >> 3) % n);
+            let kind = KINDS[usize::from(op[2] & 7) % KINDS.len()];
+            g.add_edge(from, to, kind);
+            calls.push((from, to, kind));
+        }
+    }
+    (g, calls)
+}
+
+/// The nodes reachable from `root` over non-flow edges, walking edges
+/// forward or backward, by naive fixpoint over the edge list.
+fn reachable(g: &DynamicGraph, root: DynNodeId, forward: bool) -> BTreeSet<DynNodeId> {
+    let mut seen = BTreeSet::from([root]);
+    loop {
+        let before = seen.len();
+        for &(from, to, kind) in g.edges() {
+            let (near, far) = if forward { (from, to) } else { (to, from) };
+            if kind != DynEdgeKind::Flow && seen.contains(&near) {
+                seen.insert(far);
+            }
+        }
+        if seen.len() == before {
+            return seen;
+        }
     }
 }
 
@@ -214,6 +268,44 @@ proptest! {
                 g.internal_edge(r.first).proc,
                 g.internal_edge(r.second).proc
             );
+        }
+    }
+
+    #[test]
+    fn dynamic_adjacency_matches_edge_list(
+        script in proptest::collection::vec(any::<u8>(), 3..240),
+    ) {
+        let (g, calls) = random_dyngraph(&script);
+        // The edge list is every distinct add_edge call, first call first.
+        let mut distinct = Vec::new();
+        for call in calls {
+            if !distinct.contains(&call) {
+                distinct.push(call);
+            }
+        }
+        prop_assert_eq!(g.edges(), &distinct[..]);
+        let not_flow = |k: DynEdgeKind| k != DynEdgeKind::Flow;
+        let is_data = |k: DynEdgeKind| matches!(k, DynEdgeKind::Data { .. });
+        for node in g.nodes().iter().map(|n| n.id) {
+            let preds = |keep: &dyn Fn(DynEdgeKind) -> bool| -> Vec<(DynNodeId, DynEdgeKind)> {
+                g.edges().iter().filter(|e| e.1 == node && keep(e.2)).map(|e| (e.0, e.2)).collect()
+            };
+            let succs = |keep: &dyn Fn(DynEdgeKind) -> bool| -> Vec<(DynNodeId, DynEdgeKind)> {
+                g.edges().iter().filter(|e| e.0 == node && keep(e.2)).map(|e| (e.1, e.2)).collect()
+            };
+            prop_assert_eq!(g.preds_by(node, |_| true), preds(&|_| true));
+            prop_assert_eq!(g.succs_by(node, |_| true), succs(&|_| true));
+            prop_assert_eq!(g.preds_by(node, is_data), preds(&is_data));
+            prop_assert_eq!(g.succs_by(node, is_data), succs(&is_data));
+            prop_assert_eq!(g.dependence_preds(node), preds(&not_flow));
+            prop_assert_eq!(g.dependence_succs(node), succs(&not_flow));
+            let slices = [(g.backward_slice(node), false), (g.forward_slice(node), true)];
+            for (slice, forward) in slices {
+                prop_assert!(slice.windows(2).all(|w| g.node(w[0]).seq <= g.node(w[1]).seq));
+                let set: BTreeSet<DynNodeId> = slice.iter().copied().collect();
+                prop_assert_eq!(set.len(), slice.len(), "slice lists a node twice");
+                prop_assert_eq!(set, reachable(&g, node, forward));
+            }
         }
     }
 
