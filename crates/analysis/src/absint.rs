@@ -16,6 +16,18 @@
 //! - **Externally received values** — `recv`, `input()`, `accept`
 //!   parameters — are conservatively ⊤.
 //!
+//! The fixpoint runs in summary rounds over every body, but only
+//! re-analyzes what changed: a body whose summary slots (its own entry
+//! and return, its callees' entries and returns, the invariants of the
+//! shared, array and channel variables it names) are all unchanged
+//! since its last analysis started is skipped, and inside a body a
+//! predecessor's out-state is reused while its in-state and every
+//! summary are unchanged. Summaries only grow, joins are idempotent and
+//! `widen(old, new) ⊒ new`, so the skipped work could not have changed
+//! anything: the solution is the one the full round-robin iteration
+//! reaches (DESIGN §3.11; `tests/absint_soundness.rs` checks it against
+//! that iteration).
+//!
 //! The solution feeds four consumers: element-granular race-candidate
 //! pruning ([`AbsInt::refine_candidates`]), the static deadlock /
 //! bounds / constant-condition lints (PPD008–PPD010), the e-block
@@ -28,8 +40,10 @@ use crate::mhp::MhpAnalysis;
 use crate::ranges::Interval;
 use crate::usedef::ProgramEffects;
 use crate::varset::VarSetRepr;
-use ppd_lang::ast::{walk_stmts, BinOp, Expr, ExprKind, LValue, Stmt, StmtKind, SyncStmt};
-use ppd_lang::{BodyId, FuncId, ResolvedProgram, Span, StmtId, VarId};
+use ppd_lang::ast::{
+    walk_stmt_exprs, walk_stmts, BinOp, Expr, ExprKind, LValue, Stmt, StmtKind, SyncStmt,
+};
+use ppd_lang::{BodyId, ExprId, FuncId, ResolvedProgram, Span, StmtId, VarId};
 use std::collections::HashMap;
 
 /// One syntactic array access with its inferred index range.
@@ -46,9 +60,34 @@ pub struct ArrayAccess {
 }
 
 /// Abstract environment: intervals for the local scalars currently
-/// bound. Missing means "unbound on every path here" (⊥ for joins) and
-/// reads of missing variables conservatively yield ⊤.
-pub type Env = HashMap<VarId, Interval>;
+/// bound, sorted by variable. Missing means "unbound on every path
+/// here" (⊥ for joins) and reads of missing variables conservatively
+/// yield ⊤.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Env(Vec<(VarId, Interval)>);
+
+impl Env {
+    fn find(&self, var: VarId) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&var, |&(v, _)| v)
+    }
+
+    fn get(&self, var: VarId) -> Option<Interval> {
+        self.find(var).ok().map(|i| self.0[i].1)
+    }
+
+    fn insert(&mut self, var: VarId, val: Interval) {
+        match self.find(var) {
+            Ok(i) => self.0[i].1 = val,
+            Err(i) => self.0.insert(i, (var, val)),
+        }
+    }
+
+    fn remove(&mut self, var: VarId) {
+        if let Ok(i) = self.find(var) {
+            self.0.remove(i);
+        }
+    }
+}
 
 /// Number of loop-head visits before widening kicks in.
 const WIDEN_AFTER: u32 = 3;
@@ -60,11 +99,11 @@ const WIDEN_ROUND: usize = 3;
 /// The abstract-interpretation solution.
 #[derive(Debug, Clone)]
 pub struct AbsInt {
-    env_before: HashMap<StmtId, Env>,
-    env_after: HashMap<StmtId, Env>,
+    env_before: Vec<Option<Env>>,
+    env_after: Vec<Option<Env>>,
     global: Vec<Interval>,
-    accesses: HashMap<StmtId, Vec<ArrayAccess>>,
-    conditions: HashMap<StmtId, Interval>,
+    accesses: Vec<Vec<ArrayAccess>>,
+    conditions: Vec<Option<Interval>>,
     returns: Vec<Interval>,
 }
 
@@ -88,7 +127,7 @@ impl AbsInt {
     fn value_at(
         &self,
         rp: &ResolvedProgram,
-        envs: &HashMap<StmtId, Env>,
+        envs: &[Option<Env>],
         stmt: StmtId,
         var: VarId,
     ) -> Interval {
@@ -96,8 +135,8 @@ impl AbsInt {
         if info.is_shared() || info.size.is_some() || info.is_chan {
             return self.global_range(var);
         }
-        match envs.get(&stmt) {
-            Some(env) => env.get(&var).copied().unwrap_or(Interval::TOP),
+        match envs.get(stmt.index()).and_then(Option::as_ref) {
+            Some(env) => env.get(var).unwrap_or(Interval::TOP),
             None => Interval::TOP,
         }
     }
@@ -116,18 +155,18 @@ impl AbsInt {
 
     /// All array accesses of `stmt` with their index intervals.
     pub fn accesses(&self, stmt: StmtId) -> &[ArrayAccess] {
-        self.accesses.get(&stmt).map(Vec::as_slice).unwrap_or(&[])
+        self.accesses.get(stmt.index()).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// The inferred range of the controlling condition of an
     /// `if`/`while`/`for` statement (booleans are 0/1).
     pub fn condition(&self, stmt: StmtId) -> Option<Interval> {
-        self.conditions.get(&stmt).copied()
+        self.conditions.get(stmt.index()).copied().flatten()
     }
 
     /// Whether the analysis found `stmt` reachable at all.
     pub fn reachable(&self, stmt: StmtId) -> bool {
-        self.env_before.contains_key(&stmt)
+        self.env_before.get(stmt.index()).is_some_and(Option::is_some)
     }
 
     /// The join of the index intervals of all *writes* of array `v` at
@@ -226,28 +265,73 @@ impl AbsInt {
 /// (re-)analyzed.
 struct Interp<'a> {
     rp: &'a ResolvedProgram,
-    cfgs: &'a HashMap<BodyId, Cfg>,
-    stmts: HashMap<StmtId, &'a Stmt>,
+    /// Every statement, indexed by [`StmtId`].
+    stmts: Vec<Option<&'a Stmt>>,
     global: Vec<Interval>,
     func_entry: Vec<Option<Env>>,
     returns: Vec<Interval>,
+    /// Summary clock: advances on every change to a global invariant,
+    /// function entry environment or return summary.
+    clock: u64,
+    /// The clock at each summary slot's last change. Slots are the
+    /// global invariants by variable, then the function entries, then
+    /// the function returns (see [`Interp::entry_slot`]).
+    changed_at: Vec<u64>,
+    bodies: Vec<BodyRun<'a>>,
     cur_func: Option<FuncId>,
     record: bool,
-    env_before: HashMap<StmtId, Env>,
-    env_after: HashMap<StmtId, Env>,
-    accesses: HashMap<StmtId, Vec<ArrayAccess>>,
-    conditions: HashMap<StmtId, Interval>,
+    env_before: Vec<Option<Env>>,
+    env_after: Vec<Option<Env>>,
+    accesses: Vec<Vec<ArrayAccess>>,
+    conditions: Vec<Option<Interval>>,
+}
+
+/// One body's standing across summary rounds.
+struct BodyRun<'a> {
+    body: BodyId,
+    cfg: &'a Cfg,
+    /// The summary slots the body can read or write.
+    slots: Vec<usize>,
+    /// The clock when its last analysis started; `None` before the first.
+    started: Option<u64>,
+    /// The in-state of every CFG node its last analysis reached; `None`
+    /// for a function with no entry environment yet.
+    states: Option<Vec<Option<Env>>>,
+}
+
+/// What a predecessor last contributed to a node's join: the join of
+/// its refined out-edges into the node (`None`: every edge infeasible),
+/// valid while the predecessor's in-state is at `version` and the
+/// summary clock still reads `clock`.
+struct Contribution {
+    version: u32,
+    clock: u64,
+    env: Option<Env>,
+}
+
+/// The iteration state of one body analysis.
+struct BodyIter {
+    state: Vec<Option<Env>>,
+    /// Bumped whenever `state` of the node changes.
+    version: Vec<u32>,
+    /// `contribs[pred_start[n] + i]` caches the `i`-th predecessor's
+    /// contribution to node `n`.
+    pred_start: Vec<usize>,
+    contribs: Vec<Option<Contribution>>,
 }
 
 impl<'a> Interp<'a> {
     fn new(rp: &'a ResolvedProgram, cfgs: &'a HashMap<BodyId, Cfg>) -> Interp<'a> {
-        let mut stmts = HashMap::new();
+        let nstmts = rp.program.stmt_count as usize;
+        let mut stmts = vec![None; nstmts];
         for body in rp.bodies() {
             walk_stmts(rp.body_block(body), &mut |s| {
-                stmts.insert(s.id, s);
+                if let Some(slot) = stmts.get_mut(s.id.index()) {
+                    *slot = Some(s);
+                }
             });
         }
-        let global = rp
+        let global: Vec<Interval> = rp
             .vars
             .iter()
             .map(|v| {
@@ -262,20 +346,46 @@ impl<'a> Interp<'a> {
                 }
             })
             .collect();
+        let nfuncs = rp.funcs.len();
+        let bodies = rp
+            .bodies()
+            .into_iter()
+            .filter_map(|body| {
+                let cfg = cfgs.get(&body)?;
+                let slots = body_slots(rp, body);
+                Some(BodyRun { body, cfg, slots, started: None, states: None })
+            })
+            .collect();
         Interp {
             rp,
-            cfgs,
             stmts,
+            changed_at: vec![0; global.len() + 2 * nfuncs],
             global,
-            func_entry: vec![None; rp.funcs.len()],
-            returns: vec![Interval::BOT; rp.funcs.len()],
+            func_entry: vec![None; nfuncs],
+            returns: vec![Interval::BOT; nfuncs],
+            clock: 0,
+            bodies,
             cur_func: None,
             record: false,
-            env_before: HashMap::new(),
-            env_after: HashMap::new(),
-            accesses: HashMap::new(),
-            conditions: HashMap::new(),
+            env_before: vec![None; nstmts],
+            env_after: vec![None; nstmts],
+            accesses: vec![Vec::new(); nstmts],
+            conditions: vec![None; nstmts],
         }
+    }
+
+    fn entry_slot(&self, f: FuncId) -> usize {
+        self.global.len() + f.index()
+    }
+
+    fn return_slot(&self, f: FuncId) -> usize {
+        self.global.len() + self.func_entry.len() + f.index()
+    }
+
+    /// Records that summary `slot` just changed.
+    fn touch(&mut self, slot: usize) {
+        self.clock += 1;
+        self.changed_at[slot] = self.clock;
     }
 
     fn run(mut self) -> AbsInt {
@@ -284,31 +394,18 @@ impl<'a> Interp<'a> {
         // defense against a (would-be) monotonicity bug looping forever.
         let max_rounds = 16 + 6 * (self.global.len() + 4 * self.rp.funcs.len());
         for round in 0..max_rounds {
+            let round_start = self.clock;
             let snap_global = self.global.clone();
             let snap_entry = self.func_entry.clone();
             let snap_returns = self.returns.clone();
-            for body in self.rp.bodies() {
-                self.analyze_body(body);
+            for b in 0..self.bodies.len() {
+                self.analyze_body(b);
             }
-            let changed = self.global != snap_global
-                || self.func_entry != snap_entry
-                || self.returns != snap_returns;
+            // Within a round summaries only grow, so any change leaves
+            // them different from the snapshot.
+            let changed = self.clock != round_start;
             if round >= WIDEN_ROUND {
-                for (g, old) in self.global.iter_mut().zip(&snap_global) {
-                    *g = old.widen(*g);
-                }
-                for (r, old) in self.returns.iter_mut().zip(&snap_returns) {
-                    *r = old.widen(*r);
-                }
-                for (e, old) in self.func_entry.iter_mut().zip(&snap_entry) {
-                    if let (Some(env), Some(old_env)) = (e.as_mut(), old.as_ref()) {
-                        for (var, val) in env.iter_mut() {
-                            if let Some(&o) = old_env.get(var) {
-                                *val = o.widen(*val);
-                            }
-                        }
-                    }
-                }
+                self.widen_summaries(&snap_global, &snap_entry, &snap_returns);
             }
             if !changed {
                 break;
@@ -316,9 +413,9 @@ impl<'a> Interp<'a> {
         }
         // Final pass with converged summaries, recording the per-stmt
         // solution the consumers read.
-        self.record = true;
-        for body in self.rp.bodies() {
-            self.analyze_body(body);
+        for b in 0..self.bodies.len() {
+            self.analyze_body(b);
+            self.record_body(b);
         }
         AbsInt {
             env_before: self.env_before,
@@ -330,21 +427,70 @@ impl<'a> Interp<'a> {
         }
     }
 
-    fn analyze_body(&mut self, body: BodyId) {
-        let Some(cfg) = self.cfgs.get(&body) else { return };
-        self.cur_func = match body {
-            BodyId::Func(f) => Some(f),
-            BodyId::Proc(_) => None,
-        };
-        let entry_env: Env = match body {
+    /// Widens every summary against its value at the start of the round.
+    fn widen_summaries(
+        &mut self,
+        global: &[Interval],
+        entry: &[Option<Env>],
+        returns: &[Interval],
+    ) {
+        for (i, old) in global.iter().enumerate() {
+            let w = old.widen(self.global[i]);
+            if w != self.global[i] {
+                self.global[i] = w;
+                self.touch(i);
+            }
+        }
+        for (i, old) in returns.iter().enumerate() {
+            let w = old.widen(self.returns[i]);
+            if w != self.returns[i] {
+                self.returns[i] = w;
+                self.touch(self.return_slot(FuncId(i as u32)));
+            }
+        }
+        for (i, old) in entry.iter().enumerate() {
+            let (Some(env), Some(old_env)) = (self.func_entry[i].as_mut(), old.as_ref()) else {
+                continue;
+            };
+            let mut changed = false;
+            for (var, val) in env.0.iter_mut() {
+                if let Some(o) = old_env.get(*var) {
+                    let w = o.widen(*val);
+                    changed |= w != *val;
+                    *val = w;
+                }
+            }
+            if changed {
+                self.touch(self.entry_slot(FuncId(i as u32)));
+            }
+        }
+    }
+
+    /// Brings body `b`'s in-states up to date with the summaries,
+    /// re-running its fixpoint only if one of its slots changed since
+    /// its last analysis started: otherwise that analysis read exactly
+    /// the current summaries, and a rerun would repeat it step for step.
+    fn analyze_body(&mut self, b: usize) {
+        let run = &self.bodies[b];
+        let stale = run.started.is_none_or(|t| run.slots.iter().any(|&s| self.changed_at[s] > t));
+        if !stale {
+            return;
+        }
+        let (body, cfg) = (run.body, run.cfg);
+        self.bodies[b].started = Some(self.clock);
+        self.cur_func = func_of(body);
+        let entry_env = match body {
             // A function never called (yet) has no entry environment;
             // analyzing it would poison its return summary with ⊤.
-            BodyId::Func(f) => match &self.func_entry[f.index()] {
-                Some(e) => e.clone(),
-                None => return,
-            },
-            BodyId::Proc(_) => Env::new(),
+            BodyId::Func(f) => self.func_entry[f.index()].clone(),
+            BodyId::Proc(_) => Some(Env::default()),
         };
+        self.bodies[b].states = entry_env.map(|env| self.fixpoint(cfg, env));
+    }
+
+    /// Ascending iteration with loop-head widening, then bounded
+    /// narrowing, over one body from `entry_env`.
+    fn fixpoint(&mut self, cfg: &Cfg, entry_env: Env) -> Vec<Option<Env>> {
         let rpo = cfg.reverse_postorder();
         let mut rpo_pos = vec![usize::MAX; cfg.len()];
         for (i, &n) in rpo.iter().enumerate() {
@@ -360,34 +506,50 @@ impl<'a> Interp<'a> {
                     })
             })
             .collect();
-
-        let mut state: Vec<Option<Env>> = vec![None; cfg.len()];
-        state[cfg.entry().index()] = Some(entry_env);
+        let mut pred_start = Vec::with_capacity(cfg.len() + 1);
+        pred_start.push(0);
+        for node in cfg.nodes() {
+            pred_start.push(pred_start[pred_start.len() - 1] + node.preds.len());
+        }
+        let mut it = BodyIter {
+            state: vec![None; cfg.len()],
+            version: vec![0; cfg.len()],
+            contribs: (0..pred_start[cfg.len()]).map(|_| None).collect(),
+            pred_start,
+        };
+        it.state[cfg.entry().index()] = Some(entry_env);
         let mut visits = vec![0u32; cfg.len()];
 
-        // Ascending iteration with loop-head widening. Every CFG cycle
-        // passes through a loop head (structured source ⇒ reducible
-        // CFG), so each slot stabilizes after finitely many changes;
-        // the cap is defensive.
+        // Every CFG cycle passes through a loop head (structured source
+        // ⇒ reducible CFG), so each slot stabilizes after finitely many
+        // changes; the cap is defensive.
         for _ in 0..4 * cfg.len() + 16 {
             let mut changed = false;
             for &n in &rpo {
                 if n == cfg.entry() {
                     continue;
                 }
-                let Some(mut new_in) = self.join_preds(cfg, &state, n) else { continue };
-                if loop_head[n.index()] {
+                let (current, live) = self.refresh_preds(cfg, &mut it, n);
+                if !live {
+                    continue; // no predecessor has executed (unreachable)
+                }
+                let head = loop_head[n.index()];
+                if head {
                     visits[n.index()] += 1;
-                    if visits[n.index()] > WIDEN_AFTER {
-                        if let Some(old) = &state[n.index()] {
-                            new_in = env_widen(old, &new_in);
-                        }
+                }
+                if current {
+                    // The join equals the previous visit's, which the
+                    // in-state already covers; widening it again leaves
+                    // it unchanged. Only the visit above counts.
+                    continue;
+                }
+                let mut new_in = it.join(cfg, n);
+                if head && visits[n.index()] > WIDEN_AFTER {
+                    if let Some(old) = &it.state[n.index()] {
+                        new_in = env_widen(old, &new_in);
                     }
                 }
-                if state[n.index()].as_ref() != Some(&new_in) {
-                    state[n.index()] = Some(new_in);
-                    changed = true;
-                }
+                changed |= it.set(n, new_in);
             }
             if !changed {
                 break;
@@ -400,64 +562,93 @@ impl<'a> Interp<'a> {
                 if n == cfg.entry() {
                     continue;
                 }
-                let Some(new_in) = self.join_preds(cfg, &state, n) else { continue };
-                state[n.index()] = Some(if loop_head[n.index()] {
-                    match &state[n.index()] {
-                        Some(old) => env_narrow(old, &new_in),
-                        None => new_in,
-                    }
-                } else {
-                    new_in
-                });
+                let (_, live) = self.refresh_preds(cfg, &mut it, n);
+                if !live {
+                    continue;
+                }
+                let new_in = it.join(cfg, n);
+                let new_in = match &it.state[n.index()] {
+                    Some(old) if loop_head[n.index()] => env_narrow(old, &new_in),
+                    _ => new_in,
+                };
+                it.set(n, new_in);
             }
         }
-        if self.record {
-            for &n in &rpo {
-                let CfgNodeKind::Stmt(stmt) = cfg.node(n).kind else { continue };
-                let Some(env) = state[n.index()].clone() else { continue };
-                let out = self.transfer(stmt, &env);
-                self.env_before.insert(stmt, env);
-                self.env_after.insert(stmt, out);
-            }
-        }
+        it.state
     }
 
-    /// The in-state of `n`: join over every reachable predecessor edge
-    /// of the predecessor's out-state, refined by the edge condition.
-    /// `None` when no predecessor has executed (unreachable).
-    fn join_preds(&mut self, cfg: &Cfg, state: &[Option<Env>], n: NodeId) -> Option<Env> {
-        let mut acc: Option<Env> = None;
-        let preds: Vec<NodeId> = cfg.preds(n).collect();
-        for p in preds {
-            let Some(pin) = state[p.index()].clone() else { continue };
-            let pout = match cfg.node(p).kind {
-                CfgNodeKind::Stmt(s) => self.transfer(s, &pin),
-                _ => pin,
-            };
-            let kinds: Vec<EdgeKind> =
-                cfg.node(p).succs.iter().filter(|(t, _)| *t == n).map(|(_, k)| *k).collect();
-            for kind in kinds {
-                let edge_env = match (kind, cfg.node(p).kind) {
-                    (EdgeKind::True, CfgNodeKind::Stmt(s)) => self.refine_by_cond(&pout, s, true),
-                    (EdgeKind::False, CfgNodeKind::Stmt(s)) => self.refine_by_cond(&pout, s, false),
-                    _ => Some(pout.clone()),
-                };
-                let Some(edge_env) = edge_env else { continue }; // infeasible edge
-                acc = Some(match acc {
-                    Some(a) => env_join(&a, &edge_env),
-                    None => edge_env,
-                });
+    /// Recomputes each stale predecessor contribution to `n`'s join.
+    /// Returns whether every contribution was still current (so the
+    /// join equals the previous one) and whether any edge into `n` is
+    /// live (so the join is not ⊥).
+    fn refresh_preds(&mut self, cfg: &Cfg, it: &mut BodyIter, n: NodeId) -> (bool, bool) {
+        let (mut current, mut live) = (true, false);
+        let base = it.pred_start[n.index()];
+        for (i, p) in cfg.preds(n).enumerate() {
+            let Some(pin) = &it.state[p.index()] else { continue };
+            let version = it.version[p.index()];
+            let cached = &mut it.contribs[base + i];
+            if !matches!(cached, Some(c) if c.version == version && c.clock == self.clock) {
+                current = false;
+                // The clock is read before the transfer: a statement
+                // that grows a summary it also reads (`h[j] = h[j] + 1`)
+                // is stale again on its next visit, and reruns.
+                let clock = self.clock;
+                let env = self.contribution(cfg, p, n, pin);
+                *cached = Some(Contribution { version, clock, env });
             }
+            live |= cached.as_ref().is_some_and(|c| c.env.is_some());
+        }
+        (current, live)
+    }
+
+    /// `p`'s out-state, refined by the condition on each edge `p → n`
+    /// and joined; `None` when every such edge is infeasible.
+    fn contribution(&mut self, cfg: &Cfg, p: NodeId, n: NodeId, pin: &Env) -> Option<Env> {
+        let node = cfg.node(p);
+        let pout = match node.kind {
+            CfgNodeKind::Stmt(s) => self.transfer(s, pin),
+            _ => pin.clone(),
+        };
+        let mut acc: Option<Env> = None;
+        for &(_, kind) in node.succs.iter().filter(|(t, _)| *t == n) {
+            let edge_env = match (kind, node.kind) {
+                (EdgeKind::True, CfgNodeKind::Stmt(s)) => self.refine_by_cond(&pout, s, true),
+                (EdgeKind::False, CfgNodeKind::Stmt(s)) => self.refine_by_cond(&pout, s, false),
+                _ => Some(pout.clone()),
+            };
+            let Some(edge_env) = edge_env else { continue }; // infeasible edge
+            acc = Some(match acc {
+                Some(a) => env_join(&a, &edge_env),
+                None => edge_env,
+            });
         }
         acc
+    }
+
+    /// Records the per-statement solution of body `b` from its final
+    /// in-states.
+    fn record_body(&mut self, b: usize) {
+        let run = &mut self.bodies[b];
+        let (body, cfg) = (run.body, run.cfg);
+        let Some(mut states) = run.states.take() else { return };
+        self.cur_func = func_of(body);
+        self.record = true;
+        for n in cfg.reverse_postorder() {
+            let CfgNodeKind::Stmt(stmt) = cfg.node(n).kind else { continue };
+            let Some(env) = states[n.index()].take() else { continue };
+            self.env_after[stmt.index()] = Some(self.transfer(stmt, &env));
+            self.env_before[stmt.index()] = Some(env);
+        }
+        self.record = false;
     }
 
     /// Applies the branch condition of statement `s` to `env` for the
     /// `truth`-edge; `None` when the edge is infeasible.
     fn refine_by_cond(&mut self, env: &Env, s: StmtId, truth: bool) -> Option<Env> {
-        let cond = match &self.stmts[&s].kind {
-            StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => Some(cond),
-            StmtKind::For { cond, .. } => cond.as_ref(),
+        let cond = match self.stmts.get(s.index()).copied().flatten().map(|st| &st.kind) {
+            Some(StmtKind::If { cond, .. } | StmtKind::While { cond, .. }) => Some(cond),
+            Some(StmtKind::For { cond, .. }) => cond.as_ref(),
             _ => None,
         };
         match cond {
@@ -546,8 +737,8 @@ impl<'a> Interp<'a> {
 
     /// Abstract execution of one statement.
     fn transfer(&mut self, stmt: StmtId, env: &Env) -> Env {
-        let st = self.stmts[&stmt];
         let mut out = env.clone();
+        let Some(st) = self.stmts.get(stmt.index()).copied().flatten() else { return out };
         let mut acc = Vec::new();
         match &st.kind {
             StmtKind::Decl { init, size, .. } => {
@@ -570,14 +761,14 @@ impl<'a> Interp<'a> {
             StmtKind::If { cond, .. } | StmtKind::While { cond, .. } => {
                 let c = self.eval(env, cond, &mut acc);
                 if self.record {
-                    self.conditions.insert(stmt, c);
+                    self.conditions[stmt.index()] = Some(c);
                 }
             }
             StmtKind::For { cond, .. } => {
                 if let Some(cond) = cond {
                     let c = self.eval(env, cond, &mut acc);
                     if self.record {
-                        self.conditions.insert(stmt, c);
+                        self.conditions[stmt.index()] = Some(c);
                     }
                 }
             }
@@ -585,7 +776,11 @@ impl<'a> Interp<'a> {
                 if let Some(e) = e {
                     let v = self.eval(env, e, &mut acc);
                     if let Some(f) = self.cur_func {
-                        self.returns[f.index()] = self.returns[f.index()].join(v);
+                        let joined = self.returns[f.index()].join(v);
+                        if joined != self.returns[f.index()] {
+                            self.returns[f.index()] = joined;
+                            self.touch(self.return_slot(f));
+                        }
                     }
                 }
             }
@@ -617,7 +812,7 @@ impl<'a> Interp<'a> {
             },
         }
         if self.record {
-            self.accesses.insert(stmt, acc);
+            self.accesses[stmt.index()] = acc;
         }
         out
     }
@@ -646,8 +841,11 @@ impl<'a> Interp<'a> {
     }
 
     fn global_join(&mut self, var: VarId, val: Interval) {
-        let g = &mut self.global[var.index()];
-        *g = g.join(val);
+        let joined = self.global[var.index()].join(val);
+        if joined != self.global[var.index()] {
+            self.global[var.index()] = joined;
+            self.touch(var.index());
+        }
     }
 
     fn lookup(&self, env: &Env, var: VarId) -> Interval {
@@ -657,7 +855,7 @@ impl<'a> Interp<'a> {
         } else if info.is_shared() {
             self.global[var.index()]
         } else {
-            env.get(&var).copied().unwrap_or(Interval::TOP)
+            env.get(var).unwrap_or(Interval::TOP)
         }
     }
 
@@ -691,11 +889,22 @@ impl<'a> Interp<'a> {
             ExprKind::Call(_, args) => {
                 let arg_vals: Vec<Interval> = args.iter().map(|a| self.eval(env, a, acc)).collect();
                 let Some(&f) = self.rp.call_target.get(&e.id) else { return Interval::TOP };
-                let params = self.rp.funcs[f.index()].params.clone();
-                let entry = self.func_entry[f.index()].get_or_insert_with(Env::new);
-                for (p, v) in params.iter().zip(&arg_vals) {
-                    let joined = entry.get(p).copied().unwrap_or(Interval::BOT).join(*v);
-                    entry.insert(*p, joined);
+                let rp = self.rp;
+                let mut changed = false;
+                let entry = self.func_entry[f.index()].get_or_insert_with(|| {
+                    changed = true;
+                    Env::default()
+                });
+                for (&p, &v) in rp.funcs[f.index()].params.iter().zip(&arg_vals) {
+                    let old = entry.get(p);
+                    let joined = old.unwrap_or(Interval::BOT).join(v);
+                    if old != Some(joined) {
+                        entry.insert(p, joined);
+                        changed = true;
+                    }
+                }
+                if changed {
+                    self.touch(self.entry_slot(f));
                 }
                 self.returns[f.index()]
             }
@@ -704,49 +913,142 @@ impl<'a> Interp<'a> {
     }
 }
 
+impl BodyIter {
+    /// Joins the (current) predecessor contributions to `n`; callers
+    /// only ask when some edge into `n` is live.
+    fn join(&self, cfg: &Cfg, n: NodeId) -> Env {
+        let base = self.pred_start[n.index()];
+        let mut acc: Option<Env> = None;
+        for (i, p) in cfg.preds(n).enumerate() {
+            if self.state[p.index()].is_none() {
+                continue;
+            }
+            let Some(Contribution { env: Some(env), .. }) = &self.contribs[base + i] else {
+                continue;
+            };
+            acc = Some(match acc {
+                Some(a) => env_join(&a, env),
+                None => env.clone(),
+            });
+        }
+        acc.unwrap_or_default()
+    }
+
+    /// Stores `n`'s new in-state; returns whether it changed.
+    fn set(&mut self, n: NodeId, env: Env) -> bool {
+        let slot = &mut self.state[n.index()];
+        if slot.as_ref() == Some(&env) {
+            return false;
+        }
+        *slot = Some(env);
+        self.version[n.index()] += 1;
+        true
+    }
+}
+
+/// The function whose body `body` is, if any.
+fn func_of(body: BodyId) -> Option<FuncId> {
+    match body {
+        BodyId::Func(f) => Some(f),
+        BodyId::Proc(_) => None,
+    }
+}
+
+/// The summary slots body `body` can read or write: its own entry and
+/// return (a function), its callees' entries and returns, and the
+/// global invariants of the shared, array and channel variables it
+/// names. Slot numbering follows [`Interp::entry_slot`].
+fn body_slots(rp: &ResolvedProgram, body: BodyId) -> Vec<usize> {
+    let (nvars, nfuncs) = (rp.vars.len(), rp.funcs.len());
+    let mut slots = Vec::new();
+    let func = |slots: &mut Vec<usize>, f: FuncId| {
+        slots.push(nvars + f.index());
+        slots.push(nvars + nfuncs + f.index());
+    };
+    if let BodyId::Func(f) = body {
+        func(&mut slots, f);
+    }
+    let summarized = |id: ExprId| {
+        let var = *rp.expr_var.get(&id)?;
+        let info = &rp.vars[var.index()];
+        (info.is_shared() || info.size.is_some() || info.is_chan).then_some(var.index())
+    };
+    walk_stmts(rp.body_block(body), &mut |s| {
+        match &s.kind {
+            StmtKind::Assign { target: lv, .. }
+            | StmtKind::Sync(SyncStmt::Recv { into: lv, .. }) => {
+                slots.extend(summarized(lv.id));
+            }
+            _ => {}
+        }
+        walk_stmt_exprs(s, &mut |e| match &e.kind {
+            ExprKind::Var(_) | ExprKind::Index(..) => slots.extend(summarized(e.id)),
+            ExprKind::Call(..) => {
+                if let Some(&f) = rp.call_target.get(&e.id) {
+                    func(&mut slots, f);
+                }
+            }
+            _ => {}
+        });
+    });
+    slots.sort_unstable();
+    slots.dedup();
+    slots
+}
+
 /// Binds `var` in `env`, normalizing ⊥ to "unbound" so environments
 /// compare canonically.
 fn set_env(env: &mut Env, var: VarId, val: Interval) {
     if val.is_bot() {
-        env.remove(&var);
+        env.remove(var);
     } else {
         env.insert(var, val);
     }
 }
 
+/// Merges two environments variable by variable: `both` combines a
+/// variable bound on each side; one bound only in `a` keeps its value,
+/// and one bound only in `b` keeps its value when `keep_b` is set.
+fn env_merge(a: &Env, b: &Env, keep_b: bool, both: impl Fn(Interval, Interval) -> Interval) -> Env {
+    let (a, b) = (&a.0, &b.0);
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let ((va, xa), (vb, xb)) = (a[i], b[j]);
+        if va < vb {
+            out.push((va, xa));
+            i += 1;
+        } else if vb < va {
+            if keep_b {
+                out.push((vb, xb));
+            }
+            j += 1;
+        } else {
+            out.push((va, both(xa, xb)));
+            i += 1;
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    if keep_b {
+        out.extend_from_slice(&b[j..]);
+    }
+    Env(out)
+}
+
 /// Pointwise join; a variable missing on one side is ⊥ there.
 fn env_join(a: &Env, b: &Env) -> Env {
-    let mut out = a.clone();
-    for (&var, &v) in b {
-        let joined = out.get(&var).copied().unwrap_or(Interval::BOT).join(v);
-        out.insert(var, joined);
-    }
-    out
+    env_merge(a, b, true, Interval::join)
 }
 
 /// Pointwise widening of `old` against `old ⊔ new`.
 fn env_widen(old: &Env, new: &Env) -> Env {
-    let mut out = new.clone();
-    for (&var, &v) in new {
-        if let Some(&o) = old.get(&var) {
-            out.insert(var, o.widen(o.join(v)));
-        }
-    }
-    for (&var, &o) in old {
-        out.entry(var).or_insert(o);
-    }
-    out
+    env_merge(old, new, true, |o, v| o.widen(o.join(v)))
 }
 
 /// Pointwise narrowing of `old` by the recomputed `refined` state.
 fn env_narrow(old: &Env, refined: &Env) -> Env {
-    let mut out = old.clone();
-    for (&var, &o) in old {
-        if let Some(&r) = refined.get(&var) {
-            out.insert(var, o.narrow(r));
-        }
-    }
-    out
+    env_merge(old, refined, false, Interval::narrow)
 }
 
 /// `a op b` ⇔ `b flip(op) a`.

@@ -49,6 +49,16 @@ use crate::span::Span;
 use crate::symbol::Interner;
 use crate::token::{Token, TokenKind};
 
+/// Deepest AST nesting the parser accepts. Blocks, expressions in
+/// parentheses, arguments, indexes and conditions, and unary operators
+/// each open one level; an expression node also counts its height, so
+/// a left-deep `1 + 1 + … + 1` chain deepens with every operator. Every
+/// later stage — name resolution, the type checker, CFG lowering, the
+/// analyses, the interpreter, even dropping the tree — recurses over
+/// the AST, so deeper input is a positioned error rather than a stack
+/// overflow. Real programs nest a handful of levels.
+pub const MAX_NESTING: u32 = 256;
+
 /// Parses a complete source program.
 ///
 /// # Errors
@@ -68,8 +78,15 @@ use crate::token::{Token, TokenKind};
 /// ```
 pub fn parse(src: &str) -> Result<Program, LangError> {
     let tokens = tokenize(src)?;
-    let mut parser =
-        Parser { tokens, pos: 0, interner: Interner::new(), next_stmt: 0, next_expr: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        interner: Interner::new(),
+        next_stmt: 0,
+        next_expr: 0,
+        depth: 0,
+        heights: Vec::new(),
+    };
     let mut items = Vec::new();
     while !parser.at(&TokenKind::Eof) {
         items.push(parser.item()?);
@@ -89,6 +106,10 @@ struct Parser {
     interner: Interner,
     next_stmt: u32,
     next_expr: u32,
+    /// Nesting levels open above the current token.
+    depth: u32,
+    /// Height of every expression built so far, by `ExprId`.
+    heights: Vec<u32>,
 }
 
 impl Parser {
@@ -148,7 +169,50 @@ impl Parser {
     fn fresh_expr(&mut self) -> ExprId {
         let id = ExprId(self.next_expr);
         self.next_expr += 1;
+        self.heights.push(1);
         id
+    }
+
+    /// Fails at `span` when `depth` exceeds [`MAX_NESTING`].
+    fn check_depth(&self, depth: u32, span: Span) -> Result<(), LangError> {
+        if depth > MAX_NESTING {
+            return Err(LangError::new(
+                LangErrorKind::Invalid(format!("nesting deeper than {MAX_NESTING} levels")),
+                span,
+            ));
+        }
+        Ok(())
+    }
+
+    /// Opens one nesting level at the current token.
+    fn nest(&mut self) -> Result<(), LangError> {
+        self.depth += 1;
+        self.check_depth(self.depth, self.peek().span)
+    }
+
+    fn unnest(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// Records the height of the new expression `id` over its
+    /// `operands` and checks the nesting it reaches, blaming `span`.
+    fn built<'e>(
+        &mut self,
+        id: ExprId,
+        operands: impl IntoIterator<Item = &'e Expr>,
+        span: Span,
+    ) -> Result<(), LangError> {
+        let tallest = operands.into_iter().map(|e| self.heights[e.id.index()]).max();
+        let height = 1 + tallest.unwrap_or(0);
+        self.heights[id.index()] = height;
+        self.check_depth(self.depth + height, span)
+    }
+
+    /// An operand-free expression.
+    fn leaf(&mut self, kind: ExprKind, span: Span) -> Result<Expr, LangError> {
+        let id = self.fresh_expr();
+        self.built(id, None, span)?;
+        Ok(Expr { id, kind, span })
     }
 
     fn ident(&mut self, what: &str) -> Result<Ident, LangError> {
@@ -291,6 +355,7 @@ impl Parser {
     // ---------------- statements ----------------
 
     fn block(&mut self) -> Result<Block, LangError> {
+        self.nest()?;
         self.expect(&TokenKind::LBrace, "`{`")?;
         let mut stmts = Vec::new();
         while !self.at(&TokenKind::RBrace) {
@@ -300,6 +365,7 @@ impl Parser {
             stmts.push(self.stmt()?);
         }
         self.bump(); // `}`
+        self.unnest();
         Ok(Block { stmts })
     }
 
@@ -369,7 +435,9 @@ impl Parser {
         let else_blk = if self.eat(&TokenKind::KwElse) {
             if self.at(&TokenKind::KwIf) {
                 // `else if` desugars to `else { if ... }`.
+                self.nest()?;
                 let nested = self.if_stmt()?;
+                self.unnest();
                 Some(Block { stmts: vec![nested] })
             } else {
                 Some(self.block()?)
@@ -566,95 +634,56 @@ impl Parser {
     // ---------------- expressions ----------------
 
     fn expr(&mut self) -> Result<Expr, LangError> {
-        self.or_expr()
+        self.nest()?;
+        let e = self.binary_expr(0)?;
+        self.unnest();
+        Ok(e)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.and_expr()?;
-        while self.at(&TokenKind::OrOr) {
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = self.mk_binary(BinOp::Or, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.at(&TokenKind::AndAnd) {
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = self.mk_binary(BinOp::And, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, LangError> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek().kind {
-            TokenKind::Eq => Some(BinOp::Eq),
-            TokenKind::Ne => Some(BinOp::Ne),
-            TokenKind::Lt => Some(BinOp::Lt),
-            TokenKind::Le => Some(BinOp::Le),
-            TokenKind::Gt => Some(BinOp::Gt),
-            TokenKind::Ge => Some(BinOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.add_expr()?;
-            Ok(self.mk_binary(op, lhs, rhs))
-        } else {
-            Ok(lhs)
-        }
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = self.mk_binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, LangError> {
+    /// Precedence climbing over the binary operators that bind at least
+    /// as tightly as `min` (see [`binary_op`]). All are left-associative
+    /// except the comparisons, which do not chain: `a < b < c` stops
+    /// before the second `<`, as does `a && b < c < d`.
+    fn binary_expr(&mut self, min: u8) -> Result<Expr, LangError> {
         let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek().kind {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = self.mk_binary(op, lhs, rhs);
+        // Binding strength of `lhs`'s outermost operator.
+        let mut lhs_prec = u8::MAX;
+        while let Some((op, prec)) = binary_op(&self.peek().kind) {
+            if prec < min || (prec == CMP_PREC && lhs_prec <= CMP_PREC) {
+                break;
+            }
+            let op_span = self.bump().span;
+            let rhs = self.binary_expr(prec + 1)?;
+            lhs = self.mk_binary(op, lhs, rhs, op_span)?;
+            lhs_prec = prec;
         }
         Ok(lhs)
     }
 
+    /// `("-" | "!")* primary`. The prefix operators are collected in a
+    /// loop rather than by recursion, so a parenthesized expression
+    /// costs the stack three frames per level (`expr`, `binary_expr`,
+    /// `primary_expr`).
     fn unary_expr(&mut self) -> Result<Expr, LangError> {
-        let op = match self.peek().kind {
-            TokenKind::Minus => Some(UnOp::Neg),
-            TokenKind::Bang => Some(UnOp::Not),
-            _ => None,
-        };
-        if let Some(op) = op {
-            let start = self.bump().span;
-            let operand = self.unary_expr()?;
-            let id = self.fresh_expr();
-            let span = start.merge(operand.span);
-            Ok(Expr { id, kind: ExprKind::Unary(op, Box::new(operand)), span })
-        } else {
-            self.primary_expr()
+        let mut prefix = Vec::new();
+        loop {
+            let op = match self.peek().kind {
+                TokenKind::Minus => UnOp::Neg,
+                TokenKind::Bang => UnOp::Not,
+                _ => break,
+            };
+            self.nest()?;
+            prefix.push((op, self.bump().span));
         }
+        let mut e = self.primary_expr()?;
+        for (op, start) in prefix.into_iter().rev() {
+            self.unnest();
+            let id = self.fresh_expr();
+            self.built(id, [&e], start)?;
+            let span = start.merge(e.span);
+            e = Expr { id, kind: ExprKind::Unary(op, Box::new(e)), span };
+        }
+        Ok(e)
     }
 
     fn primary_expr(&mut self) -> Result<Expr, LangError> {
@@ -662,21 +691,18 @@ impl Parser {
         match &tok.kind {
             TokenKind::Int(n) => {
                 self.bump();
-                let id = self.fresh_expr();
-                Ok(Expr { id, kind: ExprKind::IntLit(*n), span: tok.span })
+                self.leaf(ExprKind::IntLit(*n), tok.span)
             }
             TokenKind::KwTrue | TokenKind::KwFalse => {
                 let value = tok.kind == TokenKind::KwTrue;
                 self.bump();
-                let id = self.fresh_expr();
-                Ok(Expr { id, kind: ExprKind::BoolLit(value), span: tok.span })
+                self.leaf(ExprKind::BoolLit(value), tok.span)
             }
             TokenKind::KwInput => {
                 self.bump();
                 self.expect(&TokenKind::LParen, "`(`")?;
                 self.expect(&TokenKind::RParen, "`)`")?;
-                let id = self.fresh_expr();
-                Ok(Expr { id, kind: ExprKind::Input, span: tok.span })
+                self.leaf(ExprKind::Input, tok.span)
             }
             TokenKind::LParen => {
                 self.bump();
@@ -684,44 +710,77 @@ impl Parser {
                 self.expect(&TokenKind::RParen, "`)`")?;
                 Ok(inner)
             }
-            k if k.as_ident_text().is_some() => {
-                let name = self.ident("a name")?;
-                if self.eat(&TokenKind::LParen) {
-                    let mut args = Vec::new();
-                    if !self.at(&TokenKind::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    let end = self.expect(&TokenKind::RParen, "`)`")?.span;
-                    let id = self.fresh_expr();
-                    Ok(Expr { id, kind: ExprKind::Call(name, args), span: name.span.merge(end) })
-                } else if self.eat(&TokenKind::LBracket) {
-                    let ix = self.expr()?;
-                    let end = self.expect(&TokenKind::RBracket, "`]`")?.span;
-                    let id = self.fresh_expr();
-                    Ok(Expr {
-                        id,
-                        kind: ExprKind::Index(name, Box::new(ix)),
-                        span: name.span.merge(end),
-                    })
-                } else {
-                    let id = self.fresh_expr();
-                    Ok(Expr { id, kind: ExprKind::Var(name), span: name.span })
-                }
-            }
+            k if k.as_ident_text().is_some() => self.name_expr(),
             _ => Err(self.err_expected("an expression")),
         }
     }
 
-    fn mk_binary(&mut self, op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-        let id = self.fresh_expr();
-        let span = lhs.span.merge(rhs.span);
-        Expr { id, kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span }
+    /// A variable, an array element or a call.
+    fn name_expr(&mut self) -> Result<Expr, LangError> {
+        let name = self.ident("a name")?;
+        if self.eat(&TokenKind::LParen) {
+            let mut args = Vec::new();
+            if !self.at(&TokenKind::RParen) {
+                loop {
+                    args.push(self.expr()?);
+                    if !self.eat(&TokenKind::Comma) {
+                        break;
+                    }
+                }
+            }
+            let end = self.expect(&TokenKind::RParen, "`)`")?.span;
+            let id = self.fresh_expr();
+            self.built(id, &args, name.span)?;
+            Ok(Expr { id, kind: ExprKind::Call(name, args), span: name.span.merge(end) })
+        } else if self.eat(&TokenKind::LBracket) {
+            let ix = self.expr()?;
+            let end = self.expect(&TokenKind::RBracket, "`]`")?.span;
+            let id = self.fresh_expr();
+            self.built(id, [&ix], name.span)?;
+            Ok(Expr { id, kind: ExprKind::Index(name, Box::new(ix)), span: name.span.merge(end) })
+        } else {
+            self.leaf(ExprKind::Var(name), name.span)
+        }
     }
+
+    /// Builds `lhs op rhs`; `op_span` is blamed when the node nests
+    /// too deep.
+    fn mk_binary(
+        &mut self,
+        op: BinOp,
+        lhs: Expr,
+        rhs: Expr,
+        op_span: Span,
+    ) -> Result<Expr, LangError> {
+        let id = self.fresh_expr();
+        self.built(id, [&lhs, &rhs], op_span)?;
+        let span = lhs.span.merge(rhs.span);
+        Ok(Expr { id, kind: ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)), span })
+    }
+}
+
+/// Binding strength of the comparison operators.
+const CMP_PREC: u8 = 3;
+
+/// The binary operator a token spells, with its binding strength:
+/// `||` 1, `&&` 2, comparisons [`CMP_PREC`], `+ -` 4, `* / %` 5.
+fn binary_op(kind: &TokenKind) -> Option<(BinOp, u8)> {
+    Some(match kind {
+        TokenKind::OrOr => (BinOp::Or, 1),
+        TokenKind::AndAnd => (BinOp::And, 2),
+        TokenKind::Eq => (BinOp::Eq, CMP_PREC),
+        TokenKind::Ne => (BinOp::Ne, CMP_PREC),
+        TokenKind::Lt => (BinOp::Lt, CMP_PREC),
+        TokenKind::Le => (BinOp::Le, CMP_PREC),
+        TokenKind::Gt => (BinOp::Gt, CMP_PREC),
+        TokenKind::Ge => (BinOp::Ge, CMP_PREC),
+        TokenKind::Plus => (BinOp::Add, 4),
+        TokenKind::Minus => (BinOp::Sub, 4),
+        TokenKind::Star => (BinOp::Mul, 5),
+        TokenKind::Slash => (BinOp::Div, 5),
+        TokenKind::Percent => (BinOp::Rem, 5),
+        _ => return None,
+    })
 }
 
 enum UnaryKw {

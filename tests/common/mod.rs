@@ -2,10 +2,11 @@
 //! generator of always-valid single-process programs, driven by a byte
 //! string (so proptest failures shrink well), the corpus + `programs/`
 //! workload sweep with a dynamic-graph [`fingerprint`] for the
-//! differential suites, and the slow race-scan oracles in
-//! [`race_oracle`].
+//! differential suites, the slow race-scan oracles in [`race_oracle`]
+//! and the reference interval interpreter in [`absint_oracle`].
 #![allow(dead_code)]
 
+pub mod absint_oracle;
 pub mod race_oracle;
 
 use ppd::analysis::EBlockStrategy;
