@@ -15,7 +15,7 @@ use crate::PpdError;
 use ppd_analysis::VarSetRepr;
 use ppd_graph::{detect_races_par, stage_pairs, DynEdgeKind, DynNodeId, DynamicGraph, Race};
 use ppd_lang::{ProcId, VarId};
-use ppd_log::{IntervalRef, LogEntry};
+use ppd_log::IntervalRef;
 use ppd_runtime::Outcome;
 use std::collections::HashMap;
 
@@ -362,14 +362,14 @@ impl<'p> Controller<'p> {
     ) -> Result<DynNodeId, PpdError> {
         let _q = self.engine.query_timer_for("extend", format!("node={node} var={}", var.0));
         let reader_proc = self.builder.graph().node(node).proc;
-        // Upper time bound: the end of the fragment the node belongs to.
+        // Upper time bound: the end of the fragment the node belongs to —
+        // its postlog's time (`u64::MAX` while open), read off the index.
+        let index = self.engine.index();
         let upper = self
             .materialized
             .iter()
             .filter(|(iv, _)| iv.proc == reader_proc)
-            .filter_map(|(iv, _)| {
-                self.execution.logs.postlog_of(*iv).map(LogEntry::time).or(Some(u64::MAX))
-            })
+            .map(|(iv, _)| index.time_span(*iv).map_or(u64::MAX, |(_, end)| end))
             .max()
             .unwrap_or(u64::MAX);
 

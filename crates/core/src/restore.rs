@@ -15,8 +15,17 @@ use ppd_log::{IntervalRef, LogEntry};
 use ppd_runtime::{ReplayResult, TraceEvent, Tracer};
 
 /// Rebuilds the values of all shared variables at logical time `t` by
-/// replaying the logs' value records in time order.
-pub fn shared_state_at(session: &PpdSession, execution: &Execution, t: u64) -> Vec<Value> {
+/// replaying the logs' value records in time order. Every process's log
+/// is read through a [`ppd_log::LogCursor`], the reader replay uses.
+///
+/// # Errors
+///
+/// Returns [`PpdError::Store`] if a log entry is damaged.
+pub fn shared_state_at(
+    session: &PpdSession,
+    execution: &Execution,
+    t: u64,
+) -> Result<Vec<Value>, PpdError> {
     let rp = session.rp();
     // Initial shared state.
     let mut state: Vec<Value> = rp.vars[..rp.shared_count as usize]
@@ -27,29 +36,32 @@ pub fn shared_state_at(session: &PpdSession, execution: &Execution, t: u64) -> V
         })
         .collect();
 
-    // Merge all processes' entries by timestamp and apply shared values.
-    let mut entries: Vec<&LogEntry> = Vec::new();
+    // Merge the value records up to `t` of all processes by timestamp
+    // (stable, so equal times keep process order) and apply them.
+    let mut records: Vec<(u64, Vec<(VarId, Value)>)> = Vec::new();
     for p in 0..execution.logs.process_count() {
-        entries.extend(execution.logs.log(ProcId(p as u32)).entries.iter());
-    }
-    entries.sort_by_key(|e| e.time());
-    for e in entries {
-        if e.time() > t {
-            break;
-        }
-        let values = match e {
-            LogEntry::Prelog { values, .. }
-            | LogEntry::Postlog { values, .. }
-            | LogEntry::SharedSnapshot { values, .. } => values,
-            _ => continue,
-        };
-        for (var, value) in values {
-            if rp.is_shared(*var) {
-                state[var.index()] = value.clone();
+        let mut cursor = execution.logs.cursor(ProcId(p as u32), 0);
+        while let Some(e) = cursor.next_entry()? {
+            let time = e.time();
+            match e {
+                LogEntry::Prelog { values, .. }
+                | LogEntry::Postlog { values, .. }
+                | LogEntry::SharedSnapshot { values, .. }
+                    if time <= t =>
+                {
+                    records.push((time, values))
+                }
+                _ => {}
             }
         }
     }
-    state
+    records.sort_by_key(|&(time, _)| time);
+    for (var, value) in records.into_iter().flat_map(|(_, values)| values) {
+        if rp.is_shared(var) {
+            state[var.index()] = value;
+        }
+    }
+    Ok(state)
 }
 
 /// Result of a what-if replay.
@@ -72,7 +84,8 @@ pub struct WhatIfResult {
 ///
 /// # Errors
 ///
-/// Currently infallible in setup; kept fallible for interface stability.
+/// Returns [`PpdError::Store`] if a log entry the replay needs is
+/// damaged.
 pub fn what_if_replay(
     session: &PpdSession,
     execution: &Execution,
@@ -86,12 +99,17 @@ pub fn what_if_replay(
 /// a convenience for examining "the effect" baseline before a what-if.
 /// If the original execution halted mid-interval at a breakpoint or
 /// deadlock, the replay stops at the same statement.
+///
+/// # Errors
+///
+/// Returns [`PpdError::Store`] if a log entry the replay needs is
+/// damaged.
 pub fn faithful_replay(
     session: &PpdSession,
     execution: &Execution,
     interval: IntervalRef,
     tracer: &mut dyn Tracer,
-) -> ReplayResult {
+) -> Result<ReplayResult, PpdError> {
     ReplayEngine::new(session, execution).faithful(interval, tracer)
 }
 

@@ -339,7 +339,7 @@ fn shared_state_at_end_matches_final_values() {
     let session = prepare(ppd_lang::corpus::BANK.source);
     let execution = session.execute(RunConfig::default());
     assert!(execution.outcome.is_success());
-    let state = shared_state_at(&session, &execution, u64::MAX);
+    let state = shared_state_at(&session, &execution, u64::MAX).unwrap();
     let audit = var(&session, "audit_total");
     assert_eq!(state[audit.index()], Value::Int(400));
     let accounts = var(&session, "accounts");
@@ -351,7 +351,7 @@ fn shared_state_at_end_matches_final_values() {
 fn shared_state_at_zero_is_initial() {
     let session = prepare("shared int g = 9; process M { g = 1; }");
     let execution = session.execute(RunConfig::default());
-    let state = shared_state_at(&session, &execution, 0);
+    let state = shared_state_at(&session, &execution, 0).unwrap();
     assert_eq!(state[0], Value::Int(9));
 }
 
@@ -555,7 +555,7 @@ fn breakpoint_halts_all_processes_and_debugging_starts() {
     assert_eq!(stmt, g3);
     // The logs alone only know the last *logged* value (prelog at start);
     // the up-to-date state comes from replaying the open interval (§5.7).
-    let state = shared_state_at(&session, &execution, u64::MAX);
+    let state = shared_state_at(&session, &execution, u64::MAX).unwrap();
     assert_eq!(state[var(&session, "g").index()], Value::Int(0));
     // The debugging phase starts from the halted process's open interval
     // and replays exactly up to the breakpoint — g = 3 never appears.
@@ -614,7 +614,7 @@ fn replay_stops_at_original_breakpoint() {
     // Faithful replay halts at the same breakpoint: only `g = 1` was
     // executed before the halt, and only it is replayed.
     let mut tracer = ppd_runtime::VecTracer::default();
-    let res = crate::faithful_replay(&session, &execution, interval, &mut tracer);
+    let res = crate::faithful_replay(&session, &execution, interval, &mut tracer).unwrap();
     assert!(res.outcome.is_breakpoint(), "{:?}", res.outcome);
     let assigns = tracer.events.iter().filter(|e| matches!(e.kind, EventKind::Assign)).count();
     assert_eq!(assigns, 1);
@@ -691,7 +691,7 @@ fn corrupted_log_yields_log_mismatch() {
     execution.logs = store;
     let interval = execution.logs.intervals(ProcId(0))[0];
     let mut tracer = ppd_runtime::VecTracer::default();
-    let res = crate::faithful_replay(&session, &execution, interval, &mut tracer);
+    let res = crate::faithful_replay(&session, &execution, interval, &mut tracer).unwrap();
     assert!(
         matches!(
             &res.outcome,
@@ -929,7 +929,7 @@ fn completed_intervals_replay_fully_despite_halt_at_same_stmt() {
 
     for iv in &grab_intervals {
         let mut tracer = ppd_runtime::VecTracer::default();
-        let res = crate::faithful_replay(&session, &execution, *iv, &mut tracer);
+        let res = crate::faithful_replay(&session, &execution, *iv, &mut tracer).unwrap();
         let syncs =
             tracer.events.iter().filter(|e| matches!(e.kind, EventKind::Sync { .. })).count();
         let assigns = tracer.events.iter().filter(|e| matches!(e.kind, EventKind::Assign)).count();

@@ -343,6 +343,30 @@ impl IntervalIndex {
         p.intervals[slot].parent.map(|pp| p.intervals[pp].interval)
     }
 
+    /// The logical times of `interval`'s prelog and postlog (`u64::MAX`
+    /// while open), read from the index instead of the entries.
+    pub fn time_span(&self, interval: IntervalRef) -> Option<(u64, u64)> {
+        let p = &self.procs[interval.proc.index()];
+        let slot = *p.by_key.get(&(interval.eblock, interval.instance))?;
+        Some((p.intervals[slot].start_time, p.intervals[slot].end_time))
+    }
+
+    /// The first interval of `eblock` in `proc` whose prelog sits at or
+    /// after entry `pos` — the nested interval a forward scan from `pos`
+    /// would enter next. Intervals are kept in prelog order, so this is
+    /// a binary search plus a walk over the intervals that start before
+    /// the match.
+    pub(crate) fn next_interval(
+        &self,
+        proc: ProcId,
+        eblock: EBlockId,
+        pos: usize,
+    ) -> Option<IntervalRef> {
+        let intervals = &self.procs[proc.index()].intervals;
+        let from = intervals.partition_point(|i| i.interval.prelog_pos < pos);
+        intervals[from..].iter().map(|i| i.interval).find(|iv| iv.eblock == eblock)
+    }
+
     /// The latest interval of `proc` with e-block `eblock` whose time
     /// span covers logical time `t` (§5.6's cross-process lookup).
     pub fn interval_covering(&self, proc: ProcId, eblock: EBlockId, t: u64) -> Option<IntervalRef> {

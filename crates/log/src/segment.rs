@@ -9,8 +9,12 @@
 //! postlog events. Opening a directory is therefore `mmap` + footer
 //! decode: the global [`IntervalIndex`] is rebuilt from the digests by
 //! the same stack-matching builder the in-memory scan uses, and no
-//! entry is decoded until a replay actually needs that process's
-//! payload (then it is decoded straight out of the mapped bytes).
+//! entry is decoded until a replay consumes it. A replay reads its
+//! interval through a [`crate::LogCursor`], which inflates one payload
+//! block at a time and decodes only the entries it hands out; a nested
+//! interval is jumped over through the index, so only its postlog is
+//! decoded. Callers that want a whole process
+//! ([`SegmentedLog::process_log`]) decode it once and cache it.
 //!
 //! ## Segment layout
 //!
@@ -37,10 +41,11 @@
 //! raw escape ([`SegmentFormat::V2Raw`]), so incompressible data costs
 //! at most a few framing bytes. The footer's block table maps
 //! uncompressed offsets to file offsets; entry offsets stay
-//! *uncompressed*-relative, so a range query binary-searches the table
-//! and decompresses exactly the blocks it needs
-//! ([`SegmentedLog::entries_in_range`]), while `verify` decompresses
-//! segments in parallel over the vendored work-stealing pool.
+//! *uncompressed*-relative, so a reader binary-searches the table and
+//! decompresses exactly the block holding the entry it wants (a
+//! checksum or size mismatch is a [`SegError`] naming the segment and
+//! block), while `verify` decompresses segments in parallel over the
+//! vendored work-stealing pool.
 //!
 //! Two CRC32s (IEEE) guard a segment, split so that open-time cost is
 //! proportional to the *footer*, not the log: the trailer's
@@ -74,6 +79,7 @@ use crate::mmap::Mapping;
 use crate::store::{LogStore, ProcessLog};
 use ppd_lang::ProcId;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Write as _;
@@ -1076,9 +1082,9 @@ struct LoadedSegment {
 
 /// An opened segmented log directory: every sealed segment mapped and
 /// its footer verified, **no payload decoded**; unsealed live tails
-/// scanned to their last valid entry. Per-process entry vectors
-/// materialize lazily (and at most once) when a replay or raw-entry
-/// query actually touches that process.
+/// scanned to their last valid entry. Replay decodes only the entries
+/// it consumes; a whole process's entry vector materializes (at most
+/// once) only for callers that read all of it.
 #[derive(Debug)]
 pub struct SegmentedLog {
     dir: PathBuf,
@@ -1089,7 +1095,7 @@ pub struct SegmentedLog {
     /// Per process: the recovered unsealed tail, if any.
     tails: Vec<Option<Arc<RecoveredTail>>>,
     warnings: Vec<String>,
-    /// Lazily decoded per-process logs.
+    /// Whole-process decodes, cached by [`process_log`](Self::process_log).
     decoded: Vec<OnceLock<ProcessLog>>,
     /// The footer-built interval index, cached after its first load.
     index_cache: OnceLock<Arc<IntervalIndex>>,
@@ -1571,13 +1577,13 @@ impl SegmentedLog {
     }
 
     /// Records a read of `entries` / `blocks` / `bytes` against one
-    /// segment's heatmap slot and the store-wide counters. (The
-    /// `entries_decoded` total is bumped by the callers.)
+    /// segment's heatmap slot and the store-wide counters.
     fn note_read(&self, seg: &LoadedSegment, entries: u64, blocks: u64, bytes: u64) {
         let h = &self.heat[seg.meta.proc as usize][seg.meta.seq as usize];
         h.entries.fetch_add(entries, Ordering::Relaxed);
         h.blocks.fetch_add(blocks, Ordering::Relaxed);
         h.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.entries_decoded.fetch_add(entries, Ordering::Relaxed);
         self.blocks_decompressed.fetch_add(blocks, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
     }
@@ -1651,135 +1657,68 @@ impl SegmentedLog {
         old.extend_from_events(streams)
     }
 
+    /// Inflates block `i` of a sealed segment, appending its bytes to
+    /// `out`. A frame that fails its checksum, or whose sizes disagree
+    /// with the footer's block table, is an error naming the segment
+    /// and the block.
+    fn inflate_block(
+        &self,
+        seg: &LoadedSegment,
+        i: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), SegError> {
+        let b = seg.meta.blocks[i];
+        let corrupt = |detail: String| SegError::Corrupt { file: seg.meta.file.clone(), detail };
+        let frame = usize::try_from(b.stored_off)
+            .ok()
+            .and_then(|off| seg.meta.payload_start.checked_add(off))
+            .zip(usize::try_from(b.stored_len).ok())
+            .and_then(|(at, len)| seg.map.get(at..at.checked_add(len)?))
+            .ok_or_else(|| corrupt(format!("block {i} lies outside the file")))?;
+        let start = out.len();
+        let n = lzb::decompress_into(frame, out).map_err(|e| corrupt(format!("block {i}: {e}")))?;
+        if n != frame.len() || (out.len() - start) as u64 != b.uncomp_len {
+            return Err(corrupt(format!("block {i} sizes disagree with the footer block table")));
+        }
+        self.note_read(seg, 0, 1, b.stored_len);
+        Ok(())
+    }
+
     /// The uncompressed payload of one sealed segment, decompressed
     /// block by block.
     fn segment_payload(&self, seg: &LoadedSegment) -> Result<Vec<u8>, SegError> {
         let mut out = Vec::with_capacity(seg.meta.payload_len as usize);
-        let mut at = seg.meta.payload_start;
-        for (i, b) in seg.meta.blocks.iter().enumerate() {
-            let n = lzb::decompress_into(&seg.map[at..], &mut out).map_err(|e| {
-                SegError::Corrupt { file: seg.meta.file.clone(), detail: format!("block {i}: {e}") }
-            })?;
-            if n != b.stored_len as usize || out.len() as u64 != b.uncomp_off + b.uncomp_len {
-                return Err(SegError::Corrupt {
-                    file: seg.meta.file.clone(),
-                    detail: format!("block {i} sizes disagree with the footer block table"),
-                });
-            }
-            at += n;
+        for i in 0..seg.meta.blocks.len() {
+            self.inflate_block(seg, i, &mut out)?;
         }
-        self.note_read(seg, 0, seg.meta.blocks.len() as u64, seg.meta.stored_len);
         Ok(out)
     }
 
-    /// Decodes one process's payloads into an entry vector from the
-    /// block-decompressed bytes, with the recovered tail appended.
-    fn try_decode_proc(&self, proc: ProcId) -> Result<ProcessLog, SegError> {
-        let mut span = ppd_obs::span("log", "segment_decode");
-        span.arg("proc", proc.index());
-        let mut entries = Vec::new();
-        for seg in &self.procs[proc.index()] {
-            let payload = self.segment_payload(seg)?;
-            let mut r = Reader::new(&payload);
-            for _ in 0..seg.meta.entry_count {
-                let e = binio::get_entry(&mut r)
-                    .map_err(|err| SegError::Decode(err.with_context(seg.meta.file.clone())))?;
-                entries.push(e);
-            }
-            self.note_read(seg, seg.meta.entry_count, 0, 0);
-        }
-        let sealed = entries.len();
-        if let Some(t) = &self.tails[proc.index()] {
-            entries.extend(t.entries.iter().cloned());
-        }
-        span.arg("entries", entries.len());
-        self.entries_decoded.fetch_add(sealed as u64, Ordering::Relaxed);
-        Ok(ProcessLog { entries })
-    }
-
-    /// The decoded log of one process, materialized on first use and
-    /// cached. Panics on a decode failure *behind* a valid CRC — that
-    /// would be a writer bug, not an I/O accident; `verify()` reports
-    /// such states gracefully instead.
-    pub fn process_log(&self, proc: ProcId) -> &ProcessLog {
-        self.decoded[proc.index()].get_or_init(|| {
-            self.try_decode_proc(proc)
-                .unwrap_or_else(|e| panic!("segment payload decode failed after CRC pass: {e}"))
-        })
-    }
-
-    /// Decodes the half-open global entry range `[start, end)` of one
-    /// process **without** materializing the whole log: only the blocks
-    /// covering the range are decompressed (binary search over the
-    /// footer block table); the recovered tail is served from memory.
+    /// The decoded log of one process (sealed entries plus the
+    /// recovered tail), materialized on first use and cached — for
+    /// callers that read a whole process. Replay reads through a
+    /// [`crate::LogCursor`] instead, which decodes only what it
+    /// consumes.
     ///
     /// # Errors
     ///
-    /// Returns [`SegError`] if a covering block fails its checksum or
-    /// an entry fails to decode.
-    pub fn entries_in_range(
-        &self,
-        proc: ProcId,
-        start: u64,
-        end: u64,
-    ) -> Result<Vec<LogEntry>, SegError> {
-        let p = proc.index();
-        let mut out = Vec::new();
-        if end <= start {
-            return Ok(out);
+    /// Returns [`SegError`] naming the segment and block if a payload
+    /// block fails its checksum or an entry fails to decode. Nothing is
+    /// cached then, so a later call fails the same way.
+    pub fn process_log(&self, proc: ProcId) -> Result<&ProcessLog, SegError> {
+        let slot = &self.decoded[proc.index()];
+        if let Some(log) = slot.get() {
+            return Ok(log);
         }
-        let mut from_disk = 0u64;
-        for seg in &self.procs[p] {
-            let base = seg.meta.base_seq;
-            let count = seg.meta.entry_count;
-            if count == 0 || base + count <= start {
-                continue;
-            }
-            if base >= end {
-                break;
-            }
-            let lo = start.max(base) - base;
-            let hi = end.min(base + count) - base;
-            let from_off = seg.meta.offsets[lo as usize];
-            let to_off = seg.meta.offsets.get(hi as usize).copied().unwrap_or(seg.meta.payload_len);
-            let decode_err =
-                |err: BinError| SegError::Decode(err.with_context(seg.meta.file.clone()));
-            let blocks = seg.meta.blocks();
-            let first = blocks.partition_point(|b| b.uncomp_off + b.uncomp_len <= from_off);
-            let mut data = Vec::new();
-            let start_at = seg.meta.payload_start + blocks[first].stored_off as usize;
-            let mut at = start_at;
-            let mut k = first;
-            while k < blocks.len() && blocks[k].uncomp_off < to_off {
-                let n = lzb::decompress_into(&seg.map[at..], &mut data).map_err(|e| {
-                    SegError::Corrupt {
-                        file: seg.meta.file.clone(),
-                        detail: format!("block {k}: {e}"),
-                    }
-                })?;
-                at += n;
-                k += 1;
-            }
-            self.note_read(seg, hi - lo, (k - first) as u64, (at - start_at) as u64);
-            let rel = (from_off - blocks[first].uncomp_off) as usize;
-            let rel_end = (to_off - blocks[first].uncomp_off) as usize;
-            let mut r = Reader::new(&data[rel..rel_end]);
-            for _ in lo..hi {
-                out.push(binio::get_entry(&mut r).map_err(decode_err)?);
-            }
-            from_disk += hi - lo;
+        let mut span = ppd_obs::span("log", "segment_decode");
+        span.arg("proc", proc.index());
+        let mut reader = BlockReader::new(self, proc);
+        let mut entries = Vec::with_capacity(reader.len());
+        while let Some(e) = reader.entry(entries.len())? {
+            entries.push(e.into_owned());
         }
-        if let Some(t) = &self.tails[p] {
-            let base = t.base_seq;
-            let count = t.entries.len() as u64;
-            if count > 0 && base < end && base + count > start {
-                let lo = (start.max(base) - base) as usize;
-                let hi = (end.min(base + count) - base) as usize;
-                out.extend(t.entries[lo..hi].iter().cloned());
-            }
-        }
-        self.entries_decoded.fetch_add(from_disk, Ordering::Relaxed);
-        Ok(out)
+        span.arg("entries", entries.len());
+        Ok(slot.get_or_init(|| ProcessLog { entries }))
     }
 
     /// Full integrity check of one segment; returns its entry count.
@@ -1888,6 +1827,69 @@ impl SegmentedLog {
     }
 }
 
+/// Reads one process's entries of a [`SegmentedLog`] by position,
+/// holding one inflated payload block at a time: the single
+/// block-seeking decoder behind replay cursors and whole-process
+/// decodes. Each entry it decodes counts once in the segment's heatmap
+/// and in [`SegmentedLog::entries_decoded`]; recovered-tail entries are
+/// already in memory and are lent out, not counted.
+pub(crate) struct BlockReader<'a> {
+    log: &'a SegmentedLog,
+    proc: usize,
+    /// `(segment, block)` whose bytes `data` holds.
+    loaded: Option<(usize, usize)>,
+    data: Vec<u8>,
+}
+
+impl<'a> BlockReader<'a> {
+    pub(crate) fn new(log: &'a SegmentedLog, proc: ProcId) -> BlockReader<'a> {
+        BlockReader { log, proc: proc.index(), loaded: None, data: Vec::new() }
+    }
+
+    /// Entries in the process's log, sealed and recovered.
+    pub(crate) fn len(&self) -> usize {
+        self.log.proc_total_entries(self.proc) as usize
+    }
+
+    /// The entry at `pos` of the process log, or `None` past its end.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SegError`] naming the segment and block when the block
+    /// holding the entry fails to inflate or the entry fails to decode.
+    pub(crate) fn entry(&mut self, pos: usize) -> Result<Option<Cow<'a, LogEntry>>, SegError> {
+        let log = self.log;
+        let segs = &log.procs[self.proc];
+        let pos = pos as u64;
+        let k = segs.partition_point(|s| s.meta.base_seq + s.meta.entry_count <= pos);
+        let Some(seg) = segs.get(k) else {
+            let tail = log.tails[self.proc].as_deref();
+            let entry = tail.and_then(|t| t.entries.get(pos.checked_sub(t.base_seq)? as usize));
+            return Ok(entry.map(Cow::Borrowed));
+        };
+        let meta = &seg.meta;
+        let off = meta.offsets[(pos - meta.base_seq) as usize];
+        let b = meta.blocks.partition_point(|b| b.uncomp_off + b.uncomp_len <= off);
+        let corrupt = |detail: String| SegError::Corrupt { file: meta.file.clone(), detail };
+        let Some(block) = meta.blocks.get(b) else {
+            return Err(corrupt(format!("entry offset {off} lies past the block table")));
+        };
+        if self.loaded != Some((k, b)) {
+            self.loaded = None;
+            self.data.clear();
+            log.inflate_block(seg, b, &mut self.data)?;
+            self.loaded = Some((k, b));
+        }
+        let rel = (off - block.uncomp_off) as usize;
+        let mut r = Reader::with_base(&self.data[rel..], off as usize);
+        let e = binio::get_entry(&mut r).map_err(|err| {
+            SegError::Decode(err.with_context(format!("{} block {b}", meta.file)))
+        })?;
+        log.note_read(seg, 1, 0, 0);
+        Ok(Some(Cow::Owned(e)))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1947,7 +1949,7 @@ mod tests {
         assert!(seg.warnings().is_empty(), "{:?}", seg.warnings());
         for p in 0..s.process_count() {
             let pid = ProcId(p as u32);
-            assert_eq!(seg.process_log(pid).entries, s.log(pid).entries, "{format:?}");
+            assert_eq!(seg.process_log(pid).unwrap().entries, s.log(pid).entries, "{format:?}");
         }
         seg.verify().unwrap();
     }
@@ -1969,7 +1971,7 @@ mod tests {
         assert!(seg.warnings().is_empty());
         for p in 0..2 {
             let pid = ProcId(p);
-            assert_eq!(seg.process_log(pid).entries, s.log(pid).entries);
+            assert_eq!(seg.process_log(pid).unwrap().entries, s.log(pid).entries);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2072,7 +2074,7 @@ mod tests {
             raw.total_stored_bytes(),
             z.total_stored_bytes()
         );
-        assert_eq!(z.process_log(ProcId(0)).entries, s.log(ProcId(0)).entries);
+        assert_eq!(z.process_log(ProcId(0)).unwrap().entries, s.log(ProcId(0)).entries);
         z.verify().unwrap();
         let _ = std::fs::remove_dir_all(&draw);
         let _ = std::fs::remove_dir_all(&dz);
@@ -2096,7 +2098,7 @@ mod tests {
             assert_eq!(idx.top_level(pid), scan.top_level(pid));
         }
         // Touching a payload does decode — and only that process.
-        let n0 = seg.process_log(ProcId(0)).entries.len() as u64;
+        let n0 = seg.process_log(ProcId(0)).unwrap().entries.len() as u64;
         assert_eq!(seg.entries_decoded(), n0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2185,12 +2187,12 @@ mod tests {
             );
             // The surviving prefix still decodes and is a strict
             // prefix of the original log.
-            let got = &seg.process_log(ProcId(1)).entries;
+            let got = &seg.process_log(ProcId(1)).unwrap().entries;
             let full = &s.log(ProcId(1)).entries;
             assert!(got.len() < full.len(), "{format:?} must lose at least one entry");
             assert_eq!(got.as_slice(), &full[..got.len()], "{format:?}");
             // Process 0 is untouched.
-            assert_eq!(seg.process_log(ProcId(0)).entries, s.log(ProcId(0)).entries);
+            assert_eq!(seg.process_log(ProcId(0)).unwrap().entries, s.log(ProcId(0)).entries);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
@@ -2215,7 +2217,7 @@ mod tests {
         assert_eq!(seg.recovered_entries(), s.total_entries() as u64);
         for p in 0..2 {
             let pid = ProcId(p);
-            assert_eq!(seg.process_log(pid).entries, s.log(pid).entries);
+            assert_eq!(seg.process_log(pid).unwrap().entries, s.log(pid).entries);
             assert_eq!(seg.index().intervals(pid), s.index().intervals(pid));
         }
         // Sealing turns the tails into ordinary segments.
@@ -2261,18 +2263,18 @@ mod tests {
             let pid = ProcId(p);
             assert_eq!(second.index().intervals(pid), cold.index_from_footers().intervals(pid));
             assert_eq!(second.index().open_intervals(pid), s.index().open_intervals(pid));
-            assert_eq!(second.process_log(pid).entries, s.log(pid).entries);
+            assert_eq!(second.process_log(pid).unwrap().entries, s.log(pid).entries);
         }
         drop(w);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn range_query_decompresses_only_covering_blocks() {
+    fn block_reader_inflates_only_the_blocks_it_reads() {
         let dir = tmp_dir("range-blocks");
         let s = sample_store(200);
-        // One huge segment per process, tiny blocks: a narrow range
-        // must not decompress the whole payload.
+        // One huge segment per process, tiny blocks: reading a few
+        // entries must not decompress the whole payload.
         let mut w = SegmentWriter::create(&dir, 2, 1 << 22, SegmentFormat::V2Compressed)
             .unwrap()
             .with_block_bytes(512);
@@ -2286,15 +2288,42 @@ mod tests {
         let seg = SegmentedLog::open(&dir).unwrap();
         let total_blocks: usize = seg.segments(ProcId(0)).map(|m| m.block_count()).sum();
         assert!(total_blocks > 4, "block target 512 must split: {total_blocks}");
-        let got = seg.entries_in_range(ProcId(0), 10, 20).unwrap();
-        assert_eq!(got.as_slice(), &s.log(ProcId(0)).entries[10..20]);
+        let mut r = BlockReader::new(&seg, ProcId(0));
+        for pos in 10..20 {
+            assert_eq!(r.entry(pos).unwrap().as_deref(), Some(&s.log(ProcId(0)).entries[pos]));
+        }
+        assert_eq!(seg.entries_decoded(), 10, "one decode per entry read");
         assert!(
             (seg.blocks_decompressed() as usize) < total_blocks,
-            "a 10-entry range must not decompress all {total_blocks} blocks"
+            "10 entries must not decompress all {total_blocks} blocks"
         );
-        // Ranges spanning segment/tail boundaries still agree.
-        let all = seg.entries_in_range(ProcId(1), 0, seg.proc_total_entries(1)).unwrap();
+        // Reads crossing block, segment and tail boundaries still agree,
+        // and the log ends with `None`.
+        let mut r = BlockReader::new(&seg, ProcId(1));
+        let all: Vec<LogEntry> =
+            (0..).map_while(|pos| r.entry(pos).unwrap().map(Cow::into_owned)).collect();
         assert_eq!(all, s.log(ProcId(1)).entries);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_payload_is_an_error_naming_segment_and_block() {
+        let dir = tmp_dir("damaged-payload");
+        write_store(&sample_store(40), &dir, 64, SegmentFormat::default()).unwrap();
+        let victim = dir.join(segment_file_name(0, 0));
+        let mut bytes = std::fs::read(&victim).unwrap();
+        bytes[SEG_MAGIC.len() + 8] ^= 0x40;
+        std::fs::write(&victim, &bytes).unwrap();
+        let seg = SegmentedLog::open(&dir).expect("payload damage must not block open");
+        let whole = seg.process_log(ProcId(0)).unwrap_err();
+        let one = BlockReader::new(&seg, ProcId(0)).entry(0).unwrap_err();
+        for err in [whole, one] {
+            let msg = err.to_string();
+            assert!(msg.contains(&segment_file_name(0, 0)) && msg.contains("block 0"), "{msg}");
+        }
+        // A damaged decode caches nothing; the other process is intact.
+        assert!(seg.process_log(ProcId(0)).is_err());
+        assert!(seg.process_log(ProcId(1)).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -2307,7 +2336,7 @@ mod tests {
         write_store(&s, &dir, 0, SegmentFormat::default()).unwrap();
         assert!(dir.join(segment_file_name(1, 0)).exists(), "empty process still owns a file");
         let seg = SegmentedLog::open(&dir).unwrap();
-        assert!(seg.process_log(ProcId(1)).entries.is_empty());
+        assert!(seg.process_log(ProcId(1)).unwrap().entries.is_empty());
         assert_eq!(seg.total_entries(), 2);
         seg.verify().unwrap();
         let _ = std::fs::remove_dir_all(&dir);

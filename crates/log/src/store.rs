@@ -9,15 +9,18 @@
 //! vector per process (what the runtime fills during execution), or a
 //! mapped on-disk [`SegmentedLog`] opened from a `--log-dir` directory.
 //! On the segmented backing, structural queries are answered from
-//! footer metadata alone, and a process's entries are decoded from the
-//! mapped bytes only when first touched.
+//! footer metadata alone, and a [`LogCursor`] decodes an entry from the
+//! mapped bytes only when replay consumes it.
 
 use crate::entry::LogEntry;
 use crate::index::IntervalIndex;
-use crate::segment::{RefreshStats, SegError, SegmentFormat, SegmentedLog, SinkReport, KIND_NAMES};
+use crate::segment::{
+    BlockReader, RefreshStats, SegError, SegmentFormat, SegmentedLog, SinkReport, KIND_NAMES,
+};
 use ppd_analysis::EBlockId;
 use ppd_lang::ProcId;
 use serde::{Content, DeError, Deserialize, Serialize};
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -58,7 +61,7 @@ pub struct IntervalRef {
 enum Repr {
     /// Plain per-process entry vectors (the runtime's write path).
     Mem(Vec<ProcessLog>),
-    /// A mapped segment directory; entries decode lazily per process.
+    /// A mapped segment directory; entries decode as they are read.
     Seg(Arc<SegmentedLog>),
 }
 
@@ -206,9 +209,8 @@ impl LogStore {
     /// by materializing every process first.
     fn logs_mut(&mut self) -> &mut Vec<ProcessLog> {
         if let Repr::Seg(seg) = &self.repr {
-            let logs = (0..seg.process_count())
-                .map(|p| seg.process_log(ProcId(p as u32)).clone())
-                .collect();
+            let logs =
+                (0..seg.process_count()).map(|p| self.log(ProcId(p as u32)).clone()).collect();
             self.repr = Repr::Mem(logs);
         }
         match &mut self.repr {
@@ -234,18 +236,31 @@ impl LogStore {
     /// process; segment-backed stores load it from footer digests
     /// without decoding any entry.
     pub fn index(&self) -> Arc<IntervalIndex> {
-        Arc::clone(self.index.get_or_init(|| match &self.repr {
-            Repr::Mem(_) => Arc::new(IntervalIndex::build(self)),
-            Repr::Seg(seg) => seg.index(),
-        }))
+        Arc::clone(self.cached_index())
     }
 
-    /// The log of one process (decoded from mapped segments on first
-    /// touch, for segment-backed stores).
+    fn cached_index(&self) -> &Arc<IntervalIndex> {
+        self.index.get_or_init(|| match &self.repr {
+            Repr::Mem(_) => Arc::new(IntervalIndex::build(self)),
+            Repr::Seg(seg) => seg.index(),
+        })
+    }
+
+    /// The whole log of one process — decoded in full (once, then
+    /// cached) on a segment-backed store. For callers that read
+    /// everything: serialization, conversion to memory, tests. Replay
+    /// reads through [`cursor`](Self::cursor), which decodes only what
+    /// it consumes and returns damage as an error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a segment payload of `proc` is damaged (a block fails
+    /// its checksum or an entry fails to decode); [`LogCursor`] and
+    /// [`SegmentedLog::process_log`] report that as a [`SegError`].
     pub fn log(&self, proc: ProcId) -> &ProcessLog {
         match &self.repr {
             Repr::Mem(logs) => &logs[proc.index()],
-            Repr::Seg(seg) => seg.process_log(proc),
+            Repr::Seg(seg) => seg.process_log(proc).unwrap_or_else(|e| panic!("{e}")),
         }
     }
 
@@ -338,20 +353,16 @@ impl LogStore {
         self.index().interval_covering(proc, eblock, t)
     }
 
-    /// A cursor positioned immediately after `interval`'s prelog, for
-    /// replay to consume.
-    pub fn cursor_at(&self, interval: IntervalRef) -> LogCursor<'_> {
-        LogCursor { entries: &self.log(interval.proc).entries, pos: interval.prelog_pos + 1 }
-    }
-
-    /// The prelog entry of an interval.
-    pub fn prelog_of(&self, interval: IntervalRef) -> &LogEntry {
-        &self.log(interval.proc).entries[interval.prelog_pos]
-    }
-
-    /// The postlog entry of an interval, if complete.
-    pub fn postlog_of(&self, interval: IntervalRef) -> Option<&LogEntry> {
-        interval.postlog_pos.map(|p| &self.log(interval.proc).entries[p])
+    /// A cursor over `proc`'s log positioned at entry `pos` — at an
+    /// interval's `prelog_pos` for a replay, which reads the prelog
+    /// first. On a segment-backed store nothing is decoded until the
+    /// cursor reads.
+    pub fn cursor(&self, proc: ProcId, pos: usize) -> LogCursor<'_> {
+        let entries = match &self.repr {
+            Repr::Mem(logs) => Entries::Mem(&logs[proc.index()].entries),
+            Repr::Seg(seg) => Entries::Seg(BlockReader::new(seg, proc)),
+        };
+        LogCursor { proc, index: self.cached_index(), entries, pos }
     }
 
     /// Serializes the store to JSON (the on-disk log-file format).
@@ -373,63 +384,98 @@ impl LogStore {
     }
 }
 
-/// A forward-only reader over one process's log, used by e-block replay
-/// to consume shared snapshots, inputs, receives and nested postlogs in
-/// the order they were recorded.
-#[derive(Debug, Clone)]
+/// Where a [`LogCursor`] reads entries from.
+enum Entries<'a> {
+    /// An in-memory log, lent out entry by entry.
+    Mem(&'a [LogEntry]),
+    /// A segment-backed log, decoded one entry at a time.
+    Seg(BlockReader<'a>),
+}
+
+impl<'a> Entries<'a> {
+    fn get(&mut self, pos: usize) -> Result<Option<Cow<'a, LogEntry>>, SegError> {
+        match self {
+            Entries::Mem(entries) => Ok(entries.get(pos).map(Cow::Borrowed)),
+            Entries::Seg(reader) => reader.entry(pos),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Entries::Mem(entries) => entries.len(),
+            Entries::Seg(reader) => reader.len(),
+        }
+    }
+}
+
+/// A forward reader over one process's log, used by e-block replay to
+/// consume prelogs, shared snapshots, inputs, receives and nested
+/// postlogs in the order they were recorded. It decodes an entry only
+/// when it hands it out or tests it, so on a segment-backed store a
+/// replay pays for the entries it consumes and nothing else; a damaged
+/// payload comes back as a [`SegError`] naming the segment and block.
 pub struct LogCursor<'a> {
-    entries: &'a [LogEntry],
+    proc: ProcId,
+    index: &'a IntervalIndex,
+    entries: Entries<'a>,
     pos: usize,
 }
 
-impl<'a> LogCursor<'a> {
-    /// The next entry without consuming it.
-    pub fn peek(&self) -> Option<&'a LogEntry> {
-        self.entries.get(self.pos)
-    }
-
-    /// Consumes and returns the next entry.
-    pub fn next_entry(&mut self) -> Option<&'a LogEntry> {
+impl LogCursor<'_> {
+    /// Consumes and returns the next entry (`None` at the end of the
+    /// log).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SegError`] if the entry's payload is damaged.
+    pub fn next_entry(&mut self) -> Result<Option<LogEntry>, SegError> {
         let e = self.entries.get(self.pos)?;
-        self.pos += 1;
-        Some(e)
+        self.pos += usize::from(e.is_some());
+        Ok(e.map(Cow::into_owned))
     }
 
     /// Consumes entries until (and including) the next entry matching
     /// `pred`; returns it, or `None` if the log ends first.
-    pub fn seek(&mut self, pred: impl Fn(&LogEntry) -> bool) -> Option<&'a LogEntry> {
-        while let Some(e) = self.entries.get(self.pos) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SegError`] if an entry on the way is damaged.
+    pub fn seek(&mut self, pred: impl Fn(&LogEntry) -> bool) -> Result<Option<LogEntry>, SegError> {
+        while let Some(e) = self.entries.get(self.pos)? {
             self.pos += 1;
-            if pred(e) {
-                return Some(e);
+            if pred(&e) {
+                return Ok(Some(e.into_owned()));
             }
         }
-        None
+        Ok(None)
     }
 
-    /// Skips a whole nested interval: assuming the next relevant entries
-    /// contain `Prelog(eblock=b)` for some instance, consumes through its
-    /// matching postlog and returns that postlog (§5.2's substitution).
-    /// Handles arbitrarily deep nesting inside.
-    pub fn skip_nested_interval(&mut self, eblock: EBlockId) -> Option<&'a LogEntry> {
-        // Find the nested interval's prelog.
-        let instance = loop {
-            let e = self.entries.get(self.pos)?;
-            self.pos += 1;
-            if let LogEntry::Prelog { eblock: b, instance, .. } = e {
-                if *b == eblock {
-                    break *instance;
-                }
+    /// Skips a whole nested interval (§5.2's substitution): the first
+    /// interval of `eblock` whose prelog is at or after the cursor — the
+    /// one a forward scan would enter — is looked up in the interval
+    /// index, the cursor jumps to its stack-matched postlog, consumes
+    /// and returns it. Only the postlog is decoded, however deep the
+    /// nesting inside. With no such interval, or one still open, the
+    /// cursor ends at the end of the log and returns `None`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SegError`] if the postlog's payload is damaged.
+    pub fn skip_nested_interval(&mut self, eblock: EBlockId) -> Result<Option<LogEntry>, SegError> {
+        let nested = self.index.next_interval(self.proc, eblock, self.pos);
+        match nested.and_then(|iv| iv.postlog_pos) {
+            Some(postlog) => {
+                self.pos = postlog;
+                self.next_entry()
             }
-        };
-        // Consume to the matching postlog (same block id and instance).
-        self.seek(|e| {
-            matches!(e, LogEntry::Postlog { eblock: b, instance: i, .. }
-                     if *b == eblock && *i == instance)
-        })
+            None => {
+                self.pos = self.entries.len();
+                Ok(None)
+            }
+        }
     }
 
-    /// Current position (for diagnostics).
+    /// Current position: the index of the next entry to read.
     pub fn position(&self) -> usize {
         self.pos
     }
@@ -509,11 +555,13 @@ mod tests {
     fn cursor_skips_nested_interval() {
         let s = fig52_store();
         let outer = s.find_interval(ProcId(0), EBlockId(0), 0).unwrap();
-        let mut cur = s.cursor_at(outer);
-        let post = cur.skip_nested_interval(EBlockId(1)).unwrap();
+        let mut cur = s.cursor(ProcId(0), outer.prelog_pos);
+        assert!(matches!(cur.next_entry().unwrap(), Some(LogEntry::Prelog { .. })));
+        let post = cur.skip_nested_interval(EBlockId(1)).unwrap().unwrap();
         assert!(matches!(post, LogEntry::Postlog { eblock: EBlockId(1), .. }));
         // Next entry is SubJ's own postlog.
-        assert!(matches!(cur.next_entry(), Some(LogEntry::Postlog { eblock: EBlockId(0), .. })));
+        let next = cur.next_entry().unwrap();
+        assert!(matches!(next, Some(LogEntry::Postlog { eblock: EBlockId(0), .. })));
     }
 
     #[test]
@@ -527,9 +575,13 @@ mod tests {
         s.push(p, postlog(1, 0, 5));
         s.push(p, postlog(0, 0, 6));
         let outer = s.find_interval(p, EBlockId(0), 0).unwrap();
-        let mut cur = s.cursor_at(outer);
-        let post = cur.skip_nested_interval(EBlockId(1)).unwrap();
+        let mut cur = s.cursor(p, outer.prelog_pos + 1);
+        let post = cur.skip_nested_interval(EBlockId(1)).unwrap().unwrap();
         assert_eq!(post.time(), 5);
+        assert_eq!(cur.position(), 5);
+        // No further interval of EBlock 1: the cursor runs off the end.
+        assert_eq!(cur.skip_nested_interval(EBlockId(1)).unwrap(), None);
+        assert_eq!(cur.position(), 6);
     }
 
     #[test]

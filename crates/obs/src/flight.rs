@@ -204,16 +204,7 @@ pub fn install_panic_hook() {
                 .map(|l| format!(" at {}:{}", l.file(), l.line()))
                 .unwrap_or_default();
             note_with("panic", "panic", format!("{msg}{loc}"));
-            // A broken-pipe print panic (`ppd ... | head` closing stdout)
-            // is routine, not a crash: don't litter the cwd with the
-            // default dump for it. An explicitly configured path still
-            // dumps — the caller asked for the file by name.
-            let configured = panic_dump_path();
-            if configured.is_none() && msg.contains("Broken pipe") {
-                prev(info);
-                return;
-            }
-            let path = configured.unwrap_or_else(|| PathBuf::from(DEFAULT_PANIC_DUMP));
+            let path = panic_dump_path().unwrap_or_else(|| PathBuf::from(DEFAULT_PANIC_DUMP));
             if std::fs::write(&path, global().dump_json()).is_ok() {
                 eprintln!(
                     "flight recorder: dumped {} events to {}",

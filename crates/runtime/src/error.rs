@@ -34,6 +34,9 @@ pub enum RuntimeError {
     InvalidChannel(i64),
     /// Replay needed a log entry that was not found where expected.
     LogMismatch(String),
+    /// Replay could not read a log entry: the on-disk store is damaged.
+    /// The message names the segment file and block.
+    LogUnreadable(String),
 }
 
 impl fmt::Display for RuntimeError {
@@ -51,11 +54,18 @@ impl fmt::Display for RuntimeError {
                 write!(f, "value {v} does not name a channel")
             }
             RuntimeError::LogMismatch(m) => write!(f, "log mismatch during replay: {m}"),
+            RuntimeError::LogUnreadable(m) => write!(f, "unreadable log during replay: {m}"),
         }
     }
 }
 
 impl Error for RuntimeError {}
+
+impl From<ppd_log::SegError> for RuntimeError {
+    fn from(e: ppd_log::SegError) -> RuntimeError {
+        RuntimeError::LogUnreadable(e.to_string())
+    }
+}
 
 /// Why a process is blocked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -26,7 +26,7 @@ use ppd_analysis::{Analyses, EBlockId, EBlockPlan, Region, VarSet, VarSetRepr};
 use ppd_graph::parallel::{ParallelGraph, SyncEdgeLabel, SyncNodeId, SyncNodeKind};
 use ppd_lang::ast::*;
 use ppd_lang::{BodyId, CellMap, ChanId, ChanRef, FuncId, ProcId, ResolvedProgram, Value, VarId};
-use ppd_log::{IntervalRef, LogCursor, LogEntry, LogStore};
+use ppd_log::{IntervalRef, LogCursor, LogEntry, LogStore, SegError};
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -446,7 +446,14 @@ impl<'p> Machine<'p> {
     }
 
     /// Builds a machine that replays one logged e-block interval (the
-    /// emulation package, §5.3).
+    /// emulation package, §5.3). The interval's prelog and every entry
+    /// the replay consumes come through one [`LogCursor`], so a
+    /// segment-backed store decodes only those entries; a damaged one
+    /// ends the replay as [`RuntimeError::LogUnreadable`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SegError`] if the interval's prelog cannot be read.
     ///
     /// # Panics
     ///
@@ -459,7 +466,7 @@ impl<'p> Machine<'p> {
         interval: IntervalRef,
         nested: NestedCalls,
         max_steps: u64,
-    ) -> Machine<'p> {
+    ) -> Result<Machine<'p>, SegError> {
         Self::new_replay_until(rp, analyses, plan, store, interval, nested, max_steps, None)
     }
 
@@ -467,6 +474,10 @@ impl<'p> Machine<'p> {
     /// `stop_at` is about to execute — used to replay an interval that
     /// was open at a breakpoint or deadlock, stopping exactly where the
     /// original execution did.
+    ///
+    /// # Errors
+    ///
+    /// As [`new_replay`](Self::new_replay).
     #[allow(clippy::too_many_arguments)]
     pub fn new_replay_until(
         rp: &'p ResolvedProgram,
@@ -477,7 +488,9 @@ impl<'p> Machine<'p> {
         nested: NestedCalls,
         max_steps: u64,
         stop_at: Option<ppd_lang::StmtId>,
-    ) -> Machine<'p> {
+    ) -> Result<Machine<'p>, SegError> {
+        let mut cursor = store.cursor(interval.proc, interval.prelog_pos);
+        let prelog = cursor.next_entry()?;
         let eb = plan.eblock(interval.eblock);
         let body = eb.region.body();
         let func = match body {
@@ -530,7 +543,7 @@ impl<'p> Machine<'p> {
             cells: CellMap::new(rp),
             logs: None,
             eb_counters: Vec::new(),
-            replay: Some(ReplayState { cursor: store.cursor_at(interval), nested, what_if: false }),
+            replay: Some(ReplayState { cursor, nested, what_if: false }),
             replay_root,
             breakpoints: stop_at.into_iter().collect(),
             hit_breakpoint: None,
@@ -543,12 +556,12 @@ impl<'p> Machine<'p> {
             sink_error: None,
         };
         // Restore the prelog: USED-set values at interval start (§5.1).
-        if let LogEntry::Prelog { values, .. } = store.prelog_of(interval) {
+        if let Some(LogEntry::Prelog { values, .. }) = prelog {
             for (var, value) in values {
-                m.restore_var(*var, value.clone());
+                m.restore_var(var, value);
             }
         }
-        m
+        Ok(m)
     }
 
     /// Overrides a variable's value before a replay runs — the paper's
@@ -1309,8 +1322,8 @@ impl<'p> Machine<'p> {
     ) -> Result<(), RuntimeError> {
         let value = if self.is_replay() {
             let replay = self.replay.as_mut().expect("replay mode");
-            match replay.cursor.seek(|e| matches!(e, LogEntry::Receive { .. })) {
-                Some(LogEntry::Receive { value, .. }) => *value,
+            match replay.cursor.seek(|e| matches!(e, LogEntry::Receive { .. }))? {
+                Some(LogEntry::Receive { value, .. }) => value,
                 _ => {
                     return Err(RuntimeError::LogMismatch(
                         "expected a Receive entry for recv".into(),
@@ -1441,8 +1454,8 @@ impl<'p> Machine<'p> {
     ) -> Result<(), RuntimeError> {
         let value = if self.is_replay() {
             let replay = self.replay.as_mut().expect("replay mode");
-            match replay.cursor.seek(|e| matches!(e, LogEntry::Receive { .. })) {
-                Some(LogEntry::Receive { value, .. }) => *value,
+            match replay.cursor.seek(|e| matches!(e, LogEntry::Receive { .. }))? {
+                Some(LogEntry::Receive { value, .. }) => value,
                 _ => {
                     return Err(RuntimeError::LogMismatch(
                         "expected a Receive entry for channel recv".into(),
@@ -1605,8 +1618,8 @@ impl<'p> Machine<'p> {
             unreachable!("accept replay on non-accept");
         };
         let replay = self.replay.as_mut().expect("replay mode");
-        let value = match replay.cursor.seek(|e| matches!(e, LogEntry::Receive { .. })) {
-            Some(LogEntry::Receive { value, .. }) => *value,
+        let value = match replay.cursor.seek(|e| matches!(e, LogEntry::Receive { .. }))? {
+            Some(LogEntry::Receive { value, .. }) => value,
             _ => {
                 return Err(RuntimeError::LogMismatch("expected a Receive entry for accept".into()))
             }
@@ -1702,8 +1715,8 @@ impl<'p> Machine<'p> {
             ExprKind::Input => {
                 let value = if self.is_replay() {
                     let replay = self.replay.as_mut().expect("replay mode");
-                    match replay.cursor.seek(|e| matches!(e, LogEntry::Input { .. })) {
-                        Some(LogEntry::Input { value, .. }) => *value,
+                    match replay.cursor.seek(|e| matches!(e, LogEntry::Input { .. }))? {
+                        Some(LogEntry::Input { value, .. }) => value,
                         _ => {
                             return Err(RuntimeError::LogMismatch(
                                 "expected an Input entry for input()".into(),
@@ -1782,14 +1795,13 @@ impl<'p> Machine<'p> {
             let eb = plan.body_eblock(BodyId::Func(func)).expect("checked");
             let replay = self.replay.as_mut().expect("replay mode");
             let Some(LogEntry::Postlog { values, ret, .. }) =
-                replay.cursor.skip_nested_interval(eb)
+                replay.cursor.skip_nested_interval(eb)?
             else {
                 return Err(RuntimeError::LogMismatch(format!(
                     "missing nested interval for {}",
                     self.rp.func_name(func)
                 )));
             };
-            let values = values.clone();
             let ret_val = ret.as_ref().and_then(Value::as_int).unwrap_or(0);
             for (var, value) in values {
                 if self.rp.is_shared(var) {
@@ -1932,8 +1944,8 @@ impl<'p> Machine<'p> {
         let what_if = self.replay.as_ref().is_some_and(|r| r.what_if);
         let value = if element_logged && self.is_replay() && !what_if {
             let replay = self.replay.as_mut().expect("replay mode");
-            match replay.cursor.seek(|e| matches!(e, LogEntry::ElementRead { .. })) {
-                Some(LogEntry::ElementRead { value, .. }) => *value,
+            match replay.cursor.seek(|e| matches!(e, LogEntry::ElementRead { .. }))? {
+                Some(LogEntry::ElementRead { value, .. }) => value,
                 _ => {
                     return Err(RuntimeError::LogMismatch(
                         "expected an ElementRead entry for array read".into(),
@@ -2270,16 +2282,16 @@ impl<'p> Machine<'p> {
             return Ok(());
         }
         let replay = self.replay.as_mut().expect("replay mode");
-        let entry = replay.cursor.seek(|e| matches!(e, LogEntry::SharedSnapshot { .. }));
+        let entry = replay.cursor.seek(|e| matches!(e, LogEntry::SharedSnapshot { .. }))?;
         let Some(LogEntry::SharedSnapshot { at: logged_at, values, .. }) = entry else {
             return Err(RuntimeError::LogMismatch("expected a SharedSnapshot entry".into()));
         };
-        if *logged_at != at {
+        if logged_at != at {
             return Err(RuntimeError::LogMismatch(format!(
                 "snapshot boundary mismatch: logged {logged_at:?}, replaying {at:?}"
             )));
         }
-        for (var, value) in values.clone() {
+        for (var, value) in values {
             self.shared[var.index()] = value;
         }
         Ok(())
@@ -2309,10 +2321,9 @@ impl<'p> Machine<'p> {
             return Ok(false);
         }
         let replay = self.replay.as_mut().expect("replay mode");
-        let Some(LogEntry::Postlog { values, .. }) = replay.cursor.skip_nested_interval(eb) else {
+        let Some(LogEntry::Postlog { values, .. }) = replay.cursor.skip_nested_interval(eb)? else {
             return Err(RuntimeError::LogMismatch(format!("missing nested loop interval {eb}")));
         };
-        let values = values.clone();
         for (var, value) in values {
             if self.rp.is_shared(var) {
                 self.shared[var.index()] = value;

@@ -503,8 +503,7 @@ fn assert_replay_fidelity(src: &str, inputs: Vec<Vec<i64>>, strategy: EBlockStra
         for interval in logs.intervals(pid) {
             // Replay with full expansion and compare against the original
             // events that fall inside the interval.
-            let start = logs.prelog_of(interval).time();
-            let end = logs.postlog_of(interval).map(|e| e.time()).unwrap_or(u64::MAX);
+            let (start, end) = logs.index().time_span(interval).expect("indexed interval");
             let machine = Machine::new_replay(
                 &i.rp,
                 &i.analyses,
@@ -513,7 +512,8 @@ fn assert_replay_fidelity(src: &str, inputs: Vec<Vec<i64>>, strategy: EBlockStra
                 interval,
                 NestedCalls::Expand,
                 1_000_000,
-            );
+            )
+            .expect("prelog reads");
             let mut tracer = VecTracer::default();
             let rep = machine.run_replay(&mut tracer);
             if !failed {
@@ -643,7 +643,8 @@ fn replay_reproduces_failure() {
         interval,
         NestedCalls::Substitute,
         1_000_000,
-    );
+    )
+    .expect("prelog reads");
     let mut tracer = VecTracer::default();
     let rep = machine.run_replay(&mut tracer);
     let Outcome::Failed { stmt: rstmt, error: rerror, .. } = rep.outcome else {
@@ -681,7 +682,8 @@ fn substitution_skips_callee_events() {
         main_interval,
         NestedCalls::Substitute,
         1_000_000,
-    );
+    )
+    .expect("prelog reads");
     let mut tracer = VecTracer::default();
     let rep = machine.run_replay(&mut tracer);
     assert!(rep.outcome.is_success());
@@ -736,7 +738,8 @@ fn shared_snapshot_restores_cross_process_values() {
         interval,
         NestedCalls::Substitute,
         100_000,
-    );
+    )
+    .expect("prelog reads");
     let mut tracer = VecTracer::default();
     let rep = machine.run_replay(&mut tracer);
     assert!(rep.outcome.is_success());
@@ -792,7 +795,8 @@ fn loop_substitution_event_emitted() {
         body_interval,
         NestedCalls::Substitute,
         1_000_000,
-    );
+    )
+    .expect("prelog reads");
     let mut tracer = VecTracer::default();
     let rep = machine.run_replay(&mut tracer);
     assert!(rep.outcome.is_success(), "{:?}", rep.outcome);
@@ -812,8 +816,7 @@ fn replay_loop_interval_directly() {
         .into_iter()
         .find(|iv| matches!(i.plan.eblock(iv.eblock).region, ppd_analysis::Region::Loop { .. }))
         .expect("loop interval");
-    let start = logs.prelog_of(loop_interval).time();
-    let end = logs.postlog_of(loop_interval).unwrap().time();
+    let (start, end) = logs.index().time_span(loop_interval).expect("indexed interval");
     let machine = Machine::new_replay(
         &i.rp,
         &i.analyses,
@@ -822,7 +825,8 @@ fn replay_loop_interval_directly() {
         loop_interval,
         NestedCalls::Expand,
         1_000_000,
-    );
+    )
+    .expect("prelog reads");
     let mut tracer = VecTracer::default();
     let rep = machine.run_replay(&mut tracer);
     assert!(rep.outcome.is_success(), "{:?}", rep.outcome);

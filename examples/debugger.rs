@@ -222,13 +222,15 @@ impl Debugger {
                 }
                 None => println!("not deadlocked"),
             },
-            "state" => {
-                let state = shared_state_at(&self.session, execution, u64::MAX);
-                for v in self.session.rp().shared_vars() {
-                    println!("  {} = {}", self.session.rp().var_name(v), state[v.index()]);
+            "state" => match shared_state_at(&self.session, execution, u64::MAX) {
+                Ok(state) => {
+                    for v in self.session.rp().shared_vars() {
+                        println!("  {} = {}", self.session.rp().var_name(v), state[v.index()]);
+                    }
+                    println!("  (last logged values; replay regenerates in-interval updates)");
                 }
-                println!("  (last logged values; replay regenerates in-interval updates)");
-            }
+                Err(e) => println!("{e}"),
+            },
             "intervals" => {
                 let proc = controller.graph().node(root).proc;
                 for iv in execution.logs.intervals(proc) {

@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let rp = session.rp();
     println!("restored shared state:");
     for (label, t) in [("t = 0", 0), ("at halt", u64::MAX)] {
-        let state = shared_state_at(&session, &execution, t);
+        let state = shared_state_at(&session, &execution, t)?;
         let rendered: Vec<String> = rp
             .shared_vars()
             .map(|v| format!("{} = {}", rp.var_name(v), state[v.index()]))

@@ -52,8 +52,8 @@
 //!                       `ppd log pack` (default 65536)
 //!   --compress          run/debug/races/`ppd log pack`: compress segment
 //!                       payloads block-by-block (LZ77 frames, ~256 KiB
-//!                       blocks) as they are sealed; a query decodes each
-//!                       process it replays in full, on first touch
+//!                       blocks) as they are sealed; a replay inflates
+//!                       only the blocks holding the entries it consumes
 //!   --journal FILE      debug/races: append one JSONL record per
 //!                       Controller query (kind, args, wall latency,
 //!                       cache hits/misses/evictions, log entries
@@ -227,6 +227,7 @@ fn main() -> ExitCode {
     // leave a black-box dump behind (default ppd-flight-panic.json,
     // or the --flight-out path once parsed below).
     ppd::obs::flight::install_panic_hook();
+    exit_quietly_on_closed_stdout();
     let mut raw = std::env::args().skip(1).peekable();
     if raw.peek().map(String::as_str) == Some("log") {
         raw.next();
@@ -323,6 +324,27 @@ fn main() -> ExitCode {
         }
     }
     code
+}
+
+/// Ends the process quietly, with status 0, when printing fails
+/// because the reader of stdout went away (`ppd check FILE | head`):
+/// `println!` panics on the broken pipe, and that is the end of the
+/// output, not a crash — no panic message, no flight dump. Every other
+/// panic goes on to the flight recorder's hook.
+fn exit_quietly_on_closed_stdout() {
+    let next = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info
+            .payload()
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| info.payload().downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        next(info);
+    }));
 }
 
 /// Writes the OpenMetrics exposition for `--metrics-out`: the global
@@ -1005,12 +1027,14 @@ fn cmd_debug(session: &PpdSession, opts: &Options) -> ExitCode {
                 println!("stats reset (cached traces kept warm)");
             }
             ("stats", _) => println!("{}", render_stats(&controller, opts)),
-            ("state", _) => {
-                let state = shared_state_at(session, &execution, u64::MAX);
-                for v in session.rp().shared_vars() {
-                    println!("  {} = {}", session.rp().var_name(v), state[v.index()]);
+            ("state", _) => match shared_state_at(session, &execution, u64::MAX) {
+                Ok(state) => {
+                    for v in session.rp().shared_vars() {
+                        println!("  {} = {}", session.rp().var_name(v), state[v.index()]);
+                    }
                 }
-            }
+                Err(e) => println!("{e}"),
+            },
             ("dot", _) => println!("{}", dot::dynamic_to_dot(controller.graph())),
             ("", _) => {}
             _ => println!("unknown command or bad node id"),

@@ -282,6 +282,129 @@ fn log_verify_flags_payload_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Packs `programs/bank.ppd` under `--strategy loops` into a fresh
+/// store named `name`, then flips three bytes in the middle of the
+/// stored frame of the payload block holding entry `pos` of `proc`.
+/// Returns the store directory, the damaged segment's file name and the
+/// block's index.
+fn damaged_bank_store(
+    name: &str,
+    proc: u32,
+    pos: impl Fn(&ppd::log::IntervalIndex) -> usize,
+) -> (String, String, usize) {
+    let dir = std::env::temp_dir().join("ppd_cli_test").join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap().to_owned();
+    let (_, stderr, ok) =
+        run_ppd(&["log", "pack", "programs/bank.ppd", &dir_s, "--strategy", "loops"]);
+    assert!(ok, "{stderr}");
+    let (file, block, at) = {
+        let seg = ppd::log::SegmentedLog::open(&dir).expect("store opens");
+        let pos = pos(&seg.index()) as u64;
+        let proc = ppd::lang::ProcId(proc);
+        let meta = seg
+            .segments(proc)
+            .find(|m| m.base_seq <= pos && pos < m.base_seq + m.entry_count)
+            .expect("a segment holds the entry");
+        let off = meta.entry_offset((pos - meta.base_seq) as usize).unwrap();
+        let (b, block) = meta
+            .blocks()
+            .iter()
+            .enumerate()
+            .find(|(_, b)| b.uncomp_off <= off && off < b.uncomp_off + b.uncomp_len)
+            .expect("a block holds the entry");
+        let at = meta.payload_start() + (block.stored_off + block.stored_len / 2) as usize;
+        (meta.file.clone(), b, at)
+    };
+    let path = dir.join(&file);
+    let mut bytes = std::fs::read(&path).unwrap();
+    for byte in &mut bytes[at..at + 3] {
+        *byte ^= 0x5a;
+    }
+    std::fs::write(&path, bytes).unwrap();
+    (dir_s, file, block)
+}
+
+#[test]
+fn debug_on_a_damaged_payload_is_a_positioned_error() {
+    // bank completes, so debugging starts from process 0's last
+    // top-level interval: damage the block holding its prelog.
+    let (dir, file, block) = damaged_bank_store("damaged-start", 0, |index| {
+        index.top_level(ppd::lang::ProcId(0)).last().expect("process 0 logged").prelog_pos
+    });
+    let out = ppd()
+        .args(["debug", "programs/bank.ppd", "--strategy", "loops", "--log-dir", &dir])
+        .stdin(Stdio::null())
+        .output()
+        .expect("ppd binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&file) && stderr.contains(&format!("block {block}")), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let (_, stderr, ok) = run_ppd(&["log", "verify", &dir]);
+    assert!(!ok && stderr.contains("payload crc mismatch"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn debug_state_on_a_damaged_store_prints_the_error() {
+    // Process 1's log is damaged; debugging starts (from process 0)
+    // and `state`, which reads every process, reports the damage.
+    let (dir, file, block) = damaged_bank_store("damaged-state", 1, |_| 0);
+    let mut child = ppd()
+        .args(["debug", "programs/bank.ppd", "--strategy", "loops", "--log-dir", &dir])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    use std::io::Write;
+    child.stdin.take().unwrap().write_all(b"state\nquit\n").unwrap();
+    let out = child.wait_with_output().unwrap();
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert!(out.status.success(), "{stderr}");
+    assert!(stdout.contains(&format!("corrupt segment {file}: block {block}")), "{stdout}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // Enough e-blocks that `ppd check` prints more than a pipe holds, so
+    // it is still writing when the reader goes away after one line.
+    let dir = std::env::temp_dir().join("ppd_cli_test").join("closed-stdout");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("many_functions.ppd");
+    let mut source: String =
+        (0..4000).map(|i| format!("int f{i}(int x) {{ return x + {i}; }}\n")).collect();
+    source.push_str("process M { int y = f0(1); print(y); }\n");
+    std::fs::write(&file, source).unwrap();
+    let mut child = ppd()
+        .arg("check")
+        .arg(&file)
+        .current_dir(&dir)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut first = String::new();
+    {
+        use std::io::BufRead;
+        let mut reader = std::io::BufReader::new(child.stdout.take().unwrap());
+        reader.read_line(&mut first).unwrap();
+    } // the read end closes here
+    assert!(first.starts_with("ok:"), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.status.success(), "exit {:?}: {stderr}", out.status.code());
+    assert!(!dir.join("ppd-flight-panic.json").exists(), "a closed pipe is not a crash");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn races_over_log_dir_match_in_memory() {
     // The CI smoke check in test form: probing schedules through

@@ -12,10 +12,10 @@
 mod common;
 
 use common::{expand_all, fingerprint, workloads, Gen};
-use ppd::analysis::EBlockStrategy;
+use ppd::analysis::{EBlockId, EBlockStrategy};
 use ppd::core::{Controller, Execution, PpdSession, RunConfig};
-use ppd::lang::{corpus, ProcId};
-use ppd::log::{IntervalIndex, LogStore, SegmentFormat, SegmentWriter};
+use ppd::lang::{corpus, ProcId, Value, VarId};
+use ppd::log::{IntervalIndex, IntervalRef, LogEntry, LogStore, SegmentFormat, SegmentWriter};
 use ppd::runtime::SchedulerSpec;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -146,6 +146,144 @@ fn opening_a_store_decodes_no_entries() {
     let n0 = loaded.logs.log(ProcId(0)).entries.len() as u64;
     assert_eq!(seg.entries_decoded(), n0, "touching proc 0 decodes exactly its entries");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Entries a replay of `interval` reads: those from its prelog up to
+/// its postlog (or the end of the log, if it is still open) that lie
+/// outside its nested intervals, plus one postlog per nested interval —
+/// counted from the index alone.
+fn consumed_entries(index: &IntervalIndex, interval: IntervalRef, log_len: usize) -> u64 {
+    let end = interval.postlog_pos.unwrap_or(log_len);
+    let nested: usize = index
+        .direct_children(interval)
+        .iter()
+        .map(|c| c.postlog_pos.expect("nested intervals of a replay are closed") - c.prelog_pos)
+        .sum();
+    (end - interval.prelog_pos - nested) as u64
+}
+
+/// On a segment store, replay decodes exactly the entries it consumes:
+/// the halted interval's own entries and one postlog per nested
+/// interval at `start`, then the same for the interval an `expand`
+/// replays — never a nested interval's interior, and fewer entries than
+/// the process logged.
+#[test]
+fn replay_decodes_only_the_entries_it_consumes() {
+    // Process H1 folds 8 rounds of 4 updates into the shared array, each
+    // round and each inner loop its own loop e-block, then fails: the
+    // halted body interval holds one nested round loop, which holds 8
+    // inner loops.
+    let body = |base: u32| {
+        format!(
+            "    int r;\n    int k;\n    int j;\n    int s = 0;\n    \
+             for (r = 0; r < 8; r = r + 1) {{\n        for (k = 0; k < 4; k = k + 1) {{ \
+             j = {base} + (r * 13 + k * 7) % 32; hist[j] = hist[j] + k; }}\n    }}\n"
+        )
+    };
+    let source = format!(
+        "shared int hist[64];\nprocess H0 {{\n{}    print(hist[0]);\n}}\n\
+         process H1 {{\n{}    assert(s < 0);\n}}\n",
+        body(0),
+        body(32)
+    );
+    let session =
+        PpdSession::prepare(&source, EBlockStrategy::with_loops(4)).expect("program compiles");
+    let execution = session.execute(RunConfig::default());
+    assert!(execution.outcome.is_failure(), "{:?}", execution.outcome);
+    for (tag, format) in FORMATS {
+        let dir = tmp_dir(&format!("decode-count-{tag}"));
+        execution.save_dir(&dir, SEG_BYTES, format).expect("save_dir succeeds");
+        let loaded = Execution::load_dir(&dir).expect("load_dir succeeds");
+        let seg = loaded.logs.segmented().expect("segment-backed").clone();
+        let index = loaded.logs.index();
+        let proc = ProcId(1);
+        let log_len: usize = seg.segments(proc).map(|m| m.entry_count as usize).sum();
+        let halted = *index.open_intervals(proc).last().expect("H1 halted inside its body");
+
+        let mut c = Controller::new(&session, &loaded);
+        c.start().expect("debugging starts");
+        let after_start = seg.entries_decoded();
+        assert_eq!(after_start, consumed_entries(&index, halted, log_len), "{tag}: start");
+        assert!(after_start < log_len as u64, "{tag}: start decoded the whole process");
+
+        let round_loop = index.direct_children(halted);
+        assert_eq!(round_loop.len(), 1, "{tag}: the body nests one round loop");
+        assert_eq!(index.direct_children(round_loop[0]).len(), 8, "{tag}: 8 inner loops");
+        let node = *c.unexpanded().first().expect("the round loop is expandable");
+        c.expand(node).expect("expand replays the round loop");
+        assert_eq!(
+            seg.entries_decoded() - after_start,
+            consumed_entries(&index, round_loop[0], log_len),
+            "{tag}: expand"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The reference for [`ppd::log::LogCursor::skip_nested_interval`]: the
+/// linear scan it replaced, from `pos` forward to the next prelog of
+/// `eblock`, then on to the postlog of that instance. Returns the
+/// postlog and the position after it, or `None` and the end of the log
+/// if either is missing.
+fn linear_skip(
+    entries: &[LogEntry],
+    mut pos: usize,
+    eblock: EBlockId,
+) -> (Option<LogEntry>, usize) {
+    let instance = loop {
+        match entries.get(pos) {
+            None => return (None, pos),
+            Some(LogEntry::Prelog { eblock: b, instance, .. }) if *b == eblock => {
+                pos += 1;
+                break *instance;
+            }
+            Some(_) => pos += 1,
+        }
+    };
+    while let Some(e) = entries.get(pos) {
+        pos += 1;
+        if matches!(e, LogEntry::Postlog { eblock: b, instance: i, .. } if *b == eblock && *i == instance)
+        {
+            return (Some(e.clone()), pos);
+        }
+    }
+    (None, pos)
+}
+
+/// A well-formed nested log of one process, driven by `bytes`: prelogs
+/// of three e-blocks (so recursion through one e-block is common),
+/// postlogs closing the innermost open interval, and snapshot, input
+/// and receive entries between them. Whatever is still open at the end
+/// is the open tail.
+fn nested_log(bytes: &[u8]) -> LogStore {
+    let p = ProcId(0);
+    let mut store = LogStore::new(1);
+    let mut open: Vec<(EBlockId, u64)> = Vec::new();
+    let mut next_instance = [0u64; 3];
+    for (t, &b) in bytes.iter().enumerate() {
+        let (time, v) = (t as u64 + 1, t as i64);
+        let entry = match (b % 8, open.last().copied()) {
+            (0..=2, _) => {
+                let eblock = EBlockId(u32::from(b / 8 % 3));
+                let instance = next_instance[eblock.0 as usize];
+                next_instance[eblock.0 as usize] += 1;
+                open.push((eblock, instance));
+                LogEntry::Prelog { eblock, instance, values: vec![(VarId(0), Value::Int(v))], time }
+            }
+            (3..=5, Some((eblock, instance))) => {
+                open.pop();
+                let values = vec![(VarId(0), Value::Int(-v))];
+                LogEntry::Postlog { eblock, instance, values, ret: None, time }
+            }
+            (6, _) => {
+                LogEntry::SharedSnapshot { at: None, values: vec![(VarId(1), Value::Int(v))], time }
+            }
+            _ if b % 2 == 0 => LogEntry::Input { value: v, time },
+            _ => LogEntry::Receive { value: v, time },
+        };
+        store.push(p, entry);
+    }
+    store
 }
 
 /// Streaming-sink parity: a run that streams segments to disk as it
@@ -421,5 +559,52 @@ proptest! {
             "generated program diverged across the disk round-trip"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The index jump lands where the linear scan did: from every cursor
+    /// position of a random nested log, and for every e-block (including
+    /// one never logged), `skip_nested_interval` returns the same postlog
+    /// and leaves the cursor at the same position — over the in-memory
+    /// log and over raw and compressed segment stores of it.
+    #[test]
+    fn index_jump_matches_linear_scan(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
+        let mem = nested_log(&bytes);
+        let entries = mem.log(ProcId(0)).entries.clone();
+        let mut stores = vec![mem];
+        let dirs: Vec<PathBuf> = FORMATS
+            .iter()
+            .map(|(tag, format)| {
+                let dir = tmp_dir(&format!("jump-{tag}-{}-{:?}", bytes.len(), bytes.first()));
+                stores[0].write_dir(&dir, 64, *format).expect("write_dir succeeds");
+                dir
+            })
+            .collect();
+        for dir in &dirs {
+            stores.push(LogStore::open_dir(dir).expect("store opens"));
+        }
+        for store in &stores {
+            for pos in 0..=entries.len() {
+                for eb in 0..4 {
+                    let eblock = EBlockId(eb);
+                    let mut cursor = store.cursor(ProcId(0), pos);
+                    let got = cursor.skip_nested_interval(eblock).expect("store is intact");
+                    prop_assert_eq!(
+                        (got, cursor.position()),
+                        linear_skip(&entries, pos, eblock),
+                        "pos {} eblock {} segmented {}",
+                        pos,
+                        eb,
+                        store.is_segmented()
+                    );
+                }
+            }
+        }
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 }

@@ -315,7 +315,8 @@ fn journal_charges_only_the_queried_store() {
         scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
                 for p in 0..b.logs.process_count() {
-                    seg_b.entries_in_range(ProcId(p as u32), 0, u64::MAX).unwrap();
+                    let mut cursor = b.logs.cursor(ProcId(p as u32), 0);
+                    while cursor.next_entry().unwrap().is_some() {}
                 }
                 reading.store(true, Ordering::Relaxed);
             }

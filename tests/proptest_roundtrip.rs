@@ -63,10 +63,9 @@ proptest! {
         prop_assert!(exec.outcome.is_success());
 
         for interval in exec.logs.intervals(ProcId(0)) {
-            let start = exec.logs.prelog_of(interval).time();
-            let end = exec.logs.postlog_of(interval).map(|e| e.time()).unwrap_or(u64::MAX);
+            let (start, end) = exec.logs.index().time_span(interval).unwrap();
             let mut replayed = VecTracer::default();
-            let res = faithful_replay(&session, &exec, interval, &mut replayed);
+            let res = faithful_replay(&session, &exec, interval, &mut replayed).unwrap();
             prop_assert!(res.outcome.is_success(), "{:?}", res.outcome);
             let expected: Vec<_> = original
                 .events
