@@ -152,9 +152,41 @@ impl<'a> Reader<'a> {
     }
 
     pub(crate) fn signed(&mut self) -> Result<i64, BinError> {
-        let v = self.varint()?;
-        Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
+        Ok(unzigzag(self.varint()?))
     }
+
+    /// Appends `len` signed cells to `out`. A run of one-byte cells
+    /// decodes in one pass over the slice; a multi-byte cell (or the end
+    /// of the input) goes through [`signed`](Self::signed), so errors and
+    /// their offsets are those of a cell-by-cell decode. Every cell takes
+    /// at least one byte, so the reservation is bounded by the bytes
+    /// left, whatever `len` claims.
+    fn cells(&mut self, len: usize, out: &mut Vec<i64>) -> Result<(), BinError> {
+        out.reserve_exact(len.min(self.remaining()));
+        let mut left = len;
+        while left > 0 {
+            let rest = &self.bytes[self.pos..];
+            let before = out.len();
+            for &b in &rest[..left.min(rest.len())] {
+                if b & 0x80 != 0 {
+                    break;
+                }
+                out.push(unzigzag(u64::from(b)));
+            }
+            let run = out.len() - before;
+            self.pos += run;
+            left -= run;
+            if left > 0 {
+                out.push(self.signed()?);
+                left -= 1;
+            }
+        }
+        Ok(())
+    }
+}
+
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 // ---------------------------------------------------------------------
@@ -183,10 +215,8 @@ fn get_value(r: &mut Reader<'_>) -> Result<Value, BinError> {
         VAL_INT => Ok(Value::Int(r.signed()?)),
         VAL_ARRAY => {
             let len = r.varint()? as usize;
-            let mut a = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                a.push(r.signed()?);
-            }
+            let mut a = Vec::new();
+            r.cells(len, &mut a)?;
             Ok(Value::Array(a))
         }
         t => Err(BinError::new(BinErrorKind::BadTag(t), at)),
@@ -303,6 +333,7 @@ pub(crate) fn get_entry(r: &mut Reader<'_>) -> Result<LogEntry, BinError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// One entry of every kind, with edge-case values.
     fn every_kind() -> Vec<LogEntry> {
@@ -395,5 +426,167 @@ mod tests {
         assert_eq!(err.kind, BinErrorKind::UnexpectedEof);
         assert_eq!(err.offset, base + bytes.len(), "offset names the truncation point");
         assert_eq!(err.context.as_deref(), Some("p0001-s000002.seg"));
+    }
+
+    /// A byte-at-a-time decode of a postlog — one bounds check and one
+    /// error offset per byte — kept as the reference the array fast path
+    /// must agree with, errors and offsets included.
+    struct Slow<'a> {
+        bytes: &'a [u8],
+        pos: usize,
+        base: usize,
+    }
+
+    impl Slow<'_> {
+        fn byte(&mut self) -> Result<u8, BinError> {
+            let at = self.base + self.pos;
+            let b =
+                *self.bytes.get(self.pos).ok_or(BinError::new(BinErrorKind::UnexpectedEof, at))?;
+            self.pos += 1;
+            Ok(b)
+        }
+
+        fn varint(&mut self) -> Result<u64, BinError> {
+            let (mut v, mut shift) = (0u64, 0u32);
+            loop {
+                let at = self.base + self.pos;
+                let b = self.byte()?;
+                if shift >= 64 {
+                    return Err(BinError::new(BinErrorKind::BadTag(b), at));
+                }
+                v |= u64::from(b & 0x7f) << shift;
+                if b & 0x80 == 0 {
+                    return Ok(v);
+                }
+                shift += 7;
+            }
+        }
+
+        fn signed(&mut self) -> Result<i64, BinError> {
+            let v = self.varint()?;
+            Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
+        }
+
+        fn value(&mut self) -> Result<Value, BinError> {
+            let at = self.base + self.pos;
+            match self.byte()? {
+                VAL_INT => Ok(Value::Int(self.signed()?)),
+                VAL_ARRAY => {
+                    let len = self.varint()?;
+                    (0..len).map(|_| self.signed()).collect::<Result<_, _>>().map(Value::Array)
+                }
+                t => Err(BinError::new(BinErrorKind::BadTag(t), at)),
+            }
+        }
+
+        fn postlog(&mut self) -> Result<LogEntry, BinError> {
+            let at = self.base + self.pos;
+            match self.byte()? {
+                TAG_POSTLOG => Ok(LogEntry::Postlog {
+                    eblock: EBlockId(self.varint()? as u32),
+                    instance: self.varint()?,
+                    values: (0..self.varint()?)
+                        .map(|_| Ok((VarId(self.varint()? as u32), self.value()?)))
+                        .collect::<Result<_, _>>()?,
+                    ret: match self.byte()? {
+                        0 => None,
+                        _ => Some(self.value()?),
+                    },
+                    time: self.varint()?,
+                }),
+                t => Err(BinError::new(BinErrorKind::BadTag(t), at)),
+            }
+        }
+    }
+
+    /// A postlog carrying `cells` as an array snapshot and as the
+    /// return value, around a scalar.
+    fn array_postlog(cells: &[i64]) -> LogEntry {
+        LogEntry::Postlog {
+            eblock: EBlockId(300),
+            instance: 7,
+            values: vec![(VarId(1), Value::Array(cells.to_vec())), (VarId(200), Value::Int(-65))],
+            ret: Some(Value::Array(cells.iter().rev().copied().collect())),
+            time: 1 << 20,
+        }
+    }
+
+    /// Mostly one-byte cells (zigzag -64..=63), with multi-byte cells —
+    /// the extremes included — breaking the runs at random positions.
+    fn cells(picks: &[(u8, i64)]) -> Vec<i64> {
+        let extremes = [i64::MIN, i64::MAX, 64, -65];
+        picks
+            .iter()
+            .map(|&(pick, v)| match pick {
+                0..=7 => v.rem_euclid(128) - 64,
+                8 => v,
+                _ => extremes[v.rem_euclid(4) as usize],
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// Arrays whose one-byte runs are broken by multi-byte cells
+        /// round-trip, consuming exactly their bytes.
+        #[test]
+        fn arrays_with_broken_runs_round_trip(picks in proptest::collection::vec((0u8..10, any::<i64>()), 0..300)) {
+            let e = array_postlog(&cells(&picks));
+            let bytes = encode(std::slice::from_ref(&e));
+            let mut r = Reader::new(&bytes);
+            prop_assert_eq!(get_entry(&mut r).expect("decodes"), e);
+            prop_assert_eq!(r.remaining(), 0);
+        }
+
+        /// Every truncation of an array entry is `UnexpectedEof` at the
+        /// offset the byte-at-a-time reference reports.
+        #[test]
+        fn array_truncations_match_the_reference(
+            picks in proptest::collection::vec((0u8..10, any::<i64>()), 0..300),
+            base in 0usize..100,
+        ) {
+            let bytes = encode(&[array_postlog(&cells(&picks))]);
+            for cut in 0..bytes.len() {
+                let fast = get_entry(&mut Reader::with_base(&bytes[..cut], base)).unwrap_err();
+                let slow = Slow { bytes: &bytes[..cut], pos: 0, base }.postlog().unwrap_err();
+                prop_assert_eq!(&fast, &slow);
+                prop_assert_eq!(fast.kind, BinErrorKind::UnexpectedEof);
+            }
+        }
+
+        /// Damaged array entries decode to what the reference decodes,
+        /// or fail with its error kind at its offset.
+        #[test]
+        fn damaged_arrays_match_the_reference(
+            picks in proptest::collection::vec((0u8..10, any::<i64>()), 0..300),
+            flips in proptest::collection::vec((any::<usize>(), 1u8..255), 1..4),
+        ) {
+            let mut bytes = encode(&[array_postlog(&cells(&picks))]);
+            for (at, mask) in flips {
+                // Past the tag: the reference decodes postlogs only.
+                let at = 1 + at % (bytes.len() - 1);
+                bytes[at] ^= mask;
+            }
+            let fast = get_entry(&mut Reader::with_base(&bytes, 9));
+            let slow = Slow { bytes: &bytes, pos: 0, base: 9 }.postlog();
+            prop_assert_eq!(fast, slow);
+        }
+    }
+
+    #[test]
+    fn hostile_array_length_is_eof_without_allocating_it() {
+        // 2^40 cells declared over three bytes of cells.
+        let mut bytes = vec![VAL_ARRAY];
+        put_varint(&mut bytes, 1 << 40);
+        bytes.extend_from_slice(&[2, 4, 6]);
+        let err = get_value(&mut Reader::with_base(&bytes, 40)).unwrap_err();
+        assert_eq!(err, BinError::new(BinErrorKind::UnexpectedEof, 40 + bytes.len()));
+        let mut r = Reader::with_base(&bytes[bytes.len() - 3..], 40);
+        let mut out = Vec::new();
+        let err = r.cells(1 << 40, &mut out).unwrap_err();
+        assert_eq!(err, BinError::new(BinErrorKind::UnexpectedEof, 43));
+        assert_eq!(out, [1, 2, 3], "the cells before the end decode");
+        assert!(out.capacity() <= 3, "reserved {} cells for 3 bytes", out.capacity());
     }
 }

@@ -47,7 +47,8 @@
 //! block), while `verify` decompresses segments in parallel over the
 //! vendored work-stealing pool.
 //!
-//! Two CRC32s (IEEE) guard a segment, split so that open-time cost is
+//! Two CRC-32s guard a segment — [`lzb::crc32`], the IEEE checksum the
+//! block frames carry too — split so that open-time cost is
 //! proportional to the *footer*, not the log: the trailer's
 //! `footer_crc` covers the footer body and is checked when the
 //! directory is opened (a corrupt index must never be trusted), while
@@ -104,63 +105,6 @@ pub const MANIFEST_NAME: &str = "manifest.json";
 /// Fixed entry-kind order used by footer count tables (the binio tag
 /// order).
 pub const KIND_NAMES: [&str; 6] = ["prelog", "postlog", "shared", "input", "receive", "element"];
-
-// ---------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected) — the dependency set vendors no crc
-// crate. Slice-by-8: eight const tables let the hot loop fold eight
-// bytes per iteration, which matters because `verify` checksums whole
-// payloads and `open` checksums every footer.
-// ---------------------------------------------------------------------
-
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        t[0][i] = c;
-        i += 1;
-    }
-    let mut s = 1;
-    while s < 8 {
-        let mut i = 0;
-        while i < 256 {
-            t[s][i] = (t[s - 1][i] >> 8) ^ t[0][(t[s - 1][i] & 0xff) as usize];
-            i += 1;
-        }
-        s += 1;
-    }
-    t
-}
-
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-/// CRC32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for ch in &mut chunks {
-        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
-        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
-        c = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 // ---------------------------------------------------------------------
 // Errors, manifest, reports, formats
@@ -427,7 +371,7 @@ fn parse_segment(file: &str, bytes: &[u8]) -> Result<SegmentMeta, String> {
     // Open-time integrity covers exactly the bytes open relies on: the
     // footer body. The payload crc stored inside it is deferred to
     // `verify`, keeping open O(footer) instead of O(log).
-    let actual_crc = crc32(&bytes[footer_start..body_end]);
+    let actual_crc = lzb::crc32(&bytes[footer_start..body_end]);
     if actual_crc != stored_crc {
         return Err(format!(
             "footer crc mismatch (stored {stored_crc:#010x}, computed {actual_crc:#010x})"
@@ -790,7 +734,7 @@ impl SegmentWriter {
             let mut footer = Vec::new();
             // Payload crc first (fixed width): covers header + stored
             // payload, i.e. everything already in `pw.buf`.
-            footer.extend_from_slice(&crc32(&pw.buf).to_le_bytes());
+            footer.extend_from_slice(&lzb::crc32(&pw.buf).to_le_bytes());
             binio::put_varint(&mut footer, pw.entries);
             binio::put_varint(&mut footer, pw.uncomp_len);
             binio::put_varint(&mut footer, pw.logical_bytes);
@@ -820,7 +764,7 @@ impl SegmentWriter {
                 binio::put_varint(&mut footer, ulen);
                 binio::put_varint(&mut footer, slen);
             }
-            let footer_crc = crc32(&footer);
+            let footer_crc = lzb::crc32(&footer);
             let mut tail = footer;
             let footer_len = tail.len() as u32;
             tail.extend_from_slice(&footer_len.to_le_bytes());
@@ -1728,7 +1672,7 @@ impl SegmentedLog {
         // first so a flipped bit is pinned to the checksum, whether it
         // lands in a raw-escape or a compressed frame.
         let stored_end = seg.meta.payload_start + seg.meta.stored_len as usize;
-        let actual_crc = crc32(&seg.map[..stored_end]);
+        let actual_crc = lzb::crc32(&seg.map[..stored_end]);
         if actual_crc != seg.meta.payload_crc {
             return Err(corrupt(format!(
                 "payload crc mismatch (stored {:#010x}, computed {actual_crc:#010x})",
@@ -1952,12 +1896,6 @@ mod tests {
             assert_eq!(seg.process_log(pid).unwrap().entries, s.log(pid).entries, "{format:?}");
         }
         seg.verify().unwrap();
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The classic IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

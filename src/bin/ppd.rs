@@ -668,8 +668,11 @@ fn cmd_lint(session: &PpdSession, opts: &Options, source: &str) -> ExitCode {
 
 fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, ExitCode) {
     // `--load` replays the offline workflow: the execution phase already
-    // happened; debug its saved record.
-    if let Some(path) = &opts.load {
+    // happened; debug its saved record. So does `--log-dir` on a store a
+    // previous run left there. Otherwise `--log-dir` streams the run
+    // through the segmented on-disk store: debugging then works over the
+    // mmap-backed, lazily decoded logs.
+    let (execution, was_loaded) = if let Some(path) = &opts.load {
         match std::fs::read_to_string(path)
             .map_err(|e| e.to_string())
             .and_then(|j| Execution::from_json(&j).map_err(|e| e.to_string()))
@@ -677,24 +680,15 @@ fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, E
             Ok(execution) => {
                 if verbose {
                     println!("loaded execution from {path}");
-                    println!("outcome: {}", describe_outcome(session, &execution.outcome));
                 }
-                let code = match execution.outcome {
-                    Outcome::Completed | Outcome::Breakpoint { .. } => ExitCode::SUCCESS,
-                    _ => ExitCode::FAILURE,
-                };
-                return (execution, code);
+                (execution, true)
             }
             Err(e) => {
                 eprintln!("error: cannot load {path}: {e}");
                 std::process::exit(1);
             }
         }
-    }
-    // `--log-dir` streams the run through the segmented on-disk store
-    // (or loads one a previous run left there): debugging then works
-    // over the mmap-backed, lazily decoded logs.
-    let execution = if let Some(dir) = &opts.log_dir {
+    } else if let Some(dir) = &opts.log_dir {
         let dir = std::path::Path::new(dir);
         if dir.join("run.json").exists() {
             match Execution::load_dir(dir) {
@@ -704,52 +698,42 @@ fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, E
                         for w in execution.logs.recovery_warnings() {
                             eprintln!("warning: {w}");
                         }
-                        println!("outcome: {}", describe_outcome(session, &execution.outcome));
                     }
-                    let code = match execution.outcome {
-                        Outcome::Completed | Outcome::Breakpoint { .. } => ExitCode::SUCCESS,
-                        _ => ExitCode::FAILURE,
-                    };
-                    return (execution, code);
+                    (execution, true)
                 }
                 Err(e) => {
                     eprintln!("error: cannot open log dir {}: {e}", dir.display());
                     std::process::exit(1);
                 }
             }
-        }
-        match session.execute_streaming_with(
-            run_config(session, opts),
-            dir,
-            opts.segment_bytes,
-            opts.compress,
-        ) {
-            Ok(execution) => {
-                if verbose {
-                    println!("logs streamed to {}", dir.display());
+        } else {
+            match session.execute_streaming_with(
+                run_config(session, opts),
+                dir,
+                opts.segment_bytes,
+                opts.compress,
+            ) {
+                Ok(execution) => {
+                    if verbose {
+                        println!("logs streamed to {}", dir.display());
+                    }
+                    (execution, false)
                 }
-                execution
-            }
-            Err(e) => {
-                eprintln!("error: cannot stream logs to {}: {e}", dir.display());
-                std::process::exit(1);
+                Err(e) => {
+                    eprintln!("error: cannot stream logs to {}: {e}", dir.display());
+                    std::process::exit(1);
+                }
             }
         }
     } else {
-        session.execute(run_config(session, opts))
+        (session.execute(run_config(session, opts)), false)
     };
     if let Some(path) = &opts.save {
-        let written = execution
-            .to_json()
-            .map_err(|e| e.to_string())
-            .and_then(|j| std::fs::write(path, j).map_err(|e| e.to_string()));
-        match written {
-            Ok(()) if verbose => println!("execution saved to {path}"),
-            Ok(()) => {}
-            Err(e) => eprintln!("warning: cannot save to {path}: {e}"),
-        }
+        save_execution(&execution, path, verbose);
     }
-    if verbose {
+    if verbose && was_loaded {
+        println!("outcome: {}", describe_outcome(session, &execution.outcome));
+    } else if verbose {
         for &(p, v) in &execution.output {
             println!("[{}] {v}", session.rp().proc_name(p));
         }
@@ -767,6 +751,30 @@ fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, E
         _ => ExitCode::FAILURE,
     };
     (execution, code)
+}
+
+/// `--save FILE`: writes the execution record as JSON. A segment-backed
+/// execution is decoded process by process first, so a damaged store
+/// exits 1 naming the segment and block instead of panicking inside
+/// serialization.
+fn save_execution(execution: &Execution, path: &str, verbose: bool) {
+    if let Some(seg) = execution.logs.segmented() {
+        for p in 0..seg.process_count() {
+            if let Err(e) = seg.process_log(ppd::lang::ProcId(p as u32)) {
+                eprintln!("error: cannot save to {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+    let written = execution
+        .to_json()
+        .map_err(|e| e.to_string())
+        .and_then(|j| std::fs::write(path, j).map_err(|e| e.to_string()));
+    match written {
+        Ok(()) if verbose => println!("execution saved to {path}"),
+        Ok(()) => {}
+        Err(e) => eprintln!("warning: cannot save to {path}: {e}"),
+    }
 }
 
 fn describe_outcome(session: &PpdSession, outcome: &Outcome) -> String {

@@ -370,6 +370,57 @@ fn debug_state_on_a_damaged_store_prints_the_error() {
 }
 
 #[test]
+fn run_save_writes_the_record_of_a_loaded_run() {
+    let dir = std::env::temp_dir().join("ppd_cli_test").join("save-loaded");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("store");
+    let (saved, resaved) = (dir.join("saved.json"), dir.join("resaved.json"));
+    let path = |p: &std::path::Path| p.to_str().unwrap().to_owned();
+    let outcome =
+        |stdout: &str| stdout.lines().find(|l| l.starts_with("outcome:")).map(str::to_owned);
+    let (stdout, stderr, ok) = run_ppd(&["run", "programs/bank.ppd", "--log-dir", &path(&store)]);
+    assert!(ok && stdout.contains("logs streamed to"), "{stdout}{stderr}");
+    // The store now holds a run: it is loaded, and still saved.
+    let (stdout, stderr, ok) =
+        run_ppd(&["run", "programs/bank.ppd", "--log-dir", &path(&store), "--save", &path(&saved)]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("loaded segmented log store from"), "{stdout}");
+    assert!(stdout.contains("execution saved to"), "{stdout}");
+    let from_store = outcome(&stdout).expect("an outcome line");
+    // The record loads back with the same outcome, and `--load` saves too.
+    let (stdout, stderr, ok) =
+        run_ppd(&["run", "programs/bank.ppd", "--load", &path(&saved), "--save", &path(&resaved)]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("loaded execution from"), "{stdout}");
+    assert_eq!(outcome(&stdout), Some(from_store));
+    let record = std::fs::read(&saved).expect("--save wrote the record");
+    assert_eq!(std::fs::read(&resaved).expect("--load --save wrote it"), record);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_save_on_a_damaged_store_is_a_positioned_error() {
+    let (dir, file, block) = damaged_bank_store("damaged-save", 1, |_| 0);
+    let saved = std::path::Path::new(&dir).join("saved.json");
+    let (_, stderr, ok) = run_ppd(&[
+        "run",
+        "programs/bank.ppd",
+        "--strategy",
+        "loops",
+        "--log-dir",
+        &dir,
+        "--save",
+        saved.to_str().unwrap(),
+    ]);
+    assert!(!ok, "{stderr}");
+    assert!(stderr.contains(&format!("corrupt segment {file}: block {block}")), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!saved.exists(), "nothing is saved from a damaged store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn closed_stdout_ends_quietly() {
     // Enough e-blocks that `ppd check` prints more than a pipe holds, so
     // it is still writing when the reader goes away after one line.
