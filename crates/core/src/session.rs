@@ -49,12 +49,13 @@ impl RunConfig {
 
 /// Everything the execution phase leaves behind for debugging.
 ///
-/// Serializable: the paper's logs live on disk between the execution
-/// and debugging phases; [`Execution::to_json`]/[`Execution::from_json`]
-/// persist the whole execution record. A loaded execution must be
+/// The paper's logs live on disk between the execution and debugging
+/// phases: [`Execution::save_dir`] (or
+/// [`PpdSession::execute_streaming_with`]) writes a log directory and
+/// [`Execution::load_dir`] opens it. A loaded execution must be
 /// debugged against a session prepared from the *same source and
 /// e-block strategy* (the plan defines what the logs mean).
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Debug)]
 pub struct Execution {
     /// How the run ended.
     pub outcome: Outcome,
@@ -70,7 +71,6 @@ pub struct Execution {
     /// reproduce it).
     pub config: RunConfig,
     /// [`Execution::ordering`]'s cache; rebuilt on demand, never saved.
-    #[serde(skip)]
     ordering: OnceLock<VectorClocks>,
 }
 
@@ -88,8 +88,16 @@ struct RunRecord {
 /// Name of the sidecar record in a log directory.
 const RUN_RECORD_NAME: &str = "run.json";
 
-fn write_run_record(dir: &std::path::Path, record: &RunRecord) -> Result<(), PpdError> {
-    let json = serde_json::to_string(record)
+/// Writes `execution`'s [`RunRecord`] as `dir/run.json`.
+fn write_run_record(dir: &std::path::Path, execution: &Execution) -> Result<(), PpdError> {
+    let record = RunRecord {
+        outcome: execution.outcome.clone(),
+        output: execution.output.clone(),
+        pgraph: execution.pgraph.clone(),
+        steps: execution.steps,
+        config: execution.config.clone(),
+    };
+    let json = serde_json::to_string(&record)
         .map_err(|e| PpdError::Store(format!("serialize {RUN_RECORD_NAME}: {e}")))?;
     std::fs::write(dir.join(RUN_RECORD_NAME), json)
         .map_err(|e| PpdError::Store(format!("write {RUN_RECORD_NAME}: {e}")))
@@ -105,25 +113,6 @@ impl Execution {
         self.ordering.get_or_init(|| VectorClocks::compute(&self.pgraph))
     }
 
-    /// Serializes the execution record (outcome, output, logs, parallel
-    /// graph, config) for offline debugging.
-    ///
-    /// # Errors
-    ///
-    /// Propagates serialization failures.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Loads a previously saved execution record.
-    ///
-    /// # Errors
-    ///
-    /// Returns a deserialization error on malformed input.
-    pub fn from_json(json: &str) -> Result<Execution, serde_json::Error> {
-        serde_json::from_str(json)
-    }
-
     /// Persists this execution to `dir` as a segmented log store (one
     /// `.seg` file per sealed segment, CRC-guarded footers) plus a
     /// `run.json` sidecar holding everything but the logs. The
@@ -137,7 +126,8 @@ impl Execution {
     ///
     /// # Errors
     ///
-    /// Returns [`PpdError::Store`] on IO or serialization failure.
+    /// Returns [`PpdError::Store`] on IO or serialization failure, or
+    /// when a segment-backed execution's payload is damaged.
     pub fn save_dir(
         &self,
         dir: &std::path::Path,
@@ -145,14 +135,7 @@ impl Execution {
         format: ppd_log::SegmentFormat,
     ) -> Result<ppd_log::SinkReport, PpdError> {
         let report = self.logs.write_dir(dir, segment_bytes, format)?;
-        let record = RunRecord {
-            outcome: self.outcome.clone(),
-            output: self.output.clone(),
-            pgraph: self.pgraph.clone(),
-            steps: self.steps,
-            config: self.config.clone(),
-        };
-        write_run_record(dir, &record)?;
+        write_run_record(dir, self)?;
         Ok(report)
     }
 
@@ -181,21 +164,6 @@ impl Execution {
             config: record.config,
             ordering: OnceLock::new(),
         })
-    }
-
-    /// Re-opens this execution's log directory in place, picking up
-    /// segments (and live-tail entries) a still-running program has
-    /// appended since [`load_dir`](Self::load_dir): sealed segments
-    /// already loaded are reused, tail scans resume from their
-    /// high-water marks, and a built interval index is extended rather
-    /// than rebuilt. Returns `None` when the logs are in-memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PpdError::Store`] if the directory can no longer be
-    /// opened.
-    pub fn refresh_logs(&mut self) -> Result<Option<ppd_log::RefreshStats>, PpdError> {
-        Ok(self.logs.refresh()?)
     }
 }
 
@@ -376,14 +344,7 @@ impl PpdSession {
             config,
             ordering: OnceLock::new(),
         };
-        let record = RunRecord {
-            outcome: execution.outcome.clone(),
-            output: execution.output.clone(),
-            pgraph: execution.pgraph.clone(),
-            steps: execution.steps,
-            config: execution.config.clone(),
-        };
-        write_run_record(dir, &record)?;
+        write_run_record(dir, &execution)?;
         let logs = LogStore::open_dir(dir)?;
         Ok(Execution { logs, ..execution })
     }
@@ -528,27 +489,6 @@ mod tests {
             assert_eq!(streamed.logs.log(p), mem.logs.log(p), "identical entries for {p:?}");
             assert_eq!(streamed.logs.intervals(p), mem.logs.intervals(p));
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn refresh_logs_is_a_noop_for_memory_and_cheap_for_dirs() {
-        let session = PpdSession::prepare(
-            ppd_lang::corpus::PRODUCER_CONSUMER.source,
-            EBlockStrategy::per_subroutine(),
-        )
-        .unwrap();
-        let mut mem = session.execute(RunConfig::default());
-        assert!(mem.refresh_logs().unwrap().is_none());
-        let dir = std::env::temp_dir().join(format!("ppd-session-refresh-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        mem.save_dir(&dir, 512, ppd_log::SegmentFormat::default()).unwrap();
-        let mut loaded = Execution::load_dir(&dir).unwrap();
-        let before = loaded.logs.total_entries();
-        let stats = loaded.refresh_logs().unwrap().expect("segment-backed");
-        assert_eq!(stats.segments_parsed, 0, "unchanged dir reuses every sealed segment");
-        assert!(stats.segments_reused > 0);
-        assert_eq!(loaded.logs.total_entries(), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -673,22 +673,16 @@ fn corrupted_log_yields_log_mismatch() {
     assert!(execution.outcome.is_success());
 
     // Drop the Input record from the log: replay must fail loudly.
-    let json = execution.logs.to_json().unwrap();
-    let mut store = ppd_log::LogStore::from_json(&json).unwrap();
-    store = {
-        // Rebuild without Input entries.
-        let mut clean = ppd_log::LogStore::new(store.process_count());
-        for p in 0..store.process_count() {
-            let pid = ProcId(p as u32);
-            for e in &store.log(pid).entries {
-                if !matches!(e, LogEntry::Input { .. }) {
-                    clean.push(pid, e.clone());
-                }
+    let mut clean = ppd_log::LogStore::new(execution.logs.process_count());
+    for p in 0..execution.logs.process_count() {
+        let pid = ProcId(p as u32);
+        for e in &execution.logs.log(pid).entries {
+            if !matches!(e, LogEntry::Input { .. }) {
+                clean.push(pid, e.clone());
             }
         }
-        clean
-    };
-    execution.logs = store;
+    }
+    execution.logs = clean;
     let interval = execution.logs.intervals(ProcId(0))[0];
     let mut tracer = ppd_runtime::VecTracer::default();
     let res = crate::faithful_replay(&session, &execution, interval, &mut tracer).unwrap();
@@ -880,16 +874,19 @@ fn explain_race_points_at_both_accesses() {
 }
 
 #[test]
-fn execution_round_trips_through_json_and_debugs() {
+fn execution_round_trips_through_a_log_dir_and_debugs() {
     let session = prepare(ppd_lang::corpus::FLOWBACK_DEMO.source);
     let mut config = RunConfig::default();
     config.inputs = vec![vec![42, 10]];
     let execution = session.execute(config);
 
     // Save, drop, reload — the offline debugging workflow.
-    let json = execution.to_json().unwrap();
+    let dir = std::env::temp_dir().join(format!("ppd-core-offline-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    execution.save_dir(&dir, 0, ppd_log::SegmentFormat::default()).unwrap();
     drop(execution);
-    let loaded = crate::Execution::from_json(&json).unwrap();
+    let loaded = crate::Execution::load_dir(&dir).unwrap();
+    assert!(loaded.logs.is_segmented());
     assert!(loaded.outcome.is_failure());
 
     // Debugging the reloaded execution works end to end.
@@ -904,6 +901,7 @@ fn execution_round_trips_through_json_and_debugs() {
     // Rerunning the stored config reproduces the run.
     let again = session.execute(loaded.config.clone());
     assert_eq!(again.output, loaded.output);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

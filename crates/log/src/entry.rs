@@ -14,10 +14,9 @@
 
 use ppd_analysis::EBlockId;
 use ppd_lang::{StmtId, Value, VarId};
-use serde::{Deserialize, Serialize};
 
 /// A single log record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogEntry {
     /// E-block entry: the USED-set values at interval start.
     Prelog {
@@ -144,19 +143,5 @@ mod tests {
         let e = LogEntry::Receive { value: 1, time: 42 };
         assert_eq!(e.kind_name(), "receive");
         assert_eq!(e.time(), 42);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let e = LogEntry::Postlog {
-            eblock: EBlockId(3),
-            instance: 7,
-            values: vec![(VarId(2), Value::Int(-9))],
-            ret: Some(Value::Int(5)),
-            time: 11,
-        };
-        let s = serde_json::to_string(&e).unwrap();
-        let back: LogEntry = serde_json::from_str(&s).unwrap();
-        assert_eq!(e, back);
     }
 }

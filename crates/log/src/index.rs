@@ -182,22 +182,6 @@ impl IntervalIndex {
         // Stack of positions (into `idx.intervals`) of currently open
         // intervals; the top is the innermost.
         let mut stack: Vec<usize> = Vec::new();
-        Self::feed_events(&mut idx, proc, &mut stack, events);
-        // Whatever is still on the stack was open at the halt,
-        // outermost first (§5.3 starts from the innermost = last).
-        idx.open = stack;
-        idx
-    }
-
-    /// The single stack-matching event loop shared by the full build
-    /// and the incremental extension: feeds `events` into `idx`,
-    /// pushing prelogs onto (and popping postlogs off) `stack`.
-    fn feed_events(
-        idx: &mut ProcIndex,
-        proc: ProcId,
-        stack: &mut Vec<usize>,
-        events: impl IntoIterator<Item = StructEvent>,
-    ) {
         for ev in events {
             if ev.is_prelog {
                 let slot = idx.intervals.len();
@@ -237,6 +221,10 @@ impl IntervalIndex {
                 }
             }
         }
+        // Whatever is still on the stack was open at the halt,
+        // outermost first (§5.3 starts from the innermost = last).
+        idx.open = stack;
+        idx
     }
 
     /// Builds the whole-execution index from per-process
@@ -255,38 +243,6 @@ impl IntervalIndex {
                 .map(|(proc, hint, events)| Self::build_proc_events_hinted(proc, events, hint))
                 .collect(),
         }
-    }
-
-    /// A copy of this index extended with new structural events — the
-    /// incremental path behind [`crate::segment::SegmentedLog::refresh`].
-    /// Each process's saved open-interval list *is* the stack-matching
-    /// state at the point its last build stopped (the stack is stored
-    /// verbatim at the end of the feed loop), so extension resumes that
-    /// stack and feeds only the events beyond the old log length. The
-    /// result is identical to rebuilding from the full event stream,
-    /// because both run the same feed loop over the same total
-    /// sequence.
-    pub(crate) fn extend_from_events<I>(&self, streams: Vec<(ProcId, usize, I)>) -> IntervalIndex
-    where
-        I: IntoIterator<Item = StructEvent>,
-    {
-        let mut span = ppd_obs::span("log", "index_extend");
-        span.arg("procs", streams.len());
-        let mut procs: Vec<ProcIndex> = self.procs.clone();
-        for (proc, hint, events) in streams {
-            let p = proc.index();
-            if p >= procs.len() {
-                procs.resize_with(p + 1, ProcIndex::default);
-            }
-            let idx = &mut procs[p];
-            idx.intervals.reserve(hint / 2 + 1);
-            // Resume the matching stack exactly where the prior build
-            // halted.
-            let mut stack = std::mem::take(&mut idx.open);
-            Self::feed_events(idx, proc, &mut stack, events);
-            idx.open = stack;
-        }
-        IntervalIndex { procs }
     }
 
     /// Number of indexed processes.

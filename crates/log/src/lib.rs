@@ -50,8 +50,7 @@ pub use binio::{BinError, BinErrorKind};
 pub use entry::LogEntry;
 pub use index::IntervalIndex;
 pub use segment::{
-    BlockMeta, HeatRecord, RecoveredTail, RefreshStats, SegError, SegmentFormat, SegmentMeta,
-    SegmentWriter, SegmentedLog, SinkReport, VerifyReport, DEFAULT_BLOCK_BYTES,
-    DEFAULT_SEGMENT_BYTES,
+    BlockMeta, HeatRecord, RecoveredTail, SegError, SegmentFormat, SegmentMeta, SegmentWriter,
+    SegmentedLog, SinkReport, VerifyReport, DEFAULT_BLOCK_BYTES, DEFAULT_SEGMENT_BYTES,
 };
 pub use store::{IntervalRef, LogCursor, LogStore, ProcessLog};

@@ -64,12 +64,7 @@
 //! unsealed final segment is not garbage — it is the live tail of a
 //! run that is still going (or was killed mid-flush). Open scans it
 //! checksummed frame by frame to the last valid entry and serves the
-//! recovered prefix like any other entries; the scan position is kept
-//! as a per-segment **high-water mark** so [`SegmentedLog::refresh`]
-//! can cheaply re-open a directory a still-running program is
-//! appending to: sealed segments are reused by `(proc, seq)`, the tail
-//! scan resumes where it left off, and the footer-built index is
-//! extended incrementally instead of rebuilt.
+//! recovered prefix like any other entries.
 //! An unsealed segment that is *not* its process's last file is a hard
 //! corruption error, as before.
 
@@ -81,7 +76,6 @@ use crate::store::{LogStore, ProcessLog};
 use ppd_lang::ProcId;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -210,22 +204,6 @@ pub struct VerifyReport {
     /// Recovery warnings carried over from open (recovered or dropped
     /// unsealed tails).
     pub warnings: Vec<String>,
-}
-
-/// What [`SegmentedLog::refresh`] reused versus re-read.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RefreshStats {
-    /// Sealed segments carried over from the previous open by
-    /// `(proc, seq)` without re-reading their footers.
-    pub segments_reused: usize,
-    /// Segment files mapped and footer-parsed fresh.
-    pub segments_parsed: usize,
-    /// Unsealed tails whose scan resumed from the previous high-water
-    /// mark instead of restarting at the payload start.
-    pub tails_resumed: usize,
-    /// Whether the interval index was extended from the previous one
-    /// instead of scheduled for a full rebuild.
-    pub index_extended: bool,
 }
 
 // ---------------------------------------------------------------------
@@ -705,9 +683,8 @@ impl SegmentWriter {
 
     /// Flushes every process's stream: pending blocks are framed and
     /// all sealed bytes are pushed to disk. After a flush, a
-    /// concurrent [`SegmentedLog::open`] (or
-    /// [`SegmentedLog::refresh`]) of the directory recovers every
-    /// flushed entry from the unsealed live tails.
+    /// concurrent [`SegmentedLog::open`] of the directory recovers
+    /// every flushed entry from the unsealed live tails.
     pub fn flush(&mut self) {
         for p in 0..self.procs.len() {
             self.seal_block(p);
@@ -830,13 +807,14 @@ impl SegmentWriter {
     }
 }
 
-/// Packs an in-memory store into `dir` as a segmented log in `format`
-/// (`ppd log pack --compress` writes [`SegmentFormat::V2Compressed`]).
+/// Packs a store into `dir` as a segmented log in `format`. A
+/// segment-backed store is decoded process by process on the way.
 ///
 /// # Errors
 ///
 /// Returns [`SegError::Io`] if the directory or a segment cannot be
-/// written.
+/// written, and the decode error naming the segment and block if a
+/// segment-backed store's payload is damaged.
 pub fn write_store(
     store: &LogStore,
     dir: &Path,
@@ -849,7 +827,11 @@ pub fn write_store(
     let mut w = SegmentWriter::create(dir, store.process_count(), capacity, format)?;
     for p in 0..store.process_count() {
         let proc = ProcId(p as u32);
-        for e in &store.log(proc).entries {
+        let log = match store.segmented() {
+            Some(seg) => seg.process_log(proc)?,
+            None => store.log(proc),
+        };
+        for e in &log.entries {
             w.append(proc, e);
         }
     }
@@ -861,10 +843,8 @@ pub fn write_store(
 // ---------------------------------------------------------------------
 
 /// The recovered prefix of an unsealed tail segment: every entry that
-/// could be read back from the flushed bytes, plus the scan's
-/// high-water mark so a later [`SegmentedLog::refresh`] resumes
-/// instead of rescanning.
-#[derive(Debug, Clone)]
+/// could be read back from the flushed bytes.
+#[derive(Debug)]
 pub struct RecoveredTail {
     file: String,
     base_seq: u64,
@@ -872,9 +852,7 @@ pub struct RecoveredTail {
     digest: Vec<DigestEvent>,
     counts: [u64; 6],
     logical_bytes: u64,
-    /// File offset just past the last fully recovered frame.
-    scanned_bytes: usize,
-    /// File length at scan time — a cheap "did it grow" probe.
+    /// File length at scan time.
     file_len: u64,
     /// Why the segment failed to parse as sealed.
     detail: String,
@@ -902,12 +880,6 @@ impl RecoveredTail {
         self.base_seq
     }
 
-    /// File offset just past the last fully recovered record — the
-    /// high-water mark a refresh resumes from.
-    pub fn scanned_bytes(&self) -> usize {
-        self.scanned_bytes
-    }
-
     /// Why the segment was unsealed (the parse failure detail).
     pub fn detail(&self) -> &str {
         &self.detail
@@ -932,16 +904,13 @@ impl RecoveredTail {
 /// Scans an unsealed tail segment frame by frame to the last valid
 /// entry. `Err(why)` means the file cannot be trusted at all (bad
 /// header, or it does not continue the sealed chain) and must be
-/// dropped; open has already rejected unsupported versions. `resume`
-/// restarts an earlier scan from its high-water mark instead of the
-/// payload start.
+/// dropped; open has already rejected unsupported versions.
 fn scan_tail(
     file: &str,
     bytes: &[u8],
     expect_proc: u32,
     expect_seq: u64,
     expect_base: u64,
-    resume: Option<&RecoveredTail>,
     unsealed_detail: &str,
 ) -> Result<RecoveredTail, String> {
     if bytes.len() < SEG_MAGIC.len() + 1 {
@@ -962,35 +931,22 @@ fn scan_tail(
              {expect_base})"
         ));
     }
-    let payload_start = h.offset();
-    let mut tail = match resume {
-        Some(old)
-            if old.file == file
-                && old.scanned_bytes >= payload_start
-                && old.scanned_bytes <= bytes.len() =>
-        {
-            old.clone()
-        }
-        _ => RecoveredTail {
-            file: file.to_string(),
-            base_seq,
-            entries: Vec::new(),
-            digest: Vec::new(),
-            counts: [0; 6],
-            logical_bytes: 0,
-            scanned_bytes: payload_start,
-            file_len: 0,
-            detail: String::new(),
-        },
+    let mut tail = RecoveredTail {
+        file: file.to_string(),
+        base_seq,
+        entries: Vec::new(),
+        digest: Vec::new(),
+        counts: [0; 6],
+        logical_bytes: 0,
+        file_len: bytes.len() as u64,
+        detail: unsealed_detail.to_string(),
     };
-    tail.file_len = bytes.len() as u64;
-    tail.detail = unsealed_detail.to_string();
     // Every frame is checksummed and holds whole entries, so recovery is
     // exact: walk frames until one is truncated or fails its crc, decode
     // each in full.
+    let mut at = h.offset();
     let mut data = Vec::new();
-    'frames: while tail.scanned_bytes < bytes.len() {
-        let at = tail.scanned_bytes;
+    'frames: while at < bytes.len() {
         data.clear();
         let Ok(consumed) = lzb::decompress_into(&bytes[at..], &mut data) else { break };
         let mut r = Reader::new(&data);
@@ -1002,7 +958,7 @@ fn scan_tail(
         for e in pending {
             tail.push_entry(e);
         }
-        tail.scanned_bytes = at + consumed;
+        at += consumed;
     }
     Ok(tail)
 }
@@ -1032,12 +988,10 @@ struct LoadedSegment {
 #[derive(Debug)]
 pub struct SegmentedLog {
     dir: PathBuf,
-    /// Per process: its sealed segments in sequence order. `Arc` so a
-    /// [`refresh`](Self::refresh) can carry unchanged segments over
-    /// without re-reading their footers.
-    procs: Vec<Vec<Arc<LoadedSegment>>>,
+    /// Per process: its sealed segments in sequence order.
+    procs: Vec<Vec<LoadedSegment>>,
     /// Per process: the recovered unsealed tail, if any.
-    tails: Vec<Option<Arc<RecoveredTail>>>,
+    tails: Vec<Option<RecoveredTail>>,
     warnings: Vec<String>,
     /// Whole-process decodes, cached by [`process_log`](Self::process_log).
     decoded: Vec<OnceLock<ProcessLog>>,
@@ -1055,8 +1009,6 @@ pub struct SegmentedLog {
     /// Per process, per sealed segment: access-heatmap counters,
     /// parallel to `procs`.
     heat: Vec<Vec<SegHeat>>,
-    /// Set when this log was produced by [`refresh`](Self::refresh).
-    refreshed: Option<RefreshStats>,
 }
 
 /// Access counters for one sealed segment.
@@ -1103,29 +1055,9 @@ impl SegmentedLog {
     /// non-tail corruption, or a manifest-listed process with no
     /// segment files at all.
     pub fn open(dir: &Path) -> Result<SegmentedLog, SegError> {
-        Self::open_inner(dir, None)
-    }
-
-    /// Re-opens this log's directory cheaply: sealed segments already
-    /// loaded are reused by `(proc, seq)` (they are immutable once
-    /// written), a previously scanned live tail resumes from its
-    /// high-water mark, and — if the index was already built — it is
-    /// extended with just the new digest events instead of rebuilt.
-    /// Decoded entry caches are *not* carried over (they would need a
-    /// deep clone); they re-materialize lazily as before.
-    ///
-    /// # Errors
-    ///
-    /// As [`open`](Self::open).
-    pub fn refresh(&self) -> Result<SegmentedLog, SegError> {
-        Self::open_inner(&self.dir, Some(self))
-    }
-
-    fn open_inner(dir: &Path, prior: Option<&SegmentedLog>) -> Result<SegmentedLog, SegError> {
         let jobs = available_jobs();
         let mut span = ppd_obs::span("log", "segment_open");
         span.arg("jobs", jobs);
-        span.arg("refresh", u64::from(prior.is_some()));
         let manifest_path = dir.join(MANIFEST_NAME);
         let manifest_json =
             std::fs::read_to_string(&manifest_path).map_err(|e| io_err(&manifest_path, e))?;
@@ -1140,7 +1072,6 @@ impl SegmentedLog {
                 manifest.version
             )));
         }
-        let mut stats = RefreshStats::default();
 
         // Collect segment files as (proc, seq, name), sorted numerically.
         let mut files: Vec<(u32, u64, String)> = Vec::new();
@@ -1154,32 +1085,15 @@ impl SegmentedLog {
         }
         files.sort();
 
-        // Sealed segments already loaded by a prior open are immutable
-        // on disk; a refresh reuses them without re-reading a byte.
-        let reuse: HashMap<(u32, u64), Arc<LoadedSegment>> = prior
-            .map(|pl| {
-                pl.procs
-                    .iter()
-                    .flatten()
-                    .map(|s| ((s.meta.proc, s.meta.seq), Arc::clone(s)))
-                    .collect()
-            })
-            .unwrap_or_default();
-
-        // Map + parse every (new) segment concurrently: each file's CRC
-        // check and footer decode is independent of the others.
+        // Map + parse every segment concurrently: each file's CRC check
+        // and footer decode is independent of the others.
         enum FileParse {
-            Reused(Arc<LoadedSegment>),
             Sealed(Box<LoadedSegment>),
             Io(std::io::Error),
             Unsupported(u8),
             Unsealed(Box<Mapping>, String),
         }
-        let parse_one = |triple: &(u32, u64, String)| {
-            let (proc, seq, name) = triple;
-            if let Some(seg) = reuse.get(&(*proc, *seq)) {
-                return FileParse::Reused(Arc::clone(seg));
-            }
+        let parse_one = |(_, _, name): &(u32, u64, String)| {
             let path = dir.join(name);
             match Mapping::open(&path) {
                 Err(e) => FileParse::Io(e),
@@ -1203,7 +1117,7 @@ impl SegmentedLog {
             pool.install(|| files.par_iter().map(parse_one).collect())
         };
 
-        let mut procs: Vec<Vec<Arc<LoadedSegment>>> =
+        let mut procs: Vec<Vec<LoadedSegment>> =
             (0..manifest.processes).map(|_| Vec::new()).collect();
         let mut pending_tails: Vec<Option<(String, Mapping, String)>> =
             (0..manifest.processes).map(|_| None).collect();
@@ -1227,12 +1141,7 @@ impl SegmentedLog {
                         detail: format!("unsupported segment version {v}"),
                     })
                 }
-                FileParse::Reused(seg) => {
-                    stats.segments_reused += 1;
-                    procs[*proc as usize].push(seg);
-                }
                 FileParse::Sealed(seg) => {
-                    stats.segments_parsed += 1;
                     if seg.meta.proc != *proc || seg.meta.seq != *seq {
                         return Err(SegError::Corrupt {
                             file: name.clone(),
@@ -1242,7 +1151,7 @@ impl SegmentedLog {
                             ),
                         });
                     }
-                    procs[*proc as usize].push(Arc::from(seg));
+                    procs[*proc as usize].push(*seg);
                 }
                 FileParse::Unsealed(map, detail) if is_proc_tail => {
                     // The live tail (or the flush the writer died in):
@@ -1284,44 +1193,18 @@ impl SegmentedLog {
 
         // Scan pending live tails now that the sealed chain (and hence
         // the expected seq/base of each tail) is validated.
-        let mut tails: Vec<Option<Arc<RecoveredTail>>> =
-            (0..manifest.processes).map(|_| None).collect();
+        let mut tails: Vec<Option<RecoveredTail>> = (0..manifest.processes).map(|_| None).collect();
         for (p, slot) in pending_tails.into_iter().enumerate() {
             let Some((name, map, detail)) = slot else { continue };
             let expect_seq = procs[p].len() as u64;
             let expect_base: u64 = procs[p].iter().map(|s| s.meta.entry_count).sum();
-            let prior_tail = prior
-                .and_then(|pl| pl.tails.get(p))
-                .and_then(|t| t.as_ref())
-                .filter(|t| t.file == name);
-            if let Some(arc) = prior_tail {
-                if arc.file_len == map.len() as u64 {
-                    // Unchanged since the last scan — reuse verbatim.
-                    warnings.push(format!(
-                        "recovered {} entries from unsealed tail segment {name} of process {p}: {}",
-                        arc.entries.len(),
-                        arc.detail
-                    ));
-                    tails[p] = Some(Arc::clone(arc));
-                    continue;
-                }
-                stats.tails_resumed += 1;
-            }
-            match scan_tail(
-                &name,
-                &map,
-                p as u32,
-                expect_seq,
-                expect_base,
-                prior_tail.map(|a| a.as_ref()),
-                &detail,
-            ) {
+            match scan_tail(&name, &map, p as u32, expect_seq, expect_base, &detail) {
                 Ok(tail) if !tail.entries.is_empty() => {
                     warnings.push(format!(
                         "recovered {} entries from unsealed tail segment {name} of process {p}: {detail}",
                         tail.entries.len()
                     ));
-                    tails[p] = Some(Arc::new(tail));
+                    tails[p] = Some(tail);
                 }
                 Ok(_) => warnings.push(format!(
                     "dropped unsealed tail segment {name} of process {p}: no recoverable entries ({detail})"
@@ -1362,7 +1245,7 @@ impl SegmentedLog {
         }
         let heat =
             procs.iter().map(|segs| segs.iter().map(|_| SegHeat::default()).collect()).collect();
-        let mut log = SegmentedLog {
+        Ok(SegmentedLog {
             dir: dir.to_path_buf(),
             decoded: (0..manifest.processes).map(|_| OnceLock::new()).collect(),
             procs,
@@ -1373,23 +1256,7 @@ impl SegmentedLog {
             blocks_decompressed: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
             heat,
-            refreshed: None,
-        };
-        // Seed the index incrementally: everything the prior open had
-        // indexed is still a prefix of this directory (segments are
-        // append-only and recovery scans resume), so only digest
-        // events at or beyond the old per-process totals are fed in.
-        if let Some(prev) = prior {
-            if let Some(old_idx) = prev.index_cache.get() {
-                let old_totals: Vec<u64> =
-                    (0..prev.procs.len()).map(|p| prev.proc_total_entries(p)).collect();
-                let ext = log.extend_index(old_idx, &old_totals);
-                let _ = log.index_cache.set(Arc::new(ext));
-                stats.index_extended = true;
-            }
-            log.refreshed = Some(stats);
-        }
-        Ok(log)
+        })
     }
 
     /// The directory this log was opened from.
@@ -1415,18 +1282,12 @@ impl SegmentedLog {
 
     /// The recovered unsealed tail of `proc`, if open found one.
     pub fn recovered_tail(&self, proc: ProcId) -> Option<&RecoveredTail> {
-        self.tails[proc.index()].as_deref()
+        self.tails[proc.index()].as_ref()
     }
 
     /// Entries recovered from unsealed tails, across all processes.
     pub fn recovered_entries(&self) -> u64 {
         self.tails.iter().flatten().map(|t| t.entries.len() as u64).sum()
-    }
-
-    /// What [`refresh`](Self::refresh) reused, when this log came from
-    /// a refresh.
-    pub fn refresh_stats(&self) -> Option<&RefreshStats> {
-        self.refreshed.as_ref()
     }
 
     fn proc_total_entries(&self, p: usize) -> u64 {
@@ -1569,36 +1430,13 @@ impl SegmentedLog {
                 let sealed = self.procs[p].iter().flat_map(|seg| {
                     seg.meta.digest.iter().map(move |ev| Self::digest_event(seg.meta.base_seq, ev))
                 });
-                let tail = self.tails[p].as_deref().into_iter().flat_map(|t| {
+                let tail = self.tails[p].iter().flat_map(|t| {
                     t.digest.iter().map(move |ev| Self::digest_event(t.base_seq, ev))
                 });
                 (ProcId(p as u32), hint, sealed.chain(tail))
             })
             .collect();
         IntervalIndex::build_from_events(streams)
-    }
-
-    /// Extends a previous open's index with only the digest events at
-    /// or beyond that open's per-process entry totals — the refresh
-    /// fast path. The open-interval stacks saved in the old index
-    /// resume exactly where the prior build stopped.
-    fn extend_index(&self, old: &IntervalIndex, old_totals: &[u64]) -> IntervalIndex {
-        let streams = (0..self.procs.len())
-            .map(|p| {
-                let skip = old_totals.get(p).copied().unwrap_or(0) as usize;
-                let hint: usize =
-                    self.procs[p].iter().map(|seg| seg.meta.digest.len()).sum::<usize>()
-                        + self.tails[p].as_ref().map_or(0, |t| t.digest.len());
-                let sealed = self.procs[p].iter().flat_map(|seg| {
-                    seg.meta.digest.iter().map(move |ev| Self::digest_event(seg.meta.base_seq, ev))
-                });
-                let tail = self.tails[p].as_deref().into_iter().flat_map(|t| {
-                    t.digest.iter().map(move |ev| Self::digest_event(t.base_seq, ev))
-                });
-                (ProcId(p as u32), hint, sealed.chain(tail).filter(move |ev| ev.pos >= skip))
-            })
-            .collect();
-        old.extend_from_events(streams)
     }
 
     /// Inflates block `i` of a sealed segment, appending its bytes to
@@ -1747,7 +1585,7 @@ impl SegmentedLog {
     /// Returns the first inconsistency found (in file order).
     pub fn verify(&self) -> Result<VerifyReport, SegError> {
         let jobs = available_jobs();
-        let segs: Vec<&Arc<LoadedSegment>> = self.procs.iter().flatten().collect();
+        let segs: Vec<&LoadedSegment> = self.procs.iter().flatten().collect();
         let results: Vec<Result<u64, SegError>> = if jobs <= 1 || segs.len() <= 1 {
             segs.iter().map(|s| self.verify_segment(s)).collect()
         } else {
@@ -1807,7 +1645,7 @@ impl<'a> BlockReader<'a> {
         let pos = pos as u64;
         let k = segs.partition_point(|s| s.meta.base_seq + s.meta.entry_count <= pos);
         let Some(seg) = segs.get(k) else {
-            let tail = log.tails[self.proc].as_deref();
+            let tail = log.tails[self.proc].as_ref();
             let entry = tail.and_then(|t| t.entries.get(pos.checked_sub(t.base_seq)? as usize));
             return Ok(entry.map(Cow::Borrowed));
         };
@@ -2168,46 +2006,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_resumes_tails_and_extends_index() {
-        let dir = tmp_dir("refresh");
-        let s = sample_store(30);
-        let half: Vec<Vec<LogEntry>> = (0..2).map(|p| s.log(ProcId(p)).entries.clone()).collect();
-        let mut w = SegmentWriter::create(&dir, 2, 256, SegmentFormat::V2Compressed).unwrap();
-        for (p, entries) in half.iter().enumerate() {
-            for e in &entries[..entries.len() / 2] {
-                w.append(ProcId(p as u32), e);
-            }
-        }
-        w.flush();
-        let first = SegmentedLog::open(&dir).unwrap();
-        let _ = first.index(); // prime the cache so refresh can extend it
-        let n_first = first.total_entries();
-        assert!(n_first > 0);
-        // The program keeps running: append the rest and flush again.
-        for (p, entries) in half.iter().enumerate() {
-            for e in &entries[entries.len() / 2..] {
-                w.append(ProcId(p as u32), e);
-            }
-        }
-        w.flush();
-        let second = first.refresh().unwrap();
-        let stats = *second.refresh_stats().unwrap();
-        assert!(stats.segments_reused > 0, "{stats:?}");
-        assert!(stats.index_extended, "{stats:?}");
-        assert_eq!(second.total_entries(), s.total_entries() as u64);
-        // The incrementally extended index equals a cold rebuild.
-        let cold = SegmentedLog::open(&dir).unwrap();
-        for p in 0..2 {
-            let pid = ProcId(p);
-            assert_eq!(second.index().intervals(pid), cold.index_from_footers().intervals(pid));
-            assert_eq!(second.index().open_intervals(pid), s.index().open_intervals(pid));
-            assert_eq!(second.process_log(pid).unwrap().entries, s.log(pid).entries);
-        }
-        drop(w);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn block_reader_inflates_only_the_blocks_it_reads() {
         let dir = tmp_dir("range-blocks");
         let s = sample_store(200);
@@ -2255,7 +2053,10 @@ mod tests {
         let seg = SegmentedLog::open(&dir).expect("payload damage must not block open");
         let whole = seg.process_log(ProcId(0)).unwrap_err();
         let one = BlockReader::new(&seg, ProcId(0)).entry(0).unwrap_err();
-        for err in [whole, one] {
+        let out = tmp_dir("damaged-payload-repack");
+        let store = LogStore::open_dir(&dir).unwrap();
+        let repacked = store.write_dir(&out, 64, SegmentFormat::default()).unwrap_err();
+        for err in [whole, one, repacked] {
             let msg = err.to_string();
             assert!(msg.contains(&segment_file_name(0, 0)) && msg.contains("block 0"), "{msg}");
         }
@@ -2263,6 +2064,7 @@ mod tests {
         assert!(seg.process_log(ProcId(0)).is_err());
         assert!(seg.process_log(ProcId(1)).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&out);
     }
 
     #[test]

@@ -14,18 +14,15 @@
 
 use crate::entry::LogEntry;
 use crate::index::IntervalIndex;
-use crate::segment::{
-    BlockReader, RefreshStats, SegError, SegmentFormat, SegmentedLog, SinkReport, KIND_NAMES,
-};
+use crate::segment::{BlockReader, SegError, SegmentFormat, SegmentedLog, SinkReport, KIND_NAMES};
 use ppd_analysis::EBlockId;
 use ppd_lang::ProcId;
-use serde::{Content, DeError, Deserialize, Serialize};
 use std::borrow::Cow;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 /// The log of one process.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProcessLog {
     /// Entries in chronological order.
     pub entries: Vec<LogEntry>,
@@ -70,8 +67,8 @@ enum Repr {
 pub struct LogStore {
     repr: Repr,
     /// The interval index, built lazily on first structural query and
-    /// invalidated by [`LogStore::push`]. Never serialized: it is a pure
-    /// function of the entries.
+    /// invalidated by [`LogStore::push`]: a pure function of the
+    /// entries.
     index: OnceLock<Arc<IntervalIndex>>,
 }
 
@@ -97,24 +94,6 @@ impl Clone for LogStore {
     }
 }
 
-impl Serialize for LogStore {
-    fn to_content(&self) -> Content {
-        // The JSON shape predates the segmented backing: always
-        // `{"logs": [...]}`, materializing on-disk processes as needed.
-        let logs: Vec<Content> =
-            (0..self.process_count()).map(|p| self.log(ProcId(p as u32)).to_content()).collect();
-        Content::Map(vec![(Content::str_key("logs"), Content::Seq(logs))])
-    }
-}
-
-impl Deserialize for LogStore {
-    fn from_content(c: &Content) -> Result<LogStore, DeError> {
-        let entries = c.as_map().ok_or_else(|| DeError::msg("expected map for LogStore"))?;
-        let logs: Vec<ProcessLog> = serde::field(entries, "logs", "LogStore")?;
-        Ok(LogStore { repr: Repr::Mem(logs), index: OnceLock::new() })
-    }
-}
-
 impl LogStore {
     /// A store for `processes` processes.
     pub fn new(processes: usize) -> LogStore {
@@ -137,13 +116,13 @@ impl LogStore {
 
     /// Packs this store's entries into `dir` as a segmented log in
     /// `format` (`segment_bytes` = payload capacity per segment; 0 for
-    /// the default; `ppd log pack --compress` writes
-    /// [`SegmentFormat::V2Compressed`]).
+    /// the default).
     ///
     /// # Errors
     ///
     /// Returns [`SegError::Io`] if the directory or a segment cannot
-    /// be written.
+    /// be written, and the [`SegError`] naming the segment and block if
+    /// a segment-backed store's payload is damaged.
     pub fn write_dir(
         &self,
         dir: &Path,
@@ -151,25 +130,6 @@ impl LogStore {
         format: SegmentFormat,
     ) -> Result<SinkReport, SegError> {
         crate::segment::write_store(self, dir, segment_bytes, format)
-    }
-
-    /// Re-opens a segment-backed store's directory in place — cheap when
-    /// a still-running program has appended since the last open: sealed
-    /// segments are reused by `(proc, seq)`, a previously recovered live
-    /// tail resumes scanning from its high-water mark, and a cached
-    /// interval index is extended with only the new events. A no-op for
-    /// in-memory stores (returns `None`).
-    ///
-    /// # Errors
-    ///
-    /// As [`open_dir`](Self::open_dir).
-    pub fn refresh(&mut self) -> Result<Option<RefreshStats>, SegError> {
-        let Repr::Seg(seg) = &self.repr else { return Ok(None) };
-        let fresh = seg.refresh()?;
-        let stats = fresh.refresh_stats().copied();
-        self.repr = Repr::Seg(Arc::new(fresh));
-        self.index.take();
-        Ok(stats)
     }
 
     /// The segmented backing, if this store was opened from a log
@@ -248,7 +208,7 @@ impl LogStore {
 
     /// The whole log of one process — decoded in full (once, then
     /// cached) on a segment-backed store. For callers that read
-    /// everything: serialization, conversion to memory, tests. Replay
+    /// everything: conversion to memory, tests. Replay
     /// reads through [`cursor`](Self::cursor), which decodes only what
     /// it consumes and returns damage as an error.
     ///
@@ -363,24 +323,6 @@ impl LogStore {
             Repr::Seg(seg) => Entries::Seg(BlockReader::new(seg, proc)),
         };
         LogCursor { proc, index: self.cached_index(), entries, pos }
-    }
-
-    /// Serializes the store to JSON (the on-disk log-file format).
-    ///
-    /// # Errors
-    ///
-    /// Returns a serialization error if any value fails to encode.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Loads a store from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a deserialization error on malformed input.
-    pub fn from_json(json: &str) -> Result<LogStore, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -590,15 +532,6 @@ mod tests {
         let iv = s.interval_covering(ProcId(0), EBlockId(0), 2).unwrap();
         assert_eq!(iv.eblock, EBlockId(0));
         assert!(s.interval_covering(ProcId(0), EBlockId(1), 9).is_none());
-    }
-
-    #[test]
-    fn store_serde_round_trip() {
-        let s = fig52_store();
-        let json = s.to_json().unwrap();
-        let back = LogStore::from_json(&json).unwrap();
-        assert_eq!(back.total_entries(), 4);
-        assert_eq!(back.total_bytes(), s.total_bytes());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! ppd races  <file> [--schedules N]      probe N random schedules for races
 //! ppd dot    <file> [options]            emit Graphviz (static | parallel | dynamic)
 //! ppd log    pack <file> <dir> [options] run and stream logs into a segment store
-//!            (or: pack <saved.json> <dir> to convert a --save record)
 //! ppd log    inspect <dir> [--format json]  segment/footer summary, no entry decode
 //! ppd log    verify <dir>                full CRC + footer cross-check
 //! ppd obs    report <journal> [--format json]  aggregate a --journal file:
@@ -90,8 +89,6 @@ struct Options {
     strategy: EBlockStrategy,
     what: String,
     schedules: u64,
-    save: Option<String>,
-    load: Option<String>,
     deny: bool,
     explain: Option<String>,
     no_check: bool,
@@ -117,7 +114,7 @@ fn usage() -> ExitCode {
         "usage: ppd <check|lint|run|debug|races|dot> <file.ppd> \
          [--seed N] [--inputs a,b,c]... [--break LINE]... \
          [--strategy subroutine|loops|split|merge] [--what static|parallel|dynamic] \
-         [--schedules N] [--save FILE] [--load FILE] \
+         [--schedules N] \
          [--deny] [--explain CODE] [--no-check] [--format text|json|sarif] [--stats] \
          [--trace-out FILE] [--jobs N] \
          [--log-dir DIR] [--segment-bytes N] [--compress] \
@@ -126,6 +123,34 @@ fn usage() -> ExitCode {
          ppd obs <report|flight> ... (see ppd obs --help)"
     );
     ExitCode::from(2)
+}
+
+impl Options {
+    /// Options for `file` with every flag at its default.
+    fn new(file: String) -> Options {
+        Options {
+            file,
+            scheduler: SchedulerSpec::RoundRobin,
+            inputs: Vec::new(),
+            break_lines: Vec::new(),
+            strategy: EBlockStrategy::per_subroutine(),
+            what: "dynamic".into(),
+            schedules: 10,
+            deny: false,
+            explain: None,
+            no_check: false,
+            format: "text".into(),
+            stats: false,
+            trace_out: None,
+            jobs: default_jobs(),
+            log_dir: None,
+            segment_bytes: 0,
+            compress: false,
+            journal: None,
+            metrics_out: None,
+            flight_out: None,
+        }
+    }
 }
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, Options), String> {
@@ -142,32 +167,22 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, Options
         Some(f) => f,
         None => return Err("missing file".into()),
     };
-    let mut args = deferred_flag.into_iter().chain(args);
-    let mut opts = Options {
-        file,
-        scheduler: SchedulerSpec::RoundRobin,
-        inputs: Vec::new(),
-        break_lines: Vec::new(),
-        strategy: EBlockStrategy::per_subroutine(),
-        what: "dynamic".into(),
-        schedules: 10,
-        save: None,
-        load: None,
-        deny: false,
-        explain: None,
-        no_check: false,
-        format: "text".into(),
-        stats: false,
-        trace_out: None,
-        jobs: default_jobs(),
-        log_dir: None,
-        segment_bytes: 0,
-        compress: false,
-        journal: None,
-        metrics_out: None,
-        flight_out: None,
-    };
+    let mut opts = Options::new(file);
+    parse_flags(&mut opts, deferred_flag.into_iter().chain(args), None)?;
+    Ok((cmd, opts))
+}
+
+/// Parses `args` as flags into `opts`. With `only`, every other flag is
+/// unknown.
+fn parse_flags(
+    opts: &mut Options,
+    mut args: impl Iterator<Item = String>,
+    only: Option<&[&str]>,
+) -> Result<(), String> {
     while let Some(flag) = args.next() {
+        if only.is_some_and(|only| !only.contains(&flag.as_str())) {
+            return Err(format!("unknown flag `{flag}`"));
+        }
         let mut value = || args.next().ok_or(format!("{flag} needs a value"));
         match flag.as_str() {
             "--seed" => {
@@ -195,8 +210,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, Options
             "--schedules" => {
                 opts.schedules = value()?.parse().map_err(|_| "--schedules wants a number")?;
             }
-            "--save" => opts.save = Some(value()?),
-            "--load" => opts.load = Some(value()?),
             "--deny" => opts.deny = true,
             "--explain" => opts.explain = Some(value()?),
             "--no-check" => opts.no_check = true,
@@ -219,7 +232,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, Options
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    Ok((cmd, opts))
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -667,28 +680,12 @@ fn cmd_lint(session: &PpdSession, opts: &Options, source: &str) -> ExitCode {
 }
 
 fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, ExitCode) {
-    // `--load` replays the offline workflow: the execution phase already
-    // happened; debug its saved record. So does `--log-dir` on a store a
-    // previous run left there. Otherwise `--log-dir` streams the run
-    // through the segmented on-disk store: debugging then works over the
+    // `--log-dir` on a store a previous run left there replays the
+    // offline workflow: the execution phase already happened; debug its
+    // saved record. Otherwise `--log-dir` streams the run through the
+    // segmented on-disk store: debugging then works over the
     // mmap-backed, lazily decoded logs.
-    let (execution, was_loaded) = if let Some(path) = &opts.load {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|j| Execution::from_json(&j).map_err(|e| e.to_string()))
-        {
-            Ok(execution) => {
-                if verbose {
-                    println!("loaded execution from {path}");
-                }
-                (execution, true)
-            }
-            Err(e) => {
-                eprintln!("error: cannot load {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else if let Some(dir) = &opts.log_dir {
+    let (execution, was_loaded) = if let Some(dir) = &opts.log_dir {
         let dir = std::path::Path::new(dir);
         if dir.join("run.json").exists() {
             match Execution::load_dir(dir) {
@@ -728,9 +725,6 @@ fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, E
     } else {
         (session.execute(run_config(session, opts)), false)
     };
-    if let Some(path) = &opts.save {
-        save_execution(&execution, path, verbose);
-    }
     if verbose && was_loaded {
         println!("outcome: {}", describe_outcome(session, &execution.outcome));
     } else if verbose {
@@ -751,30 +745,6 @@ fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, E
         _ => ExitCode::FAILURE,
     };
     (execution, code)
-}
-
-/// `--save FILE`: writes the execution record as JSON. A segment-backed
-/// execution is decoded process by process first, so a damaged store
-/// exits 1 naming the segment and block instead of panicking inside
-/// serialization.
-fn save_execution(execution: &Execution, path: &str, verbose: bool) {
-    if let Some(seg) = execution.logs.segmented() {
-        for p in 0..seg.process_count() {
-            if let Err(e) = seg.process_log(ppd::lang::ProcId(p as u32)) {
-                eprintln!("error: cannot save to {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let written = execution
-        .to_json()
-        .map_err(|e| e.to_string())
-        .and_then(|j| std::fs::write(path, j).map_err(|e| e.to_string()));
-    match written {
-        Ok(()) if verbose => println!("execution saved to {path}"),
-        Ok(()) => {}
-        Err(e) => eprintln!("warning: cannot save to {path}: {e}"),
-    }
 }
 
 fn describe_outcome(session: &PpdSession, outcome: &Outcome) -> String {
@@ -1081,7 +1051,7 @@ fn render_stats(controller: &Controller<'_>, opts: &Options) -> String {
 
 fn log_usage() -> ExitCode {
     eprintln!(
-        "usage: ppd log pack <file.ppd|saved.json> <dir> \
+        "usage: ppd log pack <file.ppd> <dir> \
          [--seed N] [--inputs a,b,c]... [--strategy S] [--segment-bytes N] [--compress]\n       \
          ppd log inspect <dir> [--format text|json]\n       \
          ppd log verify <dir>"
@@ -1115,103 +1085,35 @@ fn cmd_log(mut args: impl Iterator<Item = String>) -> ExitCode {
     }
 }
 
-/// Runs a program (or converts a `--save` JSON record) into a segmented
-/// store at `dir`.
+/// The flags `ppd log pack` takes, parsed as every command parses them.
+const PACK_FLAGS: &[&str] = &["--seed", "--inputs", "--strategy", "--segment-bytes", "--compress"];
+
+/// Runs a program into a segmented store at `dir`.
 fn cmd_log_pack(mut args: impl Iterator<Item = String>) -> ExitCode {
     let (Some(file), Some(dir)) = (args.next(), args.next()) else { return log_usage() };
-    let mut scheduler = SchedulerSpec::RoundRobin;
-    let mut inputs: Vec<Vec<i64>> = Vec::new();
-    let mut strategy = EBlockStrategy::per_subroutine();
-    let mut segment_bytes = 0usize;
-    let mut compress = false;
-    while let Some(flag) = args.next() {
-        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
-        let parsed = (|| -> Result<(), String> {
-            match flag.as_str() {
-                "--seed" => {
-                    let seed = value()?.parse().map_err(|_| "--seed wants a number")?;
-                    scheduler = SchedulerSpec::Random { seed };
-                }
-                "--inputs" => {
-                    let stream: Result<Vec<i64>, _> =
-                        value()?.split(',').map(|s| s.trim().parse()).collect();
-                    inputs.push(stream.map_err(|_| "--inputs wants numbers")?);
-                }
-                "--strategy" => {
-                    strategy = match value()?.as_str() {
-                        "subroutine" => EBlockStrategy::per_subroutine(),
-                        "loops" => EBlockStrategy::with_loops(4),
-                        "split" => EBlockStrategy::with_split(4),
-                        "merge" => EBlockStrategy::with_leaf_merge(8),
-                        other => return Err(format!("unknown strategy `{other}`")),
-                    };
-                }
-                "--segment-bytes" => {
-                    segment_bytes =
-                        value()?.parse().map_err(|_| "--segment-bytes wants a number")?;
-                }
-                "--compress" => compress = true,
-                other => return Err(format!("unknown flag `{other}`")),
-            }
-            Ok(())
-        })();
-        if let Err(e) = parsed {
-            eprintln!("error: {e}");
-            return log_usage();
-        }
+    let mut opts = Options::new(file);
+    if let Err(e) = parse_flags(&mut opts, args, Some(PACK_FLAGS)) {
+        eprintln!("error: {e}");
+        return log_usage();
     }
-    let dir = std::path::Path::new(&dir);
-    // A `--save` record converts without re-running; source re-executes
-    // with the streaming sink attached.
-    if file.ends_with(".json") {
-        let loaded = std::fs::read_to_string(&file)
-            .map_err(|e| e.to_string())
-            .and_then(|j| Execution::from_json(&j).map_err(|e| e.to_string()));
-        let execution = match loaded {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("error: cannot load {file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let format = if compress {
-            ppd::log::SegmentFormat::V2Compressed
-        } else {
-            ppd::log::SegmentFormat::default()
-        };
-        return match execution.save_dir(dir, segment_bytes, format) {
-            Ok(report) => {
-                println!(
-                    "packed {} entries into {} segment(s), {} bytes, at {}",
-                    report.entries,
-                    report.segments,
-                    report.bytes,
-                    dir.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let source = match std::fs::read_to_string(&file) {
+    let file = &opts.file;
+    let source = match std::fs::read_to_string(file) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: cannot read {file}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let session = match PpdSession::prepare(&source, strategy) {
+    let session = match PpdSession::prepare(&source, opts.strategy) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("compile error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let config = RunConfig { scheduler, inputs, ..RunConfig::default() };
-    match session.execute_streaming_with(config, dir, segment_bytes, compress) {
+    let dir = std::path::Path::new(&dir);
+    let config = run_config(&session, &opts);
+    match session.execute_streaming_with(config, dir, opts.segment_bytes, opts.compress) {
         Ok(execution) => {
             let seg = execution.logs.segmented().expect("streamed store is segment-backed");
             println!(

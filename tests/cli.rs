@@ -223,18 +223,17 @@ fn compile_error_is_reported() {
 
 #[test]
 fn save_and_load_execution_record() {
-    let dir = std::env::temp_dir().join("ppd_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("exec.json");
-    let path_s = path.to_str().unwrap();
+    let dir = std::env::temp_dir().join("ppd_cli_test").join("offline-debug");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
     let (stdout, _, ok) =
-        run_ppd(&["run", "programs/overdraw.ppd", "--inputs", "95", "--save", path_s]);
+        run_ppd(&["run", "programs/overdraw.ppd", "--inputs", "95", "--log-dir", dir_s]);
     assert!(!ok, "program failed (that's the point)");
-    assert!(stdout.contains("execution saved"), "{stdout}");
+    assert!(stdout.contains("logs streamed to"), "{stdout}");
 
-    // Offline debugging from the saved record, without re-running.
+    // Offline debugging from the saved store, without re-running.
     let mut child = ppd()
-        .args(["debug", "programs/overdraw.ppd", "--load", path_s])
+        .args(["debug", "programs/overdraw.ppd", "--log-dir", dir_s])
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
@@ -243,8 +242,27 @@ fn save_and_load_execution_record() {
     child.stdin.as_mut().unwrap().write_all(b"graph\nquit\n").unwrap();
     let out = child.wait_with_output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("loaded execution"), "{stdout}");
+    assert!(stdout.contains("loaded segmented log store from"), "{stdout}");
     assert!(stdout.contains("debugging from: assert"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn save_and_load_are_unknown_flags() {
+    // A log directory is the one saved form of a run; `log pack` parses
+    // flags as `run` does but takes only its own.
+    let pack = ["log", "pack", "programs/bank.ppd", "never-written/", "--jobs", "2"];
+    for args in [
+        &["run", "programs/bank.ppd", "--save", "saved.json"][..],
+        &["run", "programs/bank.ppd", "--load", "saved.json"][..],
+        &pack[..],
+    ] {
+        let out = ppd().args(args).stdin(Stdio::null()).output().expect("ppd runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown flag") && stderr.contains("usage:"), "{stderr}");
+    }
+    assert!(!std::path::Path::new("never-written").exists());
 }
 
 #[test]
@@ -370,57 +388,6 @@ fn debug_state_on_a_damaged_store_prints_the_error() {
 }
 
 #[test]
-fn run_save_writes_the_record_of_a_loaded_run() {
-    let dir = std::env::temp_dir().join("ppd_cli_test").join("save-loaded");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let store = dir.join("store");
-    let (saved, resaved) = (dir.join("saved.json"), dir.join("resaved.json"));
-    let path = |p: &std::path::Path| p.to_str().unwrap().to_owned();
-    let outcome =
-        |stdout: &str| stdout.lines().find(|l| l.starts_with("outcome:")).map(str::to_owned);
-    let (stdout, stderr, ok) = run_ppd(&["run", "programs/bank.ppd", "--log-dir", &path(&store)]);
-    assert!(ok && stdout.contains("logs streamed to"), "{stdout}{stderr}");
-    // The store now holds a run: it is loaded, and still saved.
-    let (stdout, stderr, ok) =
-        run_ppd(&["run", "programs/bank.ppd", "--log-dir", &path(&store), "--save", &path(&saved)]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("loaded segmented log store from"), "{stdout}");
-    assert!(stdout.contains("execution saved to"), "{stdout}");
-    let from_store = outcome(&stdout).expect("an outcome line");
-    // The record loads back with the same outcome, and `--load` saves too.
-    let (stdout, stderr, ok) =
-        run_ppd(&["run", "programs/bank.ppd", "--load", &path(&saved), "--save", &path(&resaved)]);
-    assert!(ok, "{stderr}");
-    assert!(stdout.contains("loaded execution from"), "{stdout}");
-    assert_eq!(outcome(&stdout), Some(from_store));
-    let record = std::fs::read(&saved).expect("--save wrote the record");
-    assert_eq!(std::fs::read(&resaved).expect("--load --save wrote it"), record);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn run_save_on_a_damaged_store_is_a_positioned_error() {
-    let (dir, file, block) = damaged_bank_store("damaged-save", 1, |_| 0);
-    let saved = std::path::Path::new(&dir).join("saved.json");
-    let (_, stderr, ok) = run_ppd(&[
-        "run",
-        "programs/bank.ppd",
-        "--strategy",
-        "loops",
-        "--log-dir",
-        &dir,
-        "--save",
-        saved.to_str().unwrap(),
-    ]);
-    assert!(!ok, "{stderr}");
-    assert!(stderr.contains(&format!("corrupt segment {file}: block {block}")), "{stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(!saved.exists(), "nothing is saved from a damaged store");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn closed_stdout_ends_quietly() {
     // Enough e-blocks that `ppd check` prints more than a pipe holds, so
     // it is still writing when the reader goes away after one line.
@@ -476,16 +443,45 @@ fn run_log_dir_streams_then_reloads() {
     let dir = std::env::temp_dir().join("ppd_cli_test").join("run-dir");
     let _ = std::fs::remove_dir_all(&dir);
     let dir_s = dir.to_str().unwrap().to_owned();
+    let outcome =
+        |stdout: &str| stdout.lines().find(|l| l.starts_with("outcome:")).map(str::to_owned);
     let (stdout, _, ok) =
         run_ppd(&["run", "programs/overdraw.ppd", "--inputs", "50", "--log-dir", &dir_s]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("logs streamed to"), "{stdout}");
+    let from_run = outcome(&stdout).expect("an outcome line");
     // Same command again: the store exists, so the run is replayed from
-    // disk instead of re-executed.
+    // disk instead of re-executed, with the same outcome.
     let (stdout, _, ok) =
         run_ppd(&["run", "programs/overdraw.ppd", "--inputs", "50", "--log-dir", &dir_s]);
     assert!(ok, "{stdout}");
     assert!(stdout.contains("loaded segmented log store from"), "{stdout}");
+    assert_eq!(outcome(&stdout), Some(from_run));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_save_writes_the_record_of_a_loaded_run() {
+    // The store a run writes is its saved record: loading it prints the
+    // outcome of the run that wrote it, and loading leaves it unchanged.
+    let dir = std::env::temp_dir().join("ppd_cli_test").join("save-loaded");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("store");
+    let store_s = store.to_str().unwrap().to_owned();
+    let outcome =
+        |stdout: &str| stdout.lines().find(|l| l.starts_with("outcome:")).map(str::to_owned);
+    let (stdout, stderr, ok) = run_ppd(&["run", "programs/bank.ppd", "--log-dir", &store_s]);
+    assert!(ok && stdout.contains("logs streamed to"), "{stdout}{stderr}");
+    let from_run = outcome(&stdout).expect("an outcome line");
+    let record = std::fs::read(store.join("run.json")).expect("the run wrote run.json");
+    for _ in 0..2 {
+        let (stdout, stderr, ok) = run_ppd(&["run", "programs/bank.ppd", "--log-dir", &store_s]);
+        assert!(ok, "{stderr}");
+        assert!(stdout.contains("loaded segmented log store from"), "{stdout}");
+        assert_eq!(outcome(&stdout), Some(from_run.clone()));
+        assert_eq!(std::fs::read(store.join("run.json")).unwrap(), record);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
