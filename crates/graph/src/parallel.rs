@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense id of a synchronization node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SyncNodeId(pub u32);
 
 impl SyncNodeId {
@@ -53,7 +53,7 @@ impl fmt::Display for InternalEdgeId {
 }
 
 /// What kind of synchronization event a node represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncNodeKind {
     /// Process creation (start of its first internal edge).
     ProcessStart,
@@ -84,7 +84,7 @@ pub enum SyncNodeKind {
 }
 
 /// A synchronization node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SyncNode {
     /// This node's id.
     pub id: SyncNodeId,
@@ -99,7 +99,7 @@ pub struct SyncNode {
 }
 
 /// An internal edge: the events of one synchronization-unit execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternalEdge {
     /// This edge's id.
     pub id: InternalEdgeId,
@@ -118,7 +118,7 @@ pub struct InternalEdge {
 }
 
 /// A synchronization edge: a causal pair of synchronization events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncEdge {
     /// The initiating node.
     pub from: SyncNodeId,
@@ -129,7 +129,7 @@ pub struct SyncEdge {
 }
 
 /// The synchronization-edge constructions of §6.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncEdgeLabel {
     /// A `v` that passed a semaphore to a later `p` (§6.2.1).
     Semaphore,
@@ -146,21 +146,19 @@ pub enum SyncEdgeLabel {
 }
 
 /// The parallel dynamic graph of one execution instance.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ParallelGraph {
     nodes: Vec<SyncNode>,
     internal: Vec<InternalEdge>,
     sync: Vec<SyncEdge>,
     /// Open internal edge per process (builder state), indexed by
     /// process id — accessed on every shared read/write, so dense.
-    #[serde(skip)]
     open: Vec<Option<OpenEdge>>,
     universe: usize,
     /// Element-granular cell table: for each cell id, the owning
     /// variable and element index (`None` for scalar cells). Empty in
-    /// graphs recorded before cell granularity existed; then every
-    /// cell is its own owner.
-    #[serde(default)]
+    /// graphs built by [`ParallelGraph::new`]; then every cell is its
+    /// own owner.
     cells: Vec<(VarId, Option<u32>)>,
 }
 
@@ -183,6 +181,74 @@ impl ParallelGraph {
     /// (see `ppd_lang::CellMap::table`); `universe` is `cells.len()`.
     pub fn with_cells(universe: usize, cells: Vec<(VarId, Option<u32>)>) -> Self {
         ParallelGraph { universe, cells, ..Self::default() }
+    }
+
+    /// A recorded graph, checked: the graph a saved run's record holds,
+    /// rebuilt from its parts with every edge closed. `procs` is the
+    /// number of processes the run had.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violated rule: node and internal-edge ids
+    /// are dense (`nodes[i].id == i`), every node's process is below
+    /// `procs`, every edge joins two existing nodes and points from the
+    /// lower id to the higher one (so the graph is acyclic, which
+    /// [`VectorClocks`](crate::VectorClocks) relies on), an internal
+    /// edge joins two nodes of its own process, every read/write set
+    /// member is below `universe`, and the cell table is empty or has
+    /// `universe` entries.
+    pub fn from_recorded(
+        procs: usize,
+        universe: usize,
+        cells: Vec<(VarId, Option<u32>)>,
+        nodes: Vec<SyncNode>,
+        internal: Vec<InternalEdge>,
+        sync: Vec<SyncEdge>,
+    ) -> Result<ParallelGraph, String> {
+        if !cells.is_empty() && cells.len() != universe {
+            return Err(format!("cell table has {} entries for {universe} cells", cells.len()));
+        }
+        for (i, n) in nodes.iter().enumerate() {
+            if n.id.index() != i {
+                return Err(format!("node {i} carries id {}", n.id));
+            }
+            if n.proc.index() >= procs {
+                return Err(format!("node {} belongs to process {}, past {procs}", n.id, n.proc.0));
+            }
+        }
+        let forward = |from: SyncNodeId, to: SyncNodeId| {
+            if to.index() >= nodes.len() {
+                Err(format!("ends at node {to}, past the {} nodes", nodes.len()))
+            } else if from >= to {
+                Err(format!("runs from {from} back to {to}"))
+            } else {
+                Ok(())
+            }
+        };
+        for (i, e) in internal.iter().enumerate() {
+            if e.id.index() != i {
+                return Err(format!("internal edge {i} carries id {}", e.id));
+            }
+            forward(e.from, e.to).map_err(|m| format!("internal edge {} {m}", e.id))?;
+            if nodes[e.from.index()].proc != e.proc || nodes[e.to.index()].proc != e.proc {
+                return Err(format!("internal edge {} leaves process {}", e.id, e.proc.0));
+            }
+            let past = |set: &VarSet| set.to_vec().last().is_some_and(|v| v.index() >= universe);
+            if past(&e.reads) || past(&e.writes) {
+                return Err(format!("internal edge {} touches a cell past {universe}", e.id));
+            }
+        }
+        for (i, e) in sync.iter().enumerate() {
+            forward(e.from, e.to).map_err(|m| format!("sync edge {i} {m}"))?;
+        }
+        Ok(ParallelGraph { nodes, internal, sync, open: Vec::new(), universe, cells })
+    }
+
+    /// The element-granular cell table (see
+    /// [`with_cells`](Self::with_cells)); empty for graphs built by
+    /// [`new`](Self::new).
+    pub fn cells(&self) -> &[(VarId, Option<u32>)] {
+        &self.cells
     }
 
     /// The variable that owns `cell`. Falls back to the identity for
@@ -467,22 +533,63 @@ mod tests {
 }
 
 #[cfg(test)]
-mod serde_tests {
+mod recorded_tests {
     use super::*;
-    use crate::order::VectorClocks;
+
+    type Parts =
+        (usize, Vec<(VarId, Option<u32>)>, Vec<SyncNode>, Vec<InternalEdge>, Vec<SyncEdge>);
+
+    /// Figure 6.1's graph taken apart, as a record holds it.
+    fn parts() -> Parts {
+        let (g, _) = fig61_graph();
+        let (nodes, internal, sync) = (g.nodes.clone(), g.internal.clone(), g.sync.clone());
+        (g.universe, vec![(VarId(0), None)], nodes, internal, sync)
+    }
+
+    fn rebuild(
+        procs: usize,
+        (universe, cells, nodes, internal, sync): Parts,
+    ) -> Result<ParallelGraph, String> {
+        ParallelGraph::from_recorded(procs, universe, cells, nodes, internal, sync)
+    }
 
     #[test]
-    fn parallel_graph_serde_round_trip_preserves_races() {
-        let (g, _) = crate::parallel::fig61_graph();
-        let json = serde_json::to_string(&g).unwrap();
-        let g2: ParallelGraph = serde_json::from_str(&json).unwrap();
-        assert_eq!(g2.nodes().len(), g.nodes().len());
-        assert_eq!(g2.internal_edges().len(), g.internal_edges().len());
-        assert_eq!(g2.sync_edges().len(), g.sync_edges().len());
-        let (o1, o2) = (VectorClocks::compute(&g), VectorClocks::compute(&g2));
-        let r1 = crate::race::detect_races(&g, &o1, None);
-        let r2 = crate::race::detect_races(&g2, &o2, None);
-        assert_eq!(r1, r2);
-        assert_eq!(r1.len(), 2);
+    fn recorded_parts_rebuild_the_graph() {
+        let (g, _) = fig61_graph();
+        let r = rebuild(3, parts()).unwrap();
+        assert_eq!(r.nodes(), g.nodes());
+        assert_eq!(r.internal_edges(), g.internal_edges());
+        assert_eq!(r.sync_edges(), g.sync_edges());
+        assert_eq!((r.universe(), r.cells()), (1, &[(VarId(0), None)][..]));
+        let empty = parts();
+        assert!(rebuild(3, (empty.0, Vec::new(), empty.2, empty.3, empty.4)).is_ok());
+    }
+
+    #[test]
+    fn recorded_graph_rules_reject_hostile_parts() {
+        let reject = |edit: &dyn Fn(&mut Parts), needle: &str| {
+            let mut p = parts();
+            edit(&mut p);
+            let err = rebuild(3, p).unwrap_err();
+            assert!(err.contains(needle), "{needle:?} not in {err:?}");
+        };
+        reject(&|p| p.2[1].id = SyncNodeId(7), "node 1 carries id n7");
+        reject(&|p| p.3.swap(0, 1), "internal edge 0 carries id e1");
+        reject(&|p| p.2[2].proc = ProcId(3), "process 3, past 3");
+        reject(&|p| p.2[2].proc = ProcId(u32::MAX), "past 3");
+        reject(&|p| p.3[0].to = SyncNodeId(99999), "ends at node n99999, past the 9 nodes");
+        reject(&|p| p.4[0].to = SyncNodeId(9), "ends at node n9");
+        reject(
+            &|p| {
+                let e = &mut p.3[5];
+                (e.from, e.to) = (e.to, e.from);
+            },
+            "internal edge e5 runs from n8 back to n5",
+        );
+        reject(&|p| p.4[1].from = p.4[1].to, "sync edge 1 runs from n6 back to n6");
+        reject(&|p| p.3[1].proc = ProcId(0), "internal edge e1 leaves process 0");
+        reject(&|p| _ = p.3[2].reads.insert(VarId(1)), "touches a cell past 1");
+        reject(&|p| _ = p.3[2].writes.insert(VarId(4000)), "touches a cell past 1");
+        reject(&|p| p.1.push((VarId(0), Some(0))), "cell table has 2 entries for 1 cells");
     }
 }

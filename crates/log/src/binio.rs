@@ -74,10 +74,12 @@ impl fmt::Display for BinError {
 impl std::error::Error for BinError {}
 
 // ---------------------------------------------------------------------
-// Primitive writers/readers (shared with the segment footer codec)
+// Primitive writers/readers (shared with the segment footer codec and
+// the parallel-graph record of a saved run)
 // ---------------------------------------------------------------------
 
-pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+/// Appends `v` as an unsigned LEB128 varint.
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -96,7 +98,7 @@ pub(crate) fn put_signed(out: &mut Vec<u8>, v: i64) {
 
 /// A bounds-checked byte reader that knows its absolute position inside
 /// the containing blob or file, so every error carries a real offset.
-pub(crate) struct Reader<'a> {
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
     /// Absolute offset of `bytes[0]` within the containing input.
@@ -104,23 +106,24 @@ pub(crate) struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Reader<'a> {
+    /// A reader over `bytes`, offsets counted from its start.
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
         Reader { bytes, pos: 0, base: 0 }
     }
 
     /// A reader over a slice that starts `base` bytes into the
     /// containing input (error offsets stay absolute).
-    pub(crate) fn with_base(bytes: &'a [u8], base: usize) -> Reader<'a> {
+    pub fn with_base(bytes: &'a [u8], base: usize) -> Reader<'a> {
         Reader { bytes, pos: 0, base }
     }
 
     /// Absolute offset of the next unread byte.
-    pub(crate) fn offset(&self) -> usize {
+    pub fn offset(&self) -> usize {
         self.base + self.pos
     }
 
     /// Bytes remaining.
-    pub(crate) fn remaining(&self) -> usize {
+    pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
@@ -128,13 +131,25 @@ impl<'a> Reader<'a> {
         BinError::new(kind, self.offset())
     }
 
-    pub(crate) fn byte(&mut self) -> Result<u8, BinError> {
+    /// Reads one byte.
+    ///
+    /// # Errors
+    ///
+    /// [`BinErrorKind::UnexpectedEof`] at the end of the input.
+    pub fn byte(&mut self) -> Result<u8, BinError> {
         let b = *self.bytes.get(self.pos).ok_or_else(|| self.err(BinErrorKind::UnexpectedEof))?;
         self.pos += 1;
         Ok(b)
     }
 
-    pub(crate) fn varint(&mut self) -> Result<u64, BinError> {
+    /// Reads an unsigned LEB128 varint.
+    ///
+    /// # Errors
+    ///
+    /// [`BinErrorKind::UnexpectedEof`] if the input ends inside it,
+    /// [`BinErrorKind::BadTag`] (with the offending byte) if it runs
+    /// past 64 bits.
+    pub fn varint(&mut self) -> Result<u64, BinError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {

@@ -687,7 +687,7 @@ fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, E
     // mmap-backed, lazily decoded logs.
     let (execution, was_loaded) = if let Some(dir) = &opts.log_dir {
         let dir = std::path::Path::new(dir);
-        if dir.join("run.json").exists() {
+        if Execution::is_saved_run(dir) {
             match Execution::load_dir(dir) {
                 Ok(execution) => {
                     if verbose {

@@ -474,14 +474,58 @@ fn run_save_writes_the_record_of_a_loaded_run() {
     let (stdout, stderr, ok) = run_ppd(&["run", "programs/bank.ppd", "--log-dir", &store_s]);
     assert!(ok && stdout.contains("logs streamed to"), "{stdout}{stderr}");
     let from_run = outcome(&stdout).expect("an outcome line");
-    let record = std::fs::read(store.join("run.json")).expect("the run wrote run.json");
+    let record = || ["run.json", "pgraph.bin"].map(|name| std::fs::read(store.join(name)).ok());
+    let written = record();
+    assert!(written.iter().all(Option::is_some), "the run wrote both record files");
     for _ in 0..2 {
         let (stdout, stderr, ok) = run_ppd(&["run", "programs/bank.ppd", "--log-dir", &store_s]);
         assert!(ok, "{stderr}");
         assert!(stdout.contains("loaded segmented log store from"), "{stdout}");
         assert_eq!(outcome(&stdout), Some(from_run.clone()));
-        assert_eq!(std::fs::read(store.join("run.json")).unwrap(), record);
+        assert!(record() == written, "loading changed the record");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn debug_on_a_hostile_graph_record_is_an_error_not_a_panic() {
+    // A record whose checksum holds but whose graph has an edge ending
+    // at node 99999 of 12 (saved through the library, which checks
+    // nothing on write): loading refuses it, naming the file, before
+    // the race scan could index past the nodes.
+    use ppd::core::{Execution, PpdSession, RunConfig};
+    use ppd::graph::{SyncEdgeLabel, SyncNodeId};
+    let dir = std::env::temp_dir().join("ppd_cli_test").join("hostile-graph");
+    let _ = std::fs::remove_dir_all(&dir);
+    let source = std::fs::read_to_string("programs/bank.ppd").unwrap();
+    let strategy = ppd::analysis::EBlockStrategy::per_subroutine();
+    let mut execution =
+        PpdSession::prepare(&source, strategy).unwrap().execute(RunConfig::default());
+    execution.pgraph.add_sync_edge(SyncNodeId(1), SyncNodeId(99999), SyncEdgeLabel::Semaphore);
+    execution.save_dir(&dir, 0, ppd::log::SegmentFormat::default()).unwrap();
+    assert!(Execution::load_dir(&dir).is_err());
+    let mut child = ppd()
+        .args(["debug", "programs/bank.ppd", "--log-dir", dir.to_str().unwrap()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    use std::io::Write;
+    child.stdin.take().unwrap().write_all(b"races\nquit\n").unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("pgraph.bin") && stderr.contains("n99999"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    // A directory written before `pgraph.bin` existed is a saved run
+    // that does not load: `run` reports the missing file instead of
+    // running over the store.
+    std::fs::remove_file(dir.join("pgraph.bin")).unwrap();
+    let (stdout, stderr, ok) =
+        run_ppd(&["run", "programs/bank.ppd", "--log-dir", dir.to_str().unwrap()]);
+    assert!(!ok && stderr.contains("pgraph.bin"), "{stdout}{stderr}");
+    assert!(!dir.join("pgraph.bin").exists(), "the run did not write into the old store");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -14,6 +14,7 @@ mod common;
 use common::{expand_all, fingerprint, workloads, Gen};
 use ppd::analysis::{EBlockId, EBlockStrategy};
 use ppd::core::{Controller, Execution, PpdSession, RunConfig};
+use ppd::graph::detect_races;
 use ppd::lang::{corpus, ProcId, Value, VarId};
 use ppd::log::{IntervalIndex, IntervalRef, LogEntry, LogStore, SegmentFormat, SegmentWriter};
 use ppd::runtime::SchedulerSpec;
@@ -84,6 +85,79 @@ fn on_disk_transcripts_match_in_memory_across_corpus_and_programs() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The graph-record round trip: for the corpus, `programs/` and the
+/// generators, each under six schedules, loading a saved run and saving
+/// it again gives byte-identical records (decode, then re-encode) and
+/// the same races. Every recorded edge points forward (the check that
+/// keeps a loaded graph acyclic) and node times never decrease (what
+/// keeps the delta-coded times one byte long).
+#[test]
+fn graph_record_round_trips_across_corpus_programs_and_generators() {
+    let mut sources: Vec<(String, String)> =
+        corpus::all().into_iter().map(|p| (p.name.to_owned(), p.source.to_owned())).collect();
+    for entry in std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/programs")).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().and_then(|e| e.to_str()) == Some("ppd") {
+            let name = path.file_stem().unwrap().to_string_lossy().into_owned();
+            sources.push((name, std::fs::read_to_string(&path).unwrap()));
+        }
+    }
+    let generated = [
+        ("gen_loop_heavy", corpus::gen_loop_heavy(9)),
+        ("gen_deep_calls", corpus::gen_deep_calls(5)),
+        ("gen_racy_workers", corpus::gen_racy_workers(4, 8)),
+        ("gen_prodcons", corpus::gen_prodcons(20)),
+        ("gen_bank", corpus::gen_bank(20)),
+        ("gen_token_ring", corpus::gen_token_ring(10)),
+        ("gen_quicksort", corpus::gen_quicksort(12)),
+        ("gen_wide_vars", corpus::gen_wide_vars(8)),
+    ];
+    sources.extend(generated.into_iter().map(|(name, src)| (name.to_owned(), src)));
+    let schedules = [
+        SchedulerSpec::RoundRobin,
+        SchedulerSpec::PreferLowest,
+        SchedulerSpec::PreferHighest,
+        SchedulerSpec::RunToBlock,
+        SchedulerSpec::Random { seed: 1 },
+        SchedulerSpec::Random { seed: 2 },
+    ];
+    let (mut graphs, mut edges) = (0, 0);
+    let record = |dir: &Path| {
+        ["pgraph.bin", "run.json"].map(|name| std::fs::read(dir.join(name)).expect("record file"))
+    };
+    for (name, source) in &sources {
+        let session = PpdSession::prepare(source, EBlockStrategy::per_subroutine())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for scheduler in schedules {
+            // Three for every `input()` of every process: `overdraw`
+            // and `bounds` then complete.
+            let config =
+                RunConfig { scheduler, inputs: vec![vec![3; 8]; 8], ..RunConfig::default() };
+            let execution = session.execute(config);
+            let (first, second) = (tmp_dir(&format!("graph-{name}")), tmp_dir("graph-again"));
+            execution.save_dir(&first, 0, SegmentFormat::default()).expect("save_dir succeeds");
+            let loaded = Execution::load_dir(&first).expect("load_dir succeeds");
+            loaded.save_dir(&second, 0, SegmentFormat::default()).expect("save_dir succeeds");
+            assert!(record(&first) == record(&second), "{name} {scheduler:?}: record changed");
+            let (g, h) = (&execution.pgraph, &loaded.pgraph);
+            assert_eq!(
+                detect_races(g, execution.ordering(), None),
+                detect_races(h, loaded.ordering(), None),
+                "{name} {scheduler:?}"
+            );
+            assert!(g.nodes().windows(2).all(|w| w[0].time <= w[1].time), "{name}");
+            assert!(g.internal_edges().iter().all(|e| e.from < e.to), "{name}");
+            assert!(g.sync_edges().iter().all(|e| e.from < e.to), "{name}");
+            graphs += 1;
+            edges += g.internal_edges().len() + g.sync_edges().len();
+            let _ = std::fs::remove_dir_all(&first);
+            let _ = std::fs::remove_dir_all(&second);
+        }
+    }
+    assert_eq!(graphs, sources.len() * schedules.len());
+    assert!(edges > 5_000, "only {edges} edges in {graphs} graphs");
 }
 
 #[test]
