@@ -229,17 +229,7 @@ pub fn run_passes(
     jobs: usize,
 ) -> Vec<Diagnostic> {
     let ctx = LintContext { rp, analyses };
-    let per_pass: Vec<Vec<Diagnostic>> = if jobs <= 1 || passes.len() <= 1 {
-        passes.iter().map(|p| run_pass_instrumented(p, &ctx)).collect()
-    } else {
-        use rayon::prelude::*;
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(jobs)
-            .build()
-            .expect("thread pool build is infallible");
-        pool.install(|| passes.par_iter().map(|p| run_pass_instrumented(p, &ctx)).collect())
-    };
-    finalize(per_pass)
+    finalize(rayon::par_map(passes, jobs, |p| run_pass_instrumented(p, &ctx)))
 }
 
 /// Runs one pass under a span naming it, so `--trace-out` shows where

@@ -1280,8 +1280,9 @@ const E10_FORMATS: [(&str, ppd_log::SegmentFormat); 2] =
 /// then opened cold: mmap + CRC-checked footer decode rebuilds the
 /// interval index from footer digests with **zero entries decoded**
 /// and **zero blocks decompressed**. The `full decode` column is the
-/// rescan the footers avoid (for compressed stores it decompresses
-/// every block on the rayon pool). Real corpus runs (streamed by the
+/// rescan the footers avoid: [`ppd_log::SegmentedLog::verify`], which
+/// checks, inflates and decodes every block, one segment per task
+/// across the hardware threads. Real corpus runs (streamed by the
 /// runtime sink in both formats, reopened via the same path) anchor
 /// the synthetic rows and carry the §7-style value payloads where
 /// compression pays: the acceptance gate is >= 2x bytes/entry
@@ -1406,8 +1407,9 @@ pub fn e10_logstream_full(max_bytes: u64) -> (Table, String) {
     t.note("rebuilds the interval index from footer digests and answers open-interval +");
     t.note("covering queries for every process. `decoded` counts entries decoded by the");
     t.note("fast path (always 0: indexes come from footers, with no block decompressed);");
-    t.note("`full decode` is the rescan the footers avoid — for lzb rows it inflates every");
-    t.note("block on the rayon pool. Synthetic raw/lzb pairs hold identical entry streams;");
+    t.note("`full decode` is the rescan the footers avoid: `log verify`, which checks and");
+    t.note("decodes every block (inflating lzb ones), one segment per task across the");
+    t.note("hardware threads. Synthetic raw/lzb pairs hold identical entry streams;");
     t.note("the corpus rows are streamed by the runtime sink during real instrumented runs");
     t.note("(the lzb rows via --compress), then reopened the same way. `file bytes (Nx)`");
     t.note("on lzb rows is the bytes/entry reduction vs the raw row above. The stencil +");

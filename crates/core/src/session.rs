@@ -620,15 +620,14 @@ impl PpdSession {
     }
 
     /// Execution phase with a streaming log sink (§5.6 out-of-core
-    /// logs): every log record is teed into a segmented on-disk store
-    /// in `dir` *while the program runs* — full segments are sealed and
-    /// flushed mid-execution, not at the end. When the run finishes,
-    /// its record (`pgraph.bin` and `run.json`, as
-    /// [`Execution::save_dir`] writes them) is written and the
-    /// execution is returned
-    /// with its logs **reopened from the directory**, so subsequent
-    /// debugging exercises the mapped, lazily-decoded path. The
-    /// directory can also be reopened later with
+    /// logs): every log record goes to a segmented on-disk store in
+    /// `dir` *while the program runs* — full segments are sealed and
+    /// flushed mid-execution, not at the end — and no copy is kept in
+    /// memory. When the run finishes, the store is reopened from the
+    /// directory, so subsequent debugging exercises the mapped,
+    /// lazily-decoded path, and the run's record (`pgraph.bin` and
+    /// `run.json`, as [`Execution::save_dir`] writes them) is written
+    /// beside it. The directory can also be reopened later with
     /// [`Execution::load_dir`].
     ///
     /// `segment_bytes` as in [`Execution::save_dir`]. When `compress`
@@ -659,15 +658,14 @@ impl PpdSession {
         let execution = Execution {
             outcome: result.outcome,
             output: result.output,
-            logs: result.logs.expect("logging enabled"),
+            logs: LogStore::open_dir(dir)?,
             pgraph: result.pgraph.expect("parallel graph enabled"),
             steps: result.steps,
             config,
             ordering: OnceLock::new(),
         };
         write_run_record(dir, &execution)?;
-        let logs = LogStore::open_dir(dir)?;
-        Ok(Execution { logs, ..execution })
+        Ok(execution)
     }
 
     /// Runs the program *uninstrumented* — no logs, no parallel graph —

@@ -26,7 +26,6 @@ use crate::parallel::{InternalEdgeId, ParallelGraph};
 pub use ppd_analysis::RaceCandidates;
 use ppd_analysis::VarSetRepr;
 use ppd_lang::{ProcId, VarId};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -197,21 +196,19 @@ pub fn detect_races_absint(
 }
 
 /// The parallel detector: the comparisons [`detect_races`] would
-/// order-check are partitioned into chunks and checked across a
-/// work-stealing pool of `jobs` threads ([`rayon`]); per-chunk results
-/// are merged and finalized with the same sort + dedup, so the output is
-/// **bit-identical** to [`detect_races`] on the same inputs regardless of
-/// schedule (asserted over the corpus and randomized graphs in
-/// `tests/parallel_backend.rs`). `jobs <= 1` runs [`detect_races`].
+/// order-check are partitioned into chunks and checked on up to `jobs`
+/// threads by the vendored work-stealing [`rayon::par_map`]; per-chunk
+/// results are merged and finalized with the same sort + dedup, so the
+/// output is **bit-identical** to [`detect_races`] on the same inputs
+/// regardless of schedule (asserted over the corpus and randomized
+/// graphs in `tests/parallel_backend.rs`). `jobs <= 1`, or a single
+/// chunk, checks on the calling thread.
 pub fn detect_races_par<O: Ordering + Sync>(
     graph: &ParallelGraph,
     ord: &O,
     candidates: Option<&RaceCandidates>,
     jobs: usize,
 ) -> Vec<Race> {
-    if jobs <= 1 {
-        return detect_races(graph, ord, candidates);
-    }
     let mut span = ppd_obs::span("race", "scan_par");
     span.arg("jobs", jobs);
     let mut pairs = Vec::new();
@@ -223,20 +220,12 @@ pub fn detect_races_par<O: Ordering + Sync>(
     span.arg("pairs", pairs.len());
     let check = |r: &&Race| simultaneous(graph, ord, r.first, r.second);
     // Chunk so each stealable task amortizes scheduling overhead;
-    // chunks are re-concatenated in input order before the final sort,
-    // keeping the merge deterministic.
-    let chunk = pairs.len().div_ceil(jobs * 4).max(16);
-    if pairs.len() <= chunk {
-        return finish(pairs.iter().filter(check).copied().collect());
-    }
+    // chunks come back in input order before the final sort, keeping
+    // the merge deterministic.
+    let chunk = pairs.len().div_ceil(jobs.max(1) * 4).max(16);
     let chunks: Vec<&[Race]> = pairs.chunks(chunk).collect();
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(jobs)
-        .build()
-        .expect("thread pool build is infallible");
-    let per_chunk: Vec<Vec<Race>> = pool.install(|| {
-        chunks.par_iter().map(|c| c.iter().filter(check).copied().collect::<Vec<Race>>()).collect()
-    });
+    let per_chunk =
+        rayon::par_map(&chunks, jobs, |c| c.iter().filter(check).copied().collect::<Vec<_>>());
     finish(per_chunk.into_iter().flatten().collect())
 }
 

@@ -44,8 +44,8 @@
 //! *uncompressed*-relative, so a reader binary-searches the table and
 //! decompresses exactly the block holding the entry it wants (a
 //! checksum or size mismatch is a [`SegError`] naming the segment and
-//! block), while `verify` decompresses segments in parallel over the
-//! vendored work-stealing pool.
+//! block), while `verify` decompresses segments in parallel through the
+//! vendored work-stealing [`rayon::par_map`].
 //!
 //! Two CRC-32s guard a segment — [`lzb::crc32`], the IEEE checksum the
 //! block frames carry too — split so that open-time cost is
@@ -1106,16 +1106,7 @@ impl SegmentedLog {
                 },
             }
         };
-        let parsed: Vec<FileParse> = if jobs <= 1 || files.len() <= 1 {
-            files.iter().map(parse_one).collect()
-        } else {
-            use rayon::prelude::*;
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(jobs.min(files.len()))
-                .build()
-                .expect("thread pool build is infallible");
-            pool.install(|| files.par_iter().map(parse_one).collect())
-        };
+        let parsed = rayon::par_map(&files, jobs, parse_one);
 
         let mut procs: Vec<Vec<LoadedSegment>> =
             (0..manifest.processes).map(|_| Vec::new()).collect();
@@ -1577,25 +1568,15 @@ impl SegmentedLog {
     /// payload, and cross-checks footer metadata (entry counts, offset
     /// tables, block tables, digests, time spans) against the decoded
     /// entries. The per-segment passes are independent, so they run
-    /// concurrently across every hardware thread on the vendored
-    /// work-stealing pool.
+    /// concurrently across every hardware thread through the vendored
+    /// work-stealing [`rayon::par_map`].
     ///
     /// # Errors
     ///
     /// Returns the first inconsistency found (in file order).
     pub fn verify(&self) -> Result<VerifyReport, SegError> {
-        let jobs = available_jobs();
         let segs: Vec<&LoadedSegment> = self.procs.iter().flatten().collect();
-        let results: Vec<Result<u64, SegError>> = if jobs <= 1 || segs.len() <= 1 {
-            segs.iter().map(|s| self.verify_segment(s)).collect()
-        } else {
-            use rayon::prelude::*;
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(jobs.min(segs.len()))
-                .build()
-                .expect("thread pool build is infallible");
-            pool.install(|| segs.par_iter().map(|s| self.verify_segment(s)).collect())
-        };
+        let results = rayon::par_map(&segs, available_jobs(), |s| self.verify_segment(s));
         let mut report = VerifyReport {
             segments: segs.len(),
             entries: 0,

@@ -52,9 +52,10 @@ pub struct ExecConfig {
     /// measurements experiment E1 makes.
     pub meter_logging: bool,
     /// Stream logs to a segmented on-disk store in this directory while
-    /// the program runs: every log write is teed into a
-    /// [`ppd_log::SegmentWriter`], which seals and flushes full
-    /// segments during execution. `None` (the default) keeps logs
+    /// the program runs, instead of keeping them in memory: every log
+    /// write goes to a [`ppd_log::SegmentWriter`], which seals and
+    /// flushes full segments during execution, and
+    /// [`ExecResult::logs`] is `None`. `None` (the default) keeps logs
     /// purely in memory. Only meaningful when a plan is supplied.
     pub log_dir: Option<std::path::PathBuf>,
     /// Segment capacity in payload bytes for [`log_dir`](Self::log_dir)
@@ -161,7 +162,9 @@ pub struct ExecResult {
     pub outcome: Outcome,
     /// `print` output in emission order.
     pub output: Vec<(ProcId, i64)>,
-    /// The logs, if a plan was supplied.
+    /// The in-memory logs, if a plan was supplied and
+    /// [`ExecConfig::log_dir`] was not set: a streamed run's logs exist
+    /// only on disk.
     pub logs: Option<LogStore>,
     /// The parallel dynamic graph, if requested.
     pub pgraph: Option<ParallelGraph>,
@@ -176,8 +179,8 @@ pub struct ExecResult {
     /// set and the sink finished cleanly.
     pub sink_report: Option<ppd_log::SinkReport>,
     /// The first error the streaming sink hit, if any: the run itself
-    /// still completes (in-memory logs stay authoritative), but the
-    /// on-disk store is incomplete and must not be trusted.
+    /// still completes, but the on-disk store, its only log, is
+    /// incomplete and must not be trusted.
     pub sink_error: Option<String>,
 }
 
@@ -359,8 +362,8 @@ pub struct Machine<'p> {
     max_steps: u64,
     events: u64,
     log_meter: Option<LogMeter>,
-    /// Streaming segment sink (§5.6 out-of-core logs): log writes are
-    /// teed here when [`ExecConfig::log_dir`] is set.
+    /// Streaming segment sink (§5.6 out-of-core logs): log writes go
+    /// here, and not to `logs`, when [`ExecConfig::log_dir`] is set.
     sink: Option<ppd_log::SegmentWriter>,
     sink_error: Option<String>,
 }
@@ -415,7 +418,7 @@ impl<'p> Machine<'p> {
                 .build_parallel_graph
                 .then(|| ParallelGraph::with_cells(cells.total(), cells.table())),
             cells,
-            logs: plan.map(|_| LogStore::new(nprocs)),
+            logs: (plan.is_some() && config.log_dir.is_none()).then(|| LogStore::new(nprocs)),
             eb_counters: vec![HashMap::new(); nprocs],
             replay: None,
             replay_root: None,
@@ -597,17 +600,22 @@ impl<'p> Machine<'p> {
         self.clock
     }
 
-    /// Writes one log record: teed into the streaming segment sink (if
-    /// [`ExecConfig::log_dir`] was set) before landing in the in-memory
-    /// store, so both backings see the identical entry sequence. A
-    /// sink IO error disables the sink but never interrupts the run.
+    /// Writes one log record to the run's one log: the streaming
+    /// segment sink when [`ExecConfig::log_dir`] was set, else the
+    /// in-memory store. A sink IO error disables the sink but never
+    /// interrupts the run.
     fn log_append(&mut self, pid: ProcId, entry: LogEntry) {
         if let Some(sink) = self.sink.as_mut() {
             sink.append(pid, &entry);
-        }
-        if let Some(logs) = self.logs.as_mut() {
+        } else if let Some(logs) = self.logs.as_mut() {
             logs.push(pid, entry);
         }
+    }
+
+    /// Whether this run writes logs (to memory or to the sink); never
+    /// during replay.
+    fn logging(&self) -> bool {
+        self.logs.is_some() || self.sink.is_some()
     }
 
     fn is_replay(&self) -> bool {
@@ -1356,7 +1364,7 @@ impl<'p> Machine<'p> {
                 // The sender's unit resumes now; snapshot at unblock.
                 self.unit_snapshot_point(msg.sender, Some(msg.send_stmt))?;
             }
-            if self.logs.is_some() {
+            if self.logging() {
                 let t2 = self.clock;
                 self.log_append(pid, LogEntry::Receive { value: msg.value, time: t2 });
             }
@@ -1489,7 +1497,7 @@ impl<'p> Machine<'p> {
                 // The sender's unit resumes now; snapshot at unblock.
                 self.unit_snapshot_point(msg.sender, Some(msg.send_stmt))?;
             }
-            if self.logs.is_some() {
+            if self.logging() {
                 let t2 = self.clock;
                 self.log_append(pid, LogEntry::Receive { value: msg.value, time: t2 });
             }
@@ -1584,7 +1592,7 @@ impl<'p> Machine<'p> {
                 g.add_sync_edge(cn, accept_node, SyncEdgeLabel::RendezvousEntry);
             }
         }
-        if self.logs.is_some() {
+        if self.logging() {
             let t2 = self.clock;
             self.log_append(pid, LogEntry::Receive { value: call.value, time: t2 });
         }
@@ -1729,7 +1737,7 @@ impl<'p> Machine<'p> {
                         return Err(RuntimeError::InputExhausted);
                     };
                     *pos += 1;
-                    if self.logs.is_some() {
+                    if self.logging() {
                         let t = self.clock;
                         self.log_append(pid, LogEntry::Input { value: v, time: t });
                     }
@@ -1962,7 +1970,7 @@ impl<'p> Machine<'p> {
             };
             read_value(v, index)?
         };
-        if element_logged && !self.is_replay() && self.logs.is_some() {
+        if element_logged && !self.is_replay() && self.logging() {
             let t = self.clock;
             self.log_append(pid, LogEntry::ElementRead { value, time: t });
         }

@@ -504,16 +504,16 @@ fn debug_on_a_hostile_graph_record_is_an_error_not_a_panic() {
     execution.pgraph.add_sync_edge(SyncNodeId(1), SyncNodeId(99999), SyncEdgeLabel::Semaphore);
     execution.save_dir(&dir, 0, ppd::log::SegmentFormat::default()).unwrap();
     assert!(Execution::load_dir(&dir).is_err());
-    let mut child = ppd()
+    // The script comes from a file, not a pipe: `debug` exits on the
+    // load error without reading it, which a pipe writer could see as
+    // a broken pipe.
+    let script = dir.with_extension("debug.in");
+    std::fs::write(&script, b"races\nquit\n").unwrap();
+    let out = ppd()
         .args(["debug", "programs/bank.ppd", "--log-dir", dir.to_str().unwrap()])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn");
-    use std::io::Write;
-    child.stdin.take().unwrap().write_all(b"races\nquit\n").unwrap();
-    let out = child.wait_with_output().unwrap();
+        .stdin(std::fs::File::open(&script).unwrap())
+        .output()
+        .expect("ppd binary runs");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("pgraph.bin") && stderr.contains("n99999"), "{stderr}");
@@ -527,6 +527,7 @@ fn debug_on_a_hostile_graph_record_is_an_error_not_a_panic() {
     assert!(!ok && stderr.contains("pgraph.bin"), "{stdout}{stderr}");
     assert!(!dir.join("pgraph.bin").exists(), "the run did not write into the old store");
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&script);
 }
 
 #[test]

@@ -17,7 +17,7 @@ use ppd::core::{Controller, Execution, PpdSession, RunConfig};
 use ppd::graph::detect_races;
 use ppd::lang::{corpus, ProcId, Value, VarId};
 use ppd::log::{IntervalIndex, IntervalRef, LogEntry, LogStore, SegmentFormat, SegmentWriter};
-use ppd::runtime::SchedulerSpec;
+use ppd::runtime::{ExecConfig, Machine, NullTracer, SchedulerSpec};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 
@@ -379,6 +379,47 @@ fn streamed_runs_match_in_memory_runs() {
             "{name}: streamed transcript diverged from in-memory"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A streamed run keeps no in-memory copy of its log: the machine
+/// returns no `LogStore`, and the store it wrote reopens to exactly the
+/// entries of the in-memory run of the same schedule, raw or compressed.
+#[test]
+fn streamed_run_keeps_no_in_memory_log() {
+    for (name, session, config) in workloads() {
+        let in_memory = session.execute(config.clone());
+        for (tag, format) in FORMATS {
+            let dir = tmp_dir(&format!("no-copy-{name}-{tag}"));
+            let mut exec = ExecConfig {
+                scheduler: config.scheduler,
+                inputs: config.inputs.clone(),
+                breakpoints: config.breakpoints.clone(),
+                log_dir: Some(dir.clone()),
+                segment_bytes: SEG_BYTES,
+                compress: format == SegmentFormat::V2Compressed,
+                ..ExecConfig::default()
+            };
+            if let Some(max) = config.max_steps {
+                exec.max_steps = max;
+            }
+            let machine =
+                Machine::new(session.rp(), session.analyses(), Some(session.plan()), exec);
+            let result = machine.run(&mut NullTracer);
+            assert_eq!(result.sink_error, None, "{name}/{tag}");
+            assert!(result.logs.is_none(), "{name}/{tag}: a streamed run kept its log in memory");
+            let reopened = LogStore::open_dir(&dir).expect("streamed store opens");
+            assert_eq!(reopened.process_count(), in_memory.logs.process_count(), "{name}/{tag}");
+            for p in 0..reopened.process_count() {
+                let pid = ProcId(p as u32);
+                assert_eq!(
+                    reopened.log(pid).entries,
+                    in_memory.logs.log(pid).entries,
+                    "{name}/{tag}: proc {p} streamed entries diverged from in-memory"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
