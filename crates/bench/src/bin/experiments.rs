@@ -4,7 +4,8 @@
 //! (a debug build works but inflates absolute times).
 //!
 //! ```text
-//! --only e4,e6,e7     run a subset of experiments (ids: e1..e11 f41 f53 f61)
+//! --only e4,e6,e7     run a subset of experiments (ids: e2..e11 f41 f53 f61;
+//!                     an unknown id exits 2 and lists the known ones)
 //! --jobs N | -j N     thread ceiling for the E7 scaling sweep (default 8)
 //! --e10-bytes N       cap the E10 store-size sweep at N file bytes
 //!                     (default: the full sweep up to 1 GB; CI uses a
@@ -23,8 +24,7 @@
 
 use ppd_bench::experiments as ex;
 use ppd_bench::Table;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::collections::HashMap;
 
 /// Experiments whose tables are emitted by `--json` — the perf-trajectory
 /// set: race-scan cost (E4), flowback latency (E6), parallel scaling (E7).
@@ -71,69 +71,57 @@ fn main() {
         }
     }
 
-    // E9 produces a table for stdout plus the BENCH_overhead.json body;
-    // the suite interface only carries tables, so the body rides out in
-    // this slot.
-    let e9_report: Rc<RefCell<Option<String>>> = Rc::new(RefCell::new(None));
-    // Same carriage for E10's BENCH_logstream.json body.
-    let e10_report: Rc<RefCell<Option<String>>> = Rc::new(RefCell::new(None));
-    // And for E11's telemetry-overhead body (spliced into
-    // BENCH_overhead.json next to E9's).
-    let e11_report: Rc<RefCell<Option<String>>> = Rc::new(RefCell::new(None));
-
-    type Entry = (&'static str, Box<dyn Fn() -> Table>);
-    let suite: Vec<Entry> = vec![
-        ("e1", Box::new(ex::e1_logging_overhead)),
-        ("e2", Box::new(ex::e2_log_vs_trace)),
-        ("e3", Box::new(ex::e3_granularity_sweep)),
-        ("e4", Box::new(ex::e4_race_detection)),
-        ("e5", Box::new(ex::e5_varset)),
-        ("e6", Box::new(ex::e6_flowback_latency)),
-        ("e7", Box::new(move || ex::e7_parallel_scaling_with(jobs))),
-        ("e8", Box::new(ex::e8_array_logging)),
-        ("e9", {
-            let slot = Rc::clone(&e9_report);
-            Box::new(move || {
-                let (table, report) = ex::e9_overhead_meter_full();
-                *slot.borrow_mut() = Some(report);
-                table
-            })
-        }),
-        ("e10", {
-            let slot = Rc::clone(&e10_report);
-            Box::new(move || {
-                let (table, report) = ex::e10_logstream_full(e10_bytes);
-                *slot.borrow_mut() = Some(report);
-                table
-            })
-        }),
-        ("e11", {
-            let slot = Rc::clone(&e11_report);
-            Box::new(move || {
-                let (table, report) = ex::e11_telemetry_full();
-                *slot.borrow_mut() = Some(report);
-                table
-            })
-        }),
-        ("f41", Box::new(ex::f41_figure)),
-        ("f53", Box::new(ex::f53_figure)),
-        ("f61", Box::new(ex::f61_figure)),
+    // E9, E10 and E11 also return a JSON report body.
+    type Run = Box<dyn Fn() -> (Table, Option<String>)>;
+    let table = |f: fn() -> Table| -> Run { Box::new(move || (f(), None)) };
+    let suite: Vec<(&str, Run)> = vec![
+        ("e2", table(ex::e2_log_vs_trace)),
+        ("e3", table(ex::e3_granularity_sweep)),
+        ("e4", table(ex::e4_race_detection)),
+        ("e5", table(ex::e5_varset)),
+        ("e6", table(ex::e6_flowback_latency)),
+        ("e7", Box::new(move || (ex::e7_parallel_scaling(jobs), None))),
+        ("e8", table(ex::e8_array_logging)),
+        ("e9", Box::new(|| report(ex::e9_overhead_meter()))),
+        ("e10", Box::new(move || report(ex::e10_logstream(e10_bytes)))),
+        ("e11", Box::new(|| report(ex::e11_telemetry()))),
+        ("f41", table(ex::f41_figure)),
+        ("f53", table(ex::f53_figure)),
+        ("f61", table(ex::f61_figure)),
     ];
+    if let Some(ids) = &only {
+        let unknown: Vec<&str> = ids
+            .iter()
+            .map(String::as_str)
+            .filter(|x| !suite.iter().any(|(id, _)| id == x))
+            .collect();
+        if !unknown.is_empty() {
+            let known: Vec<&str> = suite.iter().map(|(id, _)| *id).collect();
+            eprintln!(
+                "error: unknown experiment id(s) {}; known ids: {}",
+                unknown.join(", "),
+                known.join(", ")
+            );
+            std::process::exit(2);
+        }
+    }
 
     println!("# PPD evaluation — regenerated tables\n");
     println!("(Miller & Choi, PLDI 1988; shapes, not absolute numbers, are the claim.)\n");
     let mut json_tables: Vec<String> = Vec::new();
+    let mut reports: HashMap<&str, String> = HashMap::new();
     for (id, run) in &suite {
-        if let Some(ids) = &only {
-            if !ids.iter().any(|x| x == id) {
-                continue;
-            }
+        if only.as_ref().is_some_and(|ids| !ids.iter().any(|x| x == id)) {
+            continue;
         }
-        let table = run();
+        let (table, report) = run();
         println!("{}", table.render());
         println!();
         if json.is_some() && JSON_IDS.contains(id) {
             json_tables.push(format!("{}:{}", quoted(id), table.to_json()));
+        }
+        if let Some(report) = report {
+            reports.insert(id, report);
         }
     }
     if let Some(path) = json {
@@ -150,7 +138,7 @@ fn main() {
         // E9 and E11 share BENCH_overhead.json: E11's telemetry body
         // splices in under "telemetry" when both ran, and gets a thin
         // standalone wrapper when it ran alone.
-        let overhead_body = match (e9_report.borrow().as_ref(), e11_report.borrow().as_ref()) {
+        let overhead_body = match (reports.get("e9"), reports.get("e11")) {
             (Some(e9), Some(e11)) => {
                 let head = e9.trim_end().strip_suffix('}').expect("E9 body is a JSON object");
                 Some(format!("{head},\"telemetry\":{}}}\n", e11.trim_end()))
@@ -170,7 +158,7 @@ fn main() {
             write_or_die(&overhead, &report);
             eprintln!("wrote {overhead} (overhead report)");
         }
-        if let Some(report) = e10_report.borrow().as_ref() {
+        if let Some(report) = reports.get("e10") {
             let logstream = std::path::Path::new(&path)
                 .with_file_name("BENCH_logstream.json")
                 .to_string_lossy()
@@ -179,6 +167,11 @@ fn main() {
             eprintln!("wrote {logstream} (E10 segmented-store report)");
         }
     }
+}
+
+/// Wraps an experiment's table and JSON report as a suite result.
+fn report((table, json): (Table, String)) -> (Table, Option<String>) {
+    (table, Some(json))
 }
 
 /// Writes `body` to `path`, exiting non-zero on failure.

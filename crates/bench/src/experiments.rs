@@ -1,9 +1,10 @@
 //! The experiment implementations. Each function runs one experiment and
-//! returns a [`Table`]; `cargo run -p ppd-bench --bin experiments` prints
-//! them all. EXPERIMENTS.md records representative output.
+//! returns a [`Table`] (E9, E10 and E11 also return a JSON report body);
+//! `cargo run -p ppd-bench --bin experiments` prints them all.
+//! EXPERIMENTS.md records representative output.
 
 use crate::table::Table;
-use crate::timing::{fmt_duration, median_of, overhead_pct, time_once};
+use crate::timing::{fmt_duration, median_of, overhead_pct, quartiles, time_once};
 use crate::workloads::{self, Workload};
 use ppd_analysis::{BitVarSet, EBlockStrategy, ListVarSet, VarSetRepr};
 use ppd_core::Controller;
@@ -17,43 +18,6 @@ use std::time::Duration;
 
 /// Number of timing repetitions (median taken).
 const REPS: usize = 9;
-
-// ---------------------------------------------------------------------
-// E1: execution-time overhead of logging (§7: "less than 15%")
-// ---------------------------------------------------------------------
-
-/// E1 — runtime with logging (and with logging + parallel graph) vs the
-/// uninstrumented baseline.
-pub fn e1_logging_overhead() -> Table {
-    let mut t = Table::new(
-        "E1 — execution-phase logging overhead (paper §7: tracing added < 15%)",
-        &["workload", "baseline", "+logs", "log ovh %", "+logs+pgraph", "total ovh %"],
-    );
-    let mut log_ovhs = Vec::new();
-    for w in workloads::overhead_suite() {
-        let session = w.prepare(EBlockStrategy::with_leaf_merge(24));
-        let base = median_of(REPS, || session.measure_run(w.config(), false, false));
-        let logged = median_of(REPS, || session.measure_run(w.config(), true, false));
-        let full = median_of(REPS, || session.measure_run(w.config(), true, true));
-        let log_ovh = overhead_pct(base, logged);
-        log_ovhs.push(log_ovh);
-        t.row(vec![
-            w.name.clone(),
-            fmt_duration(base),
-            fmt_duration(logged),
-            format!("{log_ovh:+.1}%"),
-            fmt_duration(full),
-            format!("{:+.1}%", overhead_pct(base, full)),
-        ]);
-    }
-    let mean = log_ovhs.iter().sum::<f64>() / log_ovhs.len() as f64;
-    t.note(format!(
-        "mean logging overhead {mean:.1}% (paper claims < 15% for hand-annotated \
-         programs; e-blocks use §5.4 iterative leaf merging, threshold 24)"
-    ));
-    t.note("`+logs+pgraph` additionally builds the §6.1 parallel dynamic graph during execution.");
-    t
-}
 
 // ---------------------------------------------------------------------
 // E2: log volume vs full-trace volume (§3.1 need-to-generate)
@@ -294,12 +258,49 @@ fn set_kernel<S: VarSetRepr>(nvars: usize, nblocks: usize) -> usize {
     hits + sets[nblocks - 1].len()
 }
 
+/// Calls per timed batch for E5's raw set operations: one call takes
+/// nanoseconds, below what a clock read resolves.
+const E5_BATCH: u32 = 1000;
+
+/// Median nanoseconds of one `op` call, from [`REPS`] batches of
+/// [`E5_BATCH`].
+fn per_call_ns<T>(mut op: impl FnMut() -> T) -> f64 {
+    let batch = || {
+        for _ in 0..E5_BATCH {
+            std::hint::black_box(op());
+        }
+    };
+    median_of(REPS, batch).as_secs_f64() * 1e9 / f64::from(E5_BATCH)
+}
+
+/// The raw set operations at one universe size, in nanoseconds per call:
+/// one `union_with` into a clone and one `intersects`, on two disjoint
+/// half-full sets (the even and the odd variables), so neither call can
+/// stop early.
+fn set_ops_ns<S: VarSetRepr>(nvars: usize) -> [f64; 2] {
+    let half = |parity: u32| S::from_iter(nvars, (parity..nvars as u32).step_by(2).map(VarId));
+    let sets = [half(0), half(1)];
+    // Opaque inputs keep the compiler from hoisting a call out of its batch.
+    let union = per_call_ns(|| {
+        let [even, odd] = std::hint::black_box(&sets);
+        let mut x = even.clone();
+        x.union_with(odd);
+        x.len()
+    });
+    let intersects = per_call_ns(|| {
+        let [even, odd] = std::hint::black_box(&sets);
+        even.intersects(odd)
+    });
+    [union, intersects]
+}
+
 /// E5 — "using bit-mask representations for sets of variables (as
-/// opposed to a list structure) can have a large payoff" (§7).
+/// opposed to a list structure) can have a large payoff" (§7): the
+/// dataflow-shaped kernel, then the raw operations it is made of.
 pub fn e5_varset() -> Table {
     let mut t = Table::new(
         "E5 — variable-set representation ablation (§7)",
-        &["universe", "blocks", "bit-mask", "list", "speedup"],
+        &["operation", "universe", "bit-mask", "list", "speedup"],
     );
     for (nvars, nblocks) in [(64usize, 64usize), (256, 128), (1024, 192)] {
         let bit = median_of(REPS, || set_kernel::<BitVarSet>(nvars, nblocks));
@@ -310,15 +311,29 @@ pub fn e5_varset() -> Table {
             set_kernel::<ListVarSet>(nvars, nblocks)
         );
         t.row(vec![
+            format!("kernel, {nblocks} blocks"),
             nvars.to_string(),
-            nblocks.to_string(),
             fmt_duration(bit),
             fmt_duration(list),
             format!("{:.1}x", list.as_secs_f64() / bit.as_secs_f64()),
         ]);
     }
+    for nvars in [64usize, 512, 2048] {
+        let (bit, list) = (set_ops_ns::<BitVarSet>(nvars), set_ops_ns::<ListVarSet>(nvars));
+        for (k, op) in ["union_with", "intersects"].into_iter().enumerate() {
+            t.row(vec![
+                op.into(),
+                nvars.to_string(),
+                format!("{:.1} ns", bit[k]),
+                format!("{:.1} ns", list[k]),
+                format!("{:.1}x", list[k] / bit[k]),
+            ]);
+        }
+    }
     t.note("Kernel = union propagation to fixpoint + all-pairs intersection scan,");
-    t.note("the set workloads of reaching definitions and race detection.");
+    t.note("the set workloads of reaching definitions and race detection. The raw rows");
+    t.note("time one call on the even and the odd variables, two disjoint half-full sets;");
+    t.note("`union_with` includes cloning its target.");
     t
 }
 
@@ -401,12 +416,6 @@ fn jobs_sweep(max: usize) -> Vec<usize> {
     v
 }
 
-/// E7 — scaling of the parallel debugging backend at the default sweep
-/// (1/2/4/8 worker threads).
-pub fn e7_parallel_scaling() -> Table {
-    e7_parallel_scaling_with(8)
-}
-
 /// A dense synthetic parallel dynamic graph for the race-scan row:
 /// `procs` unsynchronized processes, each with `syncs_per_proc + 1`
 /// internal edges reading and writing a few hot shared variables —
@@ -448,11 +457,12 @@ fn dense_graph(procs: u32, syncs_per_proc: u32, vars: u32) -> ppd_graph::Paralle
     g
 }
 
-/// E7 with an explicit thread ceiling (the bench binary's `--jobs`):
-/// cold flowback prefetch (work-stealing e-block replay), warm prefetch
+/// E7 — scaling of the parallel debugging backend up to `max_jobs`
+/// worker threads (the bench binary's `--jobs`, default 8): cold
+/// flowback prefetch (work-stealing e-block replay), warm prefetch
 /// (sharded concurrent trace cache) and the Definition 6.4 race scan,
 /// each timed at every thread count in the sweep.
-pub fn e7_parallel_scaling_with(max_jobs: usize) -> Table {
+pub fn e7_parallel_scaling(max_jobs: usize) -> Table {
     let mut t = Table::new(
         "E7 — parallel backend scaling: replay fan-out, trace cache, race scan",
         &[
@@ -589,33 +599,50 @@ const PAPER_CLAIM_PCT: f64 = 15.0;
 /// sink attached must not slow a warm flowback query by more than this.
 const SPAN_BUDGET_PCT: f64 = 5.0;
 
-/// E9 uses more repetitions than the rest of the suite: it compares
-/// millisecond-scale runs whose ratio the report asserts against the
-/// paper's claim, so run-to-run noise matters more here.
-const E9_REPS: usize = 15;
+/// Interleaved rounds per E9 row. A round times one run of each
+/// instrument setting back to back, so host drift hits all three alike
+/// and every round yields one paired overhead sample per instrument.
+const E9_ROUNDS: usize = 31;
+
+/// E9's three instrument settings, as `measure_run`'s `(logging,
+/// pgraph)` flags: the uninstrumented baseline, the log-writing object
+/// code, and the object code that also builds the parallel dynamic graph
+/// (what every `ppd run` executes).
+const E9_SETTINGS: [(bool, bool); 3] = [(false, false), (true, false), (true, true)];
 
 /// Formats a nanosecond count with [`fmt_duration`].
 fn fmt_ns(ns: u64) -> String {
     fmt_duration(Duration::from_nanos(ns))
 }
 
-/// E9 — the §7 overhead meter. Every overhead-suite workload runs with
-/// logging on vs. off (the ratio, from unperturbed [`measure_run`]
-/// pairs), then once more under the [`ppd_runtime::LogMeter`], which
-/// times and sizes every prelog/postlog/snapshot write and attributes
-/// it to its e-block. The companion JSON body (`BENCH_overhead.json`)
-/// records the per-workload ratios and per-e-block attribution and
-/// asserts them against the paper's < 15% claim.
+/// An overhead's median with its first and third quartiles.
+fn fmt_ovh([q1, med, q3]: [f64; 3]) -> String {
+    format!("{med:+.1}% [{q1:+.1}, {q3:+.1}]")
+}
+
+/// E9 — the §7 overhead experiment. Every overhead-suite workload runs
+/// in `E9_ROUNDS` interleaved rounds of unperturbed [`measure_run`]s:
+/// baseline, +logs and +logs+pgraph, the order rotating each round. Each
+/// round's runs give one overhead sample per instrument, and a row
+/// reports their median with the first and third quartiles, so a row
+/// whose interval spans zero reads as noise. The workload then runs once
+/// more under the [`ppd_runtime::LogMeter`], which times and sizes every
+/// prelog/postlog/snapshot write and attributes it to its e-block. The
+/// companion JSON body (`BENCH_overhead.json`) records the per-workload
+/// medians, quartiles and attribution, and judges the +logs medians
+/// against the paper's < 15% claim.
 ///
 /// [`measure_run`]: ppd_core::PpdSession::measure_run
-pub fn e9_overhead_meter_full() -> (Table, String) {
+pub fn e9_overhead_meter() -> (Table, String) {
     let mut t = Table::new(
-        "E9 — §7 logging-overhead meter: measured ratio + per-e-block attribution",
+        "E9 — §7 logging overhead: interleaved rounds + per-e-block attribution",
         &[
             "workload",
             "baseline",
             "+logs",
-            "ovh %",
+            "log ovh % [q1, q3]",
+            "+logs+pgraph",
+            "total ovh % [q1, q3]",
             "log time",
             "log bytes",
             "records",
@@ -624,13 +651,33 @@ pub fn e9_overhead_meter_full() -> (Table, String) {
         ],
     );
     let mut ovhs: Vec<f64> = Vec::new();
+    let mut noisy = 0usize;
     let mut wl_json: Vec<String> = Vec::new();
     for w in workloads::overhead_suite() {
         let session = w.prepare(EBlockStrategy::with_leaf_merge(24));
-        let base = median_of(E9_REPS, || session.measure_run(w.config(), false, false));
-        let logged = median_of(E9_REPS, || session.measure_run(w.config(), true, false));
-        let ovh = overhead_pct(base, logged);
-        ovhs.push(ovh);
+        let mut ns: [Vec<f64>; 3] = Default::default();
+        // Round 0 warms up and is not recorded.
+        for round in 0..=E9_ROUNDS {
+            for k in 0..E9_SETTINGS.len() {
+                let i = (round + k) % E9_SETTINGS.len();
+                let (logging, pgraph) = E9_SETTINGS[i];
+                let (_, d) = time_once(|| session.measure_run(w.config(), logging, pgraph));
+                if round > 0 {
+                    ns[i].push(d.as_nanos() as f64);
+                }
+            }
+        }
+        let [base, logged, full] = ns.each_ref().map(|s| quartiles(s)[1]);
+        let overhead = |i: usize| {
+            let pct: Vec<f64> =
+                ns[i].iter().zip(&ns[0]).map(|(m, b)| (m / b - 1.0) * 100.0).collect();
+            quartiles(&pct)
+        };
+        let (log_q, full_q) = (overhead(1), overhead(2));
+        ovhs.push(log_q[1]);
+        if log_q[0] <= 0.0 && log_q[2] >= 0.0 {
+            noisy += 1;
+        }
         // One metered run: the clock reads perturb it, so it supplies
         // the attribution (where the logging time went), never the ratio.
         let (outcome, meter) = session.execute_metered(w.config());
@@ -667,9 +714,11 @@ pub fn e9_overhead_meter_full() -> (Table, String) {
             .unwrap_or_else(|| "null".into());
         t.row(vec![
             w.name.clone(),
-            fmt_duration(base),
-            fmt_duration(logged),
-            format!("{ovh:+.1}%"),
+            fmt_ns(base as u64),
+            fmt_ns(logged as u64),
+            fmt_ovh(log_q),
+            fmt_ns(full as u64),
+            fmt_ovh(full_q),
             fmt_ns(meter.total_ns()),
             meter.total_bytes().to_string(),
             meter.total_count().to_string(),
@@ -682,15 +731,21 @@ pub fn e9_overhead_meter_full() -> (Table, String) {
             top_cell,
         ]);
         wl_json.push(format!(
-            "{{\"name\":{},\"baseline_ns\":{},\"logged_ns\":{},\"overhead_pct\":{:.2},\
+            "{{\"name\":{},\"baseline_ns\":{base:.0},\"logged_ns\":{logged:.0},\
+             \"pgraph_ns\":{full:.0},\"overhead_pct\":{:.2},\"overhead_q1_pct\":{:.2},\
+             \"overhead_q3_pct\":{:.2},\"pgraph_overhead_pct\":{:.2},\
+             \"pgraph_overhead_q1_pct\":{:.2},\"pgraph_overhead_q3_pct\":{:.2},\
              \"log_ns\":{},\"log_bytes\":{},\"log_records\":{},\
              \"prelog_ns\":{prelog_ns},\"postlog_ns\":{postlog_ns},\"snapshot_ns\":{},\
              \"prelog_bytes\":{prelog_bytes},\"postlog_bytes\":{postlog_bytes},\
              \"snapshot_bytes\":{},\"eblocks_metered\":{},\"top_eblock\":{top_json}}}",
             ppd_obs::metrics::json_string(&w.name),
-            base.as_nanos(),
-            logged.as_nanos(),
-            ovh,
+            log_q[1],
+            log_q[0],
+            log_q[2],
+            full_q[1],
+            full_q[0],
+            full_q[2],
             meter.total_ns(),
             meter.total_bytes(),
             meter.total_count(),
@@ -701,18 +756,26 @@ pub fn e9_overhead_meter_full() -> (Table, String) {
     }
     let mean = ovhs.iter().sum::<f64>() / ovhs.len().max(1) as f64;
     let max = ovhs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let median = {
-        let mut sorted = ovhs.clone();
-        sorted.sort_by(f64::total_cmp);
-        sorted[sorted.len() / 2]
-    };
+    let median = quartiles(&ovhs)[1];
     let span_ovh = span_self_overhead();
     t.note(format!(
-        "logging overhead mean {mean:.1}%, median {median:.1}%, max {max:.1}% (paper §7 \
-         claims < {PAPER_CLAIM_PCT:.0}%); ratios from unperturbed runs, attribution from one"
+        "logging overhead mean {mean:+.1}%, median {median:+.1}%, max {max:+.1}% over the rows' \
+         medians (paper §7 claims < {PAPER_CLAIM_PCT:.0}%); [q1, q3] spans 0 on {noisy} of {} rows.",
+        ovhs.len()
     ));
-    t.note("metered run (`ExecConfig::meter_logging`): each prelog/postlog/snapshot write");
-    t.note("is individually timed and sized, then charged to its e-block.");
+    t.note(format!(
+        "Each row runs {E9_ROUNDS} interleaved rounds of baseline, +logs and +logs+pgraph; an \
+         overhead is the median of the per-round ratios to the round's baseline, [q1, q3] their \
+         quartiles."
+    ));
+    t.note(
+        "+logs+pgraph also builds the §6.1 parallel dynamic graph during execution, as every \
+         `ppd run` does.",
+    );
+    t.note(
+        "Attribution comes from one metered run (`ExecConfig::meter_logging`): each \
+         prelog/postlog/snapshot write is timed, sized and charged to its e-block.",
+    );
     t.note(format!(
         "span self-overhead (spans enabled, no sink) on an E6-style warm query: \
          {span_ovh:+.1}% (budget < {SPAN_BUDGET_PCT:.0}%)."
@@ -720,7 +783,7 @@ pub fn e9_overhead_meter_full() -> (Table, String) {
     let json = format!(
         "{{\"generator\":\"ppd-bench experiments (E9 overhead meter)\",\
          \"paper_claim_pct\":{PAPER_CLAIM_PCT:.1},\"span_budget_pct\":{SPAN_BUDGET_PCT:.1},\
-         \"workloads\":[{}],\"mean_overhead_pct\":{mean:.2},\
+         \"rounds\":{E9_ROUNDS},\"workloads\":[{}],\"mean_overhead_pct\":{mean:.2},\
          \"median_overhead_pct\":{median:.2},\"max_overhead_pct\":{max:.2},\
          \"within_paper_claim\":{},\"span_self_overhead_pct\":{span_ovh:.2},\
          \"span_within_budget\":{}}}\n",
@@ -729,11 +792,6 @@ pub fn e9_overhead_meter_full() -> (Table, String) {
         span_ovh < SPAN_BUDGET_PCT
     );
     (t, json)
-}
-
-/// E9, table only (the experiment-suite entry point).
-pub fn e9_overhead_meter() -> Table {
-    e9_overhead_meter_full().0
 }
 
 /// Cost of the observability layer itself: an E6-style warm flowback
@@ -793,7 +851,7 @@ const E11_BATCH: u64 = 4096;
 /// `"telemetry"` and asserts both the envelope and that summing the
 /// journal reproduces the engine's own `--stats` counters exactly
 /// (the `ppd obs report` acceptance invariant).
-pub fn e11_telemetry_full() -> (Table, String) {
+pub fn e11_telemetry() -> (Table, String) {
     let mut t = Table::new(
         "E11 — telemetry overhead: always-on flight ring + query journal",
         &["probe", "baseline", "instrumented", "ovh %", "per event"],
@@ -955,11 +1013,6 @@ pub fn e11_telemetry_full() -> (Table, String) {
         cold_ovh < PAPER_CLAIM_PCT,
     );
     (t, json)
-}
-
-/// E11, table only (the experiment-suite entry point).
-pub fn e11_telemetry() -> Table {
-    e11_telemetry_full().0
 }
 
 /// Sums every `"field":N` occurrence across a JSONL text — enough of a
@@ -1287,7 +1340,7 @@ const E10_FORMATS: [(&str, ppd_log::SegmentFormat); 2] =
 /// the synthetic rows and carry the §7-style value payloads where
 /// compression pays: the acceptance gate is >= 2x bytes/entry
 /// reduction on those with first-query latency within 1.5x of raw.
-pub fn e10_logstream_full(max_bytes: u64) -> (Table, String) {
+pub fn e10_logstream(max_bytes: u64) -> (Table, String) {
     let mut t = Table::new(
         "E10 — segmented log store: raw vs lzb-compressed blocks (budget: < 1 s open+query)",
         &[
@@ -1428,30 +1481,6 @@ pub fn e10_logstream_full(max_bytes: u64) -> (Table, String) {
         rows_json.join(","),
     );
     (t, json)
-}
-
-/// E10, table only, full sweep (the experiment-suite entry point).
-pub fn e10_logstream() -> Table {
-    e10_logstream_full(u64::MAX).0
-}
-
-/// Every experiment, in presentation order.
-pub fn all() -> Vec<Table> {
-    vec![
-        e1_logging_overhead(),
-        e2_log_vs_trace(),
-        e3_granularity_sweep(),
-        e4_race_detection(),
-        e5_varset(),
-        e6_flowback_latency(),
-        e7_parallel_scaling(),
-        e8_array_logging(),
-        e9_overhead_meter(),
-        e10_logstream(),
-        f41_figure(),
-        f53_figure(),
-        f61_figure(),
-    ]
 }
 
 #[cfg(test)]

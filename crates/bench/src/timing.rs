@@ -1,4 +1,5 @@
-//! Small timing helpers: median-of-N wall-clock measurement.
+//! Small timing helpers: median-of-N wall-clock measurement and the
+//! quartiles of a sample.
 
 use std::time::{Duration, Instant};
 
@@ -22,6 +23,21 @@ pub fn median_of<T>(n: usize, mut f: impl FnMut() -> T) -> Duration {
         .collect();
     samples.sort_unstable();
     samples[samples.len() / 2]
+}
+
+/// First quartile, median and third quartile of `xs`, cut where
+/// Python's `statistics.quantiles(xs, n=4)` (the default "exclusive"
+/// method) cuts them. Panics on fewer than two samples.
+pub fn quartiles(xs: &[f64]) -> [f64; 3] {
+    let mut s = xs.to_vec();
+    s.sort_by(f64::total_cmp);
+    let n = s.len() as i64;
+    let cut = |i: i64| {
+        let j = (i * (n + 1) / 4).clamp(1, n - 1);
+        let delta = (i * (n + 1) - j * 4) as f64;
+        (s[j as usize - 1] * (4.0 - delta) + s[j as usize] * delta) / 4.0
+    };
+    [cut(1), cut(2), cut(3)]
 }
 
 /// Formats a duration compactly (µs / ms / s).
@@ -59,6 +75,15 @@ mod tests {
         });
         assert!(d > Duration::ZERO);
         assert!(d < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn quartiles_match_python_statistics_quantiles() {
+        // statistics.quantiles([1..=7], n=4) == [2.0, 4.0, 6.0], and
+        // [1, 2, 3, 4] gives [1.25, 2.5, 3.75].
+        let seven = [7.0, 1.0, 6.0, 2.0, 5.0, 3.0, 4.0];
+        assert_eq!(quartiles(&seven), [2.0, 4.0, 6.0]);
+        assert_eq!(quartiles(&[4.0, 3.0, 2.0, 1.0]), [1.25, 2.5, 3.75]);
     }
 
     #[test]

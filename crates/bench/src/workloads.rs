@@ -38,7 +38,7 @@ fn fixed(name: &str, source: &str, inputs: Vec<Vec<i64>>) -> Workload {
     Workload { name: name.into(), source: source.into(), inputs }
 }
 
-/// The overhead-measurement suite (E1/E2): a mix of compute-bound,
+/// The overhead-measurement suite (E2/E9): a mix of compute-bound,
 /// call-heavy, and synchronization-heavy programs.
 pub fn overhead_suite() -> Vec<Workload> {
     vec![

@@ -669,7 +669,7 @@ impl PpdSession {
     }
 
     /// Runs the program *uninstrumented* — no logs, no parallel graph —
-    /// the baseline of the overhead experiment E1.
+    /// the baseline of the overhead experiment E9.
     pub fn execute_baseline(&self, config: RunConfig) -> (Outcome, Vec<(ProcId, i64)>, u64) {
         let machine = Machine::new(&self.rp, &self.analyses, None, config.to_exec(false));
         let result = machine.run(&mut NullTracer);
@@ -677,7 +677,7 @@ impl PpdSession {
     }
 
     /// Benchmark entry point: runs with logging and/or parallel-graph
-    /// construction individually toggled, so the E1 experiment can
+    /// construction individually toggled, so experiment E9 can
     /// attribute overhead to each instrument.
     pub fn measure_run(&self, config: RunConfig, logging: bool, pgraph: bool) -> Outcome {
         let plan = logging.then_some(&self.plan);

@@ -484,10 +484,10 @@ process Main {
 };
 
 /// A compute-heavy nested-loop kernel (blocked matrix-multiply shape)
-/// used for the logging-overhead experiment E1.
+/// used for the logging-overhead experiment E9.
 pub const MATMUL: CorpusProgram = CorpusProgram {
     name: "matmul",
-    description: "nested-loop arithmetic kernel (logging overhead, E1)",
+    description: "nested-loop arithmetic kernel (logging overhead, E9)",
     source: r#"
 shared int result;
 
@@ -773,7 +773,7 @@ pub fn terminating() -> Vec<CorpusProgram> {
 }
 
 /// Generates a single-process loop-heavy program whose main loop runs
-/// `iters` iterations calling a leaf function — the E1/E3 sweep workload.
+/// `iters` iterations calling a leaf function — the E3/E9 sweep workload.
 pub fn gen_loop_heavy(iters: u32) -> String {
     format!(
         r#"
@@ -835,7 +835,7 @@ pub fn gen_racy_workers(n: u32, iters: u32) -> String {
 }
 
 /// Generates a bounded-buffer producer/consumer moving `items` items —
-/// the E1 synchronization-heavy workload at adjustable scale.
+/// the E9 synchronization-heavy workload at adjustable scale.
 pub fn gen_prodcons(items: u32) -> String {
     format!(
         r#"

@@ -8,7 +8,7 @@
 //!   postlogs, shared-variable snapshots and external-value records,
 //!   and building the parallel dynamic graph;
 //! - **uninstrumented program**: normal mode without a plan — the
-//!   baseline for the overhead experiment E1;
+//!   baseline for the overhead experiment E9;
 //! - **emulation package** (§5.3): replay mode — re-executes a single
 //!   e-block from its prelog, generating a full trace of every event,
 //!   consuming logged external values and substituting nested e-blocks'
@@ -49,7 +49,7 @@ pub struct ExecConfig {
     /// bytes to every prelog/postlog/snapshot write, per e-block (the
     /// §7 overhead meter). Off by default — metering itself reads the
     /// clock twice per log write, which would perturb the very
-    /// measurements experiment E1 makes.
+    /// measurements experiment E9 makes.
     pub meter_logging: bool,
     /// Stream logs to a segmented on-disk store in this directory while
     /// the program runs, instead of keeping them in memory: every log
@@ -175,9 +175,6 @@ pub struct ExecResult {
     /// Per-e-block logging cost, when [`ExecConfig::meter_logging`] was
     /// set (and a plan was supplied).
     pub log_meter: Option<LogMeter>,
-    /// What the streaming sink wrote, when [`ExecConfig::log_dir`] was
-    /// set and the sink finished cleanly.
-    pub sink_report: Option<ppd_log::SinkReport>,
     /// The first error the streaming sink hit, if any: the run itself
     /// still completes, but the on-disk store, its only log, is
     /// incomplete and must not be trusted.
@@ -644,13 +641,9 @@ impl<'p> Machine<'p> {
             "execute_done",
             format!("outcome={outcome:?} steps={}", self.steps),
         );
-        let mut sink_report = None;
         let mut sink_error = self.sink_error;
-        if let Some(sink) = self.sink {
-            match sink.finish() {
-                Ok(report) => sink_report = Some(report),
-                Err(e) => sink_error = sink_error.or_else(|| Some(e.to_string())),
-            }
+        if let Some(Err(e)) = self.sink.map(|sink| sink.finish()) {
+            sink_error = sink_error.or_else(|| Some(e.to_string()));
         }
         if let Some(err) = &sink_error {
             ppd_obs::flight::note_with("runtime", "sink_error", err.clone());
@@ -663,7 +656,6 @@ impl<'p> Machine<'p> {
             steps: self.steps,
             events: self.events,
             log_meter: self.log_meter,
-            sink_report,
             sink_error,
         }
     }

@@ -38,8 +38,10 @@
 //!                       (runtime logging, log codec, replay, cache,
 //!                       race scan, lint passes, pool workers) and write
 //!                       a Chrome trace-event JSON loadable in Perfetto
-//!   --jobs N | -j N     worker threads for replay prefetch, race scan and
-//!                       lint passes (default: available parallelism)
+//!   --jobs N | -j N     worker threads for the race scan (races, and the
+//!                       debugger's `races`) and the lint passes (default:
+//!                       available parallelism); replay prefetch is a
+//!                       library call no command makes
 //!   --log-dir DIR       run/debug: stream logs into a segmented on-disk
 //!                       store in DIR during execution and debug over the
 //!                       mmap-backed reopened store; if DIR already holds
