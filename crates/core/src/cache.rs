@@ -10,7 +10,8 @@
 //! thread's point of view.
 //!
 //! Admission protocol for an entry of `b` bytes (`b > budget` entries
-//! are never admitted, exactly like the sequential LRU it replaces):
+//! are never admitted, exactly like the sequential LRU it replaces, and
+//! a zero budget admits nothing, so it is the uncached engine):
 //!
 //! 1. try to reserve: CAS the gauge from `cur` to `cur + b` while
 //!    `cur + b <= budget`;
@@ -40,7 +41,7 @@ use ppd_runtime::TraceEvent;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Identity of one dynamic e-block execution.
@@ -70,7 +71,6 @@ pub struct ShardedTraceCache {
     /// reservation against `budget`, so it never exceeds it.
     bytes: AtomicUsize,
     budget: AtomicUsize,
-    enabled: AtomicBool,
     tick: AtomicU64,
 }
 
@@ -85,7 +85,6 @@ impl ShardedTraceCache {
             evictions: registry.counter("cache.evictions"),
             bytes: AtomicUsize::new(0),
             budget: AtomicUsize::new(budget),
-            enabled: AtomicBool::new(true),
             tick: AtomicU64::new(0),
         }
     }
@@ -97,20 +96,13 @@ impl ShardedTraceCache {
     }
 
     /// Looks up a memoized trace, bumping its LRU stamp. Counts a hit
-    /// or miss; a disabled cache always misses.
+    /// or miss.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<Vec<TraceEvent>>> {
         // Probes are the hottest instrumented site (one per warm
         // replay), so a *hit* records no span — hits are counted as
         // `cache.hits` — and a warm query pays one clock read. Misses
         // record retroactively.
         let probe_start = ppd_obs::spans_enabled().then(ppd_obs::now_ns);
-        if !self.enabled.load(Ordering::Relaxed) {
-            self.misses.inc();
-            if let Some(t0) = probe_start {
-                ppd_obs::record_span_since("cache", "probe_disabled", t0);
-            }
-            return None;
-        }
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut shard = self.shards[Self::shard_of(key)].lock().unwrap();
         match shard.map.get_mut(key) {
@@ -131,16 +123,13 @@ impl ShardedTraceCache {
     }
 
     /// Admits a trace of `bytes` bytes, evicting LRU entries as needed.
-    /// Returns whether the entry was stored (false only when the cache
-    /// is disabled or the single trace exceeds the whole budget).
+    /// Returns whether the entry was stored (false only when the single
+    /// trace exceeds the whole budget, or the budget is zero).
     pub fn insert(&self, key: CacheKey, events: Arc<Vec<TraceEvent>>, bytes: usize) -> bool {
         let mut span = ppd_obs::span("cache", "insert");
         span.arg("bytes", bytes);
-        if !self.enabled.load(Ordering::Relaxed) {
-            return false;
-        }
         let budget = self.budget.load(Ordering::Relaxed);
-        if bytes > budget {
+        if budget == 0 || bytes > budget {
             return false;
         }
         let s = Self::shard_of(&key);
@@ -192,30 +181,12 @@ impl ShardedTraceCache {
         false
     }
 
-    /// Enables or disables the cache; disabling drops every entry.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-        if !enabled {
-            self.clear();
-        }
-    }
-
     /// Sets the global byte budget, evicting down to it.
     pub fn set_budget(&self, budget: usize) {
         self.budget.store(budget, Ordering::Relaxed);
         while self.bytes.load(Ordering::Relaxed) > budget {
             if !self.evict_one(0) {
                 break;
-            }
-        }
-    }
-
-    /// Drops every entry (counts are preserved).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = shard.lock().unwrap();
-            for (_, entry) in shard.map.drain() {
-                self.bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
             }
         }
     }

@@ -107,13 +107,9 @@ impl<'p> Controller<'p> {
         self.engine.reset_stats();
     }
 
-    /// Enables or disables replay memoization. Results are identical
-    /// either way (replay is deterministic); only the cost changes.
-    pub fn set_cache_enabled(&mut self, enabled: bool) {
-        self.engine.set_cache_enabled(enabled);
-    }
-
-    /// Sets the replay cache's byte budget.
+    /// Sets the replay cache's byte budget; `0` is the uncached
+    /// controller. Results are identical at any budget (replay is
+    /// deterministic); only the cost changes.
     pub fn set_cache_budget(&mut self, bytes: usize) {
         self.engine.set_cache_budget(bytes);
     }

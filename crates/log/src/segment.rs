@@ -152,6 +152,18 @@ fn io_err(path: &Path, err: std::io::Error) -> SegError {
     SegError::Io { path: path.to_path_buf(), err }
 }
 
+/// A manifest-listed process with no segment file: data loss, not an
+/// empty log, since the writer seals at least an empty segment 0.
+fn no_segment_files(dir: &Path, proc: usize, listed: usize) -> SegError {
+    SegError::Corrupt {
+        file: segment_file_name(proc as u32, 0),
+        detail: format!(
+            "process {proc} has no segment files in {} (manifest lists {listed} processes)",
+            dir.display()
+        ),
+    }
+}
+
 /// The `manifest.json` of a log directory: enough to know the process
 /// count (processes that logged nothing have no segment files).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -1084,6 +1096,20 @@ impl SegmentedLog {
             }
         }
         files.sort();
+        // Every listed process has at least one file, so a count above
+        // the number of files is refused before anything is sized by it,
+        // naming the first process with none.
+        if manifest.processes > files.len() {
+            let mut missing = 0;
+            for &(proc, _, _) in &files {
+                if proc as usize == missing {
+                    missing += 1;
+                } else if proc as usize > missing {
+                    break;
+                }
+            }
+            return Err(no_segment_files(dir, missing, manifest.processes));
+        }
 
         // Map + parse every segment concurrently: each file's CRC check
         // and footer decode is independent of the others.
@@ -1206,19 +1232,11 @@ impl SegmentedLog {
             }
         }
 
-        // A manifest-listed process with no files at all is data loss,
-        // not an empty log: the writer always seals at least (an empty)
-        // segment 0 per process.
+        // A listed process may still have none: no file of its own, or
+        // only a dropped tail.
         for p in 0..manifest.processes {
             if procs[p].is_empty() && tails[p].is_none() {
-                return Err(SegError::Corrupt {
-                    file: segment_file_name(p as u32, 0),
-                    detail: format!(
-                        "process {p} has no segment files in {} (manifest lists {} processes)",
-                        dir.display(),
-                        manifest.processes
-                    ),
-                });
+                return Err(no_segment_files(dir, p, manifest.processes));
             }
         }
 
@@ -2065,24 +2083,37 @@ mod tests {
 
     #[test]
     fn zero_segment_process_is_a_positioned_error() {
-        let dir = tmp_dir("zero-seg");
-        write_store(&sample_store(5), &dir, 0, SegmentFormat::default()).unwrap();
-        // Delete every segment of process 1; the manifest still lists
-        // it, so open must refuse with an error naming the process.
-        for ent in std::fs::read_dir(&dir).unwrap() {
-            let name = ent.as_ref().unwrap().file_name().to_string_lossy().into_owned();
-            if name.starts_with("p0001") {
-                std::fs::remove_file(ent.unwrap().path()).unwrap();
+        // Every segment of process 1 deleted while the manifest still
+        // lists it, or a manifest listing 2^64 - 1 processes, which open
+        // must refuse before sizing anything by it. Either way the error
+        // names the first process without a segment.
+        let huge = format!(
+            r#"{{"format":"ppd-segmented-log","version":{SEGMENT_VERSION},"processes":{}}}"#,
+            usize::MAX
+        );
+        for (case, missing) in [("deleted", 1), ("huge-count", 2)] {
+            let dir = tmp_dir(&format!("zero-seg-{case}"));
+            write_store(&sample_store(5), &dir, 0, SegmentFormat::default()).unwrap();
+            if case == "huge-count" {
+                std::fs::write(dir.join(MANIFEST_NAME), &huge).unwrap();
+            } else {
+                for ent in std::fs::read_dir(&dir).unwrap() {
+                    let path = ent.unwrap().path();
+                    if path.file_name().unwrap().to_string_lossy().starts_with("p0001") {
+                        std::fs::remove_file(path).unwrap();
+                    }
+                }
             }
-        }
-        match SegmentedLog::open(&dir) {
-            Err(SegError::Corrupt { file, detail }) => {
-                assert_eq!(file, segment_file_name(1, 0));
-                assert!(detail.contains("process 1 has no segment files"), "{detail}");
+            match SegmentedLog::open(&dir) {
+                Err(SegError::Corrupt { file, detail }) => {
+                    assert_eq!(file, segment_file_name(missing, 0), "{case}");
+                    let want = format!("process {missing} has no segment files");
+                    assert!(detail.contains(&want), "{case}: {detail}");
+                }
+                other => panic!("{case}: expected a positioned corruption error, got {other:?}"),
             }
-            other => panic!("expected a positioned corruption error, got {other:?}"),
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use ppd_graph::parallel::{ParallelGraph, SyncEdgeLabel, SyncNodeId, SyncNodeKind
 use ppd_lang::ast::*;
 use ppd_lang::{BodyId, CellMap, ChanId, ChanRef, FuncId, ProcId, ResolvedProgram, Value, VarId};
 use ppd_log::{IntervalRef, LogCursor, LogEntry, LogStore, SegError};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
@@ -134,24 +135,45 @@ impl LogMeter {
             + self.per_eblock.values().map(|c| c.prelog_count + c.postlog_count).sum::<u64>()
     }
 
-    fn note_prelog(&mut self, eb: EBlockId, bytes: u64, ns: u64) {
-        let c = self.per_eblock.entry(eb).or_default();
-        c.prelog_count += 1;
-        c.prelog_bytes += bytes;
-        c.prelog_ns += ns;
+    fn note(&mut self, record: Record, bytes: u64, ns: u64) {
+        let (count, total_bytes, total_ns) = match record {
+            Record::Prelog(eb) => {
+                let c = self.per_eblock.entry(eb).or_default();
+                (&mut c.prelog_count, &mut c.prelog_bytes, &mut c.prelog_ns)
+            }
+            Record::Postlog(eb) => {
+                let c = self.per_eblock.entry(eb).or_default();
+                (&mut c.postlog_count, &mut c.postlog_bytes, &mut c.postlog_ns)
+            }
+            Record::Snapshot => {
+                (&mut self.snapshot_count, &mut self.snapshot_bytes, &mut self.snapshot_ns)
+            }
+        };
+        *count += 1;
+        *total_bytes += bytes;
+        *total_ns += ns;
     }
+}
 
-    fn note_postlog(&mut self, eb: EBlockId, bytes: u64, ns: u64) {
-        let c = self.per_eblock.entry(eb).or_default();
-        c.postlog_count += 1;
-        c.postlog_bytes += bytes;
-        c.postlog_ns += ns;
-    }
+/// A record the instrumented object code writes through
+/// [`Machine::write_record`]: what the §7 meter charges it to.
+#[derive(Debug, Clone, Copy)]
+enum Record {
+    /// An e-block's prelog (§5.1).
+    Prelog(EBlockId),
+    /// An e-block's postlog (§5.1).
+    Postlog(EBlockId),
+    /// A synchronization unit's shared snapshot (§5.5).
+    Snapshot,
+}
 
-    fn note_snapshot(&mut self, bytes: u64, ns: u64) {
-        self.snapshot_count += 1;
-        self.snapshot_bytes += bytes;
-        self.snapshot_ns += ns;
+impl Record {
+    fn span_name(self) -> &'static str {
+        match self {
+            Record::Prelog(_) => "prelog",
+            Record::Postlog(_) => "postlog",
+            Record::Snapshot => "snapshot",
+        }
     }
 }
 
@@ -230,15 +252,13 @@ enum Task<'p> {
     ShortCircuit { op: BinOp, rhs: &'p Expr },
     NormBool,
     UnAfter { op: UnOp },
-    IndexAfter { expr: &'p Expr, var: VarId },
+    IndexAfter { var: VarId },
     ArgMark,
-    CallAfter { expr: &'p Expr, func: FuncId, argc: usize },
-    SendAfter { stmt: &'p Stmt, to: ProcId, blocking: bool },
-    RecvAfter { stmt: &'p Stmt, target: &'p LValue, has_index: bool },
-    ChanSendAfter { stmt: &'p Stmt, chan: ChanRef, blocking: bool },
-    ChanRecvAfter { stmt: &'p Stmt, chan: ChanRef, target: &'p LValue, has_index: bool },
+    CallAfter { func: FuncId, argc: usize },
+    SendAfter { stmt: &'p Stmt, to: Queue, blocking: bool },
+    RecvAfter { stmt: &'p Stmt, from: Queue, target: &'p LValue, has_index: bool },
     RendezvousAfter { stmt: &'p Stmt, callee: ProcId },
-    AcceptEnd { caller: ProcId, caller_stmt: Option<ppd_lang::StmtId> },
+    AcceptEnd { caller: ProcId, caller_stmt: ppd_lang::StmtId },
     CloseLoopInterval { eblock: EBlockId, instance: u64 },
     SemWait { stmt: &'p Stmt, sem: ppd_lang::SemId, lock: bool },
     AcceptWait { stmt: &'p Stmt },
@@ -292,6 +312,15 @@ struct ProcState<'p> {
     status: Status,
 }
 
+/// A message queue as a `send` or `recv` names it: a process's mailbox
+/// or a channel, whose `chan` parameter is resolved when the operation
+/// runs.
+#[derive(Debug, Clone, Copy)]
+enum Queue {
+    Mailbox(ProcId),
+    Chan(ChanRef),
+}
+
 #[derive(Debug, Clone)]
 struct Message {
     value: i64,
@@ -327,6 +356,22 @@ struct ReplayState<'p> {
     what_if: bool,
 }
 
+impl ReplayState<'_> {
+    /// The one reader of logged external values (§5.3): consumes the
+    /// next entry whose variant `is_kind` accepts and returns its value
+    /// (an input, a received message or an element read).
+    fn value(&mut self, is_kind: fn(&LogEntry) -> bool, what: &str) -> Result<i64, RuntimeError> {
+        match self.cursor.seek(is_kind)? {
+            Some(
+                LogEntry::Input { value, .. }
+                | LogEntry::Receive { value, .. }
+                | LogEntry::ElementRead { value, .. },
+            ) => Ok(value),
+            _ => Err(RuntimeError::LogMismatch(format!("expected {what}"))),
+        }
+    }
+}
+
 /// The interpreter.
 pub struct Machine<'p> {
     rp: &'p ResolvedProgram,
@@ -335,8 +380,9 @@ pub struct Machine<'p> {
     procs: Vec<ProcState<'p>>,
     shared: Vec<Value>,
     sems: Vec<SemState>,
-    mailboxes: Vec<VecDeque<Message>>,
-    chan_queues: Vec<VecDeque<Message>>,
+    /// Every message queue: one mailbox per process, then one queue per
+    /// channel (see [`Machine::queue_slot`]).
+    queues: Vec<VecDeque<Message>>,
     rdv_queues: Vec<VecDeque<RdvCall>>,
     scheduler: Scheduler,
     inputs: Vec<(Vec<i64>, usize)>,
@@ -405,8 +451,7 @@ impl<'p> Machine<'p> {
             procs: Vec::new(),
             shared: init_shared(rp),
             sems: init_sems(rp),
-            mailboxes: vec![VecDeque::new(); nprocs],
-            chan_queues: vec![VecDeque::new(); rp.chans.len()],
+            queues: vec![VecDeque::new(); nprocs + rp.chans.len()],
             rdv_queues: vec![VecDeque::new(); nprocs],
             scheduler: config.scheduler.build(),
             inputs,
@@ -440,7 +485,7 @@ impl<'p> Machine<'p> {
             if let Some(g) = m.pgraph.as_mut() {
                 g.start_process(pid, t);
             }
-            m.open_body_interval(pid);
+            m.open_body_interval(pid, body);
         }
         m
     }
@@ -451,6 +496,11 @@ impl<'p> Machine<'p> {
     /// segment-backed store decodes only those entries; a damaged one
     /// ends the replay as [`RuntimeError::LogUnreadable`].
     ///
+    /// With `stop_at`, the replay halts cleanly when that statement is
+    /// about to execute — how an interval that was open at a breakpoint
+    /// or deadlock is replayed up to exactly where the original
+    /// execution stopped.
+    ///
     /// # Errors
     ///
     /// Returns [`SegError`] if the interval's prelog cannot be read.
@@ -458,28 +508,8 @@ impl<'p> Machine<'p> {
     /// # Panics
     ///
     /// Panics if the interval's e-block is not in `plan`.
-    pub fn new_replay(
-        rp: &'p ResolvedProgram,
-        analyses: &'p Analyses,
-        plan: &'p EBlockPlan,
-        store: &'p LogStore,
-        interval: IntervalRef,
-        nested: NestedCalls,
-        max_steps: u64,
-    ) -> Result<Machine<'p>, SegError> {
-        Self::new_replay_until(rp, analyses, plan, store, interval, nested, max_steps, None)
-    }
-
-    /// Like [`new_replay`](Self::new_replay) but halts cleanly when
-    /// `stop_at` is about to execute — used to replay an interval that
-    /// was open at a breakpoint or deadlock, stopping exactly where the
-    /// original execution did.
-    ///
-    /// # Errors
-    ///
-    /// As [`new_replay`](Self::new_replay).
     #[allow(clippy::too_many_arguments)]
-    pub fn new_replay_until(
+    pub fn new_replay(
         rp: &'p ResolvedProgram,
         analyses: &'p Analyses,
         plan: &'p EBlockPlan,
@@ -533,8 +563,7 @@ impl<'p> Machine<'p> {
             }],
             shared: init_shared(rp),
             sems: init_sems(rp),
-            mailboxes: Vec::new(),
-            chan_queues: Vec::new(),
+            queues: Vec::new(),
             rdv_queues: Vec::new(),
             scheduler: SchedulerSpec::PreferLowest.build(),
             inputs: Vec::new(),
@@ -587,8 +616,8 @@ impl<'p> Machine<'p> {
         if self.rp.is_shared(var) {
             self.shared[var.index()] = value;
         } else {
-            let frame = self.procs[0].frames.last_mut().expect("replay machine has one frame");
-            frame.locals.insert(var, value);
+            // A replay machine runs its one process.
+            self.frame_mut(self.procs[0].id).locals.insert(var, value);
         }
     }
 
@@ -600,7 +629,8 @@ impl<'p> Machine<'p> {
     /// Writes one log record to the run's one log: the streaming
     /// segment sink when [`ExecConfig::log_dir`] was set, else the
     /// in-memory store. A sink IO error disables the sink but never
-    /// interrupts the run.
+    /// interrupts the run. Does nothing when the run keeps no log (the
+    /// uninstrumented baseline and every replay).
     fn log_append(&mut self, pid: ProcId, entry: LogEntry) {
         if let Some(sink) = self.sink.as_mut() {
             sink.append(pid, &entry);
@@ -609,14 +639,14 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Whether this run writes logs (to memory or to the sink); never
-    /// during replay.
-    fn logging(&self) -> bool {
-        self.logs.is_some() || self.sink.is_some()
-    }
-
     fn is_replay(&self) -> bool {
         self.replay.is_some()
+    }
+
+    /// The plan, when this machine writes e-block intervals: a logging
+    /// run, never a replay.
+    fn logging_plan(&self) -> Option<&'p EBlockPlan> {
+        self.plan.filter(|_| !self.is_replay())
     }
 
     /// Whether the plan uses §7 element-granular array logging.
@@ -739,6 +769,10 @@ impl<'p> Machine<'p> {
 
     fn proc_ix(&self, pid: ProcId) -> usize {
         self.procs.iter().position(|p| p.id == pid).expect("process exists")
+    }
+
+    fn frame(&self, pid: ProcId) -> &Frame<'p> {
+        self.proc(pid).frames.last().expect("process has a frame")
     }
 
     fn frame_mut(&mut self, pid: ProcId) -> &mut Frame<'p> {
@@ -947,10 +981,9 @@ impl<'p> Machine<'p> {
                 self.frame_mut(pid).values.push(r);
                 Ok(())
             }
-            Task::IndexAfter { expr, var } => {
+            Task::IndexAfter { var } => {
                 let index = self.pop_value(pid);
                 let v = self.read_var(pid, var, Some(index))?;
-                let _ = expr;
                 self.frame_mut(pid).values.push(v);
                 Ok(())
             }
@@ -960,16 +993,10 @@ impl<'p> Machine<'p> {
                 frame.arg_marks.push(mark);
                 Ok(())
             }
-            Task::CallAfter { expr, func, argc } => self.do_call(pid, expr, func, argc, tracer),
+            Task::CallAfter { func, argc } => self.do_call(pid, func, argc, tracer),
             Task::SendAfter { stmt, to, blocking } => self.do_send(pid, stmt, to, blocking, tracer),
-            Task::RecvAfter { stmt, target, has_index } => {
-                self.do_recv(pid, stmt, target, has_index, tracer)
-            }
-            Task::ChanSendAfter { stmt, chan, blocking } => {
-                self.do_chan_send(pid, stmt, chan, blocking, tracer)
-            }
-            Task::ChanRecvAfter { stmt, chan, target, has_index } => {
-                self.do_chan_recv(pid, stmt, chan, target, has_index, tracer)
+            Task::RecvAfter { stmt, from, target, has_index } => {
+                self.do_recv(pid, stmt, from, target, has_index, tracer)
             }
             Task::RendezvousAfter { stmt, callee } => self.do_rendezvous(pid, stmt, callee, tracer),
             Task::AcceptEnd { caller, caller_stmt } => {
@@ -983,9 +1010,7 @@ impl<'p> Machine<'p> {
                     let cix = self.proc_ix(caller);
                     self.procs[cix].status = Status::Runnable;
                     // The caller's unit resumes after the rendezvous.
-                    if let Some(cs) = caller_stmt {
-                        self.unit_snapshot_point(caller, Some(cs))?;
-                    }
+                    self.unit_snapshot_point(caller, caller_stmt)?;
                 }
                 Ok(())
             }
@@ -1021,11 +1046,15 @@ impl<'p> Machine<'p> {
 
         // Chunk boundary (§5.4 splitting): close the previous chunk,
         // open the next.
-        if let Some(plan) = self.plan {
-            if !self.is_replay() {
-                if let Some(eb) = plan.chunk_starting_at(stmt.id) {
-                    self.switch_chunk_interval(pid, eb);
+        if let Some(plan) = self.logging_plan() {
+            if let Some(eb) = plan.chunk_starting_at(stmt.id) {
+                let prev = self.frame(pid).open_intervals.last().copied();
+                if let Some((prev_eb, prev_inst)) = prev {
+                    if matches!(plan.eblock(prev_eb).region, Region::Chunk { .. }) {
+                        self.close_interval(pid, prev_eb, prev_inst, None);
+                    }
                 }
+                self.open_interval(plan, pid, eb);
             }
         }
 
@@ -1153,7 +1182,7 @@ impl<'p> Machine<'p> {
                 if self.is_replay() {
                     let kind = if lock { SyncKind::Lock } else { SyncKind::P };
                     self.emit(pid, stmt.id, EventKind::Sync { kind }, None, None, tracer);
-                    return self.consume_snapshot_inner(Some(stmt.id));
+                    return self.unit_snapshot_point(pid, stmt.id);
                 }
                 self.frame_mut(pid).tasks.push(Task::SemWait { stmt, sem, lock });
                 Ok(())
@@ -1162,36 +1191,31 @@ impl<'p> Machine<'p> {
                 let sem = self.rp.sem_ref[&stmt.id];
                 let lock = matches!(sync, SyncStmt::Unlock(_));
                 let kind = if lock { SyncKind::Unlock } else { SyncKind::V };
-                if self.is_replay() {
-                    self.emit(pid, stmt.id, EventKind::Sync { kind }, None, None, tracer);
-                    return self.consume_snapshot_inner(Some(stmt.id));
+                if !self.is_replay() {
+                    self.do_v(pid, stmt, sem, lock);
                 }
-                self.do_v(pid, stmt, sem, lock);
                 self.emit(pid, stmt.id, EventKind::Sync { kind }, None, None, tracer);
-                self.unit_snapshot_point(pid, Some(stmt.id))
+                self.unit_snapshot_point(pid, stmt.id)
             }
             SyncStmt::Send { value, .. } | SyncStmt::ASend { value, .. } => {
                 let blocking = matches!(sync, SyncStmt::Send { .. });
-                let after = match self.rp.msg_target.get(&stmt.id) {
-                    Some(&to) => Task::SendAfter { stmt, to, blocking },
-                    None => {
-                        let chan = self.rp.send_chan[&stmt.id];
-                        Task::ChanSendAfter { stmt, chan, blocking }
-                    }
+                let to = match self.rp.msg_target.get(&stmt.id) {
+                    Some(&to) => Queue::Mailbox(to),
+                    None => Queue::Chan(self.rp.send_chan[&stmt.id]),
                 };
                 let frame = self.frame_mut(pid);
-                frame.tasks.push(after);
+                frame.tasks.push(Task::SendAfter { stmt, to, blocking });
                 frame.tasks.push(Task::Eval(value));
                 Ok(())
             }
             SyncStmt::Recv { into, .. } => {
-                let has_index = into.index.is_some();
-                let after = match self.rp.recv_chan.get(&stmt.id) {
-                    Some(&chan) => Task::ChanRecvAfter { stmt, chan, target: into, has_index },
-                    None => Task::RecvAfter { stmt, target: into, has_index },
+                let from = match self.rp.recv_chan.get(&stmt.id) {
+                    Some(&chan) => Queue::Chan(chan),
+                    None => Queue::Mailbox(pid),
                 };
+                let has_index = into.index.is_some();
                 let frame = self.frame_mut(pid);
-                frame.tasks.push(after);
+                frame.tasks.push(Task::RecvAfter { stmt, from, target: into, has_index });
                 if let Some(ix) = &into.index {
                     frame.tasks.push(Task::Eval(ix));
                 }
@@ -1204,10 +1228,9 @@ impl<'p> Machine<'p> {
                 frame.tasks.push(Task::Eval(value));
                 Ok(())
             }
+            // Replay binds the logged call at once; a run waits for one.
+            SyncStmt::Accept { .. } if self.is_replay() => self.do_accept(pid, stmt, tracer),
             SyncStmt::Accept { .. } => {
-                if self.is_replay() {
-                    return self.do_accept_replay(pid, stmt, tracer);
-                }
                 self.frame_mut(pid).tasks.push(Task::AcceptWait { stmt });
                 Ok(())
             }
@@ -1240,7 +1263,7 @@ impl<'p> Machine<'p> {
             }
             let ek = if lock { SyncKind::Lock } else { SyncKind::P };
             self.emit(pid, stmt.id, EventKind::Sync { kind: ek }, None, None, tracer);
-            self.unit_snapshot_point(pid, Some(stmt.id))
+            self.unit_snapshot_point(pid, stmt.id)
         } else {
             // Re-arm and block; a future V wakes every waiter to retry.
             self.frame_mut(pid).tasks.push(Task::SemWait { stmt, sem, lock });
@@ -1273,11 +1296,23 @@ impl<'p> Machine<'p> {
         }
     }
 
+    /// The slot of [`queues`](Self::queues) that `queue` names right now,
+    /// and why a receiver finding it empty blocks.
+    fn queue_slot(&self, pid: ProcId, queue: Queue) -> Result<(usize, BlockReason), RuntimeError> {
+        Ok(match queue {
+            Queue::Mailbox(owner) => (owner.index(), BlockReason::AwaitMessage),
+            Queue::Chan(cref) => {
+                let chan = self.resolve_chan(pid, cref)?;
+                (self.rp.procs.len() + chan.index(), BlockReason::AwaitChannel(chan))
+            }
+        })
+    }
+
     fn do_send(
         &mut self,
         pid: ProcId,
         stmt: &'p Stmt,
-        to: ProcId,
+        to: Queue,
         blocking: bool,
         tracer: &mut dyn Tracer,
     ) -> Result<(), RuntimeError> {
@@ -1285,12 +1320,13 @@ impl<'p> Machine<'p> {
         let kind = if blocking { SyncKind::Send } else { SyncKind::ASend };
         if self.is_replay() {
             self.emit(pid, stmt.id, EventKind::Sync { kind }, None, Some(value), tracer);
-            return self.consume_snapshot_inner(Some(stmt.id));
+            return self.unit_snapshot_point(pid, stmt.id);
         }
+        let (slot, waiting) = self.queue_slot(pid, to)?;
         let t = self.tick();
         let send_node =
             self.pgraph.as_mut().map(|g| g.sync_point(pid, SyncNodeKind::Send, Some(stmt.id), t));
-        self.mailboxes[to.index()].push_back(Message {
+        self.queues[slot].push_back(Message {
             value,
             sender: pid,
             send_node,
@@ -1302,12 +1338,19 @@ impl<'p> Machine<'p> {
             let ix = self.proc_ix(pid);
             self.procs[ix].status = Status::Blocked(BlockReason::AwaitDelivery);
         } else {
-            self.unit_snapshot_point(pid, Some(stmt.id))?;
+            self.unit_snapshot_point(pid, stmt.id)?;
         }
-        // Wake the receiver if it is waiting for mail.
-        let rix = self.proc_ix(to);
-        if self.procs[rix].status == Status::Blocked(BlockReason::AwaitMessage) {
-            self.procs[rix].status = Status::Runnable;
+        // A mailbox send wakes its receiver if it waits for mail; a
+        // channel send wakes every process waiting on the channel, and
+        // each retries its recv.
+        for p in &mut self.procs {
+            let receiver = match to {
+                Queue::Mailbox(owner) => p.id == owner,
+                Queue::Chan(_) => true,
+            };
+            if receiver && p.status == Status::Blocked(waiting) {
+                p.status = Status::Runnable;
+            }
         }
         Ok(())
     }
@@ -1316,51 +1359,52 @@ impl<'p> Machine<'p> {
         &mut self,
         pid: ProcId,
         stmt: &'p Stmt,
+        from: Queue,
         target: &'p LValue,
         has_index: bool,
         tracer: &mut dyn Tracer,
     ) -> Result<(), RuntimeError> {
-        let value = if self.is_replay() {
-            let replay = self.replay.as_mut().expect("replay mode");
-            match replay.cursor.seek(|e| matches!(e, LogEntry::Receive { .. }))? {
-                Some(LogEntry::Receive { value, .. }) => value,
-                _ => {
-                    return Err(RuntimeError::LogMismatch(
-                        "expected a Receive entry for recv".into(),
-                    ))
-                }
+        let value = match self.replay.as_mut() {
+            Some(replay) => {
+                let what = match from {
+                    Queue::Mailbox(_) => "a Receive entry for recv",
+                    Queue::Chan(_) => "a Receive entry for channel recv",
+                };
+                replay.value(|e| matches!(e, LogEntry::Receive { .. }), what)?
             }
-        } else {
-            if self.mailboxes[pid.index()].is_empty() {
-                let frame = self.frame_mut(pid);
-                frame.tasks.push(Task::RecvAfter { stmt, target, has_index });
-                let ix = self.proc_ix(pid);
-                self.procs[ix].status = Status::Blocked(BlockReason::AwaitMessage);
-                return Ok(());
-            }
-            let msg = self.mailboxes[pid.index()].pop_front().expect("checked");
-            let t = self.tick();
-            if let Some(g) = self.pgraph.as_mut() {
-                let recv_node = g.sync_point(pid, SyncNodeKind::Recv, Some(stmt.id), t);
-                if let Some(sn) = msg.send_node {
-                    g.add_sync_edge(sn, recv_node, SyncEdgeLabel::Message);
+            None => {
+                let (slot, waiting) = self.queue_slot(pid, from)?;
+                let Some(msg) = self.queues[slot].pop_front() else {
+                    self.frame_mut(pid).tasks.push(Task::RecvAfter {
+                        stmt,
+                        from,
+                        target,
+                        has_index,
+                    });
+                    let ix = self.proc_ix(pid);
+                    self.procs[ix].status = Status::Blocked(waiting);
+                    return Ok(());
+                };
+                let t = self.tick();
+                if let Some(g) = self.pgraph.as_mut() {
+                    let recv_node = g.sync_point(pid, SyncNodeKind::Recv, Some(stmt.id), t);
+                    if let Some(sn) = msg.send_node {
+                        g.add_sync_edge(sn, recv_node, SyncEdgeLabel::Message);
+                    }
+                    if msg.blocking {
+                        let un = g.sync_point(msg.sender, SyncNodeKind::Unblock, None, t);
+                        g.add_sync_edge(recv_node, un, SyncEdgeLabel::SendUnblock);
+                    }
                 }
                 if msg.blocking {
-                    let un = g.sync_point(msg.sender, SyncNodeKind::Unblock, None, t);
-                    g.add_sync_edge(recv_node, un, SyncEdgeLabel::SendUnblock);
+                    let six = self.proc_ix(msg.sender);
+                    self.procs[six].status = Status::Runnable;
+                    // The sender's unit resumes now; snapshot at unblock.
+                    self.unit_snapshot_point(msg.sender, msg.send_stmt)?;
                 }
+                self.log_append(pid, LogEntry::Receive { value: msg.value, time: self.clock });
+                msg.value
             }
-            if msg.blocking {
-                let six = self.proc_ix(msg.sender);
-                self.procs[six].status = Status::Runnable;
-                // The sender's unit resumes now; snapshot at unblock.
-                self.unit_snapshot_point(msg.sender, Some(msg.send_stmt))?;
-            }
-            if self.logging() {
-                let t2 = self.clock;
-                self.log_append(pid, LogEntry::Receive { value: msg.value, time: t2 });
-            }
-            msg.value
         };
         let index = if has_index { Some(self.pop_value(pid)) } else { None };
         let var = self.rp.expr_var[&target.id];
@@ -1374,11 +1418,7 @@ impl<'p> Machine<'p> {
             Some(value),
             tracer,
         );
-        if self.is_replay() {
-            self.consume_snapshot_inner(Some(stmt.id))
-        } else {
-            self.unit_snapshot_point(pid, Some(stmt.id))
-        }
+        self.unit_snapshot_point(pid, stmt.id)
     }
 
     /// The channel a reference names right now: direct for a channel
@@ -1386,132 +1426,16 @@ impl<'p> Machine<'p> {
     fn resolve_chan(&self, pid: ProcId, cref: ChanRef) -> Result<ChanId, RuntimeError> {
         let raw = match cref {
             ChanRef::Static(c) => return Ok(c),
-            ChanRef::Var(v) => {
-                let ix = self.proc_ix(pid);
-                let frame = self.procs[ix].frames.last().expect("frame");
-                match frame.locals.get(&v) {
-                    Some(Value::Int(n)) => *n,
-                    Some(Value::Array(_)) => i64::MIN,
-                    None => return Err(RuntimeError::UninitializedLocal),
-                }
-            }
+            ChanRef::Var(v) => match self.frame(pid).locals.get(&v) {
+                Some(Value::Int(n)) => *n,
+                Some(Value::Array(_)) => i64::MIN,
+                None => return Err(RuntimeError::UninitializedLocal),
+            },
         };
         if raw < 0 || raw as usize >= self.rp.chans.len() {
             return Err(RuntimeError::InvalidChannel(raw));
         }
         Ok(ChanId(raw as u32))
-    }
-
-    fn do_chan_send(
-        &mut self,
-        pid: ProcId,
-        stmt: &'p Stmt,
-        cref: ChanRef,
-        blocking: bool,
-        tracer: &mut dyn Tracer,
-    ) -> Result<(), RuntimeError> {
-        let value = self.pop_value(pid);
-        let kind = if blocking { SyncKind::Send } else { SyncKind::ASend };
-        if self.is_replay() {
-            self.emit(pid, stmt.id, EventKind::Sync { kind }, None, Some(value), tracer);
-            return self.consume_snapshot_inner(Some(stmt.id));
-        }
-        let chan = self.resolve_chan(pid, cref)?;
-        let t = self.tick();
-        let send_node =
-            self.pgraph.as_mut().map(|g| g.sync_point(pid, SyncNodeKind::Send, Some(stmt.id), t));
-        self.chan_queues[chan.index()].push_back(Message {
-            value,
-            sender: pid,
-            send_node,
-            blocking,
-            send_stmt: stmt.id,
-        });
-        self.emit(pid, stmt.id, EventKind::Sync { kind }, None, Some(value), tracer);
-        if blocking {
-            let ix = self.proc_ix(pid);
-            self.procs[ix].status = Status::Blocked(BlockReason::AwaitDelivery);
-        } else {
-            self.unit_snapshot_point(pid, Some(stmt.id))?;
-        }
-        // Wake every process waiting on this channel to retry its recv.
-        for p in &mut self.procs {
-            if p.status == Status::Blocked(BlockReason::AwaitChannel(chan)) {
-                p.status = Status::Runnable;
-            }
-        }
-        Ok(())
-    }
-
-    fn do_chan_recv(
-        &mut self,
-        pid: ProcId,
-        stmt: &'p Stmt,
-        cref: ChanRef,
-        target: &'p LValue,
-        has_index: bool,
-        tracer: &mut dyn Tracer,
-    ) -> Result<(), RuntimeError> {
-        let value = if self.is_replay() {
-            let replay = self.replay.as_mut().expect("replay mode");
-            match replay.cursor.seek(|e| matches!(e, LogEntry::Receive { .. }))? {
-                Some(LogEntry::Receive { value, .. }) => value,
-                _ => {
-                    return Err(RuntimeError::LogMismatch(
-                        "expected a Receive entry for channel recv".into(),
-                    ))
-                }
-            }
-        } else {
-            let chan = self.resolve_chan(pid, cref)?;
-            if self.chan_queues[chan.index()].is_empty() {
-                let frame = self.frame_mut(pid);
-                frame.tasks.push(Task::ChanRecvAfter { stmt, chan: cref, target, has_index });
-                let ix = self.proc_ix(pid);
-                self.procs[ix].status = Status::Blocked(BlockReason::AwaitChannel(chan));
-                return Ok(());
-            }
-            let msg = self.chan_queues[chan.index()].pop_front().expect("checked");
-            let t = self.tick();
-            if let Some(g) = self.pgraph.as_mut() {
-                let recv_node = g.sync_point(pid, SyncNodeKind::Recv, Some(stmt.id), t);
-                if let Some(sn) = msg.send_node {
-                    g.add_sync_edge(sn, recv_node, SyncEdgeLabel::Message);
-                }
-                if msg.blocking {
-                    let un = g.sync_point(msg.sender, SyncNodeKind::Unblock, None, t);
-                    g.add_sync_edge(recv_node, un, SyncEdgeLabel::SendUnblock);
-                }
-            }
-            if msg.blocking {
-                let six = self.proc_ix(msg.sender);
-                self.procs[six].status = Status::Runnable;
-                // The sender's unit resumes now; snapshot at unblock.
-                self.unit_snapshot_point(msg.sender, Some(msg.send_stmt))?;
-            }
-            if self.logging() {
-                let t2 = self.clock;
-                self.log_append(pid, LogEntry::Receive { value: msg.value, time: t2 });
-            }
-            msg.value
-        };
-        let index = if has_index { Some(self.pop_value(pid)) } else { None };
-        let var = self.rp.expr_var[&target.id];
-        let cell = self.write_var(pid, var, index, value)?;
-        self.frame_mut(pid).pending_reads.push(ReadSource::External);
-        self.emit(
-            pid,
-            stmt.id,
-            EventKind::Sync { kind: SyncKind::Recv },
-            Some((cell, value)),
-            Some(value),
-            tracer,
-        );
-        if self.is_replay() {
-            self.consume_snapshot_inner(Some(stmt.id))
-        } else {
-            self.unit_snapshot_point(pid, Some(stmt.id))
-        }
     }
 
     fn do_rendezvous(
@@ -1531,7 +1455,7 @@ impl<'p> Machine<'p> {
                 Some(value),
                 tracer,
             );
-            return self.consume_snapshot_inner(Some(stmt.id));
+            return self.unit_snapshot_point(pid, stmt.id);
         }
         let t = self.tick();
         let call_node = self
@@ -1561,6 +1485,9 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
+    /// `accept`: binds the caller's value (a queued call in a run, the
+    /// logged value in replay) and runs the body; `AcceptEnd` releases
+    /// the caller.
     fn do_accept(
         &mut self,
         pid: ProcId,
@@ -1568,65 +1495,35 @@ impl<'p> Machine<'p> {
         tracer: &mut dyn Tracer,
     ) -> Result<(), RuntimeError> {
         let StmtKind::Sync(SyncStmt::Accept { body, param_expr, .. }) = &stmt.kind else {
-            unreachable!("AcceptWait on non-accept");
+            unreachable!("accept on non-accept");
         };
-        if self.rdv_queues[pid.index()].is_empty() {
-            self.frame_mut(pid).tasks.push(Task::AcceptWait { stmt });
-            let ix = self.proc_ix(pid);
-            self.procs[ix].status = Status::Blocked(BlockReason::AwaitRendezvousCall);
-            return Ok(());
-        }
-        let call = self.rdv_queues[pid.index()].pop_front().expect("checked");
-        let t = self.tick();
-        if let Some(g) = self.pgraph.as_mut() {
-            let accept_node = g.sync_point(pid, SyncNodeKind::Accept, Some(stmt.id), t);
-            if let Some(cn) = call.call_node {
-                g.add_sync_edge(cn, accept_node, SyncEdgeLabel::RendezvousEntry);
+        let (value, caller, caller_stmt) = match self.replay.as_mut() {
+            Some(replay) => {
+                let is_receive = |e: &LogEntry| matches!(e, LogEntry::Receive { .. });
+                (replay.value(is_receive, "a Receive entry for accept")?, pid, stmt.id)
             }
-        }
-        if self.logging() {
-            let t2 = self.clock;
-            self.log_append(pid, LogEntry::Receive { value: call.value, time: t2 });
-        }
+            None => {
+                let Some(call) = self.rdv_queues[pid.index()].pop_front() else {
+                    self.frame_mut(pid).tasks.push(Task::AcceptWait { stmt });
+                    let ix = self.proc_ix(pid);
+                    self.procs[ix].status = Status::Blocked(BlockReason::AwaitRendezvousCall);
+                    return Ok(());
+                };
+                let t = self.tick();
+                if let Some(g) = self.pgraph.as_mut() {
+                    let accept_node = g.sync_point(pid, SyncNodeKind::Accept, Some(stmt.id), t);
+                    if let Some(cn) = call.call_node {
+                        g.add_sync_edge(cn, accept_node, SyncEdgeLabel::RendezvousEntry);
+                    }
+                }
+                self.log_append(pid, LogEntry::Receive { value: call.value, time: self.clock });
+                (call.value, call.caller, call.call_stmt)
+            }
+        };
         let var = self.rp.expr_var[param_expr];
-        self.frame_mut(pid).locals.insert(var, Value::Int(call.value));
-        self.frame_mut(pid).pending_reads.push(ReadSource::External);
-        self.emit(
-            pid,
-            stmt.id,
-            EventKind::Sync { kind: SyncKind::Accept },
-            Some((CellRef::scalar(var), call.value)),
-            Some(call.value),
-            tracer,
-        );
-        self.unit_snapshot_point(pid, Some(stmt.id))?;
         let frame = self.frame_mut(pid);
-        frame
-            .tasks
-            .push(Task::AcceptEnd { caller: call.caller, caller_stmt: Some(call.call_stmt) });
-        frame.tasks.push(Task::Block { stmts: &body.stmts, next: 0 });
-        Ok(())
-    }
-
-    fn do_accept_replay(
-        &mut self,
-        pid: ProcId,
-        stmt: &'p Stmt,
-        tracer: &mut dyn Tracer,
-    ) -> Result<(), RuntimeError> {
-        let StmtKind::Sync(SyncStmt::Accept { body, param_expr, .. }) = &stmt.kind else {
-            unreachable!("accept replay on non-accept");
-        };
-        let replay = self.replay.as_mut().expect("replay mode");
-        let value = match replay.cursor.seek(|e| matches!(e, LogEntry::Receive { .. }))? {
-            Some(LogEntry::Receive { value, .. }) => value,
-            _ => {
-                return Err(RuntimeError::LogMismatch("expected a Receive entry for accept".into()))
-            }
-        };
-        let var = self.rp.expr_var[param_expr];
-        self.frame_mut(pid).locals.insert(var, Value::Int(value));
-        self.frame_mut(pid).pending_reads.push(ReadSource::External);
+        frame.locals.insert(var, Value::Int(value));
+        frame.pending_reads.push(ReadSource::External);
         self.emit(
             pid,
             stmt.id,
@@ -1635,9 +1532,9 @@ impl<'p> Machine<'p> {
             Some(value),
             tracer,
         );
-        self.consume_snapshot_inner(Some(stmt.id))?;
+        self.unit_snapshot_point(pid, stmt.id)?;
         let frame = self.frame_mut(pid);
-        frame.tasks.push(Task::AcceptEnd { caller: pid, caller_stmt: None });
+        frame.tasks.push(Task::AcceptEnd { caller, caller_stmt });
         frame.tasks.push(Task::Block { stmts: &body.stmts, next: 0 });
         Ok(())
     }
@@ -1676,7 +1573,7 @@ impl<'p> Machine<'p> {
             ExprKind::Index(_, ix) => {
                 let var = self.rp.expr_var[&expr.id];
                 let frame = self.frame_mut(pid);
-                frame.tasks.push(Task::IndexAfter { expr, var });
+                frame.tasks.push(Task::IndexAfter { var });
                 frame.tasks.push(Task::Eval(ix));
                 Ok(())
             }
@@ -1704,7 +1601,7 @@ impl<'p> Machine<'p> {
             ExprKind::Call(_, args) => {
                 let func = self.rp.call_target[&expr.id];
                 let frame = self.frame_mut(pid);
-                frame.tasks.push(Task::CallAfter { expr, func, argc: args.len() });
+                frame.tasks.push(Task::CallAfter { func, argc: args.len() });
                 for arg in args.iter().rev() {
                     frame.tasks.push(Task::ArgMark);
                     frame.tasks.push(Task::Eval(arg));
@@ -1713,27 +1610,20 @@ impl<'p> Machine<'p> {
                 Ok(())
             }
             ExprKind::Input => {
-                let value = if self.is_replay() {
-                    let replay = self.replay.as_mut().expect("replay mode");
-                    match replay.cursor.seek(|e| matches!(e, LogEntry::Input { .. }))? {
-                        Some(LogEntry::Input { value, .. }) => value,
-                        _ => {
-                            return Err(RuntimeError::LogMismatch(
-                                "expected an Input entry for input()".into(),
-                            ))
-                        }
+                let value = match self.replay.as_mut() {
+                    Some(replay) => replay.value(
+                        |e| matches!(e, LogEntry::Input { .. }),
+                        "an Input entry for input()",
+                    )?,
+                    None => {
+                        let (stream, pos) = &mut self.inputs[pid.index()];
+                        let Some(&v) = stream.get(*pos) else {
+                            return Err(RuntimeError::InputExhausted);
+                        };
+                        *pos += 1;
+                        self.log_append(pid, LogEntry::Input { value: v, time: self.clock });
+                        v
                     }
-                } else {
-                    let (stream, pos) = &mut self.inputs[pid.index()];
-                    let Some(&v) = stream.get(*pos) else {
-                        return Err(RuntimeError::InputExhausted);
-                    };
-                    *pos += 1;
-                    if self.logging() {
-                        let t = self.clock;
-                        self.log_append(pid, LogEntry::Input { value: v, time: t });
-                    }
-                    v
                 };
                 let frame = self.frame_mut(pid);
                 frame.pending_reads.push(ReadSource::External);
@@ -1750,7 +1640,6 @@ impl<'p> Machine<'p> {
     fn do_call(
         &mut self,
         pid: ProcId,
-        expr: &'p Expr,
         func: FuncId,
         argc: usize,
         tracer: &mut dyn Tracer,
@@ -1762,7 +1651,6 @@ impl<'p> Machine<'p> {
             .and_then(|f| f.current_stmt)
             .map(|s| s.id)
             .unwrap_or(ppd_lang::StmtId(0));
-        let _ = expr;
 
         // Gather argument values and per-argument reads.
         let (args_with_reads, call_reads) = {
@@ -1787,16 +1675,8 @@ impl<'p> Machine<'p> {
 
         // Substitution (§5.2): during replay, a callee with its own
         // e-block is not re-executed; its logged postlog is applied.
-        let substitute = self.is_replay()
-            && self.replay.as_ref().is_some_and(|r| r.nested == NestedCalls::Substitute)
-            && self.plan.is_some_and(|p| p.body_eblock(BodyId::Func(func)).is_some());
-        if substitute {
-            let plan = self.plan.expect("checked");
-            let eb = plan.body_eblock(BodyId::Func(func)).expect("checked");
-            let replay = self.replay.as_mut().expect("replay mode");
-            let Some(LogEntry::Postlog { values, ret, .. }) =
-                replay.cursor.skip_nested_interval(eb)?
-            else {
+        if let Some((_, postlog)) = self.skip_nested(|p| p.body_eblock(BodyId::Func(func)))? {
+            let Some(LogEntry::Postlog { values, ret, .. }) = postlog else {
                 return Err(RuntimeError::LogMismatch(format!(
                     "missing nested interval for {}",
                     self.rp.func_name(func)
@@ -1853,7 +1733,7 @@ impl<'p> Machine<'p> {
         frame.tasks.push(Task::Block { stmts: &block.stmts, next: 0 });
         let ix = self.proc_ix(pid);
         self.procs[ix].frames.push(frame);
-        self.open_body_interval(pid);
+        self.open_body_interval(pid, body);
         Ok(())
     }
 
@@ -1915,14 +1795,9 @@ impl<'p> Machine<'p> {
     /// Emits (normal mode) or consumes (replay) the unit snapshot keyed
     /// by the current statement, if that statement is a unit boundary.
     fn boundary_snapshot_at_current_stmt(&mut self, pid: ProcId) -> Result<(), RuntimeError> {
-        let ix = self.proc_ix(pid);
-        let frame = self.procs[ix].frames.last().expect("frame");
-        let (body, stmt) = (frame.body, frame.current_stmt.map(|s| s.id));
-        let Some(stmt) = stmt else { return Ok(()) };
-        if self.analyses.sync_units.of(body).is_boundary(stmt) {
-            self.unit_snapshot_point(pid, Some(stmt))
-        } else {
-            Ok(())
+        match self.frame(pid).current_stmt {
+            Some(stmt) => self.unit_snapshot_point(pid, stmt.id),
+            None => Ok(()),
         }
     }
 
@@ -1941,30 +1816,21 @@ impl<'p> Machine<'p> {
         // replay (and recorded during execution) instead of array memory,
         // which is then excluded from prelogs/postlogs/snapshots.
         let element_logged = index.is_some() && self.element_logged();
-        let what_if = self.replay.as_ref().is_some_and(|r| r.what_if);
-        let value = if element_logged && self.is_replay() && !what_if {
-            let replay = self.replay.as_mut().expect("replay mode");
-            match replay.cursor.seek(|e| matches!(e, LogEntry::ElementRead { .. }))? {
-                Some(LogEntry::ElementRead { value, .. }) => value,
-                _ => {
-                    return Err(RuntimeError::LogMismatch(
-                        "expected an ElementRead entry for array read".into(),
-                    ))
-                }
+        let value = match self.replay.as_mut().filter(|r| element_logged && !r.what_if) {
+            Some(replay) => replay.value(
+                |e| matches!(e, LogEntry::ElementRead { .. }),
+                "an ElementRead entry for array read",
+            )?,
+            None if shared => read_value(&self.shared[var.index()], index)?,
+            None => {
+                let Some(v) = self.frame(pid).locals.get(&var) else {
+                    return Err(RuntimeError::UninitializedLocal);
+                };
+                read_value(v, index)?
             }
-        } else if shared {
-            read_value(&self.shared[var.index()], index)?
-        } else {
-            let ix = self.proc_ix(pid);
-            let frame = self.procs[ix].frames.last().expect("frame");
-            let Some(v) = frame.locals.get(&var) else {
-                return Err(RuntimeError::UninitializedLocal);
-            };
-            read_value(v, index)?
         };
-        if element_logged && !self.is_replay() && self.logging() {
-            let t = self.clock;
-            self.log_append(pid, LogEntry::ElementRead { value, time: t });
+        if element_logged {
+            self.log_append(pid, LogEntry::ElementRead { value, time: self.clock });
         }
         let cell = CellRef { var, index: index.map(|i| i as usize) };
         self.frame_mut(pid).pending_reads.push(ReadSource::Cell(cell));
@@ -1994,8 +1860,7 @@ impl<'p> Machine<'p> {
                 }
             }
         } else {
-            let ix = self.proc_ix(pid);
-            let frame = self.procs[ix].frames.last_mut().expect("frame");
+            let frame = self.frame_mut(pid);
             match index {
                 None => {
                     frame.locals.insert(var, Value::Int(value));
@@ -2070,21 +1935,25 @@ impl<'p> Machine<'p> {
     // Logging (§5.1, §5.5) and replay consumption
     // -----------------------------------------------------------------
 
-    /// Applies the element-logging exclusion: arrays drop out of unit
-    /// snapshot sets when their reads are logged individually.
-    fn filter_snapshot_set(&self, set: &VarSet) -> VarSet {
-        if !self.element_logged() {
-            return set.clone();
-        }
-        VarSet::from_iter(
-            self.rp.var_count(),
-            set.to_vec().into_iter().filter(|v| self.rp.vars[v.index()].size.is_none()),
-        )
+    /// The one snapshot rule (§5.5): the shared variables the unit
+    /// starting at `at` in `body` may read, less the arrays whose reads
+    /// §7 element logging records one at a time. `None` when that
+    /// leaves nothing, and then no snapshot is written or read.
+    fn snapshot_set(&self, body: BodyId, at: ppd_lang::StmtId) -> Option<Cow<'p, VarSet>> {
+        let analyses: &'p Analyses = self.analyses;
+        let reads = &analyses.sync_units.of(body).unit_at(at)?.reads;
+        let set = if self.element_logged() {
+            let scalars =
+                reads.to_vec().into_iter().filter(|v| self.rp.vars[v.index()].size.is_none());
+            Cow::Owned(VarSet::from_iter(self.rp.var_count(), scalars))
+        } else {
+            Cow::Borrowed(reads)
+        };
+        (!set.is_empty()).then_some(set)
     }
 
     fn capture_set(&self, pid: ProcId, set: &VarSet) -> Vec<(VarId, Value)> {
-        let ix = self.proc_ix(pid);
-        let frame = self.procs[ix].frames.last().expect("frame");
+        let frame = self.frame(pid);
         let mut out = Vec::new();
         for var in set.to_vec() {
             if self.rp.is_shared(var) {
@@ -2096,6 +1965,31 @@ impl<'p> Machine<'p> {
         out
     }
 
+    /// The one writer of prelogs, postlogs and shared snapshots: captures
+    /// `vars` in `pid`'s frame, ticks the clock and appends the entry
+    /// `make` builds from the values and the time. The §7 meter times all
+    /// of it and charges the entry's bytes to `record`.
+    fn write_record(
+        &mut self,
+        pid: ProcId,
+        record: Record,
+        vars: &VarSet,
+        make: impl FnOnce(Vec<(VarId, Value)>, u64) -> LogEntry,
+    ) {
+        let _span = ppd_obs::span("runtime", record.span_name());
+        let meter_start = self.log_meter.as_ref().map(|_| Instant::now());
+        let values = self.capture_set(pid, vars);
+        let entry = make(values, self.tick());
+        let bytes = self.log_meter.as_ref().map(|_| entry.size_bytes() as u64);
+        self.log_append(pid, entry);
+        if let (Some(start), Some(bytes)) = (meter_start, bytes) {
+            let ns = start.elapsed().as_nanos() as u64;
+            if let Some(meter) = self.log_meter.as_mut() {
+                meter.note(record, bytes, ns);
+            }
+        }
+    }
+
     fn next_instance(&mut self, pid: ProcId, eb: EBlockId) -> u64 {
         let counter = self.eb_counters[pid.index()].entry(eb).or_insert(0);
         let inst = *counter;
@@ -2103,109 +1997,41 @@ impl<'p> Machine<'p> {
         inst
     }
 
-    fn open_body_interval(&mut self, pid: ProcId) {
-        if self.is_replay() {
-            return;
-        }
-        let Some(plan) = self.plan else { return };
-        let body = {
-            let ix = self.proc_ix(pid);
-            self.procs[ix].frames.last().expect("frame").body
-        };
-        let Some(eb) = plan.body_eblock(body) else { return };
-        let _span = ppd_obs::span("runtime", "prelog");
-        let meter_start = self.log_meter.as_ref().map(|_| Instant::now());
-        let used = plan.eblock(eb).used.clone();
-        let values = self.capture_set(pid, &used);
+    /// Opens a log interval of `eb` in `pid`'s current frame — a body,
+    /// loop or chunk e-block — by writing its prelog (§5.1); returns the
+    /// instance.
+    fn open_interval(&mut self, plan: &'p EBlockPlan, pid: ProcId, eb: EBlockId) -> u64 {
         let instance = self.next_instance(pid, eb);
-        let t = self.tick();
-        let entry = LogEntry::Prelog { eblock: eb, instance, values, time: t };
-        let bytes = self.log_meter.as_ref().map(|_| entry.size_bytes() as u64);
-        self.log_append(pid, entry);
-        if let (Some(start), Some(bytes)) = (meter_start, bytes) {
-            let ns = start.elapsed().as_nanos() as u64;
-            if let Some(meter) = self.log_meter.as_mut() {
-                meter.note_prelog(eb, bytes, ns);
-            }
-        }
+        self.write_record(pid, Record::Prelog(eb), &plan.eblock(eb).used, |values, time| {
+            LogEntry::Prelog { eblock: eb, instance, values, time }
+        });
         self.frame_mut(pid).open_intervals.push((eb, instance));
+        instance
+    }
+
+    fn open_body_interval(&mut self, pid: ProcId, body: BodyId) {
+        let Some(plan) = self.logging_plan() else { return };
+        if let Some(eb) = plan.body_eblock(body) {
+            self.open_interval(plan, pid, eb);
+        }
     }
 
     fn open_loop_interval(&mut self, pid: ProcId, stmt: &'p Stmt) {
-        let Some(plan) = self.plan else { return };
+        // In replay, a nested loop e-block was substituted in
+        // `dispatch_stmt`; the replayed one itself opens nothing.
+        let Some(plan) = self.logging_plan() else { return };
         let Some(eb) = plan.loop_eblock(stmt.id) else { return };
-        if self.is_replay() {
-            return; // handled by substitution in dispatch_stmt
-        }
-        let _span = ppd_obs::span("runtime", "prelog");
-        let meter_start = self.log_meter.as_ref().map(|_| Instant::now());
-        let used = plan.eblock(eb).used.clone();
-        let values = self.capture_set(pid, &used);
-        let instance = self.next_instance(pid, eb);
-        let t = self.tick();
-        let entry = LogEntry::Prelog { eblock: eb, instance, values, time: t };
-        let bytes = self.log_meter.as_ref().map(|_| entry.size_bytes() as u64);
-        self.log_append(pid, entry);
-        if let (Some(start), Some(bytes)) = (meter_start, bytes) {
-            let ns = start.elapsed().as_nanos() as u64;
-            if let Some(meter) = self.log_meter.as_mut() {
-                meter.note_prelog(eb, bytes, ns);
-            }
-        }
-        let frame = self.frame_mut(pid);
-        frame.open_intervals.push((eb, instance));
-        frame.tasks.push(Task::CloseLoopInterval { eblock: eb, instance });
+        let instance = self.open_interval(plan, pid, eb);
+        self.frame_mut(pid).tasks.push(Task::CloseLoopInterval { eblock: eb, instance });
     }
 
-    fn switch_chunk_interval(&mut self, pid: ProcId, eb: EBlockId) {
-        // Close the previous chunk if one is open.
-        let prev = self.frame_mut(pid).open_intervals.last().copied();
-        if let Some((prev_eb, prev_inst)) = prev {
-            if let Some(plan) = self.plan {
-                if matches!(plan.eblock(prev_eb).region, Region::Chunk { .. }) {
-                    self.close_interval(pid, prev_eb, prev_inst, None);
-                }
-            }
-        }
-        let Some(plan) = self.plan else { return };
-        let _span = ppd_obs::span("runtime", "prelog");
-        let meter_start = self.log_meter.as_ref().map(|_| Instant::now());
-        let used = plan.eblock(eb).used.clone();
-        let values = self.capture_set(pid, &used);
-        let instance = self.next_instance(pid, eb);
-        let t = self.tick();
-        let entry = LogEntry::Prelog { eblock: eb, instance, values, time: t };
-        let bytes = self.log_meter.as_ref().map(|_| entry.size_bytes() as u64);
-        self.log_append(pid, entry);
-        if let (Some(start), Some(bytes)) = (meter_start, bytes) {
-            let ns = start.elapsed().as_nanos() as u64;
-            if let Some(meter) = self.log_meter.as_mut() {
-                meter.note_prelog(eb, bytes, ns);
-            }
-        }
-        self.frame_mut(pid).open_intervals.push((eb, instance));
-    }
-
+    /// Closes an interval [`open_interval`](Self::open_interval) opened
+    /// by writing its postlog.
     fn close_interval(&mut self, pid: ProcId, eb: EBlockId, instance: u64, ret: Option<i64>) {
-        if self.is_replay() {
-            return;
-        }
         let Some(plan) = self.plan else { return };
-        let _span = ppd_obs::span("runtime", "postlog");
-        let meter_start = self.log_meter.as_ref().map(|_| Instant::now());
-        let defined = plan.eblock(eb).defined.clone();
-        let values = self.capture_set(pid, &defined);
-        let t = self.tick();
-        let entry =
-            LogEntry::Postlog { eblock: eb, instance, values, ret: ret.map(Value::Int), time: t };
-        let bytes = self.log_meter.as_ref().map(|_| entry.size_bytes() as u64);
-        self.log_append(pid, entry);
-        if let (Some(start), Some(bytes)) = (meter_start, bytes) {
-            let ns = start.elapsed().as_nanos() as u64;
-            if let Some(meter) = self.log_meter.as_mut() {
-                meter.note_postlog(eb, bytes, ns);
-            }
-        }
+        self.write_record(pid, Record::Postlog(eb), &plan.eblock(eb).defined, |values, time| {
+            LogEntry::Postlog { eblock: eb, instance, values, ret: ret.map(Value::Int), time }
+        });
         let frame = self.frame_mut(pid);
         if let Some(pos) = frame.open_intervals.iter().position(|&(b, i)| b == eb && i == instance)
         {
@@ -2213,88 +2039,56 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// At a synchronization-unit boundary: write (normal mode) or consume
-    /// (replay mode) the shared-variable snapshot of §5.5.
+    /// At a synchronization-unit boundary: writes (normal mode) or
+    /// consumes (replay mode) the shared-variable snapshot of §5.5.
     fn unit_snapshot_point(
         &mut self,
         pid: ProcId,
-        at: Option<ppd_lang::StmtId>,
+        at: ppd_lang::StmtId,
     ) -> Result<(), RuntimeError> {
-        let body = {
-            let ix = self.proc_ix(pid);
-            self.procs[ix].frames.last().expect("frame").body
-        };
-        if self.is_replay() {
-            return self.consume_snapshot_inner(at);
-        }
-        let Some(_plan) = self.plan else { return Ok(()) };
-        let unit_reads = {
-            let units = self.analyses.sync_units.of(body);
-            let unit = match at {
-                None => Some(units.entry_unit()),
-                Some(stmt) => units.unit_at(stmt),
-            };
-            match unit {
-                Some(u) => {
-                    let filtered = self.filter_snapshot_set(&u.reads);
-                    (!filtered.is_empty()).then_some(filtered)
-                }
-                None => None,
-            }
-        }; // at=None is currently never emitted: the e-block prelog covers it
-        if let Some(reads) = unit_reads {
-            let _span = ppd_obs::span("runtime", "snapshot");
-            let meter_start = self.log_meter.as_ref().map(|_| Instant::now());
-            let values = self.capture_set(pid, &reads);
-            let t = self.tick();
-            let entry = LogEntry::SharedSnapshot { at, values, time: t };
-            let bytes = self.log_meter.as_ref().map(|_| entry.size_bytes() as u64);
-            self.log_append(pid, entry);
-            if let (Some(start), Some(bytes)) = (meter_start, bytes) {
-                let ns = start.elapsed().as_nanos() as u64;
-                if let Some(meter) = self.log_meter.as_mut() {
-                    meter.note_snapshot(bytes, ns);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn consume_snapshot_inner(&mut self, at: Option<ppd_lang::StmtId>) -> Result<(), RuntimeError> {
-        // Only consume if the unit has a non-empty read set — mirrors the
-        // emission condition exactly.
-        let body = self.procs[0].frames.last().expect("frame").body;
-        let has_reads = {
-            let units = self.analyses.sync_units.of(body);
-            let unit = match at {
-                None => Some(units.entry_unit()),
-                Some(stmt) => units.unit_at(stmt),
-            };
-            match unit {
-                Some(u) => !self.filter_snapshot_set(&u.reads).is_empty(),
-                None => false,
-            }
-        };
-        if !has_reads {
+        if self.plan.is_none() {
             return Ok(());
         }
-        if self.replay.as_ref().is_some_and(|r| r.what_if) {
+        let Some(reads) = self.snapshot_set(self.frame(pid).body, at) else { return Ok(()) };
+        let Some(replay) = self.replay.as_mut() else {
+            self.write_record(pid, Record::Snapshot, &reads, |values, time| {
+                LogEntry::SharedSnapshot { at: Some(at), values, time }
+            });
+            return Ok(());
+        };
+        if replay.what_if {
             return Ok(());
         }
-        let replay = self.replay.as_mut().expect("replay mode");
         let entry = replay.cursor.seek(|e| matches!(e, LogEntry::SharedSnapshot { .. }))?;
         let Some(LogEntry::SharedSnapshot { at: logged_at, values, .. }) = entry else {
             return Err(RuntimeError::LogMismatch("expected a SharedSnapshot entry".into()));
         };
-        if logged_at != at {
+        if logged_at != Some(at) {
             return Err(RuntimeError::LogMismatch(format!(
-                "snapshot boundary mismatch: logged {logged_at:?}, replaying {at:?}"
+                "snapshot boundary mismatch: logged {logged_at:?}, replaying {:?}",
+                Some(at)
             )));
         }
         for (var, value) in values {
             self.shared[var.index()] = value;
         }
         Ok(())
+    }
+
+    /// Substitution (§5.2): when this replay substitutes nested e-blocks
+    /// and `nested` names one here, skips its logged interval and
+    /// returns the e-block with the interval's postlog (`None` if the
+    /// log has no closed interval of it).
+    fn skip_nested(
+        &mut self,
+        nested: impl FnOnce(&EBlockPlan) -> Option<EBlockId>,
+    ) -> Result<Option<(EBlockId, Option<LogEntry>)>, SegError> {
+        let Some(replay) = self.replay.as_mut().filter(|r| r.nested == NestedCalls::Substitute)
+        else {
+            return Ok(None);
+        };
+        let Some(eb) = self.plan.and_then(nested) else { return Ok(None) };
+        Ok(Some((eb, replay.cursor.skip_nested_interval(eb)?)))
     }
 
     /// Handles loop-e-block substitution during replay: when the replayed
@@ -2307,21 +2101,14 @@ impl<'p> Machine<'p> {
         stmt: &'p Stmt,
         tracer: &mut dyn Tracer,
     ) -> Result<bool, RuntimeError> {
-        if !self.is_replay() {
-            return Ok(false);
-        }
-        let Some(plan) = self.plan else { return Ok(false) };
-        let Some(eb) = plan.loop_eblock(stmt.id) else { return Ok(false) };
-        let replay = self.replay.as_ref().expect("replay mode");
-        if replay.nested != NestedCalls::Substitute {
-            return Ok(false);
-        }
         // Don't substitute the loop we were asked to replay.
         if self.replay_root == Some(stmt.id) {
             return Ok(false);
         }
-        let replay = self.replay.as_mut().expect("replay mode");
-        let Some(LogEntry::Postlog { values, .. }) = replay.cursor.skip_nested_interval(eb)? else {
+        let Some((eb, postlog)) = self.skip_nested(|p| p.loop_eblock(stmt.id))? else {
+            return Ok(false);
+        };
+        let Some(LogEntry::Postlog { values, .. }) = postlog else {
             return Err(RuntimeError::LogMismatch(format!("missing nested loop interval {eb}")));
         };
         for (var, value) in values {

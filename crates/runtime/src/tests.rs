@@ -512,6 +512,7 @@ fn assert_replay_fidelity(src: &str, inputs: Vec<Vec<i64>>, strategy: EBlockStra
                 interval,
                 NestedCalls::Expand,
                 1_000_000,
+                None,
             )
             .expect("prelog reads");
             let mut tracer = VecTracer::default();
@@ -643,6 +644,7 @@ fn replay_reproduces_failure() {
         interval,
         NestedCalls::Substitute,
         1_000_000,
+        None,
     )
     .expect("prelog reads");
     let mut tracer = VecTracer::default();
@@ -682,6 +684,7 @@ fn substitution_skips_callee_events() {
         main_interval,
         NestedCalls::Substitute,
         1_000_000,
+        None,
     )
     .expect("prelog reads");
     let mut tracer = VecTracer::default();
@@ -738,6 +741,7 @@ fn shared_snapshot_restores_cross_process_values() {
         interval,
         NestedCalls::Substitute,
         100_000,
+        None,
     )
     .expect("prelog reads");
     let mut tracer = VecTracer::default();
@@ -795,6 +799,7 @@ fn loop_substitution_event_emitted() {
         body_interval,
         NestedCalls::Substitute,
         1_000_000,
+        None,
     )
     .expect("prelog reads");
     let mut tracer = VecTracer::default();
@@ -825,6 +830,7 @@ fn replay_loop_interval_directly() {
         loop_interval,
         NestedCalls::Expand,
         1_000_000,
+        None,
     )
     .expect("prelog reads");
     let mut tracer = VecTracer::default();

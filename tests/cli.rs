@@ -531,6 +531,45 @@ fn debug_on_a_hostile_graph_record_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn hostile_manifest_process_count_is_an_error_not_a_panic() {
+    // A manifest listing 2^64 - 1 processes over a two-process store:
+    // every reader refuses it with the positioned error for the first
+    // process without a segment, instead of sizing tables by the count.
+    let dir = std::env::temp_dir().join("ppd_cli_test").join("hostile-manifest");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap().to_owned();
+    let (_, stderr, ok) = run_ppd(&["run", "programs/bank.ppd", "--log-dir", &dir_s]);
+    assert!(ok, "{stderr}");
+    let manifest = dir.join("manifest.json");
+    let text = std::fs::read_to_string(&manifest).unwrap();
+    std::fs::write(
+        &manifest,
+        text.replace(r#""processes":2"#, r#""processes":18446744073709551615"#),
+    )
+    .unwrap();
+    let script = dir.with_extension("debug.in");
+    std::fs::write(&script, b"quit\n").unwrap();
+    for args in [
+        vec!["log", "inspect", &dir_s],
+        vec!["log", "verify", &dir_s],
+        vec!["debug", "programs/bank.ppd", "--log-dir", &dir_s],
+    ] {
+        let out = ppd()
+            .args(&args)
+            .stdin(std::fs::File::open(&script).unwrap())
+            .output()
+            .expect("ppd binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("p0002-s000000.seg"), "{args:?}: {stderr}");
+        assert!(stderr.contains("process 2 has no segment files"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&script);
+}
+
+#[test]
 fn dot_pdg_outputs_full_static_graph() {
     let (stdout, _, ok) = run_ppd(&["dot", "programs/bank.ppd", "--what", "pdg"]);
     assert!(ok);

@@ -122,7 +122,7 @@ fn disabling_the_cache_changes_cost_not_results() {
     cached.start().expect("warm");
 
     let mut uncached = Controller::new(&session, &execution);
-    uncached.set_cache_enabled(false);
+    uncached.set_cache_budget(0);
     uncached.start().expect("starts");
     expand_all(&mut uncached);
     uncached.start().expect("cold again");
@@ -207,7 +207,7 @@ proptest! {
         let with_cache = drive(&mut cached, &ops);
 
         let mut uncached = Controller::new(&session, &execution);
-        uncached.set_cache_enabled(false);
+        uncached.set_cache_budget(0);
         let without_cache = drive(&mut uncached, &ops);
 
         let mut squeezed = Controller::new(&session, &execution);
