@@ -20,7 +20,7 @@ use crate::interproc::ModRef;
 use crate::usedef::ProgramEffects;
 use crate::varset::{VarSet, VarSetRepr};
 use ppd_lang::ast::{walk_stmt, walk_stmts, Stmt, StmtKind};
-use ppd_lang::{BodyId, FuncId, ResolvedProgram, StmtId};
+use ppd_lang::{BodyId, FuncId, FxMap, IdTable, ResolvedProgram, StmtId};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -184,9 +184,9 @@ pub struct EBlockPlan {
     /// The strategy that produced this plan.
     pub strategy: EBlockStrategy,
     eblocks: Vec<EBlock>,
-    body_block: HashMap<BodyId, EBlockId>,
-    loop_block: HashMap<StmtId, EBlockId>,
-    chunk_start: HashMap<StmtId, EBlockId>,
+    body_block: FxMap<BodyId, EBlockId>,
+    loop_block: IdTable<StmtId, EBlockId>,
+    chunk_start: IdTable<StmtId, EBlockId>,
     merged: HashSet<FuncId>,
 }
 
@@ -202,9 +202,9 @@ impl EBlockPlan {
         let mut plan = EBlockPlan {
             strategy,
             eblocks: Vec::new(),
-            body_block: HashMap::new(),
-            loop_block: HashMap::new(),
-            chunk_start: HashMap::new(),
+            body_block: FxMap::default(),
+            loop_block: IdTable::new(),
+            chunk_start: IdTable::new(),
             merged: HashSet::new(),
         };
 

@@ -11,7 +11,7 @@
 //! sites some process actually reaches (via the MHP event index).
 
 use super::{Diagnostic, LintContext, LintPass, Severity};
-use ppd_lang::{ChanId, ChanRef, ProcId, StmtId};
+use ppd_lang::{ChanId, ChanRef, IdTable, ProcId, StmtId};
 
 /// Reports channels that are never used, never received from, or never
 /// sent on.
@@ -41,14 +41,11 @@ impl LintPass for DeadChannelPass {
                 None => true,
             },
         };
-        let sites_on = |map: &std::collections::HashMap<StmtId, ChanRef>, c: ChanId| {
-            let mut out: Vec<StmtId> = map
-                .iter()
-                .filter(|&(&s, &cref)| may_name(cref, c) && reachable(s))
-                .map(|(&s, _)| s)
-                .collect();
-            out.sort_unstable();
-            out
+        let sites_on = |map: &IdTable<StmtId, ChanRef>, c: ChanId| -> Vec<StmtId> {
+            map.iter()
+                .filter(|&(s, &cref)| may_name(cref, c) && reachable(s))
+                .map(|(s, _)| s)
+                .collect()
         };
 
         let mut diags = Vec::new();

@@ -17,7 +17,7 @@ use crate::interproc::ModRef;
 use crate::mhp::{stmt_shared_accesses, MhpAnalysis};
 use crate::usedef::ProgramEffects;
 use crate::varset::{VarSet, VarSetRepr};
-use ppd_lang::{BodyId, ProcId, ResolvedProgram, StmtId, VarId};
+use ppd_lang::{BodyId, FxMap, ProcId, ResolvedProgram, StmtId, VarId};
 use std::collections::HashMap;
 
 /// Where a synchronization unit starts.
@@ -50,7 +50,10 @@ pub struct SyncUnit {
 pub struct BodySyncUnits {
     /// Units, entry unit first, then statement units in discovery order.
     pub units: Vec<SyncUnit>,
-    by_stmt: HashMap<StmtId, usize>,
+    /// The unit each boundary statement starts. A body's statements are
+    /// a sparse subset of the program's, so this is hashed, not a
+    /// program-wide table per body.
+    by_stmt: FxMap<StmtId, usize>,
 }
 
 impl BodySyncUnits {
@@ -83,7 +86,7 @@ impl BodySyncUnits {
 /// Synchronization units for every body of a program.
 #[derive(Debug, Clone)]
 pub struct SyncUnits {
-    per_body: HashMap<BodyId, BodySyncUnits>,
+    per_body: FxMap<BodyId, BodySyncUnits>,
 }
 
 impl SyncUnits {
@@ -122,7 +125,7 @@ impl SyncUnits {
             }
         }
 
-        let mut per_body = HashMap::new();
+        let mut per_body = FxMap::default();
         for (&body, cfg) in cfgs {
             let mut units = compute_body(rp, cfg, effects, modref);
             if let Some(execs) = executors.get(&body) {
@@ -321,7 +324,7 @@ fn compute_body(
 ) -> BodySyncUnits {
     let universe = rp.var_count();
     let mut units = Vec::new();
-    let mut by_stmt = HashMap::new();
+    let mut by_stmt = FxMap::default();
 
     // Entry unit first.
     units.push(unit_from(rp, cfg, effects, modref, cfg.entry(), UnitStart::Entry, universe));

@@ -195,14 +195,24 @@ pub fn detect_races_absint(
     detect_races(graph, ord, Some(absint_candidates))
 }
 
+/// The fewest order checks a chunk of [`detect_races_par`] holds. One
+/// check ([`simultaneous`]) takes 13–16 ns, and [`rayon::par_map`] takes
+/// ~32 µs to spawn and join two workers (release probe: medians of 21
+/// and 4,001 runs on a 2-vCPU host), so a chunk's checks must number
+/// about 2,000 to pay for the worker that takes them. A scan of fewer
+/// than two chunks' worth of comparisons is one chunk, which `par_map`
+/// runs on the calling thread.
+const MIN_CHUNK_PAIRS: usize = 2048;
+
 /// The parallel detector: the comparisons [`detect_races`] would
 /// order-check are partitioned into chunks and checked on up to `jobs`
 /// threads by the vendored work-stealing [`rayon::par_map`]; per-chunk
 /// results are merged and finalized with the same sort + dedup, so the
 /// output is **bit-identical** to [`detect_races`] on the same inputs
 /// regardless of schedule (asserted over the corpus and randomized
-/// graphs in `tests/parallel_backend.rs`). `jobs <= 1`, or a single
-/// chunk, checks on the calling thread.
+/// graphs in `tests/parallel_backend.rs`). `jobs <= 1`, or a scan too
+/// small to split (under two chunks of `MIN_CHUNK_PAIRS`), checks on
+/// the calling thread.
 pub fn detect_races_par<O: Ordering + Sync>(
     graph: &ParallelGraph,
     ord: &O,
@@ -219,11 +229,12 @@ pub fn detect_races_par<O: Ordering + Sync>(
     });
     span.arg("pairs", pairs.len());
     let check = |r: &&Race| simultaneous(graph, ord, r.first, r.second);
-    // Chunk so each stealable task amortizes scheduling overhead;
-    // chunks come back in input order before the final sort, keeping
-    // the merge deterministic.
-    let chunk = pairs.len().div_ceil(jobs.max(1) * 4).max(16);
-    let chunks: Vec<&[Race]> = pairs.chunks(chunk).collect();
+    // Up to four even chunks per worker, so each stealable task
+    // amortizes scheduling overhead, none under the floor; chunks come
+    // back in input order before the final sort, keeping the merge
+    // deterministic.
+    let count = (pairs.len() / MIN_CHUNK_PAIRS).clamp(1, jobs.max(1) * 4);
+    let chunks: Vec<&[Race]> = pairs.chunks(pairs.len().div_ceil(count).max(1)).collect();
     let per_chunk =
         rayon::par_map(&chunks, jobs, |c| c.iter().filter(check).copied().collect::<Vec<_>>());
     finish(per_chunk.into_iter().flatten().collect())

@@ -45,6 +45,7 @@ pub mod pretty;
 pub mod resolve;
 pub mod span;
 pub mod symbol;
+pub mod table;
 pub mod token;
 pub mod types;
 pub mod value;
@@ -63,5 +64,6 @@ pub use resolve::{
 };
 pub use span::Span;
 pub use symbol::{Interner, Symbol};
+pub use table::{DenseId, FxMap, IdTable};
 pub use types::{check, SharedWrite, Ty, TypeCheck, TypeError, TypeErrorKind, TypeInfo};
 pub use value::Value;

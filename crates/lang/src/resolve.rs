@@ -17,9 +17,11 @@ use crate::ast::*;
 use crate::error::{LangError, LangErrorKind};
 use crate::span::Span;
 use crate::symbol::Symbol;
+use crate::table::IdTable;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Dense id of a variable (shared globals first, then locals).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -207,7 +209,7 @@ pub struct ChanInfo {
 }
 
 /// A parsed program plus all name-binding tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ResolvedProgram {
     /// The underlying AST.
     pub program: Program,
@@ -224,24 +226,28 @@ pub struct ResolvedProgram {
     /// All top-level channels.
     pub chans: Vec<ChanInfo>,
     /// Variable binding for each `Var`/`Index` expression and `LValue`.
-    pub expr_var: HashMap<ExprId, VarId>,
+    pub expr_var: IdTable<ExprId, VarId>,
     /// Channel binding for each `Var` expression naming a top-level
     /// channel (channel values passed as `chan` arguments).
-    pub expr_chan: HashMap<ExprId, ChanId>,
+    pub expr_chan: IdTable<ExprId, ChanId>,
     /// Channel destination of each `send`/`asend` that targets a channel
     /// rather than a process.
-    pub send_chan: HashMap<StmtId, ChanRef>,
+    pub send_chan: IdTable<StmtId, ChanRef>,
     /// Channel source of each two-argument `recv(c, lv)`.
-    pub recv_chan: HashMap<StmtId, ChanRef>,
+    pub recv_chan: IdTable<StmtId, ChanRef>,
     /// Variable introduced by each `Decl` statement (and `accept` binders,
     /// keyed by the accept's `param_expr`).
-    pub decl_var: HashMap<StmtId, VarId>,
+    pub decl_var: IdTable<StmtId, VarId>,
     /// Callee of each `Call` expression.
-    pub call_target: HashMap<ExprId, FuncId>,
+    pub call_target: IdTable<ExprId, FuncId>,
     /// Destination process of each `send`/`asend`/`rendezvous`.
-    pub msg_target: HashMap<StmtId, ProcId>,
+    pub msg_target: IdTable<StmtId, ProcId>,
     /// Semaphore of each `p`/`v`/`lock`/`unlock`.
-    pub sem_ref: HashMap<StmtId, SemId>,
+    pub sem_ref: IdTable<StmtId, SemId>,
+    /// The variables local to each process (indexed by `ProcId`) and
+    /// function (by `FuncId`); see [`ResolvedProgram::body_locals`].
+    proc_locals: Vec<Range<usize>>,
+    func_locals: Vec<Range<usize>>,
 }
 
 impl ResolvedProgram {
@@ -361,6 +367,16 @@ impl ResolvedProgram {
     pub fn shared_vars(&self) -> impl Iterator<Item = VarId> {
         (0..self.shared_count).map(VarId)
     }
+
+    /// The ids of the variables local to `body`, parameters first: the
+    /// resolver numbers a body's locals contiguously, so a frame can
+    /// keep them in slots indexed from `start`.
+    pub fn body_locals(&self, body: BodyId) -> Range<usize> {
+        match body {
+            BodyId::Func(f) => self.func_locals[f.index()].clone(),
+            BodyId::Proc(p) => self.proc_locals[p.index()].clone(),
+        }
+    }
 }
 
 /// Resolves and validates a parsed program.
@@ -421,14 +437,16 @@ impl Resolver {
                 procs: Vec::new(),
                 sems: Vec::new(),
                 chans: Vec::new(),
-                expr_var: HashMap::new(),
-                expr_chan: HashMap::new(),
-                send_chan: HashMap::new(),
-                recv_chan: HashMap::new(),
-                decl_var: HashMap::new(),
-                call_target: HashMap::new(),
-                msg_target: HashMap::new(),
-                sem_ref: HashMap::new(),
+                expr_var: IdTable::new(),
+                expr_chan: IdTable::new(),
+                send_chan: IdTable::new(),
+                recv_chan: IdTable::new(),
+                decl_var: IdTable::new(),
+                call_target: IdTable::new(),
+                msg_target: IdTable::new(),
+                sem_ref: IdTable::new(),
+                proc_locals: Vec::new(),
+                func_locals: Vec::new(),
             },
             scopes: Vec::new(),
             func_ids: HashMap::new(),
@@ -493,6 +511,8 @@ impl Resolver {
             }
         }
         self.out.shared_count = self.out.vars.len() as u32;
+        self.out.func_locals = vec![0..0; self.out.funcs.len()];
+        self.out.proc_locals = vec![0..0; self.out.procs.len()];
 
         if self.out.procs.is_empty() {
             return Err(LangError::new(
@@ -509,6 +529,7 @@ impl Resolver {
                     self.scopes.clear();
                     self.scopes.push(HashMap::new());
                     let body = BodyId::Func(fid);
+                    let first = self.out.vars.len();
                     let mut params = Vec::with_capacity(f.params.len());
                     for (pi, param) in f.params.iter().enumerate() {
                         let vid = self.declare_local(
@@ -522,13 +543,16 @@ impl Resolver {
                     }
                     self.out.funcs[fid.index()].params = params;
                     self.resolve_block(&f.body, body, f.returns_value)?;
+                    self.out.func_locals[fid.index()] = first..self.out.vars.len();
                     let _ = index;
                 }
                 Item::Process(p) => {
                     let pid = self.proc_ids.get(&p.name.sym).copied().expect("collected in pass 1");
                     self.scopes.clear();
                     self.scopes.push(HashMap::new());
+                    let first = self.out.vars.len();
                     self.resolve_block(&p.body, BodyId::Proc(pid), false)?;
+                    self.out.proc_locals[pid.index()] = first..self.out.vars.len();
                 }
                 _ => {}
             }
@@ -978,6 +1002,25 @@ mod tests {
         assert!(rp.is_shared(VarId(1)));
         assert!(!rp.is_shared(VarId(2)));
         assert_eq!(rp.shared_vars().count(), 2);
+    }
+
+    #[test]
+    fn each_body_numbers_its_locals_contiguously() {
+        // Frames keep locals in slots indexed from `body_locals(..).start`.
+        let mut sources: Vec<String> =
+            crate::corpus::all().iter().map(|p| p.source.to_owned()).collect();
+        sources.push(crate::corpus::gen_quicksort(8));
+        sources.push(crate::corpus::gen_deep_calls(5));
+        for src in &sources {
+            let rp = ok(src);
+            for (i, v) in rp.vars.iter().enumerate() {
+                let owner = rp.bodies().into_iter().find(|&b| rp.body_locals(b).contains(&i));
+                match v.scope {
+                    VarScope::Shared => assert_eq!(owner, None),
+                    VarScope::Local(body) => assert_eq!(owner, Some(body), "var {i} of {src}"),
+                }
+            }
+        }
     }
 
     #[test]

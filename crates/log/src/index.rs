@@ -16,8 +16,7 @@
 use crate::entry::LogEntry;
 use crate::store::{IntervalRef, LogStore};
 use ppd_analysis::EBlockId;
-use ppd_lang::ProcId;
-use std::collections::HashMap;
+use ppd_lang::{FxMap, ProcId};
 
 /// One structural event of a process log: a prelog or postlog together
 /// with its entry position and logical time. The stack-matching index
@@ -81,44 +80,14 @@ struct IndexedInterval {
     end_time: u64,
 }
 
-/// Multiply-rotate hasher (rustc's FxHash scheme). `by_key` takes one
-/// insert per interval — millions when a large store's index is rebuilt
-/// from segment footers — and the default SipHash dominates that build,
-/// while HashDoS resistance buys nothing against our own log files.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl std::hash::Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(u64::from(b));
-        }
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.mix(u64::from(v));
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl FxHasher {
-    fn mix(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-type FxMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FxHasher>>;
-
 /// The index of one process's log.
 #[derive(Debug, Clone, Default)]
 struct ProcIndex {
     /// All intervals in prelog order (outer before nested — Figure 5.1).
     intervals: Vec<IndexedInterval>,
-    /// `(eblock, instance)` → position in `intervals`.
+    /// `(eblock, instance)` → position in `intervals`. FxHash: this
+    /// takes one insert per interval, millions when a large store's index
+    /// is rebuilt from segment footers, and SipHash would dominate that.
     by_key: FxMap<(EBlockId, u64), usize>,
     /// Positions of intervals with no postlog, outermost first.
     open: Vec<usize>,

@@ -29,6 +29,7 @@ use ppd_lang::{BodyId, CellMap, ChanId, ChanRef, FuncId, ProcId, ResolvedProgram
 use ppd_log::{IntervalRef, LogCursor, LogEntry, LogStore, SegError};
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Configuration for a normal (execution-phase) run.
@@ -268,7 +269,7 @@ enum Task<'p> {
 struct Frame<'p> {
     body: BodyId,
     func: Option<FuncId>,
-    locals: HashMap<VarId, Value>,
+    locals: Locals,
     tasks: Vec<Task<'p>>,
     values: Vec<i64>,
     pending_reads: Vec<ReadSource>,
@@ -282,18 +283,71 @@ struct Frame<'p> {
 }
 
 impl<'p> Frame<'p> {
-    fn new(body: BodyId, func: Option<FuncId>, call_seq: u64) -> Frame<'p> {
+    fn new(body: BodyId, func: Option<FuncId>, vars: Range<usize>) -> Frame<'p> {
         Frame {
             body,
             func,
-            locals: HashMap::new(),
+            locals: Locals::new(vars),
             tasks: Vec::new(),
             values: Vec::new(),
             pending_reads: Vec::new(),
             arg_marks: Vec::new(),
             open_intervals: Vec::new(),
             current_stmt: None,
-            call_seq,
+            call_seq: 0,
+        }
+    }
+
+    /// Empties this frame for a call of `func`, keeping its buffers.
+    fn reuse(&mut self, func: FuncId, vars: Range<usize>) {
+        self.body = BodyId::Func(func);
+        self.func = Some(func);
+        self.locals.reset(vars);
+        self.tasks.clear();
+        self.values.clear();
+        self.pending_reads.clear();
+        self.arg_marks.clear();
+        self.open_intervals.clear();
+        self.current_stmt = None;
+        self.call_seq = 0;
+    }
+}
+
+/// A frame's local variables: one slot per local of its body, which the
+/// resolver numbers contiguously ([`ResolvedProgram::body_locals`]). A
+/// slot is `None` until its declaration runs.
+#[derive(Debug)]
+struct Locals {
+    first: usize,
+    slots: Vec<Option<Value>>,
+}
+
+impl Locals {
+    fn new(vars: Range<usize>) -> Locals {
+        Locals { first: vars.start, slots: vec![None; vars.len()] }
+    }
+
+    /// Empties every slot and renumbers them for `vars`, keeping the
+    /// buffer.
+    fn reset(&mut self, vars: Range<usize>) {
+        self.first = vars.start;
+        self.slots.clear();
+        self.slots.resize(vars.len(), None);
+    }
+
+    fn get(&self, var: &VarId) -> Option<&Value> {
+        self.slots.get(var.index().wrapping_sub(self.first))?.as_ref()
+    }
+
+    fn get_mut(&mut self, var: &VarId) -> Option<&mut Value> {
+        self.slots.get_mut(var.index().wrapping_sub(self.first))?.as_mut()
+    }
+
+    /// Sets a local of this frame's body. Any other variable has no slot
+    /// here and no code of the body reads it, so it is dropped.
+    fn insert(&mut self, var: VarId, value: Value) {
+        if let Some(slot) = self.slots.get_mut(var.index().wrapping_sub(self.first)) {
+            *slot = Some(value);
         }
     }
 }
@@ -389,17 +443,22 @@ pub struct Machine<'p> {
     output: Vec<(ProcId, i64)>,
     pgraph: Option<ParallelGraph>,
     logs: Option<LogStore>,
-    eb_counters: Vec<HashMap<EBlockId, u64>>,
+    /// Per process, the next instance of each e-block (by `EBlockId`).
+    eb_counters: Vec<Vec<u64>>,
     replay: Option<ReplayState<'p>>,
     /// When replaying a loop region, the loop statement itself (so it is
     /// executed rather than substituted).
     replay_root: Option<ppd_lang::StmtId>,
     breakpoints: Vec<ppd_lang::StmtId>,
     hit_breakpoint: Option<(ProcId, ppd_lang::StmtId)>,
-    /// Element-granular cell layout: the parallel graph records array
-    /// accesses per element so race scans can distinguish `a[0]` from
-    /// `a[1]`.
-    cells: CellMap,
+    /// Element-granular cell layout, kept while the parallel graph is
+    /// built: it records array accesses per element so race scans can
+    /// distinguish `a[0]` from `a[1]`.
+    cells: Option<CellMap>,
+    /// The run loop's runnable processes, refilled every step.
+    runnable: Vec<ProcId>,
+    /// Frames of returned calls, whose buffers the next call reuses.
+    spare_frames: Vec<Frame<'p>>,
     clock: u64,
     steps: u64,
     max_steps: u64,
@@ -443,7 +502,7 @@ impl<'p> Machine<'p> {
                 }
             }
         }
-        let cells = CellMap::new(rp);
+        let cells = config.build_parallel_graph.then(|| CellMap::new(rp));
         let mut m = Machine {
             rp,
             analyses,
@@ -456,12 +515,12 @@ impl<'p> Machine<'p> {
             scheduler: config.scheduler.build(),
             inputs,
             output: Vec::new(),
-            pgraph: config
-                .build_parallel_graph
-                .then(|| ParallelGraph::with_cells(cells.total(), cells.table())),
+            pgraph: cells.as_ref().map(|c| ParallelGraph::with_cells(c.total(), c.table())),
             cells,
+            runnable: Vec::with_capacity(nprocs),
+            spare_frames: Vec::new(),
             logs: (plan.is_some() && config.log_dir.is_none()).then(|| LogStore::new(nprocs)),
-            eb_counters: vec![HashMap::new(); nprocs],
+            eb_counters: vec![vec![0; plan.map_or(0, |p| p.eblocks().len())]; nprocs],
             replay: None,
             replay_root: None,
             breakpoints,
@@ -477,7 +536,7 @@ impl<'p> Machine<'p> {
         for i in 0..nprocs {
             let pid = ProcId(i as u32);
             let body = BodyId::Proc(pid);
-            let mut frame = Frame::new(body, None, 0);
+            let mut frame = Frame::new(body, None, rp.body_locals(body));
             let block = rp.body_block(body);
             frame.tasks.push(Task::Block { stmts: &block.stmts, next: 0 });
             m.procs.push(ProcState { id: pid, frames: vec![frame], status: Status::Runnable });
@@ -507,7 +566,8 @@ impl<'p> Machine<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if the interval's e-block is not in `plan`.
+    /// Panics if the interval's e-block is not in `plan`, or is a loop
+    /// e-block whose loop is not in its body (a log of another program).
     #[allow(clippy::too_many_arguments)]
     pub fn new_replay(
         rp: &'p ResolvedProgram,
@@ -527,18 +587,22 @@ impl<'p> Machine<'p> {
             BodyId::Func(f) => Some(f),
             BodyId::Proc(_) => None,
         };
-        let stmt_index = build_stmt_index(rp);
         let mut replay_root = None;
-        let mut frame = Frame::new(body, func, 0);
+        let mut frame = Frame::new(body, func, rp.body_locals(body));
         match &eb.region {
             Region::Body(_) => {
                 let block = rp.body_block(body);
                 frame.tasks.push(Task::Block { stmts: &block.stmts, next: 0 });
             }
             Region::Loop { stmt, .. } => {
-                let s = stmt_index[stmt];
+                let mut root = None;
+                walk_stmts(rp.body_block(body), &mut |s| {
+                    if s.id == *stmt {
+                        root = Some(s);
+                    }
+                });
                 replay_root = Some(*stmt);
-                frame.tasks.push(Task::Stmt(s));
+                frame.tasks.push(Task::Stmt(root.expect("a loop e-block's loop is in its body")));
             }
             Region::Chunk { body: b, index, stmts } => {
                 let max = plan
@@ -569,7 +633,9 @@ impl<'p> Machine<'p> {
             inputs: Vec::new(),
             output: Vec::new(),
             pgraph: None,
-            cells: CellMap::new(rp),
+            cells: None,
+            runnable: Vec::new(),
+            spare_frames: Vec::new(),
             logs: None,
             eb_counters: Vec::new(),
             replay: Some(ReplayState { cursor, nested, what_if: false }),
@@ -713,9 +779,10 @@ impl<'p> Machine<'p> {
             if self.steps >= self.max_steps {
                 return Outcome::StepLimit;
             }
-            let runnable: Vec<ProcId> =
-                self.procs.iter().filter(|p| p.status == Status::Runnable).map(|p| p.id).collect();
-            if runnable.is_empty() {
+            self.runnable.clear();
+            let runnable = self.procs.iter().filter(|p| p.status == Status::Runnable).map(|p| p.id);
+            self.runnable.extend(runnable);
+            if self.runnable.is_empty() {
                 let blocked: Vec<(ProcId, BlockReason, ppd_lang::StmtId)> = self
                     .procs
                     .iter()
@@ -738,7 +805,7 @@ impl<'p> Machine<'p> {
                     Outcome::Deadlock { blocked }
                 };
             }
-            let pid = self.scheduler.pick(&runnable);
+            let pid = self.scheduler.pick(&self.runnable);
             self.steps += 1;
             if let Err(error) = self.step(pid, tracer) {
                 let stmt = self
@@ -764,11 +831,15 @@ impl<'p> Machine<'p> {
     }
 
     fn proc(&self, pid: ProcId) -> &ProcState<'p> {
-        self.procs.iter().find(|p| p.id == pid).expect("process exists")
+        &self.procs[self.proc_ix(pid)]
     }
 
+    /// Where `pid` is in `procs`: a run holds every process at its own
+    /// index, a replay machine its one process.
     fn proc_ix(&self, pid: ProcId) -> usize {
-        self.procs.iter().position(|p| p.id == pid).expect("process exists")
+        let ix = if self.is_replay() { 0 } else { pid.index() };
+        debug_assert_eq!(self.procs[ix].id, pid);
+        ix
     }
 
     fn frame(&self, pid: ProcId) -> &Frame<'p> {
@@ -1653,24 +1724,23 @@ impl<'p> Machine<'p> {
             .unwrap_or(ppd_lang::StmtId(0));
 
         // Gather argument values and per-argument reads.
-        let (args_with_reads, call_reads) = {
+        let (args_with_reads, mut call_reads) = {
             let frame = self.frame_mut(pid);
             let vals_start = frame.values.len() - argc;
-            let arg_values: Vec<i64> = frame.values.split_off(vals_start);
             let marks_start = frame.arg_marks.len() - (argc + 1);
-            let marks: Vec<usize> = frame.arg_marks.split_off(marks_start);
-            let base = marks[0];
-            let mut args_with_reads = Vec::with_capacity(argc);
-            for (i, &v) in arg_values.iter().enumerate() {
-                let lo = marks[i].min(frame.pending_reads.len());
-                let hi = marks[i + 1].min(frame.pending_reads.len());
-                args_with_reads.push((v, frame.pending_reads[lo..hi].to_vec()));
-            }
+            let marks = &frame.arg_marks[marks_start..];
+            let reads = &frame.pending_reads;
+            let args_with_reads: Vec<(i64, Vec<ReadSource>)> = frame.values[vals_start..]
+                .iter()
+                .zip(marks.windows(2))
+                .map(|(&v, m)| (v, reads[m[0].min(reads.len())..m[1].min(reads.len())].to_vec()))
+                .collect();
             // The args' reads are consumed by the CallEnter event; reads
             // before the base mark stay pending for the enclosing event.
-            let call_reads: Vec<ReadSource> =
-                frame.pending_reads.split_off(base.min(frame.pending_reads.len()));
-            (args_with_reads, call_reads)
+            let base = marks[0].min(reads.len());
+            frame.values.truncate(vals_start);
+            frame.arg_marks.truncate(marks_start);
+            (args_with_reads, frame.pending_reads.split_off(base))
         };
 
         // Substitution (§5.2): during replay, a callee with its own
@@ -1694,7 +1764,7 @@ impl<'p> Machine<'p> {
                 EventKind::CallEnter { func, args: args_with_reads, substituted: true },
                 None,
                 None,
-                call_reads,
+                &mut call_reads,
                 tracer,
             );
             self.emit_with(
@@ -1703,7 +1773,7 @@ impl<'p> Machine<'p> {
                 EventKind::CallExit { func, ret: Some(ret_val) },
                 None,
                 Some(ret_val),
-                Vec::new(),
+                &mut Vec::new(),
                 tracer,
             );
             let frame = self.frame_mut(pid);
@@ -1714,27 +1784,38 @@ impl<'p> Machine<'p> {
         }
 
         // Inline execution (normal mode, merged leaves, or expansion).
-        let call_seq = self.emit_with(
+        let rp = self.rp;
+        let mut frame = self.call_frame(func);
+        for (&param, &(v, _)) in rp.funcs[func.index()].params.iter().zip(&args_with_reads) {
+            frame.locals.insert(param, Value::Int(v));
+        }
+        frame.tasks.push(Task::Block { stmts: &rp.func_decl(func).body.stmts, next: 0 });
+        frame.call_seq = self.emit_with(
             pid,
             stmt_id,
-            EventKind::CallEnter { func, args: args_with_reads.clone(), substituted: false },
+            EventKind::CallEnter { func, args: args_with_reads, substituted: false },
             None,
             None,
-            call_reads,
+            &mut call_reads,
             tracer,
         );
-        let body = BodyId::Func(func);
-        let mut frame = Frame::new(body, Some(func), call_seq);
-        let params = self.rp.funcs[func.index()].params.clone();
-        for (param, (v, _)) in params.iter().zip(&args_with_reads) {
-            frame.locals.insert(*param, Value::Int(*v));
-        }
-        let block = &self.rp.func_decl(func).body;
-        frame.tasks.push(Task::Block { stmts: &block.stmts, next: 0 });
         let ix = self.proc_ix(pid);
         self.procs[ix].frames.push(frame);
-        self.open_body_interval(pid, body);
+        self.open_body_interval(pid, BodyId::Func(func));
         Ok(())
+    }
+
+    /// A frame for a call of `func`, in the buffers of a returned call's
+    /// frame when there is one.
+    fn call_frame(&mut self, func: FuncId) -> Frame<'p> {
+        let vars = self.rp.body_locals(BodyId::Func(func));
+        match self.spare_frames.pop() {
+            Some(mut frame) => {
+                frame.reuse(func, vars);
+                frame
+            }
+            None => Frame::new(BodyId::Func(func), Some(func), vars),
+        }
     }
 
     fn pop_frame(
@@ -1744,16 +1825,14 @@ impl<'p> Machine<'p> {
         tracer: &mut dyn Tracer,
     ) -> Result<(), RuntimeError> {
         // Close any intervals still open in this frame, innermost first.
-        let open: Vec<(EBlockId, u64)> = {
-            let frame = self.frame_mut(pid);
-            frame.open_intervals.drain(..).rev().collect()
-        };
-        for (eb, inst) in open {
+        while let Some((eb, inst)) = self.frame_mut(pid).open_intervals.pop() {
             self.close_interval(pid, eb, inst, ret);
         }
 
         let ix = self.proc_ix(pid);
         let frame = self.procs[ix].frames.pop().expect("frame to pop");
+        let (func, call_seq) = (frame.func, frame.call_seq);
+        self.spare_frames.push(frame);
         if self.procs[ix].frames.is_empty() {
             self.procs[ix].status = Status::Done;
             if !self.is_replay() {
@@ -1765,7 +1844,7 @@ impl<'p> Machine<'p> {
             return Ok(());
         }
         // Function return into the caller.
-        let func = frame.func.expect("nested frames are function frames");
+        let func = func.expect("nested frames are function frames");
         let stmt_id = self.procs[ix]
             .frames
             .last()
@@ -1780,12 +1859,12 @@ impl<'p> Machine<'p> {
             EventKind::CallExit { func, ret: ret_value },
             None,
             ret_value,
-            Vec::new(),
+            &mut Vec::new(),
             tracer,
         );
         let caller = self.frame_mut(pid);
         caller.values.push(ret.unwrap_or(0));
-        caller.pending_reads.push(ReadSource::CallResult { call_seq: frame.call_seq });
+        caller.pending_reads.push(ReadSource::CallResult { call_seq });
         // The calling statement is a synchronization-unit boundary; its
         // unit's reads resume now that the callee (and whatever internal
         // synchronization it performed) has completed.
@@ -1834,10 +1913,9 @@ impl<'p> Machine<'p> {
         }
         let cell = CellRef { var, index: index.map(|i| i as usize) };
         self.frame_mut(pid).pending_reads.push(ReadSource::Cell(cell));
-        if shared && !self.is_replay() {
-            let c = self.cells.cell(var, cell.index);
-            if let Some(g) = self.pgraph.as_mut() {
-                g.record_read(pid, c);
+        if shared {
+            if let (Some(g), Some(cells)) = (self.pgraph.as_mut(), &self.cells) {
+                g.record_read(pid, cells.cell(var, cell.index));
             }
         }
         Ok(value)
@@ -1853,11 +1931,8 @@ impl<'p> Machine<'p> {
         let shared = self.rp.is_shared(var);
         if shared {
             write_value(&mut self.shared[var.index()], index, value)?;
-            if !self.is_replay() {
-                let c = self.cells.cell(var, index.map(|i| i as usize));
-                if let Some(g) = self.pgraph.as_mut() {
-                    g.record_write(pid, c);
-                }
+            if let (Some(g), Some(cells)) = (self.pgraph.as_mut(), &self.cells) {
+                g.record_write(pid, cells.cell(var, index.map(|i| i as usize)));
             }
         } else {
             let frame = self.frame_mut(pid);
@@ -1893,8 +1968,13 @@ impl<'p> Machine<'p> {
         value: Option<i64>,
         tracer: &mut dyn Tracer,
     ) -> u64 {
-        let reads = std::mem::take(&mut self.frame_mut(pid).pending_reads);
-        self.emit_with(pid, stmt, kind, write, value, reads, tracer)
+        // The frame's read buffer goes out with the event and comes back
+        // empty, so the next read does not allocate.
+        let mut reads = std::mem::take(&mut self.frame_mut(pid).pending_reads);
+        let seq = self.emit_with(pid, stmt, kind, write, value, &mut reads, tracer);
+        reads.clear();
+        self.frame_mut(pid).pending_reads = reads;
+        seq
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1905,7 +1985,7 @@ impl<'p> Machine<'p> {
         kind: EventKind,
         write: Option<(CellRef, i64)>,
         value: Option<i64>,
-        reads: Vec<ReadSource>,
+        reads: &mut Vec<ReadSource>,
         tracer: &mut dyn Tracer,
     ) -> u64 {
         let seq = self.tick();
@@ -1920,8 +2000,10 @@ impl<'p> Machine<'p> {
                 | EventKind::AssertPass
                 | EventKind::AssertFail
         );
-        let event = TraceEvent { proc: pid, stmt, seq, kind, reads, write, value };
+        let event =
+            TraceEvent { proc: pid, stmt, seq, kind, reads: std::mem::take(reads), write, value };
         tracer.event(&event);
+        *reads = event.reads;
         self.events += 1;
         if counts_as_internal && !self.is_replay() {
             if let Some(g) = self.pgraph.as_mut() {
@@ -1991,7 +2073,7 @@ impl<'p> Machine<'p> {
     }
 
     fn next_instance(&mut self, pid: ProcId, eb: EBlockId) -> u64 {
-        let counter = self.eb_counters[pid.index()].entry(eb).or_insert(0);
+        let counter = &mut self.eb_counters[pid.index()][eb.index()];
         let inst = *counter;
         *counter += 1;
         inst
@@ -2125,7 +2207,7 @@ impl<'p> Machine<'p> {
             EventKind::LoopSubstituted { eblock: eb },
             None,
             None,
-            Vec::new(),
+            &mut Vec::new(),
             tracer,
         );
         Ok(true)
@@ -2148,16 +2230,6 @@ fn init_shared(rp: &ResolvedProgram) -> Vec<Value> {
 
 fn init_sems(rp: &ResolvedProgram) -> Vec<SemState> {
     rp.sems.iter().map(|s| SemState { count: s.init, pending_v: None }).collect()
-}
-
-fn build_stmt_index(rp: &ResolvedProgram) -> HashMap<ppd_lang::StmtId, &Stmt> {
-    let mut map = HashMap::new();
-    for body in rp.bodies() {
-        walk_stmts(rp.body_block(body), &mut |s| {
-            map.insert(s.id, s);
-        });
-    }
-    map
 }
 
 fn read_value(value: &Value, index: Option<i64>) -> Result<i64, RuntimeError> {

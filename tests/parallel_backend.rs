@@ -59,7 +59,13 @@ fn parallel_backend_is_bit_identical_across_corpus_and_programs() {
 
 #[test]
 fn parallel_race_scan_matches_every_sequential_detector() {
-    for (name, session, config) in workloads() {
+    // The corpus scans are too small to split across workers; this bank
+    // run's ~10,000 conflicting pairs on `accounts[1]` split into
+    // several chunks, so the workers and the in-order merge run too.
+    let big = PpdSession::prepare(&corpus::gen_bank(100), EBlockStrategy::per_subroutine())
+        .expect("generated program compiles");
+    let big = ("bank_100".to_owned(), big, RunConfig::default());
+    for (name, session, config) in workloads().into_iter().chain([big]) {
         let execution = session.execute(config);
         let g = &execution.pgraph;
         let ord = VectorClocks::compute(g);
