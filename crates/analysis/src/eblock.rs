@@ -21,12 +21,11 @@ use crate::usedef::ProgramEffects;
 use crate::varset::{VarSet, VarSetRepr};
 use ppd_lang::ast::{walk_stmt, walk_stmts, Stmt, StmtKind};
 use ppd_lang::{BodyId, FuncId, FxMap, IdTable, ResolvedProgram, StmtId};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Dense id of an e-block within one [`EBlockPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EBlockId(pub u32);
 
 impl EBlockId {

@@ -197,8 +197,8 @@ pub trait LintPass {
     fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic>;
 }
 
-/// A registered pass, shareable across lint worker threads.
-pub type BoxedLintPass = Box<dyn LintPass + Send + Sync>;
+/// A registered pass.
+pub type BoxedLintPass = Box<dyn LintPass>;
 
 /// The built-in pass registry, in code order.
 pub fn default_passes() -> Vec<BoxedLintPass> {
@@ -216,20 +216,23 @@ pub fn default_passes() -> Vec<BoxedLintPass> {
     ]
 }
 
-/// Runs `passes` over the program, one work-stealing task per pass
-/// across `jobs` threads, and returns the diagnostics sorted by source
-/// position (then code) and with exact duplicates removed. Passes only
-/// read the shared analyses and per-pass results are concatenated in
-/// registration order before the sort, so the output is
-/// **bit-identical** at any thread count.
+/// Runs `passes` over the program in registration order on the
+/// calling thread, and returns the diagnostics sorted by source
+/// position (then code) and with exact duplicates removed.
+///
+/// The passes stay sequential because a run is too short to split: it
+/// takes 15–160 µs on `programs/*.ppd`, and a release probe on a 2-vCPU
+/// host found two worker threads slower on every one of them but
+/// `stencil.ppd` (`deadlock.ppd` 15–17 → 51–82 µs). Only the largest
+/// generated programs gained (`corpus::gen_wide_vars(400)` 515–752 →
+/// 359–454 µs).
 pub fn run_passes(
     rp: &ResolvedProgram,
     analyses: &Analyses,
     passes: &[BoxedLintPass],
-    jobs: usize,
 ) -> Vec<Diagnostic> {
     let ctx = LintContext { rp, analyses };
-    finalize(rayon::par_map(passes, jobs, |p| run_pass_instrumented(p, &ctx)))
+    finalize(passes.iter().map(|p| run_pass_instrumented(p, &ctx)).collect())
 }
 
 /// Runs one pass under a span naming it, so `--trace-out` shows where
@@ -256,10 +259,9 @@ fn finalize(per_pass: Vec<Vec<Diagnostic>>) -> Vec<Diagnostic> {
     diags
 }
 
-/// Runs the default registry across `jobs` worker threads (see
-/// [`run_passes`]).
-pub fn run_default(rp: &ResolvedProgram, analyses: &Analyses, jobs: usize) -> Vec<Diagnostic> {
-    run_passes(rp, analyses, &default_passes(), jobs)
+/// Runs the default registry (see [`run_passes`]).
+pub fn run_default(rp: &ResolvedProgram, analyses: &Analyses) -> Vec<Diagnostic> {
+    run_passes(rp, analyses, &default_passes())
 }
 
 /// The shared variables `stmt` may read and write, including its
@@ -311,7 +313,7 @@ pub(crate) mod testutil {
     pub fn lint(src: &str) -> (ResolvedProgram, Vec<Diagnostic>) {
         let rp = ppd_lang::compile(src).unwrap();
         let analyses = Analyses::run(&rp);
-        let diags = run_default(&rp, &analyses, 1);
+        let diags = run_default(&rp, &analyses);
         (rp, diags)
     }
 

@@ -295,7 +295,7 @@ mod tests {
     fn fig61_reports_only_unordered_pairs() {
         let rp = ppd_lang::corpus::FIG_6_1.compile();
         let analyses = crate::Analyses::run(&rp);
-        let diags = crate::lint::run_default(&rp, &analyses, 1);
+        let diags = crate::lint::run_default(&rp, &analyses);
         let msgs: Vec<&String> =
             diags.iter().filter(|d| d.code == "PPD001").map(|d| &d.message).collect();
         // (P1, P3) is message-ordered and pruned; P2's pairs survive.

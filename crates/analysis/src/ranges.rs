@@ -15,11 +15,10 @@
 //! only sound interval over-approximation of it.
 
 use ppd_lang::ast::{BinOp, UnOp};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A contiguous range of `i64` values; `lo > hi` encodes ⊥.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Interval {
     /// Smallest possible value.
     pub lo: i64,

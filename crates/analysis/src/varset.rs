@@ -8,7 +8,6 @@
 //! the payoff. [`VarSet`] is the default (bit-mask) choice.
 
 use ppd_lang::VarId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Common interface of the two variable-set representations.
@@ -78,7 +77,7 @@ pub trait VarSetRepr: Clone + PartialEq + fmt::Debug {
 }
 
 /// Bit-mask representation: one bit per variable in the universe.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BitVarSet {
     words: Vec<u64>,
     len: usize,
@@ -171,7 +170,7 @@ impl VarSetRepr for BitVarSet {
 }
 
 /// Sorted-list representation: the "list structure" baseline of §7.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ListVarSet {
     items: Vec<VarId>,
 }

@@ -459,9 +459,10 @@ fn dense_graph(procs: u32, syncs_per_proc: u32, vars: u32) -> ppd_graph::Paralle
 
 /// E7 — scaling of the parallel debugging backend up to `max_jobs`
 /// worker threads (the bench binary's `--jobs`, default 8): cold
-/// flowback prefetch (work-stealing e-block replay), warm prefetch
-/// (sharded concurrent trace cache) and the Definition 6.4 race scan,
-/// each timed at every thread count in the sweep.
+/// flowback prefetch (e-block replays drawn from one shared task
+/// cursor), warm prefetch (the one-lock trace cache) and the
+/// Definition 6.4 race scan, each timed at every thread count in the
+/// sweep.
 pub fn e7_parallel_scaling(max_jobs: usize) -> Table {
     let mut t = Table::new(
         "E7 — parallel backend scaling: replay fan-out, trace cache, race scan",
@@ -531,9 +532,9 @@ pub fn e7_parallel_scaling(max_jobs: usize) -> Table {
     ));
     t.note(format!(
         "cold prefetch = fresh Controller replaying all {interval_count} e-block intervals \
-         through the work-stealing pool; warm prefetch = same query again, served"
+         through `par_map`'s workers; warm prefetch = same query again, served"
     ));
-    t.note("entirely from the sharded concurrent trace cache; race scan =");
+    t.note("entirely from the shared one-lock trace cache; race scan =");
     t.note(format!(
         "`detect_races_par` over a dense synthetic graph ({} internal edges, \
          {} races). Parallel results are asserted identical to sequential each run.",

@@ -10,8 +10,9 @@
 //! - **E5** — bit-mask vs list variable sets (§7): a dataflow kernel
 //!   and the raw `union_with`/`intersects` calls;
 //! - **E6** — incremental tracing vs full re-execution (§5.1/§5.3);
-//! - **E7** — parallel debugging-backend scaling: work-stealing replay
-//!   fan-out, sharded trace cache, parallel race scan (1/2/4/8 threads);
+//! - **E7** — parallel debugging-backend scaling: replay fan-out over
+//!   one shared task cursor, the one-lock trace cache, parallel race
+//!   scan (1/2/4/8 threads);
 //! - **E8** — whole-array snapshots vs element-granular logging (§7);
 //! - **E9** — the §7 execution-time overhead ("less than 15%"): baseline,
 //!   +logs and +logs+pgraph runs in interleaved rounds, each row's

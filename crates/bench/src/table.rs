@@ -1,6 +1,8 @@
 //! Plain-text result tables, shared by the `experiments` binary and
 //! EXPERIMENTS.md.
 
+use ppd_obs::metrics::json_string;
+
 /// A titled table with aligned columns.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -37,7 +39,8 @@ impl Table {
     }
 
     /// Renders as a JSON object (`{"title", "headers", "rows", "notes"}`)
-    /// — hand-rolled so the bench crate stays dependency-free.
+    /// with `ppd-obs`'s string escaper, so the bench crate needs no
+    /// JSON library.
     pub fn to_json(&self) -> String {
         let arr = |items: &[String]| {
             let cells: Vec<String> = items.iter().map(|s| json_string(s)).collect();
@@ -87,25 +90,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -1,54 +1,32 @@
-//! Sharded concurrent trace cache for the replay engine.
+//! Byte-budgeted LRU trace cache for the replay engine.
 //!
-//! Worker threads fanning out over e-block replays (§5's independent
-//! need-to-generate units) must share warm traces without serializing
-//! on one lock. The cache therefore splits its key space across
-//! [`SHARD_COUNT`] shards, each a `Mutex<HashMap>` with its own LRU
-//! clock, while the **byte budget stays global**: a single atomic gauge
-//! guards admission with a compare-and-swap reservation, so the cache
-//! never holds more than `budget` bytes at any instant, from any
-//! thread's point of view.
+//! The CLI probes and fills the cache from one thread; only a batch of
+//! independent e-block replays (§5, `Controller::prefetch`) inserts
+//! from several workers, each insert following a replay of
+//! microseconds to milliseconds. One `Mutex` around the whole LRU is
+//! uncontended at that traffic, and it keeps every rule exact:
 //!
-//! Admission protocol for an entry of `b` bytes (`b > budget` entries
-//! are never admitted, exactly like the sequential LRU it replaces, and
-//! a zero budget admits nothing, so it is the uncached engine):
+//! - a zero budget admits nothing, so it is the uncached engine;
+//! - an entry larger than the whole budget is refused;
+//! - an insert evicts least-recently-used entries, in exact global
+//!   order, until it fits, so the cache never holds more than `budget`
+//!   bytes;
+//! - a duplicate insert replaces the old entry and releases its bytes
+//!   (replay is deterministic, so both traces are identical).
 //!
-//! 1. try to reserve: CAS the gauge from `cur` to `cur + b` while
-//!    `cur + b <= budget`;
-//! 2. on failure, evict one least-recently-used entry — from the
-//!    inserting key's own shard first, then round-robin across the
-//!    others — and retry;
-//! 3. once reserved, insert under the shard lock (a racing duplicate
-//!    insert of the same key releases the loser's bytes — replay is
-//!    deterministic, so both candidates are identical).
-//!
-//! Step 2 always makes progress (every retry either frees bytes or
-//! finds the cache empty, in which case the reservation succeeds), so
-//! an insert of a within-budget trace never fails: no lost insertions.
-//! Eviction order is per-shard-LRU-first rather than the exact global
-//! LRU of the sequential cache — an approximation that only ever costs
-//! a re-replay, never correctness.
-//!
-//! The cache owns no counters of its own: hits, misses and evictions
-//! are bumped in the [`Registry`] it was created with (`cache.hits`,
-//! `cache.misses`, `cache.evictions`), the one store every stats view
-//! reads. Only the byte gauge that enforces the budget lives here.
+//! Hits, misses and evictions are counted in the [`Registry`] the cache
+//! was created with (`cache.hits`, `cache.misses`, `cache.evictions`),
+//! the one store every stats view reads.
 
 use ppd_analysis::EBlockId;
 use ppd_lang::ProcId;
 use ppd_obs::{Counter, Registry};
 use ppd_runtime::TraceEvent;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Identity of one dynamic e-block execution.
 pub type CacheKey = (ProcId, EBlockId, u64);
-
-/// Number of independently locked shards (power of two).
-pub const SHARD_COUNT: usize = 8;
 
 struct Entry {
     events: Arc<Vec<TraceEvent>>,
@@ -56,43 +34,57 @@ struct Entry {
     last_used: u64,
 }
 
+/// Everything behind the cache's one lock.
 #[derive(Default)]
-struct Shard {
+struct Lru {
     map: HashMap<CacheKey, Entry>,
+    /// Bytes held: the sum of the entries' sizes, never above `budget`.
+    bytes: usize,
+    budget: usize,
+    tick: u64,
 }
 
-/// The sharded, byte-budgeted concurrent trace cache.
-pub struct ShardedTraceCache {
-    shards: Vec<Mutex<Shard>>,
+impl Lru {
+    /// Evicts least-recently-used entries until at most `limit` bytes
+    /// are held.
+    fn evict_down_to(&mut self, limit: usize, evictions: &Counter) {
+        while self.bytes > limit {
+            let Some((&victim, _)) = self.map.iter().min_by_key(|(_, e)| e.last_used) else {
+                break;
+            };
+            if let Some(entry) = self.map.remove(&victim) {
+                self.bytes -= entry.bytes;
+            }
+            evictions.inc();
+            ppd_obs::instant("cache", "evict");
+        }
+    }
+}
+
+/// The byte-budgeted LRU trace cache, shareable across replay workers.
+pub struct TraceCache {
+    lru: Mutex<Lru>,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
-    /// Global byte gauge; only ever raised by a successful CAS
-    /// reservation against `budget`, so it never exceeds it.
-    bytes: AtomicUsize,
-    budget: AtomicUsize,
-    tick: AtomicU64,
 }
 
-impl ShardedTraceCache {
-    /// An empty cache with the given global byte budget, counting its
-    /// hits, misses and evictions into `registry`.
-    pub fn new(budget: usize, registry: &Registry) -> ShardedTraceCache {
-        ShardedTraceCache {
-            shards: (0..SHARD_COUNT).map(|_| Mutex::new(Shard::default())).collect(),
+impl TraceCache {
+    /// An empty cache with the given byte budget, counting its hits,
+    /// misses and evictions into `registry`.
+    pub fn new(budget: usize, registry: &Registry) -> TraceCache {
+        TraceCache {
+            lru: Mutex::new(Lru { budget, ..Lru::default() }),
             hits: registry.counter("cache.hits"),
             misses: registry.counter("cache.misses"),
             evictions: registry.counter("cache.evictions"),
-            bytes: AtomicUsize::new(0),
-            budget: AtomicUsize::new(budget),
-            tick: AtomicU64::new(0),
         }
     }
 
-    fn shard_of(key: &CacheKey) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) & (SHARD_COUNT - 1)
+    /// The LRU state. Nothing can panic between two updates that must
+    /// agree, so a poisoned lock still guards a consistent LRU.
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Looks up a memoized trace, bumping its LRU stamp. Counts a hit
@@ -103,17 +95,18 @@ impl ShardedTraceCache {
         // `cache.hits` — and a warm query pays one clock read. Misses
         // record retroactively.
         let probe_start = ppd_obs::spans_enabled().then(ppd_obs::now_ns);
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut shard = self.shards[Self::shard_of(key)].lock().unwrap();
-        match shard.map.get_mut(key) {
+        let mut lru = self.lock();
+        lru.tick += 1;
+        let tick = lru.tick;
+        match lru.map.get_mut(key) {
             Some(entry) => {
                 entry.last_used = tick;
                 self.hits.inc();
                 Some(Arc::clone(&entry.events))
             }
             None => {
+                drop(lru);
                 self.misses.inc();
-                drop(shard);
                 if let Some(t0) = probe_start {
                     ppd_obs::record_span_since("cache", "probe_miss", t0);
                 }
@@ -128,82 +121,42 @@ impl ShardedTraceCache {
     pub fn insert(&self, key: CacheKey, events: Arc<Vec<TraceEvent>>, bytes: usize) -> bool {
         let mut span = ppd_obs::span("cache", "insert");
         span.arg("bytes", bytes);
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget == 0 || bytes > budget {
+        let mut lru = self.lock();
+        if lru.budget == 0 || bytes > lru.budget {
             return false;
         }
-        let s = Self::shard_of(&key);
-        // Reserve the bytes against the global gauge before touching
-        // any shard, evicting until the reservation lands.
-        loop {
-            let cur = self.bytes.load(Ordering::Relaxed);
-            if cur + bytes <= budget {
-                if self
-                    .bytes
-                    .compare_exchange(cur, cur + bytes, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    break;
-                }
-                continue;
-            }
-            if !self.evict_one(s) {
-                // Every shard empty yet the gauge is non-zero can only
-                // mean concurrent inserters hold reservations; yield
-                // and retry until one of them lands and evicts.
-                std::thread::yield_now();
-            }
+        if let Some(old) = lru.map.remove(&key) {
+            lru.bytes -= old.bytes;
         }
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut shard = self.shards[s].lock().unwrap();
-        if let Some(old) = shard.map.insert(key, Entry { events, bytes, last_used: tick }) {
-            // Racing duplicate: release the replaced entry's bytes.
-            self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-        }
+        let limit = lru.budget - bytes;
+        lru.evict_down_to(limit, &self.evictions);
+        lru.tick += 1;
+        let last_used = lru.tick;
+        lru.bytes += bytes;
+        lru.map.insert(key, Entry { events, bytes, last_used });
         true
     }
 
-    /// Evicts the LRU entry of `prefer` or, failing that, of the first
-    /// non-empty shard after it. Returns false if every shard is empty.
-    fn evict_one(&self, prefer: usize) -> bool {
-        for off in 0..SHARD_COUNT {
-            let s = (prefer + off) & (SHARD_COUNT - 1);
-            let mut shard = self.shards[s].lock().unwrap();
-            let victim = shard.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| *k);
-            if let Some(victim) = victim {
-                let entry = shard.map.remove(&victim).expect("victim present under lock");
-                self.bytes.fetch_sub(entry.bytes, Ordering::Relaxed);
-                self.evictions.inc();
-                ppd_obs::instant("cache", "evict");
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Sets the global byte budget, evicting down to it.
+    /// Sets the byte budget, evicting down to it.
     pub fn set_budget(&self, budget: usize) {
-        self.budget.store(budget, Ordering::Relaxed);
-        while self.bytes.load(Ordering::Relaxed) > budget {
-            if !self.evict_one(0) {
-                break;
-            }
-        }
+        let mut lru = self.lock();
+        lru.budget = budget;
+        lru.evict_down_to(budget, &self.evictions);
     }
 
     /// Bytes currently held (never exceeds the budget).
     pub fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
+        self.lock().bytes
     }
 
     /// The current byte budget.
     pub fn budget(&self) -> usize {
-        self.budget.load(Ordering::Relaxed)
+        self.lock().budget
     }
 
-    /// Traces currently held across all shards.
+    /// Traces currently held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().map.len()).sum()
+        self.lock().map.len()
     }
 
     /// Whether the cache holds no traces.

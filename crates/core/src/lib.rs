@@ -53,7 +53,7 @@ pub mod session;
 mod tests;
 
 pub use builder::{FeedReport, GraphBuilder, SubstitutedRef};
-pub use cache::{ShardedTraceCache, SHARD_COUNT};
+pub use cache::TraceCache;
 pub use controller::{Controller, DeadlockEntry, RaceReport};
 pub use replay::{ratio, DebugStats, ReplayEngine};
 pub use restore::{faithful_replay, halt_stop_at, shared_state_at, what_if_replay, WhatIfResult};

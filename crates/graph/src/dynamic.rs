@@ -19,11 +19,10 @@
 //! adjacency query lists edges in insertion order.
 
 use ppd_lang::{FuncId, ProcId, StmtId, Value, VarId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense id of a dynamic-graph node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DynNodeId(pub u32);
 
 impl DynNodeId {
@@ -40,7 +39,7 @@ impl fmt::Display for DynNodeId {
 }
 
 /// What a dynamic node represents.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DynNodeKind {
     /// Control entered the scope of the (sub-)graph.
     Entry,
@@ -97,7 +96,7 @@ pub struct DynNode {
 }
 
 /// Edge types of the dynamic graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DynEdgeKind {
     /// The event at the target immediately followed the source.
     Flow,

@@ -15,7 +15,6 @@
 use crate::order::Ordering as HbOrdering;
 use ppd_analysis::{VarSet, VarSetRepr};
 use ppd_lang::{ProcId, StmtId, VarId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense id of a synchronization node.
@@ -36,7 +35,7 @@ impl fmt::Display for SyncNodeId {
 }
 
 /// Dense id of an internal edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct InternalEdgeId(pub u32);
 
 impl InternalEdgeId {

@@ -26,12 +26,11 @@ use crate::parallel::{InternalEdgeId, ParallelGraph};
 pub use ppd_analysis::RaceCandidates;
 use ppd_analysis::VarSetRepr;
 use ppd_lang::{ProcId, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// The kind of access conflict between two simultaneous edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ConflictKind {
     /// Both edges write the variable.
     WriteWrite,
@@ -49,13 +48,12 @@ impl fmt::Display for ConflictKind {
 }
 
 /// One detected race: a conflicting pair of simultaneous edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Race {
     /// The shared variable raced on.
     pub var: VarId,
     /// The array element raced on, when the graph records accesses at
     /// element granularity; `None` for scalars (and legacy graphs).
-    #[serde(default)]
     pub elem: Option<u32>,
     /// One conflicting edge (the smaller id).
     pub first: InternalEdgeId,
@@ -206,7 +204,7 @@ const MIN_CHUNK_PAIRS: usize = 2048;
 
 /// The parallel detector: the comparisons [`detect_races`] would
 /// order-check are partitioned into chunks and checked on up to `jobs`
-/// threads by the vendored work-stealing [`rayon::par_map`]; per-chunk
+/// threads by the vendored [`rayon::par_map`]; per-chunk
 /// results are merged and finalized with the same sort + dedup, so the
 /// output is **bit-identical** to [`detect_races`] on the same inputs
 /// regardless of schedule (asserted over the corpus and randomized
@@ -229,8 +227,8 @@ pub fn detect_races_par<O: Ordering + Sync>(
     });
     span.arg("pairs", pairs.len());
     let check = |r: &&Race| simultaneous(graph, ord, r.first, r.second);
-    // Up to four even chunks per worker, so each stealable task
-    // amortizes scheduling overhead, none under the floor; chunks come
+    // Up to four even chunks per worker, so uneven chunks still balance
+    // across the workers, none under the floor; chunks come
     // back in input order before the final sort, keeping the merge
     // deterministic.
     let count = (pairs.len() / MIN_CHUNK_PAIRS).clamp(1, jobs.max(1) * 4);

@@ -15,7 +15,7 @@ use std::fmt;
 pub struct StmtId(pub u32);
 
 /// Dense id of an expression (or l-value) within one [`Program`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExprId(pub u32);
 
 impl StmtId {
@@ -45,7 +45,7 @@ impl fmt::Display for ExprId {
 }
 
 /// An identifier occurrence: interned name plus where it appears.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Ident {
     /// The interned name.
     pub sym: Symbol,
@@ -54,7 +54,7 @@ pub struct Ident {
 }
 
 /// A whole translation unit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Program {
     /// Top-level items in source order.
     pub items: Vec<Item>,
@@ -129,7 +129,7 @@ impl Program {
 }
 
 /// A top-level item.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Item {
     /// `shared int x;` / `shared int a[10];`
     Global(GlobalDecl),
@@ -145,7 +145,7 @@ pub enum Item {
 
 /// A shared global variable. All globals are shared between processes —
 /// the paper's SMMP model (§1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GlobalDecl {
     /// Variable name.
     pub name: Ident,
@@ -162,7 +162,7 @@ pub struct GlobalDecl {
 /// Both order events the same way; the distinction is kept because the
 /// paper treats "the monitor and the locking operation" as analogous but
 /// separate synchronization operations (§6.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SemKind {
     /// Counting semaphore operated on by `p`/`v`.
     Semaphore,
@@ -171,7 +171,7 @@ pub enum SemKind {
 }
 
 /// A semaphore or lock declaration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SemDecl {
     /// Name of the semaphore/lock.
     pub name: Ident,
@@ -186,7 +186,7 @@ pub struct SemDecl {
 /// A channel declaration. Channels are top-level, like semaphores; the
 /// payload type is not written in the source — `ppd check` infers it
 /// from the send/recv sites (unification, see `types`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChanDecl {
     /// Channel name (usable as a `send`/`recv` endpoint and as an
     /// argument to a `chan` parameter).
@@ -196,7 +196,7 @@ pub struct ChanDecl {
 }
 
 /// A function parameter: `int x` or `chan q`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Param {
     /// Parameter name.
     pub name: Ident,
@@ -205,7 +205,7 @@ pub struct Param {
 }
 
 /// A function (the paper's "subroutine" — the natural e-block unit, §5.4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FuncDecl {
     /// Function name.
     pub name: Ident,
@@ -221,7 +221,7 @@ pub struct FuncDecl {
 
 /// A process declaration; all declared processes run concurrently from
 /// program start on the simulated SMMP.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProcessDecl {
     /// Process name (also the address for `send`).
     pub name: Ident,
@@ -232,14 +232,14 @@ pub struct ProcessDecl {
 }
 
 /// A `{ ... }` sequence of statements.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Block {
     /// Statements in source order.
     pub stmts: Vec<Stmt>,
 }
 
 /// A statement with id and location.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Stmt {
     /// Unique id.
     pub id: StmtId,
@@ -250,7 +250,7 @@ pub struct Stmt {
 }
 
 /// Statement forms.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum StmtKind {
     /// `int x;`, `int x = e;`, `int a[n];`
     Decl {
@@ -311,7 +311,7 @@ pub enum StmtKind {
 
 /// Synchronization statements, each of which becomes a synchronization
 /// node in the parallel dynamic graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum SyncStmt {
     /// `p(s);` — semaphore wait.
     P(Ident),
@@ -368,7 +368,7 @@ pub enum SyncStmt {
 }
 
 /// An assignable location: a scalar variable or an array element.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LValue {
     /// Id in the expression id space (l-values are reference occurrences).
     pub id: ExprId,
@@ -381,7 +381,7 @@ pub struct LValue {
 }
 
 /// An expression with id and location.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Expr {
     /// Unique id.
     pub id: ExprId,
@@ -392,7 +392,7 @@ pub struct Expr {
 }
 
 /// Expression forms.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ExprKind {
     /// Integer literal.
     IntLit(i64),
@@ -416,7 +416,7 @@ pub enum ExprKind {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnOp {
     /// Arithmetic negation `-e`.
     Neg,
@@ -425,7 +425,7 @@ pub enum UnOp {
 }
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// `+`
     Add,

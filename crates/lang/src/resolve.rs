@@ -24,11 +24,11 @@ use std::fmt;
 use std::ops::Range;
 
 /// Dense id of a variable (shared globals first, then locals).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VarId(pub u32);
 
 /// Dense id of a function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FuncId(pub u32);
 
 /// Dense id of a process.
@@ -103,7 +103,7 @@ impl fmt::Display for ChanId {
 /// A reference to a channel at a send/recv site: either a top-level
 /// channel named directly, or a `chan` parameter whose value names the
 /// channel at run time (channel values are their dense ids).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChanRef {
     /// A top-level `chan` declaration named directly.
     Static(ChanId),
@@ -114,7 +114,7 @@ pub enum ChanRef {
 /// The executable body a local variable belongs to: a function or a
 /// process. Functions and processes are the units the analyses build CFGs
 /// for, so they share this id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BodyId {
     /// A function body.
     Func(FuncId),
@@ -132,7 +132,7 @@ impl fmt::Display for BodyId {
 }
 
 /// Where a variable lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarScope {
     /// A shared global, visible to all processes.
     Shared,
@@ -141,7 +141,7 @@ pub enum VarScope {
 }
 
 /// Everything known about one variable.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VarInfo {
     /// Variable name.
     pub name: Symbol,
@@ -167,7 +167,7 @@ impl VarInfo {
 }
 
 /// Everything known about one function.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FuncInfo {
     /// Function name.
     pub name: Symbol,
@@ -180,7 +180,7 @@ pub struct FuncInfo {
 }
 
 /// Everything known about one process.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProcInfo {
     /// Process name.
     pub name: Symbol,
@@ -189,7 +189,7 @@ pub struct ProcInfo {
 }
 
 /// Everything known about one semaphore or lock.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SemInfo {
     /// Name.
     pub name: Symbol,
@@ -200,7 +200,7 @@ pub struct SemInfo {
 }
 
 /// Everything known about one top-level channel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChanInfo {
     /// Name.
     pub name: Symbol,

@@ -6,12 +6,11 @@
 //! where an identifier is defined or used" (§3.2.1), which we express as
 //! spans.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A half-open byte range `[start, end)` into a source buffer, together
 /// with the 1-based line on which it starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Span {
     /// Byte offset of the first character.
     pub start: u32,

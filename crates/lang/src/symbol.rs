@@ -6,7 +6,6 @@
 //! variable sets has "a large effect on the speed of the debugging phase
 //! algorithms".
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -15,7 +14,7 @@ use std::fmt;
 /// Symbols are only meaningful relative to the [`Interner`] that produced
 /// them; the parser exposes the interner on the parsed
 /// [`Program`](crate::ast::Program).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(pub u32);
 
 impl Symbol {
@@ -32,10 +31,9 @@ impl fmt::Display for Symbol {
 }
 
 /// A de-duplicating string store mapping identifiers to [`Symbol`]s.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Interner {
     names: Vec<String>,
-    #[serde(skip)]
     index: HashMap<String, Symbol>,
 }
 
@@ -58,11 +56,7 @@ impl Interner {
 
     /// Looks up an already-interned name.
     pub fn get(&self, name: &str) -> Option<Symbol> {
-        if let Some(&sym) = self.index.get(name) {
-            return Some(sym);
-        }
-        // After deserialization the side index is empty; fall back to scan.
-        self.names.iter().position(|n| n == name).map(|i| Symbol(i as u32))
+        self.index.get(name).copied()
     }
 
     /// Returns the text of `sym`.
@@ -83,12 +77,6 @@ impl Interner {
     /// Whether no names have been interned.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
-    }
-
-    /// Rebuilds the lookup index (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.index =
-            self.names.iter().enumerate().map(|(i, n)| (n.clone(), Symbol(i as u32))).collect();
     }
 }
 
@@ -114,16 +102,5 @@ mod tests {
         assert_eq!(i.resolve(a), "alpha");
         assert_eq!(i.get("alpha"), Some(a));
         assert_eq!(i.get("beta"), None);
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut i = Interner::new();
-        let a = i.intern("x");
-        let mut j = i.clone();
-        j.index.clear();
-        assert_eq!(j.get("x"), Some(a)); // scan fallback
-        j.rebuild_index();
-        assert_eq!(j.get("x"), Some(a));
     }
 }

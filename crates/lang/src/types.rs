@@ -32,11 +32,10 @@
 use crate::ast::*;
 use crate::resolve::{BodyId, ChanRef, ProcId, ResolvedProgram, VarId};
 use crate::span::Span;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fully-zonked ppd-lang type.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Ty {
     /// 64-bit integer.
     Int,
@@ -188,7 +187,7 @@ pub fn explained_codes() -> Vec<&'static str> {
 /// Unsolved type variables default to `int`, so every entry is concrete.
 /// Downstream consumers must only *rely* on these when
 /// [`TypeCheck::errors`] is empty.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TypeInfo {
     /// Type of every variable, indexed by [`VarId`].
     pub var_ty: Vec<Ty>,

@@ -3,11 +3,10 @@
 //! The language has two value shapes: 64-bit integers and fixed-size
 //! integer arrays. Logs (prelogs/postlogs, §5.1) store snapshots of these.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A runtime value: a scalar integer or a fixed-size array.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// A 64-bit signed integer.
     Int(i64),

@@ -45,7 +45,7 @@
 //! decompresses exactly the block holding the entry it wants (a
 //! checksum or size mismatch is a [`SegError`] naming the segment and
 //! block), while `verify` decompresses segments in parallel through the
-//! vendored work-stealing [`rayon::par_map`].
+//! vendored [`rayon::par_map`].
 //!
 //! Two CRC-32s guard a segment — [`lzb::crc32`], the IEEE checksum the
 //! block frames carry too — split so that open-time cost is
@@ -1587,7 +1587,7 @@ impl SegmentedLog {
     /// tables, block tables, digests, time spans) against the decoded
     /// entries. The per-segment passes are independent, so they run
     /// concurrently across every hardware thread through the vendored
-    /// work-stealing [`rayon::par_map`].
+    /// [`rayon::par_map`].
     ///
     /// # Errors
     ///

@@ -3,11 +3,11 @@
 //! Unlike spans (gated, buffered per thread, drained in bulk), the
 //! flight recorder is **always on** and holds only the last `N`
 //! events process-wide, so a crashed or wedged session still leaves a
-//! black-box trace of what it was doing. Recording an event is one
-//! relaxed `fetch_add` on the ring cursor plus one store under an
-//! uncontended per-slot mutex — and events are only noted at coarse
-//! boundaries (command start, query start/end, segment open, recovery,
-//! panic), so an idle process pays nothing at all.
+//! black-box trace of what it was doing. Events are noted only at
+//! coarse boundaries (command start, run end, store open, each
+//! top-level query, errors, panic), almost all on the command's own
+//! thread, so a note is one push onto a ring under one uncontended
+//! mutex.
 //!
 //! The [`global`] recorder is dumped to JSON automatically on panic
 //! once [`install_panic_hook`] has run (the CLI installs it at
@@ -16,10 +16,11 @@
 use crate::metrics::json_string;
 use crate::span::now_ns;
 use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, Once, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, Once, OnceLock, PoisonError};
 
 /// Default capacity (events) of the [`global`] recorder's ring.
 pub const DEFAULT_CAPACITY: usize = 1024;
@@ -59,8 +60,10 @@ impl FlightEvent {
     }
 }
 
-struct Slot {
-    event: Mutex<Option<FlightEvent>>,
+/// The ring and the count of every event ever recorded.
+struct Ring {
+    events: VecDeque<FlightEvent>,
+    recorded: u64,
 }
 
 /// A fixed-capacity ring of recent [`FlightEvent`]s.
@@ -68,18 +71,20 @@ struct Slot {
 /// Local instances are independent (used by tests); production code
 /// records into [`global`] via [`note`] / [`note_with`].
 pub struct FlightRecorder {
-    slots: Box<[Slot]>,
-    cursor: AtomicU64,
+    ring: Mutex<Ring>,
+    capacity: usize,
 }
 
 impl FlightRecorder {
     /// A recorder keeping the last `capacity.max(1)` events.
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
-        let capacity = capacity.max(1);
-        FlightRecorder {
-            slots: (0..capacity).map(|_| Slot { event: Mutex::new(None) }).collect(),
-            cursor: AtomicU64::new(0),
-        }
+        let ring = Ring { events: VecDeque::new(), recorded: 0 };
+        FlightRecorder { ring: Mutex::new(ring), capacity: capacity.max(1) }
+    }
+
+    /// The ring; never blocks panic-time recording on a poisoned lock.
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Records an event with empty detail.
@@ -91,55 +96,41 @@ impl FlightRecorder {
     /// Records an event. Overwrites the oldest event once the ring is
     /// full.
     pub fn note_with(&self, cat: &'static str, name: impl Into<Cow<'static, str>>, detail: String) {
-        let c = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let ev = FlightEvent {
-            seq: c + 1,
-            ts_ns: now_ns(),
-            tid: flight_tid(),
-            cat,
-            name: name.into(),
-            detail,
-        };
-        let slot = &self.slots[(c % self.slots.len() as u64) as usize];
-        // Never block panic-time recording on a poisoned lock.
-        let mut g = slot.event.lock().unwrap_or_else(PoisonError::into_inner);
-        // Keep the newer event if two writers raced for one slot.
-        if g.as_ref().is_none_or(|old| old.seq < ev.seq) {
-            *g = Some(ev);
+        let (tid, name) = (flight_tid(), name.into());
+        let mut ring = self.ring();
+        ring.recorded += 1;
+        let ev = FlightEvent { seq: ring.recorded, ts_ns: now_ns(), tid, cat, name, detail };
+        if ring.events.len() == self.capacity {
+            ring.events.pop_front();
         }
+        ring.events.push_back(ev);
     }
 
     /// Total events ever recorded.
     pub fn recorded(&self) -> u64 {
-        self.cursor.load(Ordering::Relaxed)
+        self.ring().recorded
     }
 
     /// Events overwritten (lost) so far.
     pub fn dropped(&self) -> u64 {
-        self.recorded().saturating_sub(self.slots.len() as u64)
+        self.recorded().saturating_sub(self.capacity as u64)
     }
 
     /// The surviving events, oldest first.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
-        let mut out: Vec<FlightEvent> = self
-            .slots
-            .iter()
-            .filter_map(|s| s.event.lock().unwrap_or_else(PoisonError::into_inner).clone())
-            .collect();
-        out.sort_by_key(|e| e.seq);
-        out
+        self.ring().events.iter().cloned().collect()
     }
 
     /// Dumps the ring as a single JSON object:
     /// `{"format":"ppd-flight","version":1,"recorded":..,"dropped":..,"events":[..]}`.
     pub fn dump_json(&self) -> String {
-        let events = self.snapshot();
+        let ring = self.ring();
         let mut out = format!(
             "{{\"format\":\"ppd-flight\",\"version\":1,\"recorded\":{},\"dropped\":{},\"events\":[",
-            self.recorded(),
-            self.dropped()
+            ring.recorded,
+            ring.recorded - ring.events.len() as u64
         );
-        for (i, e) in events.iter().enumerate() {
+        for (i, e) in ring.events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }

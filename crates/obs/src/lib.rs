@@ -8,7 +8,7 @@
 //!
 //! - a Chrome trace-event JSON writer ([`chrome`]) whose output loads
 //!   in Perfetto / `chrome://tracing`, one track per thread (so one
-//!   track per pool worker, with steal annotations);
+//!   track per pool worker);
 //! - a JSON metrics snapshot ([`metrics::Snapshot::to_json`]);
 //! - an [`openmetrics`] text exposition of any [`Registry`]
 //!   (`--metrics-out`, Prometheus-scrapeable);

@@ -61,7 +61,7 @@ pub struct SpanRecord {
     pub dur_ns: u64,
     /// `true` for point events ([`instant`]) with no duration.
     pub instant: bool,
-    /// Key/value annotations (e.g. `("stolen", "true")` on pool tasks).
+    /// Key/value annotations (e.g. `("cache", "miss")` on replays).
     /// `Cow` so hot sites can annotate without allocating.
     pub args: Vec<(&'static str, Cow<'static, str>)>,
 }

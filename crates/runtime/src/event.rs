@@ -8,10 +8,9 @@
 
 use ppd_analysis::EBlockId;
 use ppd_lang::{FuncId, ProcId, StmtId, VarId};
-use serde::{Deserialize, Serialize};
 
 /// A memory cell: a scalar variable or one array element.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellRef {
     /// The variable.
     pub var: VarId,
@@ -32,7 +31,7 @@ impl CellRef {
 }
 
 /// Where a value consumed by an event came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadSource {
     /// A read of a memory cell.
     Cell(CellRef),
@@ -49,7 +48,7 @@ pub enum ReadSource {
 }
 
 /// The kind of synchronization operation an event describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncKind {
     /// Semaphore wait.
     P,
@@ -72,7 +71,7 @@ pub enum SyncKind {
 }
 
 /// What a trace event describes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A value was assigned (or a declaration initialized).
     Assign,
@@ -127,7 +126,7 @@ pub enum EventKind {
 }
 
 /// One trace event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// The process that produced the event.
     pub proc: ProcId,

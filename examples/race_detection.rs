@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ----- The static side: lint finds the candidate before running -----
     println!("\n=== static race candidates (ppd lint) on the racy bank ===");
     let file = ppd::lang::SourceFile::new("bank_racy.ppd", ppd::lang::corpus::BANK_RACY.source);
-    for d in lint::run_default(racy.rp(), racy.analyses(), 1) {
+    for d in lint::run_default(racy.rp(), racy.analyses()) {
         if d.code == "PPD001" {
             println!("{}", d.render(&file));
         }

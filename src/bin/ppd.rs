@@ -39,9 +39,10 @@
 //!                       race scan, lint passes, pool workers) and write
 //!                       a Chrome trace-event JSON loadable in Perfetto
 //!   --jobs N | -j N     worker threads for the race scan (races, and the
-//!                       debugger's `races`) and the lint passes (default:
-//!                       available parallelism); replay prefetch is a
-//!                       library call no command makes
+//!                       debugger's `races`; default: available
+//!                       parallelism); lint runs its passes on one
+//!                       thread, and replay prefetch is a library call
+//!                       no command makes
 //!   --log-dir DIR       run/debug: stream logs into a segmented on-disk
 //!                       store in DIR during execution and debug over the
 //!                       mmap-backed reopened store; if DIR already holds
@@ -634,7 +635,7 @@ fn diags_json(
 fn cmd_lint(session: &PpdSession, opts: &Options, source: &str) -> ExitCode {
     use ppd::analysis::lint::{run_default, Severity};
     let file = ppd::lang::SourceFile::new(opts.file.clone(), source);
-    let diags = run_default(session.rp(), session.analyses(), opts.jobs);
+    let diags = run_default(session.rp(), session.analyses());
     let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
     let warnings = diags.len() - errors;
     match opts.format.as_str() {

@@ -142,7 +142,7 @@ mod tests {
     fn sarif_of(src: &str) -> (String, usize) {
         let rp = ppd_lang::compile(src).unwrap();
         let analyses = Analyses::run(&rp);
-        let diags = run_default(&rp, &analyses, 1);
+        let diags = run_default(&rp, &analyses);
         let file = SourceFile::new("test.ppd", src);
         (to_sarif(&diags, &file), diags.len())
     }

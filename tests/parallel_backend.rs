@@ -1,18 +1,19 @@
 //! Determinism suite for the parallel debugging backend.
 //!
-//! Every parallel path — work-stealing e-block replay and the sharded
+//! Every parallel path — the e-block replay batch and the chunked
 //! race scan — must be bit-identical to its sequential twin: same race
 //! sets, same flowback slices, same dynamic-graph fingerprints, at
 //! jobs ∈ {1, 2, 8}, over the corpus, the `programs/` directory, and
 //! randomized schedules.
-//! Plus a thread-stress test of the sharded trace cache's global byte
-//! budget (never exceeded, no lost insertions, coherent counters).
+//! Plus a thread-stress test of the trace cache's byte budget (never
+//! exceeded, no lost insertions, coherent counters) and of its exact
+//! LRU eviction order.
 
 mod common;
 
 use common::{expand_all, fingerprint, workloads};
 use ppd::analysis::EBlockStrategy;
-use ppd::core::{Controller, PpdSession, RunConfig, ShardedTraceCache};
+use ppd::core::{Controller, PpdSession, RunConfig, TraceCache};
 use ppd::graph::{detect_races, detect_races_naive, detect_races_par, VectorClocks};
 use ppd::lang::{corpus, ProcId};
 use ppd::obs::Registry;
@@ -125,15 +126,16 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Sharded-cache stress (the loom-or-proptest satellite, via threads)
+// Trace-cache stress and eviction order
 // ---------------------------------------------------------------------
 
 /// Hammers one cache from many threads while a sampler thread checks
-/// the global-budget invariant *concurrently* — the gauge is raised
-/// only by CAS reservation, so `bytes() <= budget()` must hold at every
-/// instant, not just at quiescence.
+/// the budget invariant *concurrently* — every insert evicts down
+/// under the cache's one lock before it adds its bytes, so
+/// `bytes() <= budget()` must hold at every instant, not just at
+/// quiescence.
 #[test]
-fn sharded_cache_stress_budget_and_counters() {
+fn trace_cache_stress_budget_and_counters() {
     use ppd::analysis::EBlockId;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -145,7 +147,7 @@ fn sharded_cache_stress_budget_and_counters() {
     const BUDGET: usize = ENTRY_BYTES * 24;
 
     let registry = Registry::new();
-    let cache = Arc::new(ShardedTraceCache::new(BUDGET, &registry));
+    let cache = Arc::new(TraceCache::new(BUDGET, &registry));
     let events: Arc<Vec<ppd::runtime::TraceEvent>> = Arc::new(Vec::new());
     let done = Arc::new(AtomicUsize::new(0));
     let violations = Arc::new(AtomicUsize::new(0));
@@ -203,10 +205,10 @@ fn sharded_cache_stress_budget_and_counters() {
     assert_eq!(violations.load(Ordering::SeqCst), 0, "budget exceeded mid-run");
     assert_eq!(lost.load(Ordering::SeqCst), 0, "a within-budget insert was dropped");
 
-    // Gauge coherence at quiescence: the atomic byte gauge equals the
-    // sum of what the shards actually hold, and the entry count implied
-    // by the uniform entry size matches.
-    assert_eq!(cache.bytes(), cache.len() * ENTRY_BYTES, "byte gauge out of sync with shards");
+    // Gauge coherence at quiescence: the byte gauge equals the sum of
+    // what the cache actually holds, and the entry count implied by the
+    // uniform entry size matches.
+    assert_eq!(cache.bytes(), cache.len() * ENTRY_BYTES, "byte gauge out of sync with entries");
     assert!(cache.bytes() <= BUDGET);
     assert!(cache.len() <= BUDGET / ENTRY_BYTES);
     let evictions = registry.counter("cache.evictions").get();
@@ -225,9 +227,9 @@ fn sharded_cache_stress_budget_and_counters() {
 /// Budget shrink under load: `set_budget` must evict down and the new
 /// ceiling must hold for subsequent inserts.
 #[test]
-fn sharded_cache_budget_shrink_holds() {
+fn trace_cache_budget_shrink_holds() {
     use ppd::analysis::EBlockId;
-    let cache = ShardedTraceCache::new(4096, &Registry::new());
+    let cache = TraceCache::new(4096, &Registry::new());
     let events: Arc<Vec<ppd::runtime::TraceEvent>> = Arc::new(Vec::new());
     for i in 0..40u64 {
         assert!(cache.insert((ProcId(0), EBlockId(i as u32), i), Arc::clone(&events), 100));
@@ -240,4 +242,28 @@ fn sharded_cache_budget_shrink_holds() {
     // An entry larger than the whole budget is refused, like the
     // sequential LRU it replaced.
     assert!(!cache.insert((ProcId(9), EBlockId(1), 0), Arc::clone(&events), 501));
+}
+
+/// Eviction follows exact LRU order across the whole cache: with room
+/// for two entries, touching A after inserting B and then inserting C
+/// evicts B and keeps A. A and C share one of eight SipHash shards, so
+/// a cache that evicts from the inserting key's shard first drops A,
+/// the most recently used entry.
+#[test]
+fn trace_cache_evicts_in_exact_lru_order() {
+    use ppd::analysis::EBlockId;
+    let registry = Registry::new();
+    let cache = TraceCache::new(2 * 64, &registry);
+    let events: Arc<Vec<ppd::runtime::TraceEvent>> = Arc::new(Vec::new());
+    let a = (ProcId(0), EBlockId(3), 0);
+    let b = (ProcId(0), EBlockId(0), 0);
+    let c = (ProcId(1), EBlockId(2), 0);
+    assert!(cache.insert(a, Arc::clone(&events), 64));
+    assert!(cache.insert(b, Arc::clone(&events), 64));
+    assert!(cache.get(&a).is_some());
+    assert!(cache.insert(c, Arc::clone(&events), 64));
+    assert_eq!(registry.counter("cache.evictions").get(), 1);
+    assert!(cache.get(&b).is_none(), "B, the least recently used entry, is evicted");
+    assert!(cache.get(&a).is_some(), "A, touched after B was inserted, survives");
+    assert!(cache.get(&c).is_some());
 }
