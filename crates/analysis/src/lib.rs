@@ -58,7 +58,7 @@ pub use database::{ProgramDatabase, SiteRef};
 pub use dom::DomTree;
 pub use eblock::{EBlock, EBlockId, EBlockPlan, EBlockStrategy, Region};
 pub use interproc::ModRef;
-pub use lint::{Diagnostic, LintContext, LintPass, Note, RaceCandidates, Severity};
+pub use lint::{Diagnostic, LintContext, Note, RaceCandidates, Severity};
 pub use liveness::Liveness;
 pub use mhp::MhpAnalysis;
 pub use ranges::Interval;

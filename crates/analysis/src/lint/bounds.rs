@@ -10,65 +10,69 @@
 //! `⊤` only says "no information", and warning on it would flag every
 //! input-driven subscript.
 
-use super::{Diagnostic, LintContext, LintPass, Severity};
+use super::{Diagnostic, LintContext, Pass, Severity};
 use ppd_lang::ast::walk_stmts;
 
 /// Reports array accesses with provably out-of-range index intervals.
-pub struct BoundsPass;
+pub(super) const PASS: Pass = Pass {
+    code: "PPD009",
+    name: "out-of-bounds",
+    page: "PPD009: out-of-bounds\n\
+           \n\
+           The abstract interpreter's index interval for an array access has\n\
+           a finite endpoint outside `0 ..= len-1` for the array's declared\n\
+           length, so some abstract execution indexes out of bounds and the\n\
+           access can trap at run time. Unbounded endpoints (an unknown\n\
+           input, a widened counter) are not reported — `⊤` means \"no\n\
+           information\", not \"out of range\".\n\
+           \n\
+           Tighten the loop bound or clamp the index before the access.",
+    run,
+};
 
-impl LintPass for BoundsPass {
-    fn code(&self) -> &'static str {
-        "PPD009"
-    }
-
-    fn name(&self) -> &'static str {
-        "out-of-bounds"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let rp = ctx.rp;
-        let absint = &ctx.analyses.absint;
-        let mut diags = Vec::new();
-        for body in rp.bodies() {
-            walk_stmts(rp.body_block(body), &mut |stmt| {
-                for acc in absint.accesses(stmt.id) {
-                    if acc.index.is_bot() {
-                        continue;
-                    }
-                    let Some(len) = rp.vars[acc.array.index()].size else { continue };
-                    let last = len as i64 - 1;
-                    let below = acc.index.lo != i64::MIN && acc.index.lo < 0;
-                    let above = acc.index.hi != i64::MAX && acc.index.hi > last;
-                    if !below && !above {
-                        continue;
-                    }
-                    let name = rp.var_name(acc.array);
-                    let what = if acc.is_write { "write to" } else { "read of" };
-                    let mut d = Diagnostic::new(
-                        self.code(),
-                        Severity::Warning,
-                        format!(
-                            "{what} `{name}` may be out of bounds: index range {} exceeds \
-                             `{name}[{len}]`",
-                            acc.index
-                        ),
-                        acc.span,
-                    )
-                    .with_note(
-                        format!("`{name}` is declared with {len} element(s) here"),
-                        rp.vars[acc.array.index()].decl_span,
-                    );
-                    if above {
-                        d = d.with_help(format!("valid indices are 0 ..= {last}"));
-                    } else {
-                        d = d.with_help("the index may be negative");
-                    }
-                    diags.push(d);
+fn run(ctx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let rp = ctx.rp;
+    let absint = &ctx.analyses.absint;
+    let mut diags = Vec::new();
+    for body in rp.bodies() {
+        walk_stmts(rp.body_block(body), &mut |stmt| {
+            for acc in absint.accesses(stmt.id) {
+                if acc.index.is_bot() {
+                    continue;
                 }
-            });
-        }
-        diags
+                let Some(len) = rp.vars[acc.array.index()].size else { continue };
+                let last = len as i64 - 1;
+                let below = acc.index.lo != i64::MIN && acc.index.lo < 0;
+                let above = acc.index.hi != i64::MAX && acc.index.hi > last;
+                if !below && !above {
+                    continue;
+                }
+                let name = rp.var_name(acc.array);
+                let what = if acc.is_write { "write to" } else { "read of" };
+                let mut d = Diagnostic::new(
+                    PASS.code,
+                    Severity::Warning,
+                    format!(
+                        "{what} `{name}` may be out of bounds: index range {} exceeds \
+                         `{name}[{len}]`",
+                        acc.index
+                    ),
+                    acc.span,
+                )
+                .with_note(
+                    format!("`{name}` is declared with {len} element(s) here"),
+                    rp.vars[acc.array.index()].decl_span,
+                );
+                if above {
+                    d = d.with_help(format!("valid indices are 0 ..= {last}"));
+                } else {
+                    d = d.with_help("the index may be negative");
+                }
+                diags.push(d);
+            }
+        });
     }
+    diags
 }
 
 #[cfg(test)]

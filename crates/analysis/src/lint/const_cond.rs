@@ -7,69 +7,73 @@
 //! lost invariant. The dead arm, when there is one, is pointed out in
 //! a note.
 
-use super::{Diagnostic, LintContext, LintPass, Severity};
+use super::{Diagnostic, LintContext, Pass, Severity};
 use ppd_lang::ast::{walk_stmts, Block, Expr, ExprKind, StmtKind};
 
 /// Reports `if`/`while`/`for` conditions that are provably constant.
-pub struct ConstCondPass;
+pub(super) const PASS: Pass = Pass {
+    code: "PPD010",
+    name: "constant-condition",
+    page: "PPD010: constant-condition\n\
+           \n\
+           A non-literal `if`/`while`/`for` condition that the abstract\n\
+           interpreter proves constant: the test always takes the same arm,\n\
+           so either the test is redundant or one arm is dead code (the dead\n\
+           arm is pointed out in a note). Syntactic literals like\n\
+           `while (true)` are an explicit choice and are skipped.\n\
+           \n\
+           Remove the redundant test or fix the invariant it was meant to\n\
+           observe.",
+    run,
+};
 
-impl LintPass for ConstCondPass {
-    fn code(&self) -> &'static str {
-        "PPD010"
-    }
-
-    fn name(&self) -> &'static str {
-        "constant-condition"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let rp = ctx.rp;
-        let absint = &ctx.analyses.absint;
-        let mut diags = Vec::new();
-        for body in rp.bodies() {
-            walk_stmts(rp.body_block(body), &mut |stmt| {
-                let (cond, what) = match &stmt.kind {
-                    StmtKind::If { cond, .. } => (cond, "if"),
-                    StmtKind::While { cond, .. } => (cond, "while"),
-                    StmtKind::For { cond: Some(cond), .. } => (cond, "for"),
-                    _ => return,
-                };
-                if is_literal(cond) {
-                    return;
+fn run(ctx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let rp = ctx.rp;
+    let absint = &ctx.analyses.absint;
+    let mut diags = Vec::new();
+    for body in rp.bodies() {
+        walk_stmts(rp.body_block(body), &mut |stmt| {
+            let (cond, what) = match &stmt.kind {
+                StmtKind::If { cond, .. } => (cond, "if"),
+                StmtKind::While { cond, .. } => (cond, "while"),
+                StmtKind::For { cond: Some(cond), .. } => (cond, "for"),
+                _ => return,
+            };
+            if is_literal(cond) {
+                return;
+            }
+            let Some(c) = absint.condition(stmt.id).and_then(|iv| iv.as_const()) else {
+                return;
+            };
+            let truth = c != 0;
+            let mut d = Diagnostic::new(
+                PASS.code,
+                Severity::Warning,
+                format!("`{what}` condition is always {truth}"),
+                cond.span,
+            );
+            match (&stmt.kind, truth) {
+                (StmtKind::If { else_blk: Some(e), .. }, true) => {
+                    d = dead_arm(d, "the `else` branch is never taken", e);
                 }
-                let Some(c) = absint.condition(stmt.id).and_then(|iv| iv.as_const()) else {
-                    return;
-                };
-                let truth = c != 0;
-                let mut d = Diagnostic::new(
-                    self.code(),
-                    Severity::Warning,
-                    format!("`{what}` condition is always {truth}"),
-                    cond.span,
-                );
-                match (&stmt.kind, truth) {
-                    (StmtKind::If { else_blk: Some(e), .. }, true) => {
-                        d = dead_arm(d, "the `else` branch is never taken", e);
-                    }
-                    (StmtKind::If { else_blk: None, .. }, true) => {
-                        d = d.with_help("the test is redundant: the condition always holds");
-                    }
-                    (StmtKind::If { then_blk, .. }, false) => {
-                        d = dead_arm(d, "the `then` branch is never taken", then_blk);
-                    }
-                    (StmtKind::While { body, .. } | StmtKind::For { body, .. }, false) => {
-                        d = dead_arm(d, "the loop body never runs", body);
-                    }
-                    (StmtKind::While { .. } | StmtKind::For { .. }, true) => {
-                        d = d.with_help("the loop never exits through its condition");
-                    }
-                    _ => {}
+                (StmtKind::If { else_blk: None, .. }, true) => {
+                    d = d.with_help("the test is redundant: the condition always holds");
                 }
-                diags.push(d);
-            });
-        }
-        diags
+                (StmtKind::If { then_blk, .. }, false) => {
+                    d = dead_arm(d, "the `then` branch is never taken", then_blk);
+                }
+                (StmtKind::While { body, .. } | StmtKind::For { body, .. }, false) => {
+                    d = dead_arm(d, "the loop body never runs", body);
+                }
+                (StmtKind::While { .. } | StmtKind::For { .. }, true) => {
+                    d = d.with_help("the loop never exits through its condition");
+                }
+                _ => {}
+            }
+            diags.push(d);
+        });
     }
+    diags
 }
 
 /// Attaches the dead-arm note, pointing at the arm's first statement

@@ -10,83 +10,80 @@
 //! all channels when the program does not type-check — keeping only
 //! sites some process actually reaches (via the MHP event index).
 
-use super::{Diagnostic, LintContext, LintPass, Severity};
+use super::{Diagnostic, LintContext, Pass, Severity};
 use ppd_lang::{ChanId, ChanRef, IdTable, ProcId, StmtId};
 
 /// Reports channels that are never used, never received from, or never
 /// sent on.
-pub struct DeadChannelPass;
+pub(super) const PASS: Pass = Pass {
+    code: "PPD007",
+    name: "dead-channel",
+    page: "PPD007: dead-channel\n\
+           \n\
+           A channel has no reachable sender, no reachable receiver, or no\n\
+           uses at all (under the checker's typed channel-parameter aliasing\n\
+           when the program type-checks). A receive from a never-sent\n\
+           channel blocks forever; a channel nobody touches is clutter.\n\
+           \n\
+           Wire up the missing endpoint or delete the channel.",
+    run,
+};
 
-impl LintPass for DeadChannelPass {
-    fn code(&self) -> &'static str {
-        "PPD007"
-    }
+fn run(ctx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let rp = ctx.rp;
+    let analyses = ctx.analyses;
+    let reachable =
+        |s: StmtId| (0..rp.procs.len() as u32).map(ProcId).any(|p| analyses.mhp.is_event(p, s));
+    // A `chan`-typed parameter may name channel `c` only when their
+    // payload types unify; without a clean type check every
+    // parameter may name every channel.
+    let may_name = |cref: ChanRef, c: ChanId| match cref {
+        ChanRef::Static(c2) => c2 == c,
+        ChanRef::Var(_) => match &analyses.types {
+            Some(ti) => ti.chan_ref_payload(cref) == ti.chan_ref_payload(ChanRef::Static(c)),
+            None => true,
+        },
+    };
+    let sites_on = |map: &IdTable<StmtId, ChanRef>, c: ChanId| -> Vec<StmtId> {
+        map.iter().filter(|&(s, &cref)| may_name(cref, c) && reachable(s)).map(|(s, _)| s).collect()
+    };
 
-    fn name(&self) -> &'static str {
-        "dead-channel"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let rp = ctx.rp;
-        let analyses = ctx.analyses;
-        let reachable =
-            |s: StmtId| (0..rp.procs.len() as u32).map(ProcId).any(|p| analyses.mhp.is_event(p, s));
-        // A `chan`-typed parameter may name channel `c` only when their
-        // payload types unify; without a clean type check every
-        // parameter may name every channel.
-        let may_name = |cref: ChanRef, c: ChanId| match cref {
-            ChanRef::Static(c2) => c2 == c,
-            ChanRef::Var(_) => match &analyses.types {
-                Some(ti) => ti.chan_ref_payload(cref) == ti.chan_ref_payload(ChanRef::Static(c)),
-                None => true,
-            },
-        };
-        let sites_on = |map: &IdTable<StmtId, ChanRef>, c: ChanId| -> Vec<StmtId> {
-            map.iter()
-                .filter(|&(s, &cref)| may_name(cref, c) && reachable(s))
-                .map(|(s, _)| s)
-                .collect()
-        };
-
-        let mut diags = Vec::new();
-        for c in (0..rp.chans.len() as u32).map(ChanId) {
-            let sends = sites_on(&rp.send_chan, c);
-            let recvs = sites_on(&rp.recv_chan, c);
-            let name = rp.chan_name(c);
-            let span = rp.chans[c.index()].decl_span;
-            let (message, orphans, orphan_label) = match (sends.is_empty(), recvs.is_empty()) {
-                (true, true) => {
-                    (format!("channel `{name}` is declared but never used"), &[][..], "")
-                }
-                (false, true) => (
-                    format!(
-                        "channel `{name}` is sent on but never received from; blocking sends \
-                         on it deadlock"
-                    ),
-                    &sends[..],
-                    "sent here with no possible receiver",
+    let mut diags = Vec::new();
+    for c in (0..rp.chans.len() as u32).map(ChanId) {
+        let sends = sites_on(&rp.send_chan, c);
+        let recvs = sites_on(&rp.recv_chan, c);
+        let name = rp.chan_name(c);
+        let span = rp.chans[c.index()].decl_span;
+        let (message, orphans, orphan_label) = match (sends.is_empty(), recvs.is_empty()) {
+            (true, true) => (format!("channel `{name}` is declared but never used"), &[][..], ""),
+            (false, true) => (
+                format!(
+                    "channel `{name}` is sent on but never received from; blocking sends \
+                     on it deadlock"
                 ),
-                (true, false) => (
-                    format!(
-                        "channel `{name}` is received from but never sent on; receivers block \
-                         forever"
-                    ),
-                    &recvs[..],
-                    "received here with no possible sender",
+                &sends[..],
+                "sent here with no possible receiver",
+            ),
+            (true, false) => (
+                format!(
+                    "channel `{name}` is received from but never sent on; receivers block \
+                     forever"
                 ),
-                (false, false) => continue,
-            };
-            let mut diag = Diagnostic::new(self.code(), Severity::Warning, message, span);
-            for &s in orphans {
-                if let Some(site) = analyses.database.span_of(s) {
-                    diag = diag.with_note(orphan_label, site);
-                }
+                &recvs[..],
+                "received here with no possible sender",
+            ),
+            (false, false) => continue,
+        };
+        let mut diag = Diagnostic::new(PASS.code, Severity::Warning, message, span);
+        for &s in orphans {
+            if let Some(site) = analyses.database.span_of(s) {
+                diag = diag.with_note(orphan_label, site);
             }
-            diag = diag.with_help("connect both endpoints or delete the channel declaration");
-            diags.push(diag);
         }
-        diags
+        diag = diag.with_help("connect both endpoints or delete the channel declaration");
+        diags.push(diag);
     }
+    diags
 }
 
 #[cfg(test)]
@@ -98,7 +95,7 @@ mod tests {
     fn run(src: &str) -> Vec<Diagnostic> {
         let rp = ppd_lang::compile(src).unwrap();
         let analyses = Analyses::run(&rp);
-        DeadChannelPass.run(&LintContext { rp: &rp, analyses: &analyses })
+        super::run(&LintContext { rp: &rp, analyses: &analyses })
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! process may read them, which is exactly why liveness treats them as
 //! live at exit.
 
-use super::{Diagnostic, LintContext, LintPass, Severity};
+use super::{Diagnostic, LintContext, Pass, Severity};
 use crate::varset::VarSetRepr;
 use ppd_lang::ast::{walk_stmts, StmtKind};
 use ppd_lang::{Span, StmtId};
@@ -16,70 +16,72 @@ use std::collections::HashSet;
 
 /// Reports assignments (and initialized declarations) of locals whose
 /// value is dead immediately after the store.
-pub struct DeadStorePass;
+pub(super) const PASS: Pass = Pass {
+    code: "PPD003",
+    name: "dead-store",
+    page: "PPD003: dead-store\n\
+           \n\
+           A value assigned to a local variable is never read on any path\n\
+           (from the liveness dataflow solution). The store has no effect\n\
+           and usually signals a logic slip — a result computed but not\n\
+           used, or an overwritten update.\n\
+           \n\
+           Delete the assignment or use the value it produces.",
+    run,
+};
 
-impl LintPass for DeadStorePass {
-    fn code(&self) -> &'static str {
-        "PPD003"
+fn run(ctx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let rp = ctx.rp;
+    // Declarations without an initializer reserve storage rather than
+    // store a value; they are not "stores" worth reporting.
+    let mut bare_decls: HashSet<StmtId> = HashSet::new();
+    for body in rp.bodies() {
+        walk_stmts(rp.body_block(body), &mut |stmt| {
+            if matches!(stmt.kind, StmtKind::Decl { init: None, .. }) {
+                bare_decls.insert(stmt.id);
+            }
+        });
     }
-
-    fn name(&self) -> &'static str {
-        "dead-store"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let rp = ctx.rp;
-        // Declarations without an initializer reserve storage rather than
-        // store a value; they are not "stores" worth reporting.
-        let mut bare_decls: HashSet<StmtId> = HashSet::new();
-        for body in rp.bodies() {
-            walk_stmts(rp.body_block(body), &mut |stmt| {
-                if matches!(stmt.kind, StmtKind::Decl { init: None, .. }) {
-                    bare_decls.insert(stmt.id);
-                }
-            });
-        }
-        let mut diags = Vec::new();
-        for body in rp.bodies() {
-            let cfg = ctx.analyses.cfg(body);
-            let live = ctx.analyses.liveness(body);
-            let unreachable: HashSet<_> = cfg.unreachable_nodes().into_iter().collect();
-            for &stmt in cfg.stmts() {
-                let node = cfg.node_of(stmt).expect("stmts() nodes exist");
-                // Liveness facts for unreachable nodes are vacuous.
-                if unreachable.contains(&node) || bare_decls.contains(&stmt) {
+    let mut diags = Vec::new();
+    for body in rp.bodies() {
+        let cfg = ctx.analyses.cfg(body);
+        let live = ctx.analyses.liveness(body);
+        let unreachable: HashSet<_> = cfg.unreachable_nodes().into_iter().collect();
+        for &stmt in cfg.stmts() {
+            let node = cfg.node_of(stmt).expect("stmts() nodes exist");
+            // Liveness facts for unreachable nodes are vacuous.
+            if unreachable.contains(&node) || bare_decls.contains(&stmt) {
+                continue;
+            }
+            let fx = ctx.analyses.effects.of(stmt);
+            // Sync statements (recv/accept) bind values as a side
+            // effect of a rendezvous; the operation is not removable
+            // even if the value goes unused.
+            if fx.is_sync {
+                continue;
+            }
+            let mut strong = fx.defs.clone();
+            strong.subtract(&fx.weak_defs);
+            for v in strong.to_vec() {
+                if rp.is_shared(v) || live.live_out(node).contains(v) {
                     continue;
                 }
-                let fx = ctx.analyses.effects.of(stmt);
-                // Sync statements (recv/accept) bind values as a side
-                // effect of a rendezvous; the operation is not removable
-                // even if the value goes unused.
-                if fx.is_sync {
-                    continue;
+                let span = ctx.analyses.database.span_of(stmt).unwrap_or(Span::DUMMY);
+                let mut diag = Diagnostic::new(
+                    PASS.code,
+                    Severity::Warning,
+                    format!("value assigned to `{}` is never read", rp.var_name(v)),
+                    span,
+                );
+                let decl_span = rp.vars[v.index()].decl_span;
+                if rp.decl_var.get(&stmt) != Some(&v) && decl_span != Span::DUMMY {
+                    diag = diag.with_note("variable declared here", decl_span);
                 }
-                let mut strong = fx.defs.clone();
-                strong.subtract(&fx.weak_defs);
-                for v in strong.to_vec() {
-                    if rp.is_shared(v) || live.live_out(node).contains(v) {
-                        continue;
-                    }
-                    let span = ctx.analyses.database.span_of(stmt).unwrap_or(Span::DUMMY);
-                    let mut diag = Diagnostic::new(
-                        self.code(),
-                        Severity::Warning,
-                        format!("value assigned to `{}` is never read", rp.var_name(v)),
-                        span,
-                    );
-                    let decl_span = rp.vars[v.index()].decl_span;
-                    if rp.decl_var.get(&stmt) != Some(&v) && decl_span != Span::DUMMY {
-                        diag = diag.with_note("variable declared here", decl_span);
-                    }
-                    diags.push(diag);
-                }
+                diags.push(diag);
             }
         }
-        diags
     }
+    diags
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 //! Channel waits are skipped conservatively when any send/recv goes
 //! through an aliased channel parameter.
 
-use super::{Diagnostic, LintContext, LintPass, Severity};
+use super::{Diagnostic, LintContext, Pass, Severity};
 use crate::cfg::{Cfg, CfgNodeKind, NodeId};
 use crate::mhp::MhpAnalysis;
 use ppd_lang::ast::{walk_stmts, StmtKind, SyncStmt};
@@ -33,23 +33,34 @@ use ppd_lang::{BodyId, ChanId, ChanRef, ProcId, ResolvedProgram, SemId, Span, St
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Reports circular semaphore acquisition and mutual blocking waits.
-pub struct DeadlockPass;
+pub(super) const PASS: Pass = Pass {
+    code: "PPD008",
+    name: "potential-deadlock",
+    page: "PPD008: potential-deadlock\n\
+           \n\
+           A static wait-for-graph cycle among processes the\n\
+           may-happen-in-parallel relation deems concurrent. Two shapes are\n\
+           reported:\n\
+           \n\
+           - circular semaphore acquisition: a cycle in the acquires-while-\n\
+           \x20 holding order (e.g. one process takes `a` then `b`, another\n\
+           \x20 takes `b` then `a`), with one witness site per cycle edge;\n\
+           - mutually blocking message waits: two concurrent blocking\n\
+           \x20 receive/rendezvous/accept sites where each side's only\n\
+           \x20 unblockers are sequenced after the opposing wait.\n\
+           \n\
+           The analysis is conservative: programs that alias channels\n\
+           through variables suppress the channel-wait check rather than\n\
+           guess. Acquire semaphores in one global order, or make one side\n\
+           send before it receives, to break the cycle.",
+    run,
+};
 
-impl LintPass for DeadlockPass {
-    fn code(&self) -> &'static str {
-        "PPD008"
-    }
-
-    fn name(&self) -> &'static str {
-        "potential-deadlock"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let sites = classify_sites(ctx.rp);
-        let mut diags = lock_order_cycles(ctx, &sites);
-        diags.extend(wait_pairs(ctx, &sites));
-        diags
-    }
+fn run(ctx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let sites = classify_sites(ctx.rp);
+    let mut diags = lock_order_cycles(ctx, &sites);
+    diags.extend(wait_pairs(ctx, &sites));
+    diags
 }
 
 /// What one statement contributes to the wait-for analyses.
@@ -236,7 +247,7 @@ fn diagnose_cycle(rp: &ResolvedProgram, cycle: &[SemId], witnesses: &[Witness]) 
         .collect::<Vec<_>>()
         .join(" → ");
     let mut d = Diagnostic::new(
-        "PPD008",
+        PASS.code,
         Severity::Warning,
         format!("potential deadlock: circular semaphore acquisition {ring}"),
         witnesses[0].span,
@@ -464,7 +475,7 @@ fn describe_wait(rp: &ResolvedProgram, w: &Wait) -> String {
 fn diagnose_pair(rp: &ResolvedProgram, u: &Wait, v: &Wait) -> Diagnostic {
     let (pu, pv) = (rp.proc_name(u.proc), rp.proc_name(v.proc));
     Diagnostic::new(
-        "PPD008",
+        PASS.code,
         Severity::Warning,
         format!(
             "potential deadlock: process `{pu}` {} while process `{pv}` {}",

@@ -15,7 +15,7 @@
 //! territory, so this pass is silent both on consistently locked and on
 //! entirely unsynchronized programs.
 
-use super::{Diagnostic, LintContext, LintPass, Severity};
+use super::{Diagnostic, LintContext, Pass, Severity};
 use crate::cfg::{Cfg, CfgNodeKind, NodeId};
 use crate::mhp::stmt_shared_accesses;
 use ppd_lang::ast::walk_stmts;
@@ -24,7 +24,19 @@ use std::collections::{BTreeSet, HashMap};
 
 /// Reports shared variables reached under disjoint locksets on two
 /// statically concurrent paths.
-pub struct InconsistentLockPass;
+pub(super) const PASS: Pass = Pass {
+    code: "PPD005",
+    name: "inconsistent-lock",
+    page: "PPD005: inconsistent-lock\n\
+           \n\
+           A shared variable is reached under disjoint must-locksets on two\n\
+           paths the may-happen-in-parallel relation deems concurrent —\n\
+           different locks, or one side holding none. The locks then do not\n\
+           order the accesses and a race remains possible.\n\
+           \n\
+           Guard every access to the variable with the same lock.",
+    run,
+};
 
 type LockSet = BTreeSet<SemId>;
 
@@ -37,121 +49,104 @@ struct Access {
     span: Span,
 }
 
-impl LintPass for InconsistentLockPass {
-    fn code(&self) -> &'static str {
-        "PPD005"
-    }
+fn run(ctx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let rp = ctx.rp;
+    let locksets = must_locksets(rp, ctx.analyses);
 
-    fn name(&self) -> &'static str {
-        "inconsistent-lock"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let rp = ctx.rp;
-        let locksets = must_locksets(rp, ctx.analyses);
-
-        let mut by_var: HashMap<VarId, Vec<Access>> = HashMap::new();
-        for &(p, s) in ctx.analyses.mhp.events() {
-            let Some((locks, span)) = locksets.get(&s) else { continue };
-            let (reads, writes) =
-                stmt_shared_accesses(rp, &ctx.analyses.effects, &ctx.analyses.modref, s);
-            for &v in &writes {
+    let mut by_var: HashMap<VarId, Vec<Access>> = HashMap::new();
+    for &(p, s) in ctx.analyses.mhp.events() {
+        let Some((locks, span)) = locksets.get(&s) else { continue };
+        let (reads, writes) =
+            stmt_shared_accesses(rp, &ctx.analyses.effects, &ctx.analyses.modref, s);
+        for &v in &writes {
+            by_var.entry(v).or_default().push(Access {
+                proc: p,
+                stmt: s,
+                is_write: true,
+                locks: locks.clone(),
+                span: *span,
+            });
+        }
+        for &v in &reads {
+            if !writes.contains(&v) {
                 by_var.entry(v).or_default().push(Access {
                     proc: p,
                     stmt: s,
-                    is_write: true,
+                    is_write: false,
                     locks: locks.clone(),
                     span: *span,
                 });
             }
-            for &v in &reads {
-                if !writes.contains(&v) {
-                    by_var.entry(v).or_default().push(Access {
-                        proc: p,
-                        stmt: s,
-                        is_write: false,
-                        locks: locks.clone(),
-                        span: *span,
-                    });
-                }
-            }
         }
-
-        let mut diags = Vec::new();
-        let mut vars: Vec<VarId> = by_var.keys().copied().collect();
-        vars.sort_unstable();
-        for v in vars {
-            let accs = &by_var[&v];
-            // First inconsistent pair per process pair is the witness.
-            let mut reported: BTreeSet<(ProcId, ProcId)> = BTreeSet::new();
-            for x in accs {
-                for y in accs {
-                    if x.proc >= y.proc
-                        || (!x.is_write && !y.is_write)
-                        || reported.contains(&(x.proc, y.proc))
-                    {
-                        continue;
-                    }
-                    if x.locks.is_empty() && y.locks.is_empty() {
-                        continue; // fully unprotected: PPD001/PPD002's job
-                    }
-                    if x.locks.intersection(&y.locks).next().is_some() {
-                        continue; // a common lock serializes the pair
-                    }
-                    if !ctx.analyses.mhp.may_happen_in_parallel((x.proc, x.stmt), (y.proc, y.stmt))
-                    {
-                        continue; // statically ordered anyway
-                    }
-                    reported.insert((x.proc, y.proc));
-                    diags.push(self.diagnose(rp, v, x, y));
-                }
-            }
-        }
-        diags
     }
+
+    let mut diags = Vec::new();
+    let mut vars: Vec<VarId> = by_var.keys().copied().collect();
+    vars.sort_unstable();
+    for v in vars {
+        let accs = &by_var[&v];
+        // First inconsistent pair per process pair is the witness.
+        let mut reported: BTreeSet<(ProcId, ProcId)> = BTreeSet::new();
+        for x in accs {
+            for y in accs {
+                if x.proc >= y.proc
+                    || (!x.is_write && !y.is_write)
+                    || reported.contains(&(x.proc, y.proc))
+                {
+                    continue;
+                }
+                if x.locks.is_empty() && y.locks.is_empty() {
+                    continue; // fully unprotected: PPD001/PPD002's job
+                }
+                if x.locks.intersection(&y.locks).next().is_some() {
+                    continue; // a common lock serializes the pair
+                }
+                if !ctx.analyses.mhp.may_happen_in_parallel((x.proc, x.stmt), (y.proc, y.stmt)) {
+                    continue; // statically ordered anyway
+                }
+                reported.insert((x.proc, y.proc));
+                diags.push(diagnose(rp, v, x, y));
+            }
+        }
+    }
+    diags
 }
 
-impl InconsistentLockPass {
-    fn diagnose(&self, rp: &ResolvedProgram, var: VarId, x: &Access, y: &Access) -> Diagnostic {
-        let held = |locks: &LockSet| -> String {
-            if locks.is_empty() {
-                "no lock".to_owned()
-            } else {
-                locks
-                    .iter()
-                    .map(|&s| format!("`{}`", rp.sem_name(s)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            }
-        };
-        Diagnostic::new(
-            self.code(),
-            Severity::Warning,
-            format!(
-                "shared variable `{}` is inconsistently locked: process `{}` accesses it \
-                 holding {} while process `{}` holds {}",
-                rp.var_name(var),
-                rp.proc_name(x.proc),
-                held(&x.locks),
-                rp.proc_name(y.proc),
-                held(&y.locks),
-            ),
-            x.span,
-        )
-        .with_note(
-            format!(
-                "concurrent {} in process `{}` under {}",
-                if y.is_write { "write" } else { "read" },
-                rp.proc_name(y.proc),
-                held(&y.locks),
-            ),
-            y.span,
-        )
-        .with_help(
-            "a lock only excludes accesses that acquire the same lock; these two \
-             accesses may interleave",
-        )
-    }
+fn diagnose(rp: &ResolvedProgram, var: VarId, x: &Access, y: &Access) -> Diagnostic {
+    let held = |locks: &LockSet| -> String {
+        if locks.is_empty() {
+            "no lock".to_owned()
+        } else {
+            locks.iter().map(|&s| format!("`{}`", rp.sem_name(s))).collect::<Vec<_>>().join(", ")
+        }
+    };
+    Diagnostic::new(
+        PASS.code,
+        Severity::Warning,
+        format!(
+            "shared variable `{}` is inconsistently locked: process `{}` accesses it \
+             holding {} while process `{}` holds {}",
+            rp.var_name(var),
+            rp.proc_name(x.proc),
+            held(&x.locks),
+            rp.proc_name(y.proc),
+            held(&y.locks),
+        ),
+        x.span,
+    )
+    .with_note(
+        format!(
+            "concurrent {} in process `{}` under {}",
+            if y.is_write { "write" } else { "read" },
+            rp.proc_name(y.proc),
+            held(&y.locks),
+        ),
+        y.span,
+    )
+    .with_help(
+        "a lock only excludes accesses that acquire the same lock; these two \
+         accesses may interleave",
+    )
 }
 
 /// What a sync statement does to the lockset.

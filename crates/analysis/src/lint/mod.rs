@@ -49,25 +49,13 @@ mod const_cond;
 mod dead_channel;
 mod dead_store;
 mod deadlock;
-mod explain;
 mod inconsistent_lock;
 mod race_candidate;
 mod type_confusion;
 mod uninit_read;
 mod unsync_shared;
 
-pub use bounds::BoundsPass;
 pub use candidates::RaceCandidates;
-pub use const_cond::ConstCondPass;
-pub use dead_channel::DeadChannelPass;
-pub use dead_store::DeadStorePass;
-pub use deadlock::DeadlockPass;
-pub use explain::{explain, explained_codes};
-pub use inconsistent_lock::InconsistentLockPass;
-pub use race_candidate::RaceCandidatePass;
-pub use type_confusion::TypeConfusionPass;
-pub use uninit_read::UninitReadPass;
-pub use unsync_shared::UnsyncSharedPass;
 
 use crate::usedef::shared_only;
 use crate::varset::{VarSet, VarSetRepr};
@@ -187,38 +175,51 @@ pub struct LintContext<'a> {
     pub analyses: &'a Analyses,
 }
 
-/// One registered lint pass.
-pub trait LintPass {
-    /// The stable diagnostic code this pass emits (`PPD001`…).
-    fn code(&self) -> &'static str;
+/// One lint pass: the stable code it emits, its kebab-case name (also
+/// its SARIF rule name), its `--explain` page, and the function that
+/// runs it.
+#[derive(Clone, Copy)]
+pub struct Pass {
+    /// The stable diagnostic code (`PPD001`…).
+    pub code: &'static str,
     /// A short kebab-case pass name.
-    fn name(&self) -> &'static str;
+    pub name: &'static str,
+    /// The `--explain` page, opening with `code: name`.
+    pub page: &'static str,
     /// Runs the pass.
-    fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic>;
+    pub run: fn(&LintContext<'_>) -> Vec<Diagnostic>,
 }
 
-/// A registered pass.
-pub type BoxedLintPass = Box<dyn LintPass>;
+/// The built-in passes, in code order: what [`run_default`] runs,
+/// [`explain`] documents and SARIF names its rules after.
+pub const PASSES: &[Pass] = &[
+    race_candidate::PASS,
+    unsync_shared::PASS,
+    dead_store::PASS,
+    uninit_read::PASS,
+    inconsistent_lock::PASS,
+    type_confusion::PASS,
+    dead_channel::PASS,
+    deadlock::PASS,
+    bounds::PASS,
+    const_cond::PASS,
+];
 
-/// The built-in pass registry, in code order.
-pub fn default_passes() -> Vec<BoxedLintPass> {
-    vec![
-        Box::new(RaceCandidatePass),
-        Box::new(UnsyncSharedPass),
-        Box::new(DeadStorePass),
-        Box::new(UninitReadPass),
-        Box::new(InconsistentLockPass),
-        Box::new(TypeConfusionPass),
-        Box::new(DeadChannelPass),
-        Box::new(DeadlockPass),
-        Box::new(BoundsPass),
-        Box::new(ConstCondPass),
-    ]
+/// The `--explain` page for `code`, if a pass emits it.
+pub fn explain(code: &str) -> Option<&'static str> {
+    PASSES.iter().find(|p| p.code == code).map(|p| p.page)
 }
 
-/// Runs `passes` over the program in registration order on the
-/// calling thread, and returns the diagnostics sorted by source
-/// position (then code) and with exact duplicates removed.
+/// Every code with an explain page, in code order.
+pub fn explained_codes() -> Vec<&'static str> {
+    PASSES.iter().map(|p| p.code).collect()
+}
+
+/// Runs every pass of [`PASSES`] in order on the calling thread, each
+/// under a `pass:{name}` span so `--trace-out` shows where lint wall
+/// time goes (free when spans are disabled), and returns the
+/// diagnostics sorted by source position (then code, then message) with
+/// exact duplicates removed.
 ///
 /// The passes stay sequential because a run is too short to split: it
 /// takes 15–160 µs on `programs/*.ppd`, and a release probe on a 2-vCPU
@@ -226,27 +227,16 @@ pub fn default_passes() -> Vec<BoxedLintPass> {
 /// `stencil.ppd` (`deadlock.ppd` 15–17 → 51–82 µs). Only the largest
 /// generated programs gained (`corpus::gen_wide_vars(400)` 515–752 →
 /// 359–454 µs).
-pub fn run_passes(
-    rp: &ResolvedProgram,
-    analyses: &Analyses,
-    passes: &[BoxedLintPass],
-) -> Vec<Diagnostic> {
+pub fn run_default(rp: &ResolvedProgram, analyses: &Analyses) -> Vec<Diagnostic> {
     let ctx = LintContext { rp, analyses };
-    finalize(passes.iter().map(|p| run_pass_instrumented(p, &ctx)).collect())
-}
-
-/// Runs one pass under a span naming it, so `--trace-out` shows where
-/// lint wall time goes pass by pass (free when spans are disabled).
-fn run_pass_instrumented(pass: &BoxedLintPass, ctx: &LintContext) -> Vec<Diagnostic> {
-    let _span = ppd_obs::spans_enabled()
-        .then(|| ppd_obs::span_dyn("lint", format!("pass:{}", pass.name())));
-    pass.run(ctx)
-}
-
-/// The shared deterministic finalization: flatten in registration
-/// order, sort by source position (then code, then message), dedup.
-fn finalize(per_pass: Vec<Vec<Diagnostic>>) -> Vec<Diagnostic> {
-    let mut diags: Vec<Diagnostic> = per_pass.into_iter().flatten().collect();
+    let mut diags: Vec<Diagnostic> = PASSES
+        .iter()
+        .flat_map(|pass| {
+            let _span = ppd_obs::spans_enabled()
+                .then(|| ppd_obs::span_dyn("lint", format!("pass:{}", pass.name)));
+            (pass.run)(&ctx)
+        })
+        .collect();
     diags.sort_by(|a, b| {
         (a.span.start, a.span.end, a.code, &a.message).cmp(&(
             b.span.start,
@@ -257,11 +247,6 @@ fn finalize(per_pass: Vec<Vec<Diagnostic>>) -> Vec<Diagnostic> {
     });
     diags.dedup();
     diags
-}
-
-/// Runs the default registry (see [`run_passes`]).
-pub fn run_default(rp: &ResolvedProgram, analyses: &Analyses) -> Vec<Diagnostic> {
-    run_passes(rp, analyses, &default_passes())
 }
 
 /// The shared variables `stmt` may read and write, including its
@@ -363,6 +348,20 @@ mod tests {
         assert!(rendered.contains("[PPD001]"), "{rendered}");
         assert!(rendered.contains("--> test.ppd:"), "{rendered}");
         assert!(rendered.contains('^'), "{rendered}");
+    }
+
+    #[test]
+    fn every_page_opens_with_its_code_and_name() {
+        for pass in PASSES {
+            let head = format!("{}: {}", pass.code, pass.name);
+            assert!(pass.page.starts_with(&head), "page must open with `{head}`:\n{}", pass.page);
+        }
+    }
+
+    #[test]
+    fn unknown_codes_have_no_page() {
+        assert!(explain("PPD999").is_none());
+        assert!(explain("TYP001").is_none(), "TYP codes live in ppd-lang");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! statements that no synchronization chain orders. The dynamic detector then decides, per execution,
 //! whether the ordering edges actually separate them.
 
-use super::{first_access, Diagnostic, LintContext, LintPass, Severity};
+use super::{first_access, Diagnostic, LintContext, Pass, Severity};
 use crate::mhp::stmt_shared_accesses;
 use crate::varset::VarSetRepr;
 use ppd_lang::ast::walk_stmts;
@@ -24,7 +24,23 @@ use std::collections::HashMap;
 
 /// Reports `(variable, process pair)` combinations whose synchronization
 /// units statically conflict and are not ordered by the MHP relation.
-pub struct RaceCandidatePass;
+pub(super) const PASS: Pass = Pass {
+    code: "PPD001",
+    name: "race-candidate",
+    page: "PPD001: race-candidate\n\
+           \n\
+           Two statements in different processes have intersecting static\n\
+           shared READ/WRITE sets with at least one write, computed from the\n\
+           per-statement effects and the interprocedural GMOD/GREF closures\n\
+           (paper §5.1). These are exactly the pairs the dynamic race\n\
+           detector (Definition 6.4) must examine at run time; every other\n\
+           pair is provably non-conflicting.\n\
+           \n\
+           A candidate is not yet a race — synchronization may order the two\n\
+           accesses on every schedule. Guard the accesses with a common\n\
+           semaphore/lock or a channel handoff to discharge the candidate.",
+    run,
+};
 
 #[derive(Default, Clone, Copy)]
 struct ConflictKinds {
@@ -32,58 +48,48 @@ struct ConflictKinds {
     read_write: bool,
 }
 
-impl LintPass for RaceCandidatePass {
-    fn code(&self) -> &'static str {
-        "PPD001"
-    }
-
-    fn name(&self) -> &'static str {
-        "race-candidate"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let rp = ctx.rp;
-        let spans = stmt_spans(rp);
-        let mut diags = Vec::new();
-        let procs: Vec<ProcId> = (0..rp.procs.len() as u32).map(ProcId).collect();
-        for (i, &a) in procs.iter().enumerate() {
-            for &b in &procs[i + 1..] {
-                let units_a = &ctx.analyses.sync_units.of(BodyId::Proc(a)).units;
-                let units_b = &ctx.analyses.sync_units.of(BodyId::Proc(b)).units;
-                let mut conflicts: HashMap<VarId, ConflictKinds> = HashMap::new();
-                for ua in units_a {
-                    for ub in units_b {
-                        for v in ua.writes.to_vec() {
-                            if ub.writes.contains(v) {
-                                conflicts.entry(v).or_default().write_write = true;
-                            }
-                            if ub.reads.contains(v) {
-                                conflicts.entry(v).or_default().read_write = true;
-                            }
+fn run(ctx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let rp = ctx.rp;
+    let spans = stmt_spans(rp);
+    let mut diags = Vec::new();
+    let procs: Vec<ProcId> = (0..rp.procs.len() as u32).map(ProcId).collect();
+    for (i, &a) in procs.iter().enumerate() {
+        for &b in &procs[i + 1..] {
+            let units_a = &ctx.analyses.sync_units.of(BodyId::Proc(a)).units;
+            let units_b = &ctx.analyses.sync_units.of(BodyId::Proc(b)).units;
+            let mut conflicts: HashMap<VarId, ConflictKinds> = HashMap::new();
+            for ua in units_a {
+                for ub in units_b {
+                    for v in ua.writes.to_vec() {
+                        if ub.writes.contains(v) {
+                            conflicts.entry(v).or_default().write_write = true;
                         }
-                        for v in ua.reads.to_vec() {
-                            if ub.writes.contains(v) {
-                                conflicts.entry(v).or_default().read_write = true;
-                            }
+                        if ub.reads.contains(v) {
+                            conflicts.entry(v).or_default().read_write = true;
                         }
                     }
-                }
-                let mut vars: Vec<VarId> = conflicts.keys().copied().collect();
-                vars.sort_unstable();
-                for v in vars {
-                    // Second stage: drop the pair when the MHP fixpoint
-                    // proves every conflicting access ordered. The typed
-                    // index degenerates to the untyped one when the
-                    // program fails `ppd check`.
-                    if !ctx.analyses.typed_candidates.allows(v, a, b) {
-                        continue;
+                    for v in ua.reads.to_vec() {
+                        if ub.writes.contains(v) {
+                            conflicts.entry(v).or_default().read_write = true;
+                        }
                     }
-                    diags.push(self.diagnose(ctx, &spans, v, a, b, conflicts[&v]));
                 }
             }
+            let mut vars: Vec<VarId> = conflicts.keys().copied().collect();
+            vars.sort_unstable();
+            for v in vars {
+                // Second stage: drop the pair when the MHP fixpoint
+                // proves every conflicting access ordered. The typed
+                // index degenerates to the untyped one when the
+                // program fails `ppd check`.
+                if !ctx.analyses.typed_candidates.allows(v, a, b) {
+                    continue;
+                }
+                diags.push(diagnose(ctx, &spans, v, a, b, conflicts[&v]));
+            }
         }
-        diags
     }
+    diags
 }
 
 /// A concrete unordered conflicting access pair, plus how many
@@ -94,133 +100,124 @@ struct Witness {
     ordered_pairs: usize,
 }
 
-impl RaceCandidatePass {
-    /// Finds a statically-concurrent conflicting access pair on `var`
-    /// between `a` and `b`, preferring write/write witnesses.
-    fn witness(ctx: &LintContext<'_>, var: VarId, a: ProcId, b: ProcId) -> Option<Witness> {
-        let mhp = ctx.analyses.mhp_typed.as_ref().unwrap_or(&ctx.analyses.mhp);
-        let accesses = |p: ProcId| -> Vec<(StmtId, bool)> {
-            mhp.events()
-                .iter()
-                .filter(|&&(q, _)| q == p)
-                .filter_map(|&(_, s)| {
-                    let (reads, writes) = stmt_shared_accesses(
-                        ctx.rp,
-                        &ctx.analyses.effects,
-                        &ctx.analyses.modref,
-                        s,
-                    );
-                    if writes.contains(&var) {
-                        Some((s, true))
-                    } else if reads.contains(&var) {
-                        Some((s, false))
-                    } else {
-                        None
-                    }
-                })
-                .collect()
-        };
-        let of_a = accesses(a);
-        let of_b = accesses(b);
-        let mut best: Option<Witness> = None;
-        let mut ordered = 0usize;
-        for &(sa, wa) in &of_a {
-            for &(sb, wb) in &of_b {
-                if !wa && !wb {
-                    continue; // read/read pairs never conflict
-                }
-                if mhp.may_happen_in_parallel((a, sa), (b, sb)) {
-                    let better = best.is_none();
-                    if better {
-                        best = Some(Witness { first: (a, sa), second: (b, sb), ordered_pairs: 0 });
-                    }
+/// Finds a statically-concurrent conflicting access pair on `var`
+/// between `a` and `b`, preferring write/write witnesses.
+fn witness(ctx: &LintContext<'_>, var: VarId, a: ProcId, b: ProcId) -> Option<Witness> {
+    let mhp = ctx.analyses.mhp_typed.as_ref().unwrap_or(&ctx.analyses.mhp);
+    let accesses = |p: ProcId| -> Vec<(StmtId, bool)> {
+        mhp.events()
+            .iter()
+            .filter(|&&(q, _)| q == p)
+            .filter_map(|&(_, s)| {
+                let (reads, writes) =
+                    stmt_shared_accesses(ctx.rp, &ctx.analyses.effects, &ctx.analyses.modref, s);
+                if writes.contains(&var) {
+                    Some((s, true))
+                } else if reads.contains(&var) {
+                    Some((s, false))
                 } else {
-                    ordered += 1;
+                    None
                 }
+            })
+            .collect()
+    };
+    let of_a = accesses(a);
+    let of_b = accesses(b);
+    let mut best: Option<Witness> = None;
+    let mut ordered = 0usize;
+    for &(sa, wa) in &of_a {
+        for &(sb, wb) in &of_b {
+            if !wa && !wb {
+                continue; // read/read pairs never conflict
+            }
+            if mhp.may_happen_in_parallel((a, sa), (b, sb)) {
+                let better = best.is_none();
+                if better {
+                    best = Some(Witness { first: (a, sa), second: (b, sb), ordered_pairs: 0 });
+                }
+            } else {
+                ordered += 1;
             }
         }
-        best.map(|mut w| {
-            w.ordered_pairs = ordered;
-            w
-        })
     }
+    best.map(|mut w| {
+        w.ordered_pairs = ordered;
+        w
+    })
+}
 
-    fn diagnose(
-        &self,
-        ctx: &LintContext<'_>,
-        spans: &HashMap<StmtId, Span>,
-        var: VarId,
-        a: ProcId,
-        b: ProcId,
-        kinds: ConflictKinds,
-    ) -> Diagnostic {
-        let rp = ctx.rp;
-        let a_writes = ctx.analyses.modref.gmod(BodyId::Proc(a)).contains(var);
-        let b_writes = ctx.analyses.modref.gmod(BodyId::Proc(b)).contains(var);
-        let span =
-            first_access(rp, ctx.analyses, BodyId::Proc(a), var, a_writes).unwrap_or(Span::DUMMY);
-        let mut kind_names = Vec::new();
-        if kinds.write_write {
-            kind_names.push("write/write");
-        }
-        if kinds.read_write {
-            kind_names.push("read/write");
-        }
-        let mut diag = Diagnostic::new(
-            self.code(),
-            Severity::Warning,
+fn diagnose(
+    ctx: &LintContext<'_>,
+    spans: &HashMap<StmtId, Span>,
+    var: VarId,
+    a: ProcId,
+    b: ProcId,
+    kinds: ConflictKinds,
+) -> Diagnostic {
+    let rp = ctx.rp;
+    let a_writes = ctx.analyses.modref.gmod(BodyId::Proc(a)).contains(var);
+    let b_writes = ctx.analyses.modref.gmod(BodyId::Proc(b)).contains(var);
+    let span =
+        first_access(rp, ctx.analyses, BodyId::Proc(a), var, a_writes).unwrap_or(Span::DUMMY);
+    let mut kind_names = Vec::new();
+    if kinds.write_write {
+        kind_names.push("write/write");
+    }
+    if kinds.read_write {
+        kind_names.push("read/write");
+    }
+    let mut diag = Diagnostic::new(
+        PASS.code,
+        Severity::Warning,
+        format!(
+            "possible data race on shared variable `{}`: processes `{}` and `{}` \
+             access it in unordered synchronization units ({})",
+            rp.var_name(var),
+            rp.proc_name(a),
+            rp.proc_name(b),
+            kind_names.join(", "),
+        ),
+        span,
+    );
+    if let Some(other) = first_access(rp, ctx.analyses, BodyId::Proc(b), var, b_writes) {
+        diag = diag.with_note(
             format!(
-                "possible data race on shared variable `{}`: processes `{}` and `{}` \
-                 access it in unordered synchronization units ({})",
-                rp.var_name(var),
-                rp.proc_name(a),
-                rp.proc_name(b),
-                kind_names.join(", "),
+                "conflicting {} in process `{}`",
+                if b_writes { "write" } else { "read" },
+                rp.proc_name(b)
             ),
-            span,
+            other,
         );
-        if let Some(other) = first_access(rp, ctx.analyses, BodyId::Proc(b), var, b_writes) {
+    }
+    // Why is the pair concurrent? Point at a witness access pair no
+    // synchronization chain orders.
+    if let Some(w) = witness(ctx, var, a, b) {
+        if let Some(&wspan) = spans.get(&w.first.1) {
             diag = diag.with_note(
                 format!(
-                    "conflicting {} in process `{}`",
-                    if b_writes { "write" } else { "read" },
-                    rp.proc_name(b)
+                    "both processes run from program start; no synchronization chain \
+                     orders this access in `{}`...",
+                    rp.proc_name(w.first.0)
                 ),
-                other,
+                wspan,
             );
         }
-        // Why is the pair concurrent? Point at a witness access pair no
-        // synchronization chain orders.
-        if let Some(w) = Self::witness(ctx, var, a, b) {
-            if let Some(&wspan) = spans.get(&w.first.1) {
-                diag = diag.with_note(
-                    format!(
-                        "both processes run from program start; no synchronization chain \
-                         orders this access in `{}`...",
-                        rp.proc_name(w.first.0)
-                    ),
-                    wspan,
-                );
-            }
-            if let Some(&wspan) = spans.get(&w.second.1) {
-                diag = diag.with_note(
-                    format!("...against this one in `{}`", rp.proc_name(w.second.0)),
-                    wspan,
-                );
-            }
-            if w.ordered_pairs > 0 {
-                diag = diag.with_help(format!(
-                    "{} conflicting access pair(s) were statically ordered by \
-                     synchronization and not reported",
-                    w.ordered_pairs
-                ));
-            }
+        if let Some(&wspan) = spans.get(&w.second.1) {
+            diag = diag
+                .with_note(format!("...against this one in `{}`", rp.proc_name(w.second.0)), wspan);
         }
-        diag.with_help(
-            "static race candidate: the dynamic detector compares only such pairs \
-             (Definition 6.4)",
-        )
+        if w.ordered_pairs > 0 {
+            diag = diag.with_help(format!(
+                "{} conflicting access pair(s) were statically ordered by \
+                 synchronization and not reported",
+                w.ordered_pairs
+            ));
+        }
     }
+    diag.with_help(
+        "static race candidate: the dynamic detector compares only such pairs \
+         (Definition 6.4)",
+    )
 }
 
 /// Spans of every statement in the program.

@@ -13,87 +13,87 @@
 //! Writes inside functions are attributed to every process that can
 //! reach the function through the call graph.
 
-use super::{Diagnostic, LintContext, LintPass, Severity};
+use super::{Diagnostic, LintContext, Pass, Severity};
 use ppd_lang::types::{shared_write_types, Ty};
 use ppd_lang::{BodyId, ProcId, Span, VarId};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Reports shared globals whose writers disagree on the value's type
 /// across processes.
-pub struct TypeConfusionPass;
+pub(super) const PASS: Pass = Pass {
+    code: "PPD006",
+    name: "type-confused-shared",
+    page: "PPD006: type-confused-shared\n\
+           \n\
+           A shared global is written at incompatible inferred types from\n\
+           different processes (each write is re-inferred with a fresh type\n\
+           variable, so this fires even when `ppd check` would reject the\n\
+           program). Readers cannot rely on what the variable holds.\n\
+           \n\
+           Give the variable one role, or split it into distinct variables.",
+    run,
+};
 
-impl LintPass for TypeConfusionPass {
-    fn code(&self) -> &'static str {
-        "PPD006"
+fn run(ctx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let rp = ctx.rp;
+    // Which processes execute each body (procs themselves, plus
+    // every proc that reaches a function through calls).
+    let mut procs_of: BTreeMap<BodyId, BTreeSet<ProcId>> = BTreeMap::new();
+    for p in (0..rp.procs.len() as u32).map(ProcId) {
+        for body in ctx.analyses.callgraph.reachable_from(BodyId::Proc(p)) {
+            procs_of.entry(body).or_default().insert(p);
+        }
     }
 
-    fn name(&self) -> &'static str {
-        "type-confused-shared"
+    // Per shared variable: every write, with its locally-inferred
+    // type and the processes that may perform it.
+    let mut by_var: BTreeMap<VarId, Vec<(Ty, BTreeSet<ProcId>, Span)>> = BTreeMap::new();
+    for w in shared_write_types(rp) {
+        let procs = procs_of.get(&w.body).cloned().unwrap_or_default();
+        if procs.is_empty() {
+            continue; // dead function: no process executes the write
+        }
+        by_var.entry(w.var).or_default().push((w.ty, procs, w.span));
     }
 
-    fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let rp = ctx.rp;
-        // Which processes execute each body (procs themselves, plus
-        // every proc that reaches a function through calls).
-        let mut procs_of: BTreeMap<BodyId, BTreeSet<ProcId>> = BTreeMap::new();
-        for p in (0..rp.procs.len() as u32).map(ProcId) {
-            for body in ctx.analyses.callgraph.reachable_from(BodyId::Proc(p)) {
-                procs_of.entry(body).or_default().insert(p);
-            }
+    let mut diags = Vec::new();
+    for (v, writes) in by_var {
+        // Fire when two writes disagree on the type and are not
+        // performed by the same single process set.
+        let conflicting = writes.iter().any(|(ty_a, procs_a, _)| {
+            writes.iter().any(|(ty_b, procs_b, _)| {
+                ty_a != ty_b && procs_a.iter().any(|p| !procs_b.contains(p))
+            })
+        });
+        if !conflicting {
+            continue;
         }
-
-        // Per shared variable: every write, with its locally-inferred
-        // type and the processes that may perform it.
-        let mut by_var: BTreeMap<VarId, Vec<(Ty, BTreeSet<ProcId>, Span)>> = BTreeMap::new();
-        for w in shared_write_types(rp) {
-            let procs = procs_of.get(&w.body).cloned().unwrap_or_default();
-            if procs.is_empty() {
-                continue; // dead function: no process executes the write
-            }
-            by_var.entry(w.var).or_default().push((w.ty, procs, w.span));
+        let decl_span = rp.vars[v.index()].decl_span;
+        let mut diag = Diagnostic::new(
+            PASS.code,
+            Severity::Warning,
+            format!(
+                "shared variable `{}` is written at incompatible types from different processes",
+                rp.var_name(v)
+            ),
+            decl_span,
+        );
+        // One note per distinct (type, write site), in source order.
+        let mut sites: Vec<(Span, &Ty, &BTreeSet<ProcId>)> =
+            writes.iter().map(|(ty, procs, span)| (*span, ty, procs)).collect();
+        sites.sort_by_key(|(span, ..)| (span.start, span.end));
+        for (span, ty, procs) in sites {
+            let names: Vec<&str> = procs.iter().map(|&p| rp.proc_name(p)).collect();
+            diag = diag
+                .with_note(format!("written as `{ty}` by process(es) {}", names.join(", ")), span);
         }
-
-        let mut diags = Vec::new();
-        for (v, writes) in by_var {
-            // Fire when two writes disagree on the type and are not
-            // performed by the same single process set.
-            let conflicting = writes.iter().any(|(ty_a, procs_a, _)| {
-                writes.iter().any(|(ty_b, procs_b, _)| {
-                    ty_a != ty_b && procs_a.iter().any(|p| !procs_b.contains(p))
-                })
-            });
-            if !conflicting {
-                continue;
-            }
-            let decl_span = rp.vars[v.index()].decl_span;
-            let mut diag = Diagnostic::new(
-                self.code(),
-                Severity::Warning,
-                format!(
-                    "shared variable `{}` is written at incompatible types from different processes",
-                    rp.var_name(v)
-                ),
-                decl_span,
-            );
-            // One note per distinct (type, write site), in source order.
-            let mut sites: Vec<(Span, &Ty, &BTreeSet<ProcId>)> =
-                writes.iter().map(|(ty, procs, span)| (*span, ty, procs)).collect();
-            sites.sort_by_key(|(span, ..)| (span.start, span.end));
-            for (span, ty, procs) in sites {
-                let names: Vec<&str> = procs.iter().map(|&p| rp.proc_name(p)).collect();
-                diag = diag.with_note(
-                    format!("written as `{ty}` by process(es) {}", names.join(", ")),
-                    span,
-                );
-            }
-            diag = diag.with_help(
-                "pick one payload type per shared variable; `ppd check` reports this as a \
-                 hard error",
-            );
-            diags.push(diag);
-        }
-        diags
+        diag = diag.with_help(
+            "pick one payload type per shared variable; `ppd check` reports this as a \
+             hard error",
+        );
+        diags.push(diag);
     }
+    diags
 }
 
 #[cfg(test)]
@@ -105,7 +105,7 @@ mod tests {
     fn run(src: &str) -> Vec<Diagnostic> {
         let rp = ppd_lang::compile(src).unwrap();
         let analyses = Analyses::run(&rp);
-        TypeConfusionPass.run(&LintContext { rp: &rp, analyses: &analyses })
+        super::run(&LintContext { rp: &rp, analyses: &analyses })
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! almost certainly a missing initialization, the latter a path that
 //! skips the assignment.
 
-use super::{Diagnostic, LintContext, LintPass, Severity};
+use super::{Diagnostic, LintContext, Pass, Severity};
 use crate::varset::VarSetRepr;
 use ppd_lang::ast::{walk_stmts, StmtKind};
 use ppd_lang::{Span, StmtId, VarId};
@@ -15,98 +15,90 @@ use std::collections::HashSet;
 
 /// Reports reads of locals reached (only or partly) by an
 /// initializer-less declaration instead of a real assignment.
-pub struct UninitReadPass;
+pub(super) const PASS: Pass = Pass {
+    code: "PPD004",
+    name: "uninit-read",
+    page: "PPD004: uninit-read\n\
+           \n\
+           A local variable is read while only its initializer-less\n\
+           declaration reaches it (from the reaching-definitions solution),\n\
+           so the read observes the implicit 0. If 0 is intended, write the\n\
+           initializer explicitly; otherwise assign before reading.",
+    run,
+};
 
-impl LintPass for UninitReadPass {
-    fn code(&self) -> &'static str {
-        "PPD004"
-    }
-
-    fn name(&self) -> &'static str {
-        "uninit-read"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let rp = ctx.rp;
-        // Scalar declarations with no initializer: their "definition" is
-        // the implicit zero, not a value the program computed. Arrays are
-        // excluded — element-wise filling is the normal idiom.
-        let mut vacuous_decls: HashSet<StmtId> = HashSet::new();
-        for body in rp.bodies() {
-            walk_stmts(rp.body_block(body), &mut |stmt| {
-                if let StmtKind::Decl { init: None, .. } = stmt.kind {
-                    if let Some(&v) = rp.decl_var.get(&stmt.id) {
-                        if rp.vars[v.index()].size.is_none() {
-                            vacuous_decls.insert(stmt.id);
-                        }
+fn run(ctx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let rp = ctx.rp;
+    // Scalar declarations with no initializer: their "definition" is
+    // the implicit zero, not a value the program computed. Arrays are
+    // excluded — element-wise filling is the normal idiom.
+    let mut vacuous_decls: HashSet<StmtId> = HashSet::new();
+    for body in rp.bodies() {
+        walk_stmts(rp.body_block(body), &mut |stmt| {
+            if let StmtKind::Decl { init: None, .. } = stmt.kind {
+                if let Some(&v) = rp.decl_var.get(&stmt.id) {
+                    if rp.vars[v.index()].size.is_none() {
+                        vacuous_decls.insert(stmt.id);
                     }
-                }
-            });
-        }
-        let mut diags = Vec::new();
-        for body in rp.bodies() {
-            let cfg = ctx.analyses.cfg(body);
-            let reaching = ctx.analyses.reaching(body);
-            let unreachable: HashSet<_> = cfg.unreachable_nodes().into_iter().collect();
-            for &stmt in cfg.stmts() {
-                let node = cfg.node_of(stmt).expect("stmts() nodes exist");
-                if unreachable.contains(&node) {
-                    continue;
-                }
-                for v in ctx.analyses.effects.of(stmt).uses.to_vec() {
-                    if rp.is_shared(v) || rp.vars[v.index()].param_index.is_some() {
-                        continue;
-                    }
-                    let sites = reaching.reaching(node, v);
-                    if sites.is_empty() {
-                        continue;
-                    }
-                    let vacuous = sites
-                        .iter()
-                        .filter(|s| s.stmt.is_some_and(|id| vacuous_decls.contains(&id)))
-                        .count();
-                    if vacuous == 0 {
-                        continue;
-                    }
-                    diags.push(self.diagnose(ctx, stmt, v, vacuous == sites.len()));
                 }
             }
-        }
-        diags
+        });
     }
+    let mut diags = Vec::new();
+    for body in rp.bodies() {
+        let cfg = ctx.analyses.cfg(body);
+        let reaching = ctx.analyses.reaching(body);
+        let unreachable: HashSet<_> = cfg.unreachable_nodes().into_iter().collect();
+        for &stmt in cfg.stmts() {
+            let node = cfg.node_of(stmt).expect("stmts() nodes exist");
+            if unreachable.contains(&node) {
+                continue;
+            }
+            for v in ctx.analyses.effects.of(stmt).uses.to_vec() {
+                if rp.is_shared(v) || rp.vars[v.index()].param_index.is_some() {
+                    continue;
+                }
+                let sites = reaching.reaching(node, v);
+                if sites.is_empty() {
+                    continue;
+                }
+                let vacuous = sites
+                    .iter()
+                    .filter(|s| s.stmt.is_some_and(|id| vacuous_decls.contains(&id)))
+                    .count();
+                if vacuous == 0 {
+                    continue;
+                }
+                diags.push(diagnose(ctx, stmt, v, vacuous == sites.len()));
+            }
+        }
+    }
+    diags
 }
 
-impl UninitReadPass {
-    fn diagnose(
-        &self,
-        ctx: &LintContext<'_>,
-        stmt: StmtId,
-        var: VarId,
-        definite: bool,
-    ) -> Diagnostic {
-        let rp = ctx.rp;
-        let span = ctx.analyses.database.span_of(stmt).unwrap_or(Span::DUMMY);
-        let (severity, message) = if definite {
-            (
-                Severity::Error,
-                format!("local variable `{}` is read but never assigned a value", rp.var_name(var)),
-            )
-        } else {
-            (
-                Severity::Warning,
-                format!(
-                    "local variable `{}` may be read before assignment on some paths",
-                    rp.var_name(var)
-                ),
-            )
-        };
-        let mut diag = Diagnostic::new(self.code(), severity, message, span);
-        let decl_span = rp.vars[var.index()].decl_span;
-        if decl_span != Span::DUMMY {
-            diag = diag.with_note("declared without an initializer here (implicitly 0)", decl_span);
-        }
-        diag
+fn diagnose(ctx: &LintContext<'_>, stmt: StmtId, var: VarId, definite: bool) -> Diagnostic {
+    let rp = ctx.rp;
+    let span = ctx.analyses.database.span_of(stmt).unwrap_or(Span::DUMMY);
+    let (severity, message) = if definite {
+        (
+            Severity::Error,
+            format!("local variable `{}` is read but never assigned a value", rp.var_name(var)),
+        )
+    } else {
+        (
+            Severity::Warning,
+            format!(
+                "local variable `{}` may be read before assignment on some paths",
+                rp.var_name(var)
+            ),
+        )
+    };
+    let mut diag = Diagnostic::new(PASS.code, severity, message, span);
+    let decl_span = rp.vars[var.index()].decl_span;
+    if decl_span != Span::DUMMY {
+        diag = diag.with_note("declared without an initializer here (implicitly 0)", decl_span);
     }
+    diag
 }
 
 #[cfg(test)]

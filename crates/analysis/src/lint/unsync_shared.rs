@@ -9,7 +9,7 @@
 //! not merely a candidate, it is unordered in *every* execution in
 //! which both statements run.
 
-use super::{shared_accesses, Diagnostic, LintContext, LintPass, Severity};
+use super::{shared_accesses, Diagnostic, LintContext, Pass, Severity};
 use crate::varset::VarSetRepr;
 use ppd_lang::{BodyId, ProcId, ResolvedProgram, VarId};
 use std::collections::HashSet;
@@ -17,118 +17,117 @@ use std::collections::HashSet;
 /// Reports shared accesses reachable from process entry without
 /// crossing a synchronization operation, when another process may
 /// conflict on the variable.
-pub struct UnsyncSharedPass;
+pub(super) const PASS: Pass = Pass {
+    code: "PPD002",
+    name: "unsync-shared-access",
+    page: "PPD002: unsync-shared-access\n\
+           \n\
+           A shared-variable access is reachable from process entry without\n\
+           crossing any synchronization operation (P/V, lock, send/recv,\n\
+           rendezvous) on some path. Such an access can interleave with any\n\
+           concurrent conflicting access.\n\
+           \n\
+           Place the access after an acquisition, or make the variable\n\
+           process-local if it is not meant to be shared.",
+    run,
+};
 
-impl LintPass for UnsyncSharedPass {
-    fn code(&self) -> &'static str {
-        "PPD002"
-    }
-
-    fn name(&self) -> &'static str {
-        "unsync-shared-access"
-    }
-
-    fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let rp = ctx.rp;
-        let syncful = syncful_bodies(ctx);
-        let mut diags = Vec::new();
-        for p in (0..rp.procs.len() as u32).map(ProcId) {
-            let body = BodyId::Proc(p);
-            let cfg = ctx.analyses.cfg(body);
-            // Nodes reachable from entry without passing a statement that
-            // synchronizes (itself or via a callee).
-            let mut visited = vec![false; cfg.len()];
-            visited[cfg.entry().index()] = true;
-            let mut queue: Vec<_> = cfg.succs(cfg.entry()).collect();
-            while let Some(n) = queue.pop() {
-                if visited[n.index()] {
-                    continue;
-                }
-                visited[n.index()] = true;
-                let Some(stmt) = cfg.stmt_of(n) else { continue };
-                let fx = ctx.analyses.effects.of(stmt);
-                let stops =
-                    fx.is_sync || fx.calls.iter().any(|&f| syncful.contains(&BodyId::Func(f)));
-                if !stops {
-                    queue.extend(cfg.succs(n));
+fn run(ctx: &LintContext<'_>) -> Vec<Diagnostic> {
+    let rp = ctx.rp;
+    let syncful = syncful_bodies(ctx);
+    let mut diags = Vec::new();
+    for p in (0..rp.procs.len() as u32).map(ProcId) {
+        let body = BodyId::Proc(p);
+        let cfg = ctx.analyses.cfg(body);
+        // Nodes reachable from entry without passing a statement that
+        // synchronizes (itself or via a callee).
+        let mut visited = vec![false; cfg.len()];
+        visited[cfg.entry().index()] = true;
+        let mut queue: Vec<_> = cfg.succs(cfg.entry()).collect();
+        while let Some(n) = queue.pop() {
+            if visited[n.index()] {
+                continue;
+            }
+            visited[n.index()] = true;
+            let Some(stmt) = cfg.stmt_of(n) else { continue };
+            let fx = ctx.analyses.effects.of(stmt);
+            let stops = fx.is_sync || fx.calls.iter().any(|&f| syncful.contains(&BodyId::Func(f)));
+            if !stops {
+                queue.extend(cfg.succs(n));
+            }
+        }
+        // Report accesses in source order.
+        for &stmt in cfg.stmts() {
+            let node = cfg.node_of(stmt).expect("stmts() nodes exist");
+            if !visited[node.index()] {
+                continue;
+            }
+            // A callee that synchronizes may guard its own accesses;
+            // only the statement's direct effects (plus sync-free
+            // callees) are known to run unsynchronized.
+            let fx = ctx.analyses.effects.of(stmt);
+            if fx.calls.iter().any(|&f| syncful.contains(&BodyId::Func(f))) {
+                continue;
+            }
+            let (reads, writes) = shared_accesses(rp, ctx.analyses, stmt);
+            for v in writes.to_vec() {
+                if let Some(other) = conflicting_proc(ctx, v, p, false) {
+                    diags.push(diagnose(ctx, stmt, v, p, other, true));
                 }
             }
-            // Report accesses in source order.
-            for &stmt in cfg.stmts() {
-                let node = cfg.node_of(stmt).expect("stmts() nodes exist");
-                if !visited[node.index()] {
-                    continue;
+            for v in reads.to_vec() {
+                if writes.contains(v) {
+                    continue; // already reported as a write
                 }
-                // A callee that synchronizes may guard its own accesses;
-                // only the statement's direct effects (plus sync-free
-                // callees) are known to run unsynchronized.
-                let fx = ctx.analyses.effects.of(stmt);
-                if fx.calls.iter().any(|&f| syncful.contains(&BodyId::Func(f))) {
-                    continue;
-                }
-                let (reads, writes) = shared_accesses(rp, ctx.analyses, stmt);
-                for v in writes.to_vec() {
-                    if let Some(other) = conflicting_proc(ctx, v, p, false) {
-                        diags.push(self.diagnose(ctx, stmt, v, p, other, true));
-                    }
-                }
-                for v in reads.to_vec() {
-                    if writes.contains(v) {
-                        continue; // already reported as a write
-                    }
-                    if let Some(other) = conflicting_proc(ctx, v, p, true) {
-                        diags.push(self.diagnose(ctx, stmt, v, p, other, false));
-                    }
+                if let Some(other) = conflicting_proc(ctx, v, p, true) {
+                    diags.push(diagnose(ctx, stmt, v, p, other, false));
                 }
             }
         }
-        diags
     }
+    diags
 }
 
-impl UnsyncSharedPass {
-    #[allow(clippy::too_many_arguments)]
-    fn diagnose(
-        &self,
-        ctx: &LintContext<'_>,
-        stmt: ppd_lang::StmtId,
-        var: VarId,
-        proc: ProcId,
-        other: ProcId,
-        is_write: bool,
-    ) -> Diagnostic {
-        let rp = ctx.rp;
-        let span = ctx.analyses.database.span_of(stmt).unwrap_or(ppd_lang::Span::DUMMY);
-        let other_writes = ctx.analyses.modref.gmod(BodyId::Proc(other)).contains(var);
-        let mut diag = Diagnostic::new(
-            self.code(),
-            Severity::Warning,
+#[allow(clippy::too_many_arguments)]
+fn diagnose(
+    ctx: &LintContext<'_>,
+    stmt: ppd_lang::StmtId,
+    var: VarId,
+    proc: ProcId,
+    other: ProcId,
+    is_write: bool,
+) -> Diagnostic {
+    let rp = ctx.rp;
+    let span = ctx.analyses.database.span_of(stmt).unwrap_or(ppd_lang::Span::DUMMY);
+    let other_writes = ctx.analyses.modref.gmod(BodyId::Proc(other)).contains(var);
+    let mut diag = Diagnostic::new(
+        PASS.code,
+        Severity::Warning,
+        format!(
+            "shared variable `{}` is {} in process `{}` before any synchronization",
+            rp.var_name(var),
+            if is_write { "written" } else { "read" },
+            rp.proc_name(proc),
+        ),
+        span,
+    );
+    if let Some(site) =
+        super::first_access(rp, ctx.analyses, BodyId::Proc(other), var, other_writes)
+    {
+        diag = diag.with_note(
             format!(
-                "shared variable `{}` is {} in process `{}` before any synchronization",
-                rp.var_name(var),
-                if is_write { "written" } else { "read" },
-                rp.proc_name(proc),
+                "process `{}` also {} `{}`",
+                rp.proc_name(other),
+                if other_writes { "writes" } else { "reads" },
+                rp.var_name(var)
             ),
-            span,
+            site,
         );
-        if let Some(site) =
-            super::first_access(rp, ctx.analyses, BodyId::Proc(other), var, other_writes)
-        {
-            diag = diag.with_note(
-                format!(
-                    "process `{}` also {} `{}`",
-                    rp.proc_name(other),
-                    if other_writes { "writes" } else { "reads" },
-                    rp.var_name(var)
-                ),
-                site,
-            );
-        }
-        diag.with_help(
-            "no semaphore, lock, or message operation lies between process entry \
-             and this access on some path",
-        )
     }
+    diag.with_help(
+        "no semaphore, lock, or message operation lies between process entry \
+         and this access on some path",
+    )
 }
 
 /// Bodies that perform a synchronization operation, directly or through

@@ -16,8 +16,8 @@ the ceilings when a change removes sites.
 import json
 import sys
 
-CEILING_TOTAL = 116
-CEILING_PRODUCT = 67
+CEILING_TOTAL = 114
+CEILING_PRODUCT = 65
 
 LINTS = {"clippy::unwrap_used", "clippy::expect_used", "clippy::panic"}
 EXEMPT = ("crates/bench/", "vendor/")

@@ -1,101 +1,186 @@
 //! The `ppd` command-line debugger.
 //!
+//! Every command follows one grammar, `ppd <command> <operands>
+//! [flags]`, and reads only the flags its row of `COMMANDS` names. Any
+//! other flag, or a `--format`, `--what` or `--strategy` value outside
+//! its choices, exits 2 with this usage text before any work (`ppd`
+//! alone prints it):
+//!
 //! ```text
-//! ppd check  <file> [options]            static type inference, then summarize
-//! ppd lint   <file> [options]            static race & misuse diagnostics
-//! ppd run    <file> [options]            execute as instrumented object code
-//! ppd debug  <file> [options]            run, then open the interactive debugger
-//! ppd races  <file> [--schedules N]      probe N random schedules for races
-//! ppd dot    <file> [options]            emit Graphviz (static | parallel | dynamic)
-//! ppd log    pack <file> <dir> [options] run and stream logs into a segment store
-//! ppd log    inspect <dir> [--format json]  segment/footer summary, no entry decode
-//! ppd log    verify <dir>                full CRC + footer cross-check
-//! ppd obs    report <journal> [--format json]  aggregate a --journal file:
-//!            per-kind latency percentiles, bytes/query, cache hit-rate trend
-//! ppd obs    flight <dump>               pretty-print a flight-recorder dump
+//! usage: ppd <command> <operands> [flags]
+//!   check FILE [--strategy S] [--format text|json|sarif] [--explain CODE]
+//!   lint FILE [--format text|json|sarif] [--deny] [--no-check] [--explain CODE]
+//!   run FILE [run flags]
+//!   debug FILE [run flags] [--no-check] [--stats] [--format text|json] [--jobs N]
+//!       [--journal FILE]
+//!   races FILE [--schedules N] [--inputs a,b,c...] [--strategy S] [--log-dir DIR]
+//!       [--segment-bytes N] [--compress] [--stats] [--jobs N] [--journal FILE]
+//!   dot FILE [--what static|pdg|parallel|dynamic] [run flags]
+//!   log pack FILE DIR [--seed N] [--inputs a,b,c...] [--strategy S] [--segment-bytes N]
+//!       [--compress]
+//!   log inspect DIR [--format text|json]
+//!   log verify DIR
+//!   obs report JOURNAL [--format text|json]
+//!   obs flight DUMP
+//! run flags: [--seed N] [--inputs a,b,c...] [--break LINE...] [--strategy S]
+//!       [--log-dir DIR] [--segment-bytes N] [--compress]
+//! every command: [--trace-out FILE] [--metrics-out FILE] [--flight-out FILE]
+//! S is subroutine|loops|split|merge and -j N is --jobs N; lint and check take
+//! --explain CODE without FILE.
+//! ```
 //!
-//! options:
-//!   --seed N            seeded-random scheduler (default: round-robin)
-//!   --inputs a,b,c      input stream for process 0 (repeatable: next process)
-//!   --break LINE        breakpoint on a source line (repeatable)
-//!   --strategy S        e-blocks: subroutine | loops | split | merge
-//!   --what W            dot target: static | parallel | dynamic
-//!   --deny              lint: exit nonzero on any diagnostic, not just errors
-//!   --explain CODE      lint/check: print the documentation page for a
-//!                       stable diagnostic code (PPDnnn / TYPnnn) and
-//!                       exit; no file operand is needed
-//!   --format F          check/lint output: text (default) | json | sarif
-//!   --no-check          lint/debug: proceed even if `ppd check` reports
-//!                       type errors (they gate both commands by default)
-//!   --stats             debug: print replay-engine counters (cache hits,
-//!                       replays, query timings) after the session; with
-//!                       `--format json`, emit the raw metrics registry
-//!                       as a JSON snapshot instead of the table.
-//!                       races: also print, per schedule, how many edge
-//!                       pairs each detector stage examined (naive →
-//!                       indexed → pruned → mhp → typed → absint)
-//!   --trace-out FILE    record hierarchical spans from every layer
-//!                       (runtime logging, log codec, replay, cache,
-//!                       race scan, lint passes, pool workers) and write
-//!                       a Chrome trace-event JSON loadable in Perfetto
-//!   --jobs N | -j N     worker threads for the race scan (races, and the
-//!                       debugger's `races`; default: available
-//!                       parallelism); lint runs its passes on one
-//!                       thread, and replay prefetch is a library call
-//!                       no command makes
-//!   --log-dir DIR       run/debug: stream logs into a segmented on-disk
-//!                       store in DIR during execution and debug over the
-//!                       mmap-backed reopened store; if DIR already holds
-//!                       a saved run, load it instead of executing.
-//!                       races: stream every probed schedule through
-//!                       DIR/seed-N before scanning it (results are
-//!                       bit-identical to the in-memory path)
-//!   --segment-bytes N   segment payload capacity for --log-dir and
-//!                       `ppd log pack` (default 65536)
-//!   --compress          run/debug/races/`ppd log pack`: compress segment
-//!                       payloads block-by-block (LZ77 frames, ~256 KiB
-//!                       blocks) as they are sealed; a replay inflates
-//!                       only the blocks holding the entries it consumes
-//!   --journal FILE      debug/races: append one JSONL record per
-//!                       Controller query (kind, args, wall latency,
-//!                       cache hits/misses/evictions, log entries
-//!                       decoded, blocks inflated, bytes read); feed the
-//!                       file to `ppd obs report`
-//!   --metrics-out FILE  write an OpenMetrics/Prometheus text exposition
-//!                       of every counter/gauge/histogram (debug/races
-//!                       include the replay-engine registry and a
-//!                       per-segment access heatmap) when the command
-//!                       finishes
-//!   --flight-out FILE   dump the always-on flight recorder (a fixed
-//!                       ring of the last ~1k coarse events) to FILE at
-//!                       exit; on panic the ring is dumped there (or to
-//!                       ppd-flight-panic.json) automatically
+//! ```text
+//! --seed N            seeded-random scheduler (default: round-robin)
+//! --inputs a,b,c      input stream for process 0 (repeat for the next process)
+//! --break LINE        breakpoint on a source line (repeatable)
+//! --strategy S        e-block construction (§5.4; default: subroutine)
+//! --what W            what `dot` draws (default: dynamic)
+//! --schedules N       how many seeded schedules `races` probes (default 10)
+//! --deny              lint: exit 1 on any diagnostic, not just on errors
+//! --explain CODE      print the page of a PPDnnn (lint) or TYPnnn (check) code
+//! --format F          output format (default: text); debug applies it to --stats
+//! --no-check          lint/debug: proceed even if `ppd check` reports type errors
+//! --stats             debug: replay-engine counters after the first query and at
+//!                     exit (the raw registry under --format json); races: the edge
+//!                     pairs each detector stage examined, per schedule
+//! --jobs N            race-scan worker threads (default: available parallelism)
+//! --log-dir DIR       stream the run into a segment store at DIR and debug over
+//!                     it, or load the run a previous command saved there; races
+//!                     streams each schedule through DIR/seed-N
+//! --segment-bytes N   segment payload capacity (default 65536)
+//! --compress          lzb-compress segment payloads block by block as they seal
+//! --journal FILE      append one JSONL record per controller query for
+//!                     `ppd obs report`
+//! --trace-out FILE    write every layer's spans as a Chrome trace (Perfetto)
+//! --metrics-out FILE  write an OpenMetrics exposition; debug/races add the
+//!                     replay-engine registry and the per-segment heatmap
+//! --flight-out FILE   dump the always-on flight recorder at exit; a panic dumps
+//!                     it there too (default ppd-flight-panic.json)
+//! ```
 //!
-//! interactive debug commands include `stats` (counters so far) and
+//! Interactive debug commands include `stats` (counters so far) and
 //! `stats reset` (zero them, keeping cached traces warm, to measure a
 //! single query in a warm session).
-//! ```
 
+use ppd::analysis::lint::Diagnostic;
 use ppd::analysis::EBlockStrategy;
 use ppd::core::{shared_state_at, Controller, Execution, PpdSession, RunConfig};
 use ppd::graph::{dot, DynNodeId, DynNodeKind};
+use ppd::lang::SourceFile;
 use ppd::obs::journal::COSTS;
 use ppd::runtime::{Outcome, SchedulerSpec};
 use std::io::{self, BufRead, Write as _};
 use std::process::ExitCode;
 
+/// The grammar, one row per command as the usage text prints it: the
+/// command's name, its operands, then the flags it reads, each with its
+/// value's placeholder, or for `--format` and `--what` the choices the
+/// command accepts. `[run flags]` stands for [`RUN_FLAGS`], and every
+/// command also reads [`OUTPUT_FLAGS`].
+const COMMANDS: &[&str] = &[
+    "check FILE [--strategy S] [--format text|json|sarif] [--explain CODE]",
+    "lint FILE [--format text|json|sarif] [--deny] [--no-check] [--explain CODE]",
+    "run FILE [run flags]",
+    "debug FILE [run flags] [--no-check] [--stats] [--format text|json] [--jobs N] \
+     [--journal FILE]",
+    "races FILE [--schedules N] [--inputs a,b,c...] [--strategy S] [--log-dir DIR] \
+     [--segment-bytes N] [--compress] [--stats] [--jobs N] [--journal FILE]",
+    "dot FILE [--what static|pdg|parallel|dynamic] [run flags]",
+    "log pack FILE DIR [--seed N] [--inputs a,b,c...] [--strategy S] [--segment-bytes N] \
+     [--compress]",
+    "log inspect DIR [--format text|json]",
+    "log verify DIR",
+    "obs report JOURNAL [--format text|json]",
+    "obs flight DUMP",
+];
+
+/// The flags of the commands that execute the program under a schedule.
+const RUN_FLAGS: &str = "[--seed N] [--inputs a,b,c...] [--break LINE...] [--strategy S] \
+                         [--log-dir DIR] [--segment-bytes N] [--compress]";
+
+/// The flags every command reads; the epilogue writes them.
+const OUTPUT_FLAGS: &str = "[--trace-out FILE] [--metrics-out FILE] [--flight-out FILE]";
+
+/// The `[...]` items of a row, in order.
+fn bracketed(row: &'static str) -> impl Iterator<Item = &'static str> {
+    row.split('[').skip(1).filter_map(|item| item.split(']').next())
+}
+
+/// The operands of command `name` and the specs of the flags it reads.
+fn command(name: &str) -> Option<(Vec<&'static str>, Vec<&'static str>)> {
+    COMMANDS.iter().find_map(|&row| {
+        let head = row.split(" [").next().unwrap_or(row);
+        let split = head.find(|c: char| c.is_ascii_uppercase()).unwrap_or(head.len());
+        (head[..split].trim_end() == name).then(|| {
+            let run = |f| if f == "run flags" { bracketed(RUN_FLAGS).collect() } else { vec![f] };
+            let flags = bracketed(row).flat_map(run).chain(bracketed(OUTPUT_FLAGS));
+            (head[split..].split_whitespace().collect(), flags.collect())
+        })
+    })
+}
+
+/// Prints the usage text, one wrapped line per row of [`COMMANDS`], and
+/// returns exit 2.
+fn usage() -> ExitCode {
+    let rows: String = COMMANDS.iter().map(|row| format!("  {}\n", wrap(row))).collect();
+    eprintln!(
+        "usage: ppd <command> <operands> [flags]\n{rows}{}\n{}\n\
+         S is subroutine|loops|split|merge and -j N is --jobs N; lint and check take\n\
+         --explain CODE without FILE.",
+        wrap(&format!("run flags: {RUN_FLAGS}")),
+        wrap(&format!("every command: {OUTPUT_FLAGS}")),
+    );
+    ExitCode::from(2)
+}
+
+/// `text` broken before each `[` that would take a line past column 88.
+fn wrap(text: &str) -> String {
+    let mut out = String::new();
+    let mut width = 0;
+    for (i, item) in text.split(" [").enumerate() {
+        let item = if i == 0 { item.to_owned() } else { format!(" [{item}") };
+        if width + item.len() > 88 {
+            out += "\n     ";
+            width = 5;
+        }
+        width += item.len();
+        out += &item;
+    }
+    out
+}
+
+/// A checked `--format` value.
+#[derive(Clone, Copy, PartialEq, Default)]
+enum Format {
+    #[default]
+    Text,
+    Json,
+    Sarif,
+}
+
+/// A checked `--what` value.
+#[derive(Clone, Copy, Default)]
+enum What {
+    Static,
+    Pdg,
+    Parallel,
+    #[default]
+    Dynamic,
+}
+
+#[derive(Default)]
 struct Options {
-    file: String,
+    operands: Vec<String>,
     scheduler: SchedulerSpec,
     inputs: Vec<Vec<i64>>,
     break_lines: Vec<u32>,
     strategy: EBlockStrategy,
-    what: String,
+    what: What,
     schedules: u64,
     deny: bool,
     explain: Option<String>,
     no_check: bool,
-    format: String,
+    format: Format,
     stats: bool,
     trace_out: Option<String>,
     jobs: usize,
@@ -107,87 +192,36 @@ struct Options {
     flight_out: Option<String>,
 }
 
-/// Default `--jobs`: every hardware thread the host will give us.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: ppd <check|lint|run|debug|races|dot> <file.ppd> \
-         [--seed N] [--inputs a,b,c]... [--break LINE]... \
-         [--strategy subroutine|loops|split|merge] [--what static|parallel|dynamic] \
-         [--schedules N] \
-         [--deny] [--explain CODE] [--no-check] [--format text|json|sarif] [--stats] \
-         [--trace-out FILE] [--jobs N] \
-         [--log-dir DIR] [--segment-bytes N] [--compress] \
-         [--journal FILE] [--metrics-out FILE] [--flight-out FILE]\n       \
-         ppd log <pack|inspect|verify> ... (see ppd log --help)\n       \
-         ppd obs <report|flight> ... (see ppd obs --help)"
-    );
-    ExitCode::from(2)
-}
-
 impl Options {
-    /// Options for `file` with every flag at its default.
-    fn new(file: String) -> Options {
-        Options {
-            file,
-            scheduler: SchedulerSpec::RoundRobin,
-            inputs: Vec::new(),
-            break_lines: Vec::new(),
-            strategy: EBlockStrategy::per_subroutine(),
-            what: "dynamic".into(),
-            schedules: 10,
-            deny: false,
-            explain: None,
-            no_check: false,
-            format: "text".into(),
-            stats: false,
-            trace_out: None,
-            jobs: default_jobs(),
-            log_dir: None,
-            segment_bytes: 0,
-            compress: false,
-            journal: None,
-            metrics_out: None,
-            flight_out: None,
-        }
+    /// No operands, and every flag at its default.
+    fn new() -> Options {
+        // `--jobs` defaults to every hardware thread the host will give us.
+        let jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        Options { schedules: 10, jobs, ..Options::default() }
     }
 }
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<(String, Options), String> {
-    let cmd = args.next().ok_or("missing command")?;
-    // `ppd lint --explain PPDnnn` takes no file operand: when the
-    // operand position holds a flag, re-process it as one and leave the
-    // file empty (`main` rejects the empty file unless `--explain` ran).
-    let mut deferred_flag = None;
-    let file = match args.next() {
-        Some(f) if f.starts_with("--") => {
-            deferred_flag = Some(f);
-            String::new()
-        }
-        Some(f) => f,
-        None => return Err("missing file".into()),
-    };
-    let mut opts = Options::new(file);
-    parse_flags(&mut opts, deferred_flag.into_iter().chain(args), None)?;
-    Ok((cmd, opts))
-}
-
-/// Parses `args` as flags into `opts`. With `only`, every other flag is
-/// unknown.
-fn parse_flags(
-    opts: &mut Options,
-    mut args: impl Iterator<Item = String>,
-    only: Option<&[&str]>,
-) -> Result<(), String> {
-    while let Some(flag) = args.next() {
-        if only.is_some_and(|only| !only.contains(&flag.as_str())) {
-            return Err(format!("unknown flag `{flag}`"));
-        }
+/// Parses `ppd <command> <operands> [flags]`: the command's operands,
+/// then only the flags its row of [`COMMANDS`] names.
+fn parse_args(args: impl Iterator<Item = String>) -> Result<(String, Options), String> {
+    let mut args = args.peekable();
+    let mut name = args.next().ok_or("missing command")?;
+    if let Some(sub) = (name == "log" || name == "obs").then(|| args.next()).flatten() {
+        name = format!("{name} {sub}");
+    }
+    let (operands, flags) = command(&name).ok_or(format!("unknown command `{name}`"))?;
+    let mut opts = Options::new();
+    while opts.operands.len() < operands.len() && args.peek().is_some_and(|a| !a.starts_with("--"))
+    {
+        opts.operands.extend(args.next());
+    }
+    while let Some(arg) = args.next() {
+        let flag = if arg == "-j" { "--jobs" } else { arg.as_str() };
+        let Some(&spec) = flags.iter().find(|spec| spec.split(' ').next() == Some(flag)) else {
+            return Err(format!("unknown flag `{arg}` for `ppd {name}`"));
+        };
         let mut value = || args.next().ok_or(format!("{flag} needs a value"));
-        match flag.as_str() {
+        match flag {
             "--seed" => {
                 let seed = value()?.parse().map_err(|_| "--seed wants a number")?;
                 opts.scheduler = SchedulerSpec::Random { seed };
@@ -209,17 +243,33 @@ fn parse_flags(
                     other => return Err(format!("unknown strategy `{other}`")),
                 };
             }
-            "--what" => opts.what = value()?,
+            "--what" => {
+                opts.what = match choice(spec, &value()?)? {
+                    "static" => What::Static,
+                    "pdg" => What::Pdg,
+                    "parallel" => What::Parallel,
+                    _ => What::Dynamic,
+                };
+            }
             "--schedules" => {
                 opts.schedules = value()?.parse().map_err(|_| "--schedules wants a number")?;
             }
             "--deny" => opts.deny = true,
             "--explain" => opts.explain = Some(value()?),
             "--no-check" => opts.no_check = true,
-            "--format" => opts.format = value()?,
+            "--format" => {
+                let format = value()?;
+                // `human` is an older name for `text`.
+                let format = if format == "human" { "text" } else { &format };
+                opts.format = match choice(spec, format)? {
+                    "json" => Format::Json,
+                    "sarif" => Format::Sarif,
+                    _ => Format::Text,
+                };
+            }
             "--stats" => opts.stats = true,
             "--trace-out" => opts.trace_out = Some(value()?),
-            "--jobs" | "-j" => {
+            "--jobs" => {
                 let n: usize = value()?.parse().map_err(|_| "--jobs wants a number")?;
                 opts.jobs = n.max(1);
             }
@@ -232,10 +282,22 @@ fn parse_flags(
             "--journal" => opts.journal = Some(value()?),
             "--metrics-out" => opts.metrics_out = Some(value()?),
             "--flight-out" => opts.flight_out = Some(value()?),
-            other => return Err(format!("unknown flag `{other}`")),
+            _ => return Err(format!("unknown flag `{arg}`")),
         }
     }
-    Ok(())
+    if let Some(missing) = operands.get(opts.operands.len()).filter(|_| opts.explain.is_none()) {
+        return Err(format!("missing {missing} for `ppd {name}`"));
+    }
+    Ok((name, opts))
+}
+
+/// `value` if it is one of the `a|b|c` choices that close `spec`.
+fn choice(spec: &'static str, value: &str) -> Result<&'static str, String> {
+    let (flag, choices) = spec.split_once(' ').unwrap_or((spec, ""));
+    choices
+        .split('|')
+        .find(|&c| c == value)
+        .ok_or_else(|| format!("unknown {flag} `{value}` ({})", choices.replace('|', " | ")))
 }
 
 fn main() -> ExitCode {
@@ -244,16 +306,7 @@ fn main() -> ExitCode {
     // or the --flight-out path once parsed below).
     ppd::obs::flight::install_panic_hook();
     exit_quietly_on_closed_stdout();
-    let mut raw = std::env::args().skip(1).peekable();
-    if raw.peek().map(String::as_str) == Some("log") {
-        raw.next();
-        return cmd_log(raw);
-    }
-    if raw.peek().map(String::as_str) == Some("obs") {
-        raw.next();
-        return cmd_obs(raw);
-    }
-    let (cmd, opts) = match parse_args(raw) {
+    let (cmd, opts) = match parse_args(std::env::args().skip(1)) {
         Ok(x) => x,
         Err(e) => {
             eprintln!("error: {e}");
@@ -263,83 +316,187 @@ fn main() -> ExitCode {
     if let Some(path) = &opts.flight_out {
         ppd::obs::flight::set_panic_dump_path(Some(path.into()));
     }
-    ppd::obs::flight::note_with("cli", "command", format!("cmd={cmd} file={}", opts.file));
-    if let Some(code) = &opts.explain {
-        return cmd_explain(&cmd, code);
-    }
-    if opts.file.is_empty() {
-        eprintln!("error: missing file");
-        return usage();
-    }
-    let source = match std::fs::read_to_string(&opts.file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", opts.file);
-            return ExitCode::FAILURE;
+    let file = opts.operands.join(" ");
+    ppd::obs::flight::note_with("cli", "command", format!("cmd={cmd} file={file}"));
+    let mut views = Views::default();
+    if let Some(path) = &opts.journal {
+        match ppd::obs::Journal::create(path) {
+            Ok(journal) => views.journal = Some(journal),
+            Err(e) => {
+                eprintln!("error: cannot create journal {path}: {e}");
+                return ExitCode::FAILURE;
+            }
         }
-    };
-    let session = match PpdSession::prepare(&source, opts.strategy) {
-        Ok(s) => s,
+    }
+    ppd::obs::enable_spans(opts.trace_out.is_some());
+    let code = run(&cmd, &opts, &mut views);
+    epilogue(&opts, &views, code)
+}
+
+/// Runs command `cmd`: the store, journal and dump commands on their
+/// path, every other command on its prepared FILE.
+fn run(cmd: &str, opts: &Options, views: &mut Views) -> ExitCode {
+    if let Some(code) = &opts.explain {
+        return cmd_explain(cmd, code);
+    }
+    let path = opts.operands[0].as_str();
+    match cmd {
+        "log inspect" => return cmd_log_inspect(path, opts.format),
+        "log verify" => return cmd_log_verify(path),
+        "obs report" => return cmd_obs_report(path, opts.format),
+        "obs flight" => return cmd_obs_flight(path),
+        _ => {}
+    }
+    let Some((session, file)) = prepare(path, opts.strategy) else { return ExitCode::FAILURE };
+    match cmd {
+        "check" => cmd_check(&session, &file, opts),
+        "lint" => {
+            check_gate(&session, &file, opts).unwrap_or_else(|| cmd_lint(&session, &file, opts))
+        }
+        "run" => cmd_run(&session, opts, true).map_or(ExitCode::FAILURE, |(_, code)| code),
+        "debug" => {
+            check_gate(&session, &file, opts).unwrap_or_else(|| cmd_debug(&session, opts, views))
+        }
+        "races" => cmd_races(&session, opts, views),
+        "dot" => cmd_dot(&session, opts),
+        "log pack" => cmd_log_pack(&session, &opts.operands[1], opts),
+        _ => usage(),
+    }
+}
+
+/// The prepare step of every command on a FILE: read it, compile it
+/// and run the preparatory phase, or print why not (a compile error
+/// with its source excerpt).
+fn prepare(path: &str, strategy: EBlockStrategy) -> Option<(PpdSession, SourceFile)> {
+    let source = read(path)?;
+    match PpdSession::prepare(&source, strategy) {
+        Ok(session) => Some((session, SourceFile::new(path, source))),
         Err(e) => {
             eprintln!("compile error: {e}");
             if let ppd::core::PpdError::Lang(lang) = &e {
-                let file = ppd::lang::SourceFile::new(opts.file.clone(), source);
-                let excerpt = file.render_excerpt(lang.span());
+                let excerpt = SourceFile::new(path, source).render_excerpt(lang.span());
                 if !excerpt.is_empty() {
                     eprintln!("{excerpt}");
                 }
             }
-            return ExitCode::FAILURE;
+            None
         }
-    };
-    if opts.trace_out.is_some() {
-        ppd::obs::enable_spans(true);
     }
-    let code = match cmd.as_str() {
-        "check" => cmd_check(&session, &opts, &source),
-        "lint" => check_gate(&session, &opts, &source)
-            .unwrap_or_else(|| cmd_lint(&session, &opts, &source)),
-        "run" => cmd_run(&session, &opts, true).1,
-        "debug" => {
-            check_gate(&session, &opts, &source).unwrap_or_else(|| cmd_debug(&session, &opts))
+}
+
+/// The text of file `path`, or `None` after saying why not.
+fn read(path: &str) -> Option<String> {
+    std::fs::read_to_string(path).map_err(|e| eprintln!("error: cannot read {path}: {e}")).ok()
+}
+
+/// The segment store at `dir`, or `None` after saying why not.
+fn open_store(dir: &str) -> Option<ppd::log::SegmentedLog> {
+    ppd::log::SegmentedLog::open(std::path::Path::new(dir))
+        .map_err(|e| eprintln!("error: {e}"))
+        .ok()
+}
+
+/// What a command hands the epilogue besides its exit status: the
+/// `--journal` it appended to, and for `debug` and `races` the
+/// replay-engine snapshot and segment heatmap `--metrics-out` reports.
+#[derive(Default)]
+struct Views {
+    journal: Option<ppd::obs::Journal>,
+    engine: Option<ppd::obs::Snapshot>,
+    heat: Vec<ppd::log::HeatRecord>,
+}
+
+impl Views {
+    /// Keeps, under `--metrics-out`, the session's engine registry and
+    /// the per-segment heatmap of the store it read.
+    fn keep_session(&mut self, opts: &Options, controller: &Controller<'_>, run: &Execution) {
+        if opts.metrics_out.is_some() {
+            self.engine = Some(controller.metrics_snapshot());
+            self.heat = run.logs.access_heatmap();
         }
-        "races" => cmd_races(&session, &opts),
-        "dot" => cmd_dot(&session, &opts, &source),
-        _ => usage(),
-    };
+    }
+
+    /// The OpenMetrics exposition for `--metrics-out`: the global
+    /// registry, then any replay-engine snapshot with the store's read
+    /// totals, and the per-segment access heatmap as labeled counter
+    /// families.
+    fn exposition(&self) -> String {
+        let mut exp = ppd::obs::Exposition::new("ppd");
+        exp.add_snapshot(&ppd::obs::global().snapshot());
+        if let Some(snap) = &self.engine {
+            exp.add_snapshot(snap);
+            // The store owns its read counts; the totals are its heatmap's.
+            let total = |f: fn(&ppd::log::HeatRecord) -> u64| self.heat.iter().map(f).sum::<u64>();
+            for (name, value) in [
+                ("log.segment_entries_decoded", total(|h| h.entries_decoded)),
+                ("log.segment_blocks_inflated", total(|h| h.blocks_inflated)),
+                ("log.segment_bytes_read", total(|h| h.bytes_read)),
+            ] {
+                exp.counter(name, &format!("counter {name}"), &[], value);
+            }
+        }
+        for h in &self.heat {
+            if h.entries_decoded == 0 && h.blocks_inflated == 0 && h.bytes_read == 0 {
+                continue;
+            }
+            let proc = h.proc.to_string();
+            let seq = h.seq.to_string();
+            let labels =
+                [("file", h.file.as_str()), ("proc", proc.as_str()), ("seq", seq.as_str())];
+            for (name, what, value) in [
+                ("entries_decoded", "Entries decoded", h.entries_decoded),
+                ("blocks_inflated", "Compressed blocks inflated", h.blocks_inflated),
+                ("bytes_read", "Bytes read", h.bytes_read),
+            ] {
+                let name = format!("log.segment_heat_{name}");
+                exp.counter(&name, &format!("{what} from this segment"), &labels, value);
+            }
+        }
+        exp.render()
+    }
+}
+
+/// Writes what every command can emit besides its own output: the
+/// journal summary, `--trace-out`, `--metrics-out` and `--flight-out`.
+/// Returns `code`, or failure when a file could not be written.
+fn epilogue(opts: &Options, views: &Views, code: ExitCode) -> ExitCode {
+    if let Some(j) = &views.journal {
+        eprintln!("journal: {} record(s) appended to {}", j.records(), j.path().display());
+    }
+    let mut written = true;
     if let Some(path) = &opts.trace_out {
         ppd::obs::enable_spans(false);
         let records = ppd::obs::take_spans();
         let json = ppd::obs::chrome::trace_json(&records, &ppd::obs::thread_names());
-        match std::fs::write(path, json) {
-            Ok(()) => eprintln!("trace: {} span(s) written to {path}", records.len()),
-            Err(e) => {
-                eprintln!("error: cannot write trace to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        written &= write_view("trace", path, json, &format!("{} span(s)", records.len()));
     }
-    // debug/races write --metrics-out themselves (they fold in the
-    // replay-engine registry and the segment heatmap); every other
-    // command exposes the global registry alone.
-    if !matches!(cmd.as_str(), "debug" | "races") {
-        if let Some(path) = &opts.metrics_out {
-            if !write_metrics_out(path, None, &[]) {
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Some(path) = &opts.metrics_out {
+        written &= write_view("metrics", path, views.exposition(), "OpenMetrics exposition");
     }
     if let Some(path) = &opts.flight_out {
         let recorder = ppd::obs::flight::global();
-        match std::fs::write(path, recorder.dump_json()) {
-            Ok(()) => eprintln!("flight: {} event(s) written to {path}", recorder.recorded()),
-            Err(e) => {
-                eprintln!("error: cannot write flight dump to {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+        let dump = recorder.dump_json();
+        written &= write_view("flight", path, dump, &format!("{} event(s)", recorder.recorded()));
+    }
+    if written {
+        code
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+/// Writes `contents` to `path` and says so on stderr, or why not.
+fn write_view(what: &str, path: &str, contents: String, summary: &str) -> bool {
+    match std::fs::write(path, contents) {
+        Ok(()) => {
+            eprintln!("{what}: {summary} written to {path}");
+            true
+        }
+        Err(e) => {
+            eprintln!("error: cannot write {what} to {path}: {e}");
+            false
         }
     }
-    code
 }
 
 /// Ends the process quietly, with status 0, when printing fails
@@ -363,81 +520,14 @@ fn exit_quietly_on_closed_stdout() {
     }));
 }
 
-/// Writes the OpenMetrics exposition for `--metrics-out`: the global
-/// registry, optionally a replay-engine snapshot with the store's read
-/// totals, and the per-segment access heatmap as labeled counter
-/// families. Returns false (after printing) on I/O failure.
-fn write_metrics_out(
-    path: &str,
-    engine: Option<ppd::obs::Snapshot>,
-    heat: &[ppd::log::HeatRecord],
-) -> bool {
-    let mut exp = ppd::obs::Exposition::new("ppd");
-    exp.add_snapshot(&ppd::obs::global().snapshot());
-    if let Some(snap) = engine {
-        exp.add_snapshot(&snap);
-        // The store owns its read counts; the totals are its heatmap's.
-        let total = |f: fn(&ppd::log::HeatRecord) -> u64| heat.iter().map(f).sum::<u64>();
-        for (name, value) in [
-            ("log.segment_entries_decoded", total(|h| h.entries_decoded)),
-            ("log.segment_blocks_inflated", total(|h| h.blocks_inflated)),
-            ("log.segment_bytes_read", total(|h| h.bytes_read)),
-        ] {
-            exp.counter(name, &format!("counter {name}"), &[], value);
-        }
-    }
-    for h in heat {
-        if h.entries_decoded == 0 && h.blocks_inflated == 0 && h.bytes_read == 0 {
-            continue;
-        }
-        let proc = h.proc.to_string();
-        let seq = h.seq.to_string();
-        let labels = [("file", h.file.as_str()), ("proc", proc.as_str()), ("seq", seq.as_str())];
-        exp.counter(
-            "log.segment_heat_entries_decoded",
-            "Entries decoded from this segment",
-            &labels,
-            h.entries_decoded,
-        );
-        exp.counter(
-            "log.segment_heat_blocks_inflated",
-            "Compressed blocks inflated from this segment",
-            &labels,
-            h.blocks_inflated,
-        );
-        exp.counter(
-            "log.segment_heat_bytes_read",
-            "Bytes read from this segment",
-            &labels,
-            h.bytes_read,
-        );
-    }
-    match std::fs::write(path, exp.render()) {
-        Ok(()) => {
-            eprintln!("metrics: OpenMetrics exposition written to {path}");
-            true
-        }
-        Err(e) => {
-            eprintln!("error: cannot write metrics to {path}: {e}");
-            false
-        }
-    }
-}
-
 /// `ppd lint --explain PPDnnn` / `ppd check --explain TYPnnn`: prints
-/// the documentation page for a stable diagnostic code. Exit 2 on a
-/// command that has no codes, 1 on an unknown code.
+/// the documentation page for a stable diagnostic code, or exits 1 on
+/// an unknown code.
 fn cmd_explain(cmd: &str, code: &str) -> ExitCode {
-    let (page, known) = match cmd {
-        "lint" => (ppd::analysis::lint::explain(code), ppd::analysis::lint::explained_codes()),
-        "check" => (ppd::lang::types::explain(code), ppd::lang::types::explained_codes()),
-        _ => {
-            eprintln!(
-                "error: --explain applies to `ppd lint` (PPDnnn codes) \
-                 and `ppd check` (TYPnnn codes)"
-            );
-            return ExitCode::from(2);
-        }
+    let (page, known) = if cmd == "lint" {
+        (ppd::analysis::lint::explain(code), ppd::analysis::lint::explained_codes())
+    } else {
+        (ppd::lang::types::explain(code), ppd::lang::types::explained_codes())
     };
     match page {
         Some(text) => {
@@ -469,10 +559,8 @@ fn run_config(session: &PpdSession, opts: &Options) -> RunConfig {
 /// text/json/sarif renderers can be shared with `ppd lint`. The checker
 /// already emits them stable-sorted by `(span, code, message)` and
 /// deduplicated; the conversion preserves that order.
-fn type_error_diags(
-    errors: &[ppd::lang::types::TypeError],
-) -> Vec<ppd::analysis::lint::Diagnostic> {
-    use ppd::analysis::lint::{Diagnostic, Severity};
+fn type_error_diags(errors: &[ppd::lang::types::TypeError]) -> Vec<Diagnostic> {
+    use ppd::analysis::lint::Severity;
     errors.iter().map(|e| Diagnostic::new(e.code(), Severity::Error, e.message(), e.span)).collect()
 }
 
@@ -481,7 +569,7 @@ fn type_error_diags(
 /// typed sync groups both commands rely on, so diagnostics computed from
 /// an ill-typed program would be unreliable. Returns `Some(exit)` when
 /// the gate trips.
-fn check_gate(session: &PpdSession, opts: &Options, source: &str) -> Option<ExitCode> {
+fn check_gate(session: &PpdSession, file: &SourceFile, opts: &Options) -> Option<ExitCode> {
     if opts.no_check {
         return None;
     }
@@ -489,9 +577,8 @@ fn check_gate(session: &PpdSession, opts: &Options, source: &str) -> Option<Exit
     if tc.is_ok() {
         return None;
     }
-    let file = ppd::lang::SourceFile::new(opts.file.clone(), source.to_owned());
     for d in type_error_diags(&tc.errors) {
-        eprintln!("{}\n", d.render(&file));
+        eprintln!("{}\n", d.render(file));
     }
     eprintln!(
         "error: {} type error(s); fix them or pass --no-check to proceed anyway",
@@ -500,80 +587,74 @@ fn check_gate(session: &PpdSession, opts: &Options, source: &str) -> Option<Exit
     Some(ExitCode::FAILURE)
 }
 
-fn cmd_check(session: &PpdSession, opts: &Options, source: &str) -> ExitCode {
-    let rp = session.rp();
-    let file = ppd::lang::SourceFile::new(opts.file.clone(), source.to_owned());
-    let tc = ppd::lang::types::check(rp);
-    let diags = type_error_diags(&tc.errors);
-    match opts.format.as_str() {
-        "text" | "human" => {
-            for d in &diags {
-                println!("{}\n", d.render(&file));
+/// Prints `check`'s or `lint`'s diagnostics in `format`, each rendered
+/// with its source excerpt as text.
+fn emit_diagnostics(diags: &[Diagnostic], file: &SourceFile, format: Format) -> bool {
+    match format {
+        Format::Text => {
+            for d in diags {
+                println!("{}\n", d.render(file));
             }
-            if !tc.is_ok() {
-                println!("check: {} type error(s)", diags.len());
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "ok: {} process(es), {} function(s), {} shared variable(s), \
-                 {} semaphore(s)/lock(s), {} channel(s)",
-                rp.procs.len(),
-                rp.funcs.len(),
-                rp.shared_count,
-                rp.sems.len(),
-                rp.chans.len()
-            );
-            for i in 0..rp.chans.len() {
-                let c = ppd::lang::ChanId(i as u32);
-                println!("  chan {}: carries `{}`", rp.chan_name(c), tc.info.chan_payload[i]);
-            }
-            println!(
-                "preparatory phase: {} e-blocks, {} static-graph edges, {} sync units",
-                session.plan().eblocks().len(),
-                session.static_graph().edge_count(),
-                session.analyses().sync_units.total()
-            );
-            for eb in session.plan().eblocks() {
-                println!(
-                    "  {}: {:?} region of {}",
-                    eb.id,
-                    match &eb.region {
-                        ppd::analysis::Region::Body(_) => "body",
-                        ppd::analysis::Region::Loop { .. } => "loop",
-                        ppd::analysis::Region::Chunk { .. } => "chunk",
-                    },
-                    rp.body_name(eb.region.body())
-                );
-            }
-            ExitCode::SUCCESS
         }
-        "json" => match diags_json(&diags, &file) {
-            Ok(json) => {
-                println!("{json}");
-                if tc.is_ok() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
+        Format::Json => match diags_json(diags, file) {
+            Ok(json) => println!("{json}"),
             Err(e) => {
                 eprintln!("error: cannot serialize diagnostics: {e}");
-                ExitCode::FAILURE
+                return false;
             }
         },
-        "sarif" => {
-            println!("{}", ppd::sarif::to_sarif(&diags, &file));
-            if tc.is_ok() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        other => {
-            eprintln!("unknown --format `{other}` (text | json | sarif)");
-            ExitCode::FAILURE
-        }
+        Format::Sarif => println!("{}", ppd::sarif::to_sarif(diags, file)),
     }
+    true
+}
+
+fn cmd_check(session: &PpdSession, file: &SourceFile, opts: &Options) -> ExitCode {
+    let rp = session.rp();
+    let tc = ppd::lang::types::check(rp);
+    let diags = type_error_diags(&tc.errors);
+    if !emit_diagnostics(&diags, file, opts.format) {
+        return ExitCode::FAILURE;
+    }
+    let code = if tc.is_ok() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+    if opts.format != Format::Text {
+        return code;
+    }
+    if !tc.is_ok() {
+        println!("check: {} type error(s)", diags.len());
+        return code;
+    }
+    println!(
+        "ok: {} process(es), {} function(s), {} shared variable(s), \
+             {} semaphore(s)/lock(s), {} channel(s)",
+        rp.procs.len(),
+        rp.funcs.len(),
+        rp.shared_count,
+        rp.sems.len(),
+        rp.chans.len()
+    );
+    for i in 0..rp.chans.len() {
+        let c = ppd::lang::ChanId(i as u32);
+        println!("  chan {}: carries `{}`", rp.chan_name(c), tc.info.chan_payload[i]);
+    }
+    println!(
+        "preparatory phase: {} e-blocks, {} static-graph edges, {} sync units",
+        session.plan().eblocks().len(),
+        session.static_graph().edge_count(),
+        session.analyses().sync_units.total()
+    );
+    for eb in session.plan().eblocks() {
+        println!(
+            "  {}: {:?} region of {}",
+            eb.id,
+            match &eb.region {
+                ppd::analysis::Region::Body(_) => "body",
+                ppd::analysis::Region::Loop { .. } => "loop",
+                ppd::analysis::Region::Chunk { .. } => "chunk",
+            },
+            rp.body_name(eb.region.body())
+        );
+    }
+    code
 }
 
 /// JSON shape of one diagnostic (stable output for tooling). Owned
@@ -599,10 +680,7 @@ struct JsonNote {
 
 /// Serializes diagnostics to the stable JSON shape shared by `ppd lint`
 /// and `ppd check`.
-fn diags_json(
-    diags: &[ppd::analysis::lint::Diagnostic],
-    file: &ppd::lang::SourceFile,
-) -> Result<String, serde_json::Error> {
+fn diags_json(diags: &[Diagnostic], file: &SourceFile) -> Result<String, serde_json::Error> {
     let list: Vec<JsonDiagnostic> = diags
         .iter()
         .map(|d| {
@@ -632,48 +710,31 @@ fn diags_json(
     serde_json::to_string_pretty(&list)
 }
 
-fn cmd_lint(session: &PpdSession, opts: &Options, source: &str) -> ExitCode {
+fn cmd_lint(session: &PpdSession, file: &SourceFile, opts: &Options) -> ExitCode {
     use ppd::analysis::lint::{run_default, Severity};
-    let file = ppd::lang::SourceFile::new(opts.file.clone(), source);
     let diags = run_default(session.rp(), session.analyses());
     let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
     let warnings = diags.len() - errors;
-    match opts.format.as_str() {
-        "text" | "human" => {
-            for d in &diags {
-                println!("{}\n", d.render(&file));
-            }
-            if diags.is_empty() {
-                println!("lint: no diagnostics");
-            } else {
-                println!("lint: {warnings} warning(s), {errors} error(s)");
-            }
-            // The static race-candidate prune chain: each stage is a
-            // subset of the previous one, and the dynamic detector only
-            // ever examines combinations surviving the last stage.
-            let a = session.analyses();
-            println!(
-                "candidates: {} gmod/gref -> {} mhp -> {} typed -> {} absint",
-                a.race_candidates.len(),
-                a.mhp_candidates.len(),
-                a.typed_candidates.len(),
-                a.absint_candidates.len()
-            );
+    if !emit_diagnostics(&diags, file, opts.format) {
+        return ExitCode::FAILURE;
+    }
+    if opts.format == Format::Text {
+        if diags.is_empty() {
+            println!("lint: no diagnostics");
+        } else {
+            println!("lint: {warnings} warning(s), {errors} error(s)");
         }
-        "json" => match diags_json(&diags, &file) {
-            Ok(json) => println!("{json}"),
-            Err(e) => {
-                eprintln!("error: cannot serialize diagnostics: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        "sarif" => {
-            println!("{}", ppd::sarif::to_sarif(&diags, &file));
-        }
-        other => {
-            eprintln!("unknown --format `{other}` (text | json | sarif)");
-            return ExitCode::FAILURE;
-        }
+        // The static race-candidate prune chain: each stage is a
+        // subset of the previous one, and the dynamic detector only
+        // ever examines combinations surviving the last stage.
+        let a = session.analyses();
+        println!(
+            "candidates: {} gmod/gref -> {} mhp -> {} typed -> {} absint",
+            a.race_candidates.len(),
+            a.mhp_candidates.len(),
+            a.typed_candidates.len(),
+            a.absint_candidates.len()
+        );
     }
     if errors > 0 || (opts.deny && !diags.is_empty()) {
         ExitCode::FAILURE
@@ -682,12 +743,15 @@ fn cmd_lint(session: &PpdSession, opts: &Options, source: &str) -> ExitCode {
     }
 }
 
-fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, ExitCode) {
-    // `--log-dir` on a store a previous run left there replays the
-    // offline workflow: the execution phase already happened; debug its
-    // saved record. Otherwise `--log-dir` streams the run through the
-    // segmented on-disk store: debugging then works over the
-    // mmap-backed, lazily decoded logs.
+/// Executes the program (`run`, `debug`, `dot`). `--log-dir` on a store
+/// a previous run left there replays the offline workflow: the
+/// execution phase already happened; debug its saved record. Otherwise
+/// `--log-dir` streams the run through the segmented on-disk store:
+/// debugging then works over the mmap-backed, lazily decoded logs.
+/// With `verbose`, prints the run's output and outcome. Returns the
+/// execution and its exit status, or `None` (after printing) when the
+/// store could not be opened or written.
+fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> Option<(Execution, ExitCode)> {
     let (execution, was_loaded) = if let Some(dir) = &opts.log_dir {
         let dir = std::path::Path::new(dir);
         if Execution::is_saved_run(dir) {
@@ -703,7 +767,7 @@ fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, E
                 }
                 Err(e) => {
                     eprintln!("error: cannot open log dir {}: {e}", dir.display());
-                    std::process::exit(1);
+                    return None;
                 }
             }
         } else {
@@ -721,7 +785,7 @@ fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, E
                 }
                 Err(e) => {
                     eprintln!("error: cannot stream logs to {}: {e}", dir.display());
-                    std::process::exit(1);
+                    return None;
                 }
             }
         }
@@ -747,7 +811,7 @@ fn cmd_run(session: &PpdSession, opts: &Options, verbose: bool) -> (Execution, E
         Outcome::Completed | Outcome::Breakpoint { .. } => ExitCode::SUCCESS,
         _ => ExitCode::FAILURE,
     };
-    (execution, code)
+    Some((execution, code))
 }
 
 fn describe_outcome(session: &PpdSession, outcome: &Outcome) -> String {
@@ -790,20 +854,8 @@ fn describe_outcome(session: &PpdSession, outcome: &Outcome) -> String {
     }
 }
 
-fn cmd_races(session: &PpdSession, opts: &Options) -> ExitCode {
+fn cmd_races(session: &PpdSession, opts: &Options, views: &mut Views) -> ExitCode {
     let mut any = false;
-    // One journal across all probed schedules; records from successive
-    // seeds append to the same file.
-    let journal = match opts.journal.as_deref().map(ppd::obs::Journal::create) {
-        Some(Ok(j)) => Some(j),
-        Some(Err(e)) => {
-            eprintln!("error: cannot create journal {}: {e}", opts.journal.as_deref().unwrap());
-            return ExitCode::FAILURE;
-        }
-        None => None,
-    };
-    let mut last_metrics = None;
-    let mut last_heat = Vec::new();
     for seed in 0..opts.schedules {
         let cfg = RunConfig {
             scheduler: SchedulerSpec::Random { seed },
@@ -833,7 +885,9 @@ fn cmd_races(session: &PpdSession, opts: &Options) -> ExitCode {
         }
         let mut controller = Controller::new(session, &execution);
         controller.set_jobs(opts.jobs);
-        if let Some(j) = &journal {
+        // One journal across all probed schedules; records from
+        // successive seeds append to the same file.
+        if let Some(j) = &views.journal {
             controller.set_journal(j.clone());
         }
         let races = controller.races();
@@ -856,18 +910,7 @@ fn cmd_races(session: &PpdSession, opts: &Options) -> ExitCode {
                 .collect();
             println!("    pairs examined: {}", stages.join(" -> "));
         }
-        if opts.metrics_out.is_some() {
-            last_metrics = Some(controller.metrics_snapshot());
-            last_heat = execution.logs.access_heatmap();
-        }
-    }
-    if let Some(j) = &journal {
-        eprintln!("journal: {} record(s) appended to {}", j.records(), j.path().display());
-    }
-    if let Some(path) = &opts.metrics_out {
-        if !write_metrics_out(path, last_metrics, &last_heat) {
-            return ExitCode::FAILURE;
-        }
+        views.keep_session(opts, &controller, &execution);
     }
     if any {
         ExitCode::FAILURE
@@ -877,14 +920,18 @@ fn cmd_races(session: &PpdSession, opts: &Options) -> ExitCode {
     }
 }
 
-fn cmd_dot(session: &PpdSession, opts: &Options, _source: &str) -> ExitCode {
-    match opts.what.as_str() {
-        "parallel" => {
-            let (execution, _) = cmd_run(session, opts, false);
+fn cmd_dot(session: &PpdSession, opts: &Options) -> ExitCode {
+    match opts.what {
+        What::Parallel => {
+            let Some((execution, _)) = cmd_run(session, opts, false) else {
+                return ExitCode::FAILURE;
+            };
             println!("{}", dot::parallel_to_dot(&execution.pgraph, session.rp()));
         }
-        "dynamic" => {
-            let (execution, _) = cmd_run(session, opts, false);
+        What::Dynamic => {
+            let Some((execution, _)) = cmd_run(session, opts, false) else {
+                return ExitCode::FAILURE;
+            };
             let mut controller = Controller::new(session, &execution);
             if let Err(e) = controller.start() {
                 eprintln!("error: {e}");
@@ -892,7 +939,7 @@ fn cmd_dot(session: &PpdSession, opts: &Options, _source: &str) -> ExitCode {
             }
             println!("{}", dot::dynamic_to_dot(controller.graph()));
         }
-        "static" => {
+        What::Static => {
             // One simplified graph per body.
             for body in session.rp().bodies() {
                 let g = ppd::graph::SimplifiedGraph::build(session.rp(), session.analyses(), body);
@@ -900,36 +947,24 @@ fn cmd_dot(session: &PpdSession, opts: &Options, _source: &str) -> ExitCode {
                 println!("{}", dot::simplified_to_dot(&g));
             }
         }
-        "pdg" => {
+        What::Pdg => {
             for body in session.rp().bodies() {
                 println!("{}", dot::static_to_dot(session.static_graph(), session.rp(), body));
             }
-        }
-        other => {
-            eprintln!("unknown --what `{other}` (static | pdg | parallel | dynamic)");
-            return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS
 }
 
-fn cmd_debug(session: &PpdSession, opts: &Options) -> ExitCode {
-    let (execution, _) = cmd_run(session, opts, true);
+fn cmd_debug(session: &PpdSession, opts: &Options, views: &mut Views) -> ExitCode {
+    let Some((execution, _)) = cmd_run(session, opts, true) else { return ExitCode::FAILURE };
     let mut controller = Controller::new(session, &execution);
     controller.set_jobs(opts.jobs);
     // Attach the journal before the first query so every Controller
     // query of the session lands in it (start() below is query #1).
-    let journal = match opts.journal.as_deref().map(ppd::obs::Journal::create) {
-        Some(Ok(j)) => {
-            controller.set_journal(j.clone());
-            Some(j)
-        }
-        Some(Err(e)) => {
-            eprintln!("error: cannot create journal {}: {e}", opts.journal.as_deref().unwrap());
-            return ExitCode::FAILURE;
-        }
-        None => None,
-    };
+    if let Some(j) = &views.journal {
+        controller.set_journal(j.clone());
+    }
     let root = match controller.start() {
         Ok(r) => r,
         Err(e) => {
@@ -1026,22 +1061,14 @@ fn cmd_debug(session: &PpdSession, opts: &Options) -> ExitCode {
     if opts.stats {
         println!("\nreplay-engine stats at exit:\n{}", render_stats(&controller, opts));
     }
-    if let Some(j) = &journal {
-        eprintln!("journal: {} record(s) appended to {}", j.records(), j.path().display());
-    }
-    if let Some(path) = &opts.metrics_out {
-        let heat = execution.logs.access_heatmap();
-        if !write_metrics_out(path, Some(controller.metrics_snapshot()), &heat) {
-            return ExitCode::FAILURE;
-        }
-    }
+    views.keep_session(opts, &controller, &execution);
     ExitCode::SUCCESS
 }
 
 /// `--stats` rendering: the human table, or the raw metrics-registry
 /// snapshot as single-line JSON under `--format json`.
 fn render_stats(controller: &Controller<'_>, opts: &Options) -> String {
-    if opts.format == "json" {
+    if opts.format == Format::Json {
         controller.metrics_json()
     } else {
         controller.stats().render()
@@ -1052,70 +1079,10 @@ fn render_stats(controller: &Controller<'_>, opts: &Options) -> String {
 // `ppd log` — segmented-store tooling
 // ---------------------------------------------------------------------
 
-fn log_usage() -> ExitCode {
-    eprintln!(
-        "usage: ppd log pack <file.ppd> <dir> \
-         [--seed N] [--inputs a,b,c]... [--strategy S] [--segment-bytes N] [--compress]\n       \
-         ppd log inspect <dir> [--format text|json]\n       \
-         ppd log verify <dir>"
-    );
-    ExitCode::from(2)
-}
-
-/// `ppd log pack | inspect | verify`: tooling over the segmented
-/// on-disk store, dispatched before the generic argument parser (these
-/// subcommands take a directory, not a source file).
-fn cmd_log(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let Some(sub) = args.next() else { return log_usage() };
-    match sub.as_str() {
-        "pack" => cmd_log_pack(args),
-        "inspect" => {
-            let Some(dir) = args.next() else { return log_usage() };
-            let mut format = "text".to_owned();
-            while let Some(flag) = args.next() {
-                match (flag.as_str(), args.next()) {
-                    ("--format", Some(f)) => format = f,
-                    _ => return log_usage(),
-                }
-            }
-            cmd_log_inspect(&dir, &format)
-        }
-        "verify" => match args.next() {
-            Some(dir) => cmd_log_verify(&dir),
-            None => log_usage(),
-        },
-        _ => log_usage(),
-    }
-}
-
-/// The flags `ppd log pack` takes, parsed as every command parses them.
-const PACK_FLAGS: &[&str] = &["--seed", "--inputs", "--strategy", "--segment-bytes", "--compress"];
-
-/// Runs a program into a segmented store at `dir`.
-fn cmd_log_pack(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let (Some(file), Some(dir)) = (args.next(), args.next()) else { return log_usage() };
-    let mut opts = Options::new(file);
-    if let Err(e) = parse_flags(&mut opts, args, Some(PACK_FLAGS)) {
-        eprintln!("error: {e}");
-        return log_usage();
-    }
-    let file = &opts.file;
-    let source = match std::fs::read_to_string(file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let session = match PpdSession::prepare(&source, opts.strategy) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("compile error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let dir = std::path::Path::new(&dir);
-    let config = run_config(&session, &opts);
+/// `ppd log pack`: runs the program into a segmented store at `dir`.
+fn cmd_log_pack(session: &PpdSession, dir: &str, opts: &Options) -> ExitCode {
+    let dir = std::path::Path::new(dir);
+    let config = run_config(session, opts);
     match session.execute_streaming_with(config, dir, opts.segment_bytes, opts.compress) {
         Ok(execution) => {
             let seg = execution.logs.segmented().expect("streamed store is segment-backed");
@@ -1128,7 +1095,7 @@ fn cmd_log_pack(mut args: impl Iterator<Item = String>) -> ExitCode {
                     .sum::<usize>(),
                 seg.total_file_bytes(),
                 dir.display(),
-                describe_outcome(&session, &execution.outcome)
+                describe_outcome(session, &execution.outcome)
             );
             ExitCode::SUCCESS
         }
@@ -1142,21 +1109,10 @@ fn cmd_log_pack(mut args: impl Iterator<Item = String>) -> ExitCode {
 /// Summarizes a store from its footers alone — no entry decode (the
 /// final line proves it). `--format json` emits the same facts as one
 /// machine-readable object with a per-segment array.
-fn cmd_log_inspect(dir: &str, format: &str) -> ExitCode {
-    let seg = match ppd::log::SegmentedLog::open(std::path::Path::new(dir)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match format {
-        "text" | "human" => {}
-        "json" => return cmd_log_inspect_json(dir, &seg),
-        other => {
-            eprintln!("unknown --format `{other}` (text | json)");
-            return ExitCode::FAILURE;
-        }
+fn cmd_log_inspect(dir: &str, format: Format) -> ExitCode {
+    let Some(seg) = open_store(dir) else { return ExitCode::FAILURE };
+    if format == Format::Json {
+        return cmd_log_inspect_json(dir, &seg);
     }
     for w in seg.warnings() {
         eprintln!("warning: {w}");
@@ -1295,13 +1251,7 @@ fn cmd_log_inspect_json(dir: &str, seg: &ppd::log::SegmentedLog) -> ExitCode {
 /// Full integrity pass: CRC re-check plus payload-vs-footer
 /// cross-validation of every sealed segment.
 fn cmd_log_verify(dir: &str) -> ExitCode {
-    let seg = match ppd::log::SegmentedLog::open(std::path::Path::new(dir)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let Some(seg) = open_store(dir) else { return ExitCode::FAILURE };
     match seg.verify() {
         Ok(report) => {
             // Same `recovery:` surface as `ppd debug --stats` and
@@ -1332,38 +1282,6 @@ fn cmd_log_verify(dir: &str) -> ExitCode {
 // ---------------------------------------------------------------------
 // `ppd obs` — telemetry tooling (journal reports, flight dumps)
 // ---------------------------------------------------------------------
-
-fn obs_usage() -> ExitCode {
-    eprintln!(
-        "usage: ppd obs report <journal.jsonl> [--format text|json]\n       \
-         ppd obs flight <dump.json>"
-    );
-    ExitCode::from(2)
-}
-
-/// `ppd obs report | flight`: offline profiling over the telemetry
-/// artifacts (`--journal` JSONL files, `--flight-out` dumps).
-fn cmd_obs(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let Some(sub) = args.next() else { return obs_usage() };
-    match sub.as_str() {
-        "report" => {
-            let Some(path) = args.next() else { return obs_usage() };
-            let mut format = "text".to_owned();
-            while let Some(flag) = args.next() {
-                match (flag.as_str(), args.next()) {
-                    ("--format", Some(f)) => format = f,
-                    _ => return obs_usage(),
-                }
-            }
-            cmd_obs_report(&path, &format)
-        }
-        "flight" => match args.next() {
-            Some(path) => cmd_obs_flight(&path),
-            None => obs_usage(),
-        },
-        _ => obs_usage(),
-    }
-}
 
 /// One parsed `--journal` line (schema `"v":1`); the costs are read
 /// through the writer's own field table, [`COSTS`].
@@ -1409,18 +1327,25 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// The sum of `values`, saturating: a hostile journal cannot wrap it.
+fn total(values: impl Iterator<Item = u64>) -> u64 {
+    values.fold(0, u64::saturating_add)
+}
+
+/// The cache hit rate in percent, 0 without lookups.
+fn hit_rate_pct(hits: u64, misses: u64) -> f64 {
+    match hits.saturating_add(misses) {
+        0 => 0.0,
+        lookups => 100.0 * hits as f64 / lookups as f64,
+    }
+}
+
 /// Aggregates a query journal: per-kind latency percentiles, aggregate
 /// totals (printed in the exact `--stats` line formats so a journal of
 /// a deterministic session reproduces `ppd debug --stats` bit-for-bit),
 /// bytes per query, and the cache hit-rate trend across the session.
-fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_obs_report(path: &str, format: Format) -> ExitCode {
+    let Some(text) = read(path) else { return ExitCode::FAILURE };
     let mut records: Vec<JournalLine> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -1446,7 +1371,7 @@ fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
     // completion order but nested sessions may interleave starts.
     records.sort_by_key(|r| r.start_ns);
     let n = records.len() as u64;
-    let sum = |f: fn(&JournalLine) -> u64| records.iter().map(f).sum::<u64>();
+    let sum = |f: fn(&JournalLine) -> u64| total(records.iter().map(f));
     let (hits, misses) = (sum(|r| r.cost("cache_hits")), sum(|r| r.cost("cache_misses")));
     let latency_total = sum(|r| r.latency_ns);
     let bytes_total = sum(|r| r.cost("bytes_read"));
@@ -1460,14 +1385,9 @@ fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
     // Hit-rate trend: first half of the session vs the second — a warm
     // cache shows up as a rising rate.
     let half = records.len() / 2;
-    let rate = |rs: &[JournalLine]| -> f64 {
-        let h: u64 = rs.iter().map(|r| r.cost("cache_hits")).sum();
-        let m: u64 = rs.iter().map(|r| r.cost("cache_misses")).sum();
-        if h + m == 0 {
-            0.0
-        } else {
-            100.0 * h as f64 / (h + m) as f64
-        }
+    let rate = |rs: &[JournalLine]| {
+        let cost = |name| total(rs.iter().map(|r| r.cost(name)));
+        hit_rate_pct(cost("cache_hits"), cost("cache_misses"))
     };
     let (early, late) = (rate(&records[..half]), rate(&records[half..]));
     // Per-kind rollup, by first appearance so the table is stable.
@@ -1476,7 +1396,7 @@ fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
         match kinds.iter_mut().find(|(k, _, _)| *k == r.kind) {
             Some((_, lats, bytes)) => {
                 lats.push(r.latency_ns);
-                *bytes += r.cost("bytes_read");
+                *bytes = bytes.saturating_add(r.cost("bytes_read"));
             }
             None => kinds.push((r.kind.clone(), vec![r.latency_ns], r.cost("bytes_read"))),
         }
@@ -1484,7 +1404,7 @@ fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
     for (_, lats, _) in &mut kinds {
         lats.sort_unstable();
     }
-    if format == "json" {
+    if format == Format::Json {
         let by_kind: Vec<String> = kinds
             .iter()
             .map(|(k, lats, bytes)| {
@@ -1496,7 +1416,7 @@ fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
                     percentile(lats, 0.50),
                     percentile(lats, 0.95),
                     percentile(lats, 0.99),
-                    lats.iter().sum::<u64>(),
+                    total(lats.iter().copied()),
                 )
             })
             .collect();
@@ -1516,14 +1436,10 @@ fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
             sum(|r| r.cost("entries_decoded")),
             sum(|r| r.cost("blocks_inflated")),
             bytes_total as f64 / n as f64,
-            if hits + misses == 0 { 0.0 } else { 100.0 * hits as f64 / (hits + misses) as f64 },
+            hit_rate_pct(hits, misses),
             by_kind.join(","),
         );
         return ExitCode::SUCCESS;
-    }
-    if format != "text" && format != "human" {
-        eprintln!("unknown --format `{format}` (text | json)");
-        return ExitCode::FAILURE;
     }
     let ms = |ns: u64| ns as f64 / 1e6;
     println!("query journal report: {path}");
@@ -1556,7 +1472,7 @@ fn cmd_obs_report(path: &str, format: &str) -> ExitCode {
     // the session's own counters bit-for-bit.
     println!("aggregates (same layout as ppd debug --stats):");
     println!("replays performed     {}", sum(|r| r.cost("replays")));
-    let hr = if hits + misses == 0 { 0.0 } else { 100.0 * hits as f64 / (hits + misses) as f64 };
+    let hr = hit_rate_pct(hits, misses);
     println!("cache hits / misses   {hits} / {misses} ({hr:.1}% hit rate)");
     println!("evictions             {}", sum(|r| r.cost("cache_evictions")));
     println!("trace events          {}", sum(|r| r.cost("trace_events")));
@@ -1593,13 +1509,7 @@ struct FlightDumpEvent {
 /// Pretty-prints a flight-recorder dump (from `--flight-out` or a
 /// panic) as a chronological table.
 fn cmd_obs_flight(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let Some(text) = read(path) else { return ExitCode::FAILURE };
     let dump: FlightDumpFile = match serde_json::from_str(&text) {
         Ok(d) => d,
         Err(e) => {

@@ -14,7 +14,7 @@
 //! camelCase keys plus a literal `$schema`, so the document is built
 //! directly as a [`serde::Content`] tree and rendered by `serde_json`.
 
-use ppd_analysis::lint::{default_passes, Diagnostic, Severity};
+use ppd_analysis::lint::{Diagnostic, Severity, PASSES};
 use ppd_lang::diag::SourceFile;
 use serde::{Content, Serialize};
 
@@ -53,8 +53,6 @@ fn physical_location(file: &SourceFile, span: ppd_lang::Span) -> Content {
 pub fn to_sarif(diags: &[Diagnostic], file: &SourceFile) -> String {
     // One rule per code that fired, in first-appearance order; pass
     // names double as the rules' shortDescription.
-    let pass_names: Vec<(&'static str, &'static str)> =
-        default_passes().iter().map(|p| (p.code(), p.name())).collect();
     let mut rule_ids: Vec<&'static str> = Vec::new();
     for d in diags {
         if !rule_ids.contains(&d.code) {
@@ -64,7 +62,7 @@ pub fn to_sarif(diags: &[Diagnostic], file: &SourceFile) -> String {
     let rules: Vec<Content> = rule_ids
         .iter()
         .map(|&code| {
-            let name = pass_names.iter().find(|&&(c, _)| c == code).map_or(code, |&(_, n)| n);
+            let name = PASSES.iter().find(|p| p.code == code).map_or(code, |p| p.name);
             obj(vec![
                 ("id", text(code)),
                 ("name", text(name)),

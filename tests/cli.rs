@@ -761,3 +761,259 @@ fn log_inspect_format_json_reports_per_segment_stats() {
         assert!(line.contains(needle), "missing `{needle}` in: {line}");
     }
 }
+
+/// A packed `bank` store, a debug session's journal and flight dump in
+/// a fresh directory `name`, for the commands that read them.
+fn front_door_fixtures(name: &str) -> (std::path::PathBuf, String, String, String) {
+    let dir = std::env::temp_dir().join("ppd_cli_test").join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |file: &str| dir.join(file).to_str().unwrap().to_owned();
+    let (store, journal, dump) = (path("store"), path("j.jsonl"), path("f.json"));
+    let (_, stderr, ok) = run_ppd(&["log", "pack", "programs/bank.ppd", &store]);
+    assert!(ok, "{stderr}");
+    let debug = ["debug", "programs/bank.ppd", "--journal", &journal, "--flight-out", &dump];
+    let (_, stderr, ok) = run_ppd(&debug);
+    assert!(ok, "{stderr}");
+    (dir, store, journal, dump)
+}
+
+/// Runs `ppd args`, asserting it exits 2 with the usage text on stderr.
+fn assert_usage_error(args: &[&str]) -> String {
+    let out = ppd().args(args).stdin(Stdio::null()).output().expect("ppd runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    stderr
+}
+
+#[test]
+fn every_command_rejects_an_unknown_flag_before_any_work() {
+    let (dir, store, journal, dump) = front_door_fixtures("front-door-unknown");
+    let unpacked = dir.join("never-packed");
+    let unpacked = unpacked.to_str().unwrap();
+    let file = "programs/bank.ppd";
+    let commands: [&[&str]; 11] = [
+        &["check", file],
+        &["lint", file],
+        &["run", file],
+        &["debug", file],
+        &["races", file],
+        &["dot", file],
+        &["log", "pack", file, unpacked],
+        &["log", "inspect", &store],
+        &["log", "verify", &store],
+        &["obs", "report", &journal],
+        &["obs", "flight", &dump],
+    ];
+    for command in commands {
+        let args = [command, &["--bogus", "1"]].concat();
+        let stderr = assert_usage_error(&args);
+        assert!(stderr.contains("unknown flag `--bogus`"), "{args:?}: {stderr}");
+    }
+    assert!(!std::path::Path::new(unpacked).exists(), "log pack ran before rejecting the flag");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_is_rejected() {
+    let (dir, store, _, dump) = front_door_fixtures("front-door-unread");
+    let file = "programs/bank.ppd";
+    for args in [
+        &["log", "verify", &store, "--seed", "1"][..],
+        &["obs", "flight", &dump, "--bogus", "1"],
+        &["races", file, "--seed", "1"],
+        &["check", file, "--schedules", "3"],
+        &["lint", file, "--jobs", "2"],
+        &["run", file, "--format", "json"],
+    ] {
+        let stderr = assert_usage_error(args);
+        let flag = args[args.len() - 2];
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bad_format_and_what_values_exit_2_before_any_work() {
+    let (dir, store, journal, _) = front_door_fixtures("front-door-values");
+    let file = "programs/bank.ppd";
+    for args in [
+        &["debug", file, "--stats", "--format", "sarif"][..],
+        &["log", "inspect", &store, "--format", "sarif"],
+        &["obs", "report", &journal, "--format", "sarif"],
+        &["check", file, "--format", "yaml"],
+        &["lint", file, "--format", "yaml"],
+    ] {
+        let stderr = assert_usage_error(args);
+        let format = args[args.len() - 1];
+        assert!(stderr.contains(&format!("unknown --format `{format}`")), "{stderr}");
+    }
+    let stderr = assert_usage_error(&["dot", file, "--what", "bogus"]);
+    assert!(
+        stderr.contains("unknown --what `bogus` (static | pdg | parallel | dynamic)"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The trace-event document `--trace-out` writes, as far as the tests
+/// read it (the vendored deserializer ignores the other keys).
+#[allow(non_snake_case)]
+#[derive(serde::Deserialize)]
+struct ChromeTrace {
+    traceEvents: Vec<ChromeEvent>,
+}
+
+#[derive(serde::Deserialize)]
+struct ChromeEvent {
+    ph: String,
+    name: String,
+}
+
+#[test]
+fn trace_out_works_on_the_store_journal_and_dump_commands() {
+    let (dir, store, journal, dump) = front_door_fixtures("front-door-trace");
+    let packed = dir.join("packed");
+    let packed = packed.to_str().unwrap();
+    for (name, command) in [
+        ("verify", &["log", "verify", &store][..]),
+        ("inspect", &["log", "inspect", &store]),
+        ("pack", &["log", "pack", "programs/bank.ppd", packed]),
+        ("report", &["obs", "report", &journal]),
+        ("flight", &["obs", "flight", &dump]),
+    ] {
+        let trace = dir.join(format!("{name}.trace.json"));
+        let args = [command, &["--trace-out", trace.to_str().unwrap()]].concat();
+        let (_, stderr, ok) = run_ppd(&args);
+        assert!(ok, "{args:?}: {stderr}");
+        assert!(stderr.contains("span(s) written to"), "{args:?}: {stderr}");
+        let text = std::fs::read_to_string(&trace).expect("trace file written");
+        let parsed: ChromeTrace = serde_json::from_str(&text).expect("a Chrome trace");
+        if name == "verify" {
+            // Verify opens the store first: its `log` layer shows up.
+            assert!(
+                parsed.traceEvents.iter().any(|e| e.ph == "X" && e.name == "segment_open"),
+                "{text}"
+            );
+            assert!(text.contains("\"name\":\"segment_open\",\"cat\":\"log\""), "{text}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn log_verify_metrics_out_writes_an_exposition() {
+    let (dir, store, _, _) = front_door_fixtures("front-door-metrics");
+    let metrics = dir.join("m.txt");
+    let (stdout, stderr, ok) =
+        run_ppd(&["log", "verify", &store, "--metrics-out", metrics.to_str().unwrap()]);
+    assert!(ok && stdout.contains("ok:"), "{stdout}{stderr}");
+    let text = std::fs::read_to_string(&metrics).expect("exposition written");
+    assert!(text.ends_with("# EOF\n"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn log_pack_prints_the_compile_error_excerpt_as_check_does() {
+    let dir = std::env::temp_dir().join("ppd_cli_test").join("pack-compile-error");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad = dir.join("bad.ppd");
+    std::fs::write(&bad, "process M { undeclared = 1; }").unwrap();
+    let bad = bad.to_str().unwrap();
+    let (_, check_err, ok) = run_ppd(&["check", bad]);
+    assert!(!ok && check_err.contains(&format!("--> {bad}:1:")), "{check_err}");
+    let store = dir.join("store");
+    let (_, pack_err, ok) = run_ppd(&["log", "pack", bad, store.to_str().unwrap()]);
+    assert!(!ok);
+    assert_eq!(pack_err, check_err, "log pack reports a compile error as check does");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failing_command_still_writes_its_views() {
+    // The epilogue runs after every command, a compile error included.
+    let dir = std::env::temp_dir().join("ppd_cli_test").join("views-on-failure");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad = dir.join("bad.ppd");
+    std::fs::write(&bad, "process M { undeclared = 1; }").unwrap();
+    let path = |file: &str| dir.join(file).to_str().unwrap().to_owned();
+    let (trace, metrics, flight) = (path("t.json"), path("m.txt"), path("f.json"));
+    let (_, stderr, ok) = run_ppd(&[
+        "check",
+        bad.to_str().unwrap(),
+        "--trace-out",
+        &trace,
+        "--metrics-out",
+        &metrics,
+        "--flight-out",
+        &flight,
+    ]);
+    assert!(!ok && stderr.contains("compile error"), "{stderr}");
+    for file in [&trace, &metrics, &flight] {
+        assert!(std::path::Path::new(file).exists(), "{file} not written: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unwritable_journal_fails_before_the_run() {
+    let journal = std::env::temp_dir().join("ppd_cli_test").join("no-such-dir").join("j.jsonl");
+    let (stdout, stderr, ok) =
+        run_ppd(&["debug", "programs/bank.ppd", "--journal", journal.to_str().unwrap()]);
+    assert!(!ok && stderr.contains("cannot create journal"), "{stderr}");
+    assert_eq!(stdout, "", "the program ran before the journal opened");
+}
+
+#[test]
+fn obs_report_saturates_overflowing_journal_sums() {
+    // Two copies of a real journal line whose latency, bytes and cache
+    // hits are each u64::MAX: every total saturates instead of wrapping
+    // (or panicking in a debug build).
+    let (dir, _, journal, _) = front_door_fixtures("report-overflow");
+    let line = std::fs::read_to_string(&journal).unwrap().lines().next().unwrap().to_owned();
+    let mut hostile = line.clone();
+    for field in ["\"latency_ns\":", "\"bytes_read\":", "\"cache_hits\":"] {
+        let at = hostile.find(field).expect("field present") + field.len();
+        let end = at + hostile[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        hostile.replace_range(at..end, "18446744073709551615");
+    }
+    std::fs::write(&journal, format!("{hostile}\n{hostile}\n")).unwrap();
+    let out = ppd().args(["obs", "report", &journal, "--format", "json"]).output().unwrap();
+    let (stdout, stderr) =
+        (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    for needle in [
+        "\"queries\":2",
+        "\"total\":18446744073709551615}",
+        "\"cache_hits\":18446744073709551615",
+        "\"bytes_read\":18446744073709551615",
+        "\"hit_rate_pct\":100.0000",
+    ] {
+        assert!(stdout.contains(needle), "missing `{needle}` in {stdout}");
+    }
+    let (report, stderr, ok) = run_ppd(&["obs", "report", &journal]);
+    assert!(ok, "{stderr}");
+    assert!(report.contains("(18446744073709551615 total)"), "{report}");
+    assert!(report.contains("(100.0% hit rate)"), "{report}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn usage_text_is_the_command_reference() {
+    // `ppd` alone prints the usage text, which the binary's module doc
+    // and the README quote verbatim.
+    let stderr = assert_usage_error(&[]);
+    let usage = &stderr[stderr.find("usage:").unwrap()..];
+    let source = std::fs::read_to_string("src/bin/ppd.rs").unwrap();
+    let module_doc: String = source
+        .lines()
+        .filter_map(|l| l.strip_prefix("//!"))
+        .map(|l| format!("{}\n", l.strip_prefix(' ').unwrap_or(l)))
+        .collect();
+    assert!(module_doc.contains(usage), "src/bin/ppd.rs's module doc drifted from:\n{usage}");
+    let readme = std::fs::read_to_string("README.md").unwrap();
+    assert!(readme.contains(usage), "README.md drifted from:\n{usage}");
+}
