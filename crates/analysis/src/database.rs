@@ -1,113 +1,32 @@
 //! The program database (§3.2.1, §4.1).
 //!
 //! "The program database contains information on the program text such as
-//! the places where an identifier is defined or used" — plus the results
-//! of the semantic analyses ("the set of variables that may be used or
-//! modified when invoking a subroutine"). The PPD Controller consults it
-//! when deciding which log interval can supply a requested dependence.
+//! the places where an identifier is defined or used." What the debugger
+//! reads of it is where each statement sits in the source: diagnostics
+//! point at a statement's span, outcome lines name its line, and a
+//! breakpoint maps a line to the statements starting on it. Per-variable
+//! definition and use sets live in [`crate::usedef`], the GMOD/GREF
+//! closures in [`crate::interproc`].
 
-use crate::interproc::ModRef;
-use crate::usedef::ProgramEffects;
-use crate::varset::{VarSet, VarSetRepr};
 use ppd_lang::ast::walk_stmts;
-use ppd_lang::types::{Ty, TypeInfo};
-use ppd_lang::{BodyId, ResolvedProgram, Span, StmtId, VarId};
-use std::collections::{BTreeMap, HashMap};
+use ppd_lang::{IdTable, ResolvedProgram, Span, StmtId};
 
-/// A reference to a program-text site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SiteRef {
-    /// The statement at the site.
-    pub stmt: StmtId,
-    /// The body containing it.
-    pub body: BodyId,
-    /// Its source span.
-    pub span: Span,
-}
-
-/// The program database.
+/// The program database: the source span of every statement.
 #[derive(Debug, Clone)]
 pub struct ProgramDatabase {
-    def_sites: HashMap<VarId, Vec<SiteRef>>,
-    use_sites: HashMap<VarId, Vec<SiteRef>>,
-    body_of: HashMap<StmtId, BodyId>,
-    span_of: HashMap<StmtId, Span>,
-    /// Bodies that may write each shared variable (from GMOD).
-    shared_writers: HashMap<VarId, Vec<BodyId>>,
-    /// Bodies that may read each shared variable (from GREF).
-    shared_readers: HashMap<VarId, Vec<BodyId>>,
-    /// Inferred type of every variable (`int`-defaulted when the
-    /// program does not type-check, so queries always answer).
-    var_ty: Vec<Ty>,
-    /// Type-indexed GMOD/GREF: shared variables grouped by inferred
-    /// type, in deterministic `(type, var)` order.
-    shared_by_type: BTreeMap<Ty, Vec<VarId>>,
+    span_of: IdTable<StmtId, Span>,
 }
 
 impl ProgramDatabase {
-    /// Builds the database from the per-statement effects, the
-    /// interprocedural summaries and (when available) the checker's
-    /// inferred types.
-    pub fn build(
-        rp: &ResolvedProgram,
-        effects: &ProgramEffects,
-        modref: &ModRef,
-        types: Option<&TypeInfo>,
-    ) -> ProgramDatabase {
-        let var_ty: Vec<Ty> = match types {
-            Some(ti) => ti.var_ty.clone(),
-            None => vec![Ty::Int; rp.var_count()],
-        };
-        let mut shared_by_type: BTreeMap<Ty, Vec<VarId>> = BTreeMap::new();
-        for v in rp.shared_vars() {
-            shared_by_type.entry(var_ty[v.index()].clone()).or_default().push(v);
-        }
-        let mut db = ProgramDatabase {
-            def_sites: HashMap::new(),
-            use_sites: HashMap::new(),
-            body_of: HashMap::new(),
-            span_of: HashMap::new(),
-            shared_writers: HashMap::new(),
-            shared_readers: HashMap::new(),
-            var_ty,
-            shared_by_type,
-        };
+    /// Records the span of every statement of every body.
+    pub fn build(rp: &ResolvedProgram) -> ProgramDatabase {
+        let mut span_of = IdTable::new();
         for body in rp.bodies() {
             walk_stmts(rp.body_block(body), &mut |stmt| {
-                db.body_of.insert(stmt.id, body);
-                db.span_of.insert(stmt.id, stmt.span);
-                let site = SiteRef { stmt: stmt.id, body, span: stmt.span };
-                let fx = effects.of(stmt.id);
-                for v in fx.defs.to_vec() {
-                    db.def_sites.entry(v).or_default().push(site);
-                }
-                for v in fx.uses.to_vec() {
-                    db.use_sites.entry(v).or_default().push(site);
-                }
+                span_of.insert(stmt.id, stmt.span);
             });
-            for v in modref.gmod(body).to_vec() {
-                db.shared_writers.entry(v).or_default().push(body);
-            }
-            for v in modref.gref(body).to_vec() {
-                db.shared_readers.entry(v).or_default().push(body);
-            }
         }
-        db
-    }
-
-    /// All statements that may write `var`.
-    pub fn defs_of(&self, var: VarId) -> &[SiteRef] {
-        self.def_sites.get(&var).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// All statements that may read `var`.
-    pub fn uses_of(&self, var: VarId) -> &[SiteRef] {
-        self.use_sites.get(&var).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The body containing `stmt`.
-    pub fn body_of(&self, stmt: StmtId) -> Option<BodyId> {
-        self.body_of.get(&stmt).copied()
+        ProgramDatabase { span_of }
     }
 
     /// The source span of `stmt`.
@@ -120,180 +39,50 @@ impl ProgramDatabase {
         self.span_of(stmt).map(|s| s.line)
     }
 
-    /// All statements starting on source line `line` — how a debugger
-    /// UI maps "break at line N" to statements.
+    /// All statements starting on source line `line`, in id order — how
+    /// a debugger UI maps "break at line N" to statements.
     pub fn stmts_at_line(&self, line: u32) -> Vec<StmtId> {
-        let mut out: Vec<StmtId> = self
-            .span_of
-            .iter()
-            .filter(|(_, span)| span.line == line)
-            .map(|(&stmt, _)| stmt)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Bodies whose execution may write the shared variable `var` —
-    /// where the Controller looks when a dependence crosses process
-    /// boundaries (§5.6).
-    pub fn shared_writers(&self, var: VarId) -> &[BodyId] {
-        self.shared_writers.get(&var).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Bodies whose execution may read the shared variable `var`.
-    pub fn shared_readers(&self, var: VarId) -> &[BodyId] {
-        self.shared_readers.get(&var).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The inferred type of `var` (`int` when the program did not
-    /// type-check).
-    pub fn var_type(&self, var: VarId) -> &Ty {
-        &self.var_ty[var.index()]
-    }
-
-    /// All shared variables of the given inferred type, in id order —
-    /// the type-indexed view of the GMOD/GREF universe.
-    pub fn shared_of_type(&self, ty: &Ty) -> &[VarId] {
-        self.shared_by_type.get(ty).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The distinct inferred types of shared variables, with their
-    /// member counts, in deterministic type order.
-    pub fn shared_type_index(&self) -> impl Iterator<Item = (&Ty, &[VarId])> {
-        self.shared_by_type.iter().map(|(t, vs)| (t, vs.as_slice()))
-    }
-
-    /// Bodies that may write any shared variable of type `ty` — the
-    /// type-indexed GMOD query (§3.2.1 database, sharpened by `ppd
-    /// check`).
-    pub fn shared_writers_of_type(&self, ty: &Ty) -> Vec<BodyId> {
-        let mut out: Vec<BodyId> = self
-            .shared_of_type(ty)
-            .iter()
-            .flat_map(|v| self.shared_writers(*v).iter().copied())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Bodies that may read any shared variable of type `ty` — the
-    /// type-indexed GREF query.
-    pub fn shared_readers_of_type(&self, ty: &Ty) -> Vec<BodyId> {
-        let mut out: Vec<BodyId> = self
-            .shared_of_type(ty)
-            .iter()
-            .flat_map(|v| self.shared_readers(*v).iter().copied())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// The variables both read and written somewhere — a quick index the
-    /// race detector uses to prune candidates.
-    pub fn read_write_vars(&self, rp: &ResolvedProgram) -> VarSet {
-        let mut out = VarSet::empty(rp.var_count());
-        for &v in self.def_sites.keys() {
-            if self.use_sites.contains_key(&v) {
-                out.insert(v);
-            }
-        }
-        out
+        self.span_of.iter().filter(|(_, span)| span.line == line).map(|(stmt, _)| stmt).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
 
     fn build(src: &str) -> (ResolvedProgram, ProgramDatabase) {
         let rp = ppd_lang::compile(src).unwrap();
-        let effects = ProgramEffects::compute(&rp);
-        let cg = CallGraph::build(&rp, &effects);
-        let mr = ModRef::compute(&rp, &effects, &cg);
-        let tc = ppd_lang::types::check(&rp);
-        let types = tc.is_ok().then_some(&tc.info);
-        let db = ProgramDatabase::build(&rp, &effects, &mr, types);
+        let db = ProgramDatabase::build(&rp);
         (rp, db)
     }
 
-    fn var(rp: &ResolvedProgram, name: &str) -> VarId {
-        (0..rp.var_count() as u32).map(VarId).find(|v| rp.var_name(*v) == name).unwrap()
+    #[test]
+    fn every_statement_has_its_span() {
+        let (rp, db) = build("shared int x;\nprocess M {\n  x = 1;\n  print(x);\n}");
+        let mut stmts = Vec::new();
+        for body in rp.bodies() {
+            walk_stmts(rp.body_block(body), &mut |s| stmts.push((s.id, s.span)));
+        }
+        assert_eq!(stmts.len(), 2);
+        for (id, span) in stmts {
+            assert_eq!(db.span_of(id), Some(span));
+            assert_eq!(db.line_of(id), Some(span.line));
+        }
+        assert_eq!(db.span_of(StmtId(99)), None);
+        assert_eq!(db.line_of(StmtId(99)), None);
     }
 
     #[test]
-    fn def_and_use_sites_recorded() {
-        let (rp, db) = build("shared int x; process M { x = 1; print(x); x = 2; }");
-        let x = var(&rp, "x");
-        assert_eq!(db.defs_of(x).len(), 2);
-        assert_eq!(db.uses_of(x).len(), 1);
-    }
-
-    #[test]
-    fn sites_carry_body_and_span() {
-        let (rp, db) = build("shared int x; process M { x = 7; }");
-        let x = var(&rp, "x");
-        let site = db.defs_of(x)[0];
-        assert_eq!(rp.body_name(site.body), "M");
-        assert_eq!(db.body_of(site.stmt), Some(site.body));
-        assert!(db.line_of(site.stmt).is_some());
-    }
-
-    #[test]
-    fn shared_writer_index_is_interprocedural() {
-        let (rp, db) =
-            build("shared int g; void w() { g = 1; } process A { w(); } process B { print(g); }");
-        let g = var(&rp, "g");
-        let writers: Vec<&str> = db.shared_writers(g).iter().map(|b| rp.body_name(*b)).collect();
-        // w writes directly; A inherits through the call.
-        assert!(writers.contains(&"w"));
-        assert!(writers.contains(&"A"));
-        assert!(!writers.contains(&"B"));
-        let readers: Vec<&str> = db.shared_readers(g).iter().map(|b| rp.body_name(*b)).collect();
-        assert!(readers.contains(&"B"));
-    }
-
-    #[test]
-    fn read_write_vars_requires_both() {
-        let (rp, db) = build(
-            "shared int rw; shared int wo; shared int ro = 1; \
-             process M { rw = rw + 1; wo = 2; print(ro); }",
+    fn stmts_at_line_lists_statements_starting_there_in_id_order() {
+        let (_, db) = build(
+            "shared int x;\nprocess M {\n  x = 1; x = 2;\n  print(x);\n}\nprocess N { x = 3; }",
         );
-        let set = db.read_write_vars(&rp);
-        assert!(set.contains(var(&rp, "rw")));
-        assert!(!set.contains(var(&rp, "wo")));
-        assert!(!set.contains(var(&rp, "ro")));
-    }
-
-    #[test]
-    fn type_index_partitions_shared_variables() {
-        let (rp, db) = build(
-            "shared int n; shared int flag; shared int a[4]; \
-             process M { n = 1; flag = true; a[0] = 2; } \
-             process O { print(n); }",
-        );
-        assert_eq!(*db.var_type(var(&rp, "n")), Ty::Int);
-        assert_eq!(*db.var_type(var(&rp, "flag")), Ty::Bool);
-        assert_eq!(*db.var_type(var(&rp, "a")), Ty::Array(Box::new(Ty::Int)));
-        assert_eq!(db.shared_of_type(&Ty::Int), &[var(&rp, "n")]);
-        assert_eq!(db.shared_of_type(&Ty::Bool), &[var(&rp, "flag")]);
-        assert_eq!(db.shared_type_index().count(), 3);
-        // Typed GMOD/GREF: M writes ints, O only reads them.
-        let writers: Vec<&str> =
-            db.shared_writers_of_type(&Ty::Int).iter().map(|b| rp.body_name(*b)).collect();
-        assert_eq!(writers, vec!["M"]);
-        let readers: Vec<&str> =
-            db.shared_readers_of_type(&Ty::Int).iter().map(|b| rp.body_name(*b)).collect();
-        assert_eq!(readers, vec!["O"]);
-    }
-
-    #[test]
-    fn unused_variable_has_no_sites() {
-        let (rp, db) = build("shared int unused; process M { print(1); }");
-        let u = var(&rp, "unused");
-        assert!(db.defs_of(u).is_empty());
-        assert!(db.uses_of(u).is_empty());
+        let on_3 = db.stmts_at_line(3);
+        assert_eq!(on_3.len(), 2);
+        assert!(on_3[0] < on_3[1]);
+        assert_eq!(db.stmts_at_line(4).len(), 1);
+        assert_eq!(db.stmts_at_line(6).len(), 1);
+        assert!(db.stmts_at_line(1).is_empty(), "a declaration is not a statement");
+        assert!(db.stmts_at_line(99).is_empty());
     }
 }

@@ -13,10 +13,12 @@
 //! - [`callgraph`] / [`interproc`] — call graph and GMOD/GREF closures;
 //! - [`syncunit`] — synchronization units (§5.5, Definition 5.1);
 //! - [`eblock`] — emulation-block construction strategies (§5.4);
-//! - [`database`] — the program database (§3.2.1);
+//! - [`database`] — the program database's statement-span table (§3.2.1);
 //! - [`varset`] — bit-mask vs list variable sets (the §7 ablation).
 //!
-//! [`Analyses::run`] bundles everything a debugger session needs.
+//! [`Analyses::run`] bundles everything a debugger session reads;
+//! reaching definitions and liveness are solved on demand, per body,
+//! by [`Analyses::reaching`] and [`Analyses::liveness`].
 //!
 //! ## Example
 //!
@@ -54,7 +56,7 @@ pub use absint::{AbsInt, ArrayAccess};
 pub use callgraph::CallGraph;
 pub use cfg::{Cfg, CfgNodeKind, EdgeKind, NodeId};
 pub use control_dep::ControlDeps;
-pub use database::{ProgramDatabase, SiteRef};
+pub use database::ProgramDatabase;
 pub use dom::DomTree;
 pub use eblock::{EBlock, EBlockId, EBlockPlan, EBlockStrategy, Region};
 pub use interproc::ModRef;
@@ -67,7 +69,8 @@ pub use syncunit::{BodySyncUnits, SyncUnit, SyncUnits, UnitStart};
 pub use usedef::{ProgramEffects, StmtEffects};
 pub use varset::{BitVarSet, ListVarSet, VarSet, VarSetRepr};
 
-use ppd_lang::{BodyId, ResolvedProgram};
+use ppd_lang::types::{TypeError, TypeInfo};
+use ppd_lang::{BodyId, ChanRef, ResolvedProgram};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -113,9 +116,10 @@ impl Default for AnalysisConfig {
 /// Everything the preparatory phase (§3.2.1) computes, bundled.
 ///
 /// This corresponds to the artifacts the paper's Compiler/Linker emits
-/// alongside the object code: the static-graph ingredients (CFGs,
-/// control and data dependences), the program database, interprocedural
-/// summaries and synchronization units.
+/// alongside the object code that the debugger reads: CFGs and control
+/// dependences, the program database, interprocedural summaries and
+/// synchronization units. The static graph's data dependences come
+/// from [`Analyses::reaching`], solved when asked for.
 #[derive(Debug, Clone)]
 pub struct Analyses {
     /// Per-statement direct effects.
@@ -125,11 +129,7 @@ pub struct Analyses {
     /// GMOD/GREF summaries.
     pub modref: ModRef,
     cfgs: HashMap<BodyId, Cfg>,
-    doms: HashMap<BodyId, DomTree>,
-    pdoms: HashMap<BodyId, DomTree>,
     cds: HashMap<BodyId, ControlDeps>,
-    reaching: HashMap<BodyId, ReachingDefs>,
-    liveness: HashMap<BodyId, Liveness>,
     /// Synchronization units of every body.
     pub sync_units: SyncUnits,
     /// The program database.
@@ -143,13 +143,18 @@ pub struct Analyses {
     pub mhp_candidates: RaceCandidates,
     /// The type checker's result: `Some` only when the program
     /// type-checks with no errors.
-    pub types: Option<ppd_lang::types::TypeInfo>,
-    /// The type-refined MHP relation (typed channel aliasing); `Some`
-    /// exactly when [`Analyses::types`] is.
+    pub types: Option<TypeInfo>,
+    /// The type checker's errors, sorted and deduplicated; empty
+    /// exactly when [`Analyses::types`] is `Some`.
+    pub type_errors: Vec<TypeError>,
+    /// The type-refined MHP relation (typed channel aliasing): `Some`
+    /// when the program type-checks and some send or receive names its
+    /// channel through a `chan` variable. Elsewhere it would equal
+    /// [`Analyses::mhp`], so readers fall back to that.
     pub mhp_typed: Option<MhpAnalysis>,
     /// Race candidates refined by [`Analyses::mhp_typed`] — a subset of
-    /// [`Analyses::mhp_candidates`]; equal to it when the program does
-    /// not type-check (the untyped index is the sound fallback).
+    /// [`Analyses::mhp_candidates`]; equal to it when there is no typed
+    /// relation (the untyped index is the sound fallback).
     pub typed_candidates: RaceCandidates,
     /// The abstract-interpretation solution (intervals + constants).
     pub absint: AbsInt,
@@ -173,23 +178,12 @@ impl Analyses {
         let modref = ModRef::compute(rp, &effects, &callgraph);
         let mut cfgs = HashMap::new();
         let mut doms = HashMap::new();
-        let mut pdoms = HashMap::new();
         let mut cds = HashMap::new();
-        let mut reaching = HashMap::new();
-        let mut liveness = HashMap::new();
         for body in rp.bodies() {
             let cfg = Cfg::build(rp, body).expect("resolved programs always lower");
-            let dom = DomTree::dominators(&cfg);
-            let pdom = DomTree::postdominators(&cfg);
-            let cd = ControlDeps::compute(&cfg, &pdom);
-            let rd = ReachingDefs::compute(rp, &cfg, &effects, &modref);
-            let lv = Liveness::compute(rp, &cfg, &effects, &modref);
+            cds.insert(body, ControlDeps::compute(&cfg, &DomTree::postdominators(&cfg)));
+            doms.insert(body, DomTree::dominators(&cfg));
             cfgs.insert(body, cfg);
-            doms.insert(body, dom);
-            pdoms.insert(body, pdom);
-            cds.insert(body, cd);
-            reaching.insert(body, rd);
-            liveness.insert(body, lv);
         }
         let mhp = MhpAnalysis::compute(rp, &cfgs, &doms, &callgraph);
         let mut sync_units = SyncUnits::compute(rp, &cfgs, &effects, &modref, &callgraph);
@@ -198,51 +192,50 @@ impl Analyses {
         }
         let race_candidates = RaceCandidates::from_modref(rp, &modref);
         let mhp_candidates = mhp.refine_candidates(rp, &effects, &modref, &race_candidates);
-        // Typed layer: only trusted when the program type-checks clean.
+        // Typed layer: only trusted when the program type-checks clean,
+        // and only different from the untyped relation where a send or
+        // receive names its channel through a `chan` variable (a static
+        // channel aliases exactly itself in both).
         let tc = ppd_lang::types::check(rp);
-        let types = tc.is_ok().then_some(tc.info);
-        let mhp_typed =
-            types.as_ref().map(|ti| MhpAnalysis::compute_typed(rp, &cfgs, &doms, &callgraph, ti));
+        let (types, type_errors) =
+            if tc.is_ok() { (Some(tc.info), Vec::new()) } else { (None, tc.errors) };
+        let names_chan_var = rp
+            .send_chan
+            .values()
+            .chain(rp.recv_chan.values())
+            .any(|c| matches!(c, ChanRef::Var(_)));
+        let mhp_typed = types
+            .as_ref()
+            .filter(|_| names_chan_var)
+            .map(|ti| MhpAnalysis::compute_typed(rp, &cfgs, &doms, &callgraph, ti));
+        let sharpest = mhp_typed.as_ref().unwrap_or(&mhp);
         let typed_candidates = match &mhp_typed {
             Some(mt) => mt.refine_candidates(rp, &effects, &modref, &mhp_candidates),
             None => mhp_candidates.clone(),
         };
         let absint = AbsInt::compute(rp, &cfgs);
-        let absint_candidates = match &mhp_typed {
-            Some(mt) => absint.refine_candidates(rp, &effects, mt, &typed_candidates),
-            None => absint.refine_candidates(rp, &effects, &mhp, &typed_candidates),
-        };
+        let absint_candidates = absint.refine_candidates(rp, &effects, sharpest, &typed_candidates);
         if config.mhp_snapshot_trim {
             // Element granularity sharpens the snapshot trim the same
             // way it sharpens candidates: an array whose concurrent
             // writes all land outside the unit's read regions needs no
             // extra prelog.
-            sync_units.sharpen_with_absint(
-                rp,
-                &effects,
-                &modref,
-                &callgraph,
-                mhp_typed.as_ref().unwrap_or(&mhp),
-                &absint,
-            );
+            sync_units.sharpen_with_absint(rp, &effects, &modref, &callgraph, sharpest, &absint);
         }
-        let database = ProgramDatabase::build(rp, &effects, &modref, types.as_ref());
+        let database = ProgramDatabase::build(rp);
         Analyses {
             effects,
             callgraph,
             modref,
             cfgs,
-            doms,
-            pdoms,
             cds,
-            reaching,
-            liveness,
             sync_units,
             database,
             race_candidates,
             mhp,
             mhp_candidates,
             types,
+            type_errors,
             mhp_typed,
             typed_candidates,
             absint,
@@ -255,29 +248,20 @@ impl Analyses {
         &self.cfgs[&body]
     }
 
-    /// The dominator tree of `body`.
-    pub fn dominators(&self, body: BodyId) -> &DomTree {
-        &self.doms[&body]
-    }
-
-    /// The postdominator tree of `body`.
-    pub fn postdominators(&self, body: BodyId) -> &DomTree {
-        &self.pdoms[&body]
-    }
-
     /// The control dependences of `body`.
     pub fn control_deps(&self, body: BodyId) -> &ControlDeps {
         &self.cds[&body]
     }
 
-    /// The reaching definitions of `body`.
-    pub fn reaching(&self, body: BodyId) -> &ReachingDefs {
-        &self.reaching[&body]
+    /// Solves the reaching definitions of `body` — the static graph's
+    /// data dependences and the uninit-read lint read them.
+    pub fn reaching(&self, rp: &ResolvedProgram, body: BodyId) -> ReachingDefs {
+        ReachingDefs::compute(rp, self.cfg(body), &self.effects, &self.modref)
     }
 
-    /// The liveness solution of `body`.
-    pub fn liveness(&self, body: BodyId) -> &Liveness {
-        &self.liveness[&body]
+    /// Solves the liveness of `body` — the dead-store lint reads it.
+    pub fn liveness(&self, rp: &ResolvedProgram, body: BodyId) -> Liveness {
+        Liveness::compute(rp, self.cfg(body), &self.effects, &self.modref)
     }
 
     /// Computes an e-block plan under `strategy` using these analyses.
@@ -299,7 +283,7 @@ mod tests {
                 let cfg = analyses.cfg(body);
                 assert!(cfg.len() >= 2, "{}: {}", prog.name, rp.body_name(body));
                 // Entry dominates all reachable nodes.
-                let dom = analyses.dominators(body);
+                let dom = DomTree::dominators(cfg);
                 for n in cfg.reverse_postorder() {
                     assert!(dom.dominates(cfg.entry(), n));
                 }

@@ -45,7 +45,7 @@ fn run(ctx: &LintContext<'_>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for body in rp.bodies() {
         let cfg = ctx.analyses.cfg(body);
-        let live = ctx.analyses.liveness(body);
+        let live = ctx.analyses.liveness(rp, body);
         let unreachable: HashSet<_> = cfg.unreachable_nodes().into_iter().collect();
         for &stmt in cfg.stmts() {
             let node = cfg.node_of(stmt).expect("stmts() nodes exist");

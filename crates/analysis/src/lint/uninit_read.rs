@@ -47,7 +47,7 @@ fn run(ctx: &LintContext<'_>) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for body in rp.bodies() {
         let cfg = ctx.analyses.cfg(body);
-        let reaching = ctx.analyses.reaching(body);
+        let reaching = ctx.analyses.reaching(rp, body);
         let unreachable: HashSet<_> = cfg.unreachable_nodes().into_iter().collect();
         for &stmt in cfg.stmts() {
             let node = cfg.node_of(stmt).expect("stmts() nodes exist");

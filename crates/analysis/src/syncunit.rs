@@ -67,11 +67,6 @@ impl BodySyncUnits {
         self.by_stmt.get(&stmt).map(|&i| &self.units[i])
     }
 
-    /// Whether `stmt` starts a synchronization unit.
-    pub fn is_boundary(&self, stmt: StmtId) -> bool {
-        self.by_stmt.contains_key(&stmt)
-    }
-
     /// Number of units.
     pub fn len(&self) -> usize {
         self.units.len()

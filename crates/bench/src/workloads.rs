@@ -269,6 +269,7 @@ mod tests {
         let rp = ppd_lang::compile(&w.source).unwrap();
         assert!(ppd_lang::types::check(&rp).is_ok(), "typed_pipeline must pass `ppd check`");
         let session = w.prepare(EBlockStrategy::per_subroutine());
+        assert!(session.analyses().mhp_typed.is_some(), "its drains recv through `chan q`");
         let mhp = session.analyses().mhp_candidates.len();
         let typed = session.analyses().typed_candidates.len();
         assert!(typed < mhp, "expected strict candidate shrink, got {typed} vs {mhp}");

@@ -1,8 +1,11 @@
 //! The preparatory and execution phases (§3.2.1, §3.2.2).
 //!
 //! [`PpdSession::prepare`] is the paper's Compiler/Linker: it parses and
-//! resolves the program, runs the semantic analyses, computes the static
-//! program dependence graph, the program database, and the e-block plan.
+//! resolves the program, runs the semantic analyses (the program
+//! database among them), and computes the e-block plan. The §4.1 static
+//! graph is not part of a session: the debugger's queries run on the
+//! dynamic graph, and the few readers of the static one build it with
+//! `ppd_graph::StaticGraph::build`.
 //! [`PpdSession::execute`] is the execution phase: it runs the program as
 //! instrumented *object code*, producing output, per-process logs, and
 //! the parallel dynamic graph.
@@ -11,8 +14,8 @@ use crate::PpdError;
 use ppd_analysis::{Analyses, AnalysisConfig, EBlockPlan, EBlockStrategy};
 use ppd_analysis::{VarSet, VarSetRepr};
 use ppd_graph::{
-    InternalEdge, InternalEdgeId, ParallelGraph, StaticGraph, SyncEdge, SyncEdgeLabel, SyncNode,
-    SyncNodeId, SyncNodeKind, VectorClocks,
+    InternalEdge, InternalEdgeId, ParallelGraph, SyncEdge, SyncEdgeLabel, SyncNode, SyncNodeId,
+    SyncNodeKind, VectorClocks,
 };
 use ppd_lang::ast::walk_stmts;
 use ppd_lang::{pretty, ProcId, ResolvedProgram, StmtId, VarId};
@@ -492,7 +495,6 @@ pub struct PpdSession {
     rp: ResolvedProgram,
     analyses: Analyses,
     plan: EBlockPlan,
-    static_graph: StaticGraph,
     /// [`PpdSession::statement_labels`]'s cache, filled at the first
     /// graph feed.
     stmt_labels: OnceLock<Vec<String>>,
@@ -553,8 +555,7 @@ impl PpdSession {
     ) -> PpdSession {
         let analyses = Analyses::run_with(&rp, config);
         let plan = analyses.eblock_plan(&rp, strategy);
-        let static_graph = StaticGraph::build(&rp, &analyses);
-        PpdSession { rp, analyses, plan, static_graph, stmt_labels: OnceLock::new() }
+        PpdSession { rp, analyses, plan, stmt_labels: OnceLock::new() }
     }
 
     /// The resolved program.
@@ -570,11 +571,6 @@ impl PpdSession {
     /// The e-block plan in force.
     pub fn plan(&self) -> &EBlockPlan {
         &self.plan
-    }
-
-    /// The static program dependence graph (§4.1).
-    pub fn static_graph(&self) -> &StaticGraph {
-        &self.static_graph
     }
 
     /// Every statement's dynamic-graph label (`sq = sqrt(d)`,

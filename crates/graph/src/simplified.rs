@@ -196,13 +196,6 @@ impl SimplifiedGraph {
         }
         out
     }
-
-    /// Looks up the edge id between two nodes, if present.
-    pub fn edge_between(&self, from: SimpleNode, to: SimpleNode) -> Option<SimpleEdgeId> {
-        let f = self.index_of(from)?;
-        let t = self.index_of(to)?;
-        self.edges.iter().position(|&e| e == (f, t)).map(SimpleEdgeId)
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,11 @@
 //! "The static graph shows the potential dependences between program
 //! components" — a variation of the Program Dependence Graph (Kuck;
 //! Ferrante–Ottenstein–Warren). We build one per body from the analysis
-//! crate's control dependences and reaching definitions, plus the CFG's
-//! flow edges, and link bodies through call sites.
+//! crate's control dependences and reaching definitions (solved here,
+//! the one place they feed a graph), plus the CFG's flow edges, and link
+//! bodies through call sites. The debugger's own queries run on the
+//! dynamic graph; `ppd check`, `ppd dot --what pdg` and static slicing
+//! build this one when they need it.
 
 use ppd_analysis::{Analyses, CfgNodeKind};
 use ppd_lang::ast::walk_stmts;
@@ -186,7 +189,7 @@ impl StaticGraph {
 fn build_body(rp: &ResolvedProgram, analyses: &Analyses, body: BodyId) -> BodyStaticGraph {
     let cfg = analyses.cfg(body);
     let cd = analyses.control_deps(body);
-    let rd = analyses.reaching(body);
+    let rd = analyses.reaching(rp, body);
     let mut edges: Vec<(StaticNode, StaticNode, StaticEdge)> = Vec::new();
 
     let to_static = |kind: CfgNodeKind| match kind {
@@ -244,7 +247,6 @@ fn build_body(rp: &ResolvedProgram, analyses: &Analyses, body: BodyId) -> BodySt
         }
     }
 
-    let _ = rp;
     BodyStaticGraph { body, edges, stmts: cfg.stmts().to_vec() }
 }
 

@@ -24,13 +24,6 @@ pub fn stmt_label(stmt: &Stmt, interner: &Interner) -> String {
     p.out
 }
 
-/// Renders one expression.
-pub fn expr_to_string(expr: &Expr, interner: &Interner) -> String {
-    let mut p = Printer::new(interner);
-    p.expr(expr);
-    p.out
-}
-
 struct Printer<'a> {
     interner: &'a Interner,
     out: String,

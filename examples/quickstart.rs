@@ -12,17 +12,20 @@
 
 use ppd::analysis::EBlockStrategy;
 use ppd::core::{Controller, PpdSession, RunConfig};
+use ppd::graph::StaticGraph;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = ppd::lang::corpus::FLOWBACK_DEMO.source;
     println!("=== Source ===\n{source}");
 
-    // Preparatory phase (§3.2.1): compile + semantic analyses + e-blocks.
+    // Preparatory phase (§3.2.1): compile + semantic analyses + e-blocks,
+    // and the §4.1 static graph built from those analyses.
     let session = PpdSession::prepare(source, EBlockStrategy::per_subroutine())?;
+    let static_graph = StaticGraph::build(session.rp(), session.analyses());
     println!(
         "preparatory phase: {} e-blocks, {} static-graph edges\n",
         session.plan().eblocks().len(),
-        session.static_graph().edge_count(),
+        static_graph.edge_count(),
     );
 
     // Execution phase (§3.2.2): run as instrumented object code.

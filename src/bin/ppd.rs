@@ -65,7 +65,7 @@
 use ppd::analysis::lint::Diagnostic;
 use ppd::analysis::EBlockStrategy;
 use ppd::core::{shared_state_at, Controller, Execution, PpdSession, RunConfig};
-use ppd::graph::{dot, DynNodeId, DynNodeKind};
+use ppd::graph::{dot, DynNodeId, DynNodeKind, StaticGraph};
 use ppd::lang::SourceFile;
 use ppd::obs::journal::COSTS;
 use ppd::runtime::{Outcome, SchedulerSpec};
@@ -348,6 +348,11 @@ fn run(cmd: &str, opts: &Options, views: &mut Views) -> ExitCode {
         _ => {}
     }
     let Some((session, file)) = prepare(path, opts.strategy) else { return ExitCode::FAILURE };
+    let database = &session.analyses().database;
+    if let Some(line) = opts.break_lines.iter().find(|&&l| database.stmts_at_line(l).is_empty()) {
+        eprintln!("error: --break {line}: no statement starts on line {line}");
+        return usage();
+    }
     match cmd {
         "check" => cmd_check(&session, &file, opts),
         "lint" => {
@@ -570,19 +575,16 @@ fn type_error_diags(errors: &[ppd::lang::types::TypeError]) -> Vec<Diagnostic> {
 /// an ill-typed program would be unreliable. Returns `Some(exit)` when
 /// the gate trips.
 fn check_gate(session: &PpdSession, file: &SourceFile, opts: &Options) -> Option<ExitCode> {
-    if opts.no_check {
+    let errors = &session.analyses().type_errors;
+    if opts.no_check || errors.is_empty() {
         return None;
     }
-    let tc = ppd::lang::types::check(session.rp());
-    if tc.is_ok() {
-        return None;
-    }
-    for d in type_error_diags(&tc.errors) {
+    for d in type_error_diags(errors) {
         eprintln!("{}\n", d.render(file));
     }
     eprintln!(
         "error: {} type error(s); fix them or pass --no-check to proceed anyway",
-        tc.errors.len()
+        errors.len()
     );
     Some(ExitCode::FAILURE)
 }
@@ -609,20 +611,19 @@ fn emit_diagnostics(diags: &[Diagnostic], file: &SourceFile, format: Format) -> 
 }
 
 fn cmd_check(session: &PpdSession, file: &SourceFile, opts: &Options) -> ExitCode {
-    let rp = session.rp();
-    let tc = ppd::lang::types::check(rp);
-    let diags = type_error_diags(&tc.errors);
+    let (rp, analyses) = (session.rp(), session.analyses());
+    let diags = type_error_diags(&analyses.type_errors);
     if !emit_diagnostics(&diags, file, opts.format) {
         return ExitCode::FAILURE;
     }
-    let code = if tc.is_ok() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+    let code = if diags.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE };
     if opts.format != Format::Text {
         return code;
     }
-    if !tc.is_ok() {
+    let Some(types) = &analyses.types else {
         println!("check: {} type error(s)", diags.len());
         return code;
-    }
+    };
     println!(
         "ok: {} process(es), {} function(s), {} shared variable(s), \
              {} semaphore(s)/lock(s), {} channel(s)",
@@ -634,13 +635,13 @@ fn cmd_check(session: &PpdSession, file: &SourceFile, opts: &Options) -> ExitCod
     );
     for i in 0..rp.chans.len() {
         let c = ppd::lang::ChanId(i as u32);
-        println!("  chan {}: carries `{}`", rp.chan_name(c), tc.info.chan_payload[i]);
+        println!("  chan {}: carries `{}`", rp.chan_name(c), types.chan_payload[i]);
     }
     println!(
         "preparatory phase: {} e-blocks, {} static-graph edges, {} sync units",
         session.plan().eblocks().len(),
-        session.static_graph().edge_count(),
-        session.analyses().sync_units.total()
+        StaticGraph::build(rp, analyses).edge_count(),
+        analyses.sync_units.total()
     );
     for eb in session.plan().eblocks() {
         println!(
@@ -948,8 +949,9 @@ fn cmd_dot(session: &PpdSession, opts: &Options) -> ExitCode {
             }
         }
         What::Pdg => {
+            let graph = StaticGraph::build(session.rp(), session.analyses());
             for body in session.rp().bodies() {
-                println!("{}", dot::static_to_dot(session.static_graph(), session.rp(), body));
+                println!("{}", dot::static_to_dot(&graph, session.rp(), body));
             }
         }
     }

@@ -125,11 +125,30 @@ fn dot_outputs_digraphs() {
 
 #[test]
 fn breakpoint_halts_run() {
-    // Line 8: the unprotected increment in TellerB... (line numbers are
-    // 1-based in programs/bank.ppd; pick the lock line in TellerA).
+    // Line 8 of programs/bank.ppd (1-based) is TellerA's locked
+    // increment; the outcome line names the statement's line back.
     let (stdout, _, ok) = run_ppd(&["run", "programs/bank.ppd", "--break", "8"]);
     assert!(ok, "breakpoint halt exits zero: {stdout}");
-    assert!(stdout.contains("breakpoint in"), "{stdout}");
+    assert!(stdout.contains("outcome: breakpoint in TellerA (line 8)"), "{stdout}");
+}
+
+#[test]
+fn break_on_a_line_without_a_statement_exits_2_before_the_run() {
+    // Line 3 of programs/bank.ppd is blank: no statement starts there.
+    for cmd in ["run", "debug", "dot"] {
+        let out = ppd()
+            .args([cmd, "programs/bank.ppd", "--break", "8", "--break", "3"])
+            .stdin(Stdio::null())
+            .output()
+            .expect("ppd runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(
+            stderr.starts_with("error: --break 3: no statement starts on line 3\nusage:"),
+            "{cmd}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{cmd} ran the program");
+    }
 }
 
 #[test]

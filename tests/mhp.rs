@@ -13,14 +13,21 @@
 //!    debugging: dynamic graphs, values and race reports are
 //!    node-for-node identical with the trim on and off, while the trim
 //!    strictly reduces logged snapshot volume.
+//!
+//! A third test pins what lets the preparatory phase solve the MHP
+//! fixpoint once: typed channel aliasing only changes the relation at a
+//! send or receive that names its channel through a `chan` variable.
 
-use ppd::analysis::{AnalysisConfig, EBlockStrategy};
+use ppd::analysis::{
+    Analyses, AnalysisConfig, CallGraph, Cfg, DomTree, EBlockStrategy, MhpAnalysis, ProgramEffects,
+};
 use ppd::core::{Controller, PpdSession, RunConfig};
 use ppd::graph::{detect_races, detect_races_naive, stage_pairs, VectorClocks};
-use ppd::lang::{corpus, ProcId};
+use ppd::lang::{corpus, ChanRef, ProcId, ResolvedProgram, TypeInfo};
 use ppd::log::LogEntry;
 use ppd::runtime::SchedulerSpec;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Runs `source` and checks naive/pruned/MHP/typed agreement; returns
 /// `(naive_pairs, pruned_pairs, mhp_pairs, typed_pairs)` for shrinkage
@@ -287,6 +294,94 @@ proptest! {
         );
         check("generated-typed", &src, Vec::new(), Some(seed));
     }
+}
+
+/// Whether some send or receive of `rp` names its channel through a
+/// `chan` variable — the only sites where typed channel aliasing may
+/// differ from untyped.
+fn names_chan_var(rp: &ResolvedProgram) -> bool {
+    rp.send_chan.values().chain(rp.recv_chan.values()).any(|c| matches!(c, ChanRef::Var(_)))
+}
+
+/// The untyped and the typed MHP fixpoints of `rp`.
+fn untyped_and_typed_mhp(rp: &ResolvedProgram, types: &TypeInfo) -> (MhpAnalysis, MhpAnalysis) {
+    let effects = ProgramEffects::compute(rp);
+    let callgraph = CallGraph::build(rp, &effects);
+    let mut cfgs = HashMap::new();
+    let mut doms = HashMap::new();
+    for body in rp.bodies() {
+        let cfg = Cfg::build(rp, body).unwrap();
+        doms.insert(body, DomTree::dominators(&cfg));
+        cfgs.insert(body, cfg);
+    }
+    let untyped = MhpAnalysis::compute(rp, &cfgs, &doms, &callgraph);
+    (untyped, MhpAnalysis::compute_typed(rp, &cfgs, &doms, &callgraph, types))
+}
+
+/// `Analyses` solves the typed MHP fixpoint only when it can differ
+/// from the untyped one. On every corpus program, example program and
+/// generated program without a channel-variable send or receive, the
+/// typed fixpoint answers `happens_before` and `sequenced_before`
+/// exactly like the untyped one on every event pair, `mhp_typed` is
+/// `None` and the typed candidates are the MHP candidates. On the
+/// well-typed programs with channel variables, `mhp_typed` is solved.
+#[test]
+fn typed_mhp_equals_untyped_without_channel_variables() {
+    let mut progs: Vec<(String, String)> =
+        corpus::all().iter().map(|p| (p.name.to_owned(), p.source.to_owned())).collect();
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("programs");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ppd"))
+        .collect();
+    files.sort();
+    for path in files {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        progs.push((name, std::fs::read_to_string(&path).unwrap()));
+    }
+    progs.extend([
+        ("loop_heavy".to_owned(), corpus::gen_loop_heavy(9)),
+        ("deep_calls".to_owned(), corpus::gen_deep_calls(5)),
+        ("racy_workers".to_owned(), corpus::gen_racy_workers(3, 4)),
+        ("prodcons".to_owned(), corpus::gen_prodcons(6)),
+        ("bank".to_owned(), corpus::gen_bank(5)),
+        ("token_ring".to_owned(), corpus::gen_token_ring(3)),
+        ("quicksort".to_owned(), corpus::gen_quicksort(12)),
+        ("wide_vars".to_owned(), corpus::gen_wide_vars(40)),
+        ("two_class_pipeline".to_owned(), TWO_CLASS_PIPELINE.to_owned()),
+    ]);
+    for i in 0..6u8 {
+        let bytes = [i, i.wrapping_mul(37) ^ 5, i + 11, i.wrapping_mul(101)];
+        let n = u32::from(i % 3);
+        progs.push((format!("synced_{i}"), gen_synced_program(&bytes, n + 2)));
+        progs.push((format!("typed_chan_{i}"), gen_typed_chan_program(&bytes, n + 1)));
+    }
+    let (mut compared, mut solved) = (0, 0);
+    for (name, src) in &progs {
+        let rp = ppd::lang::compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let a = Analyses::run(&rp);
+        let tc = ppd::lang::check(&rp);
+        if names_chan_var(&rp) {
+            assert_eq!(a.mhp_typed.is_some(), tc.is_ok(), "{name}: typed MHP not solved");
+            solved += usize::from(tc.is_ok());
+            continue;
+        }
+        assert!(a.mhp_typed.is_none(), "{name}: typed MHP solved with no channel variable");
+        assert_eq!(a.typed_candidates.to_vec(), a.mhp_candidates.to_vec(), "{name}");
+        let (untyped, typed) = untyped_and_typed_mhp(&rp, &tc.info);
+        assert_eq!(untyped.events(), typed.events(), "{name}");
+        for &x in untyped.events() {
+            for &y in untyped.events() {
+                let (hb, seq) = (untyped.happens_before(x, y), untyped.sequenced_before(x, y));
+                assert_eq!(typed.happens_before(x, y), hb, "{name}: hb({x:?}, {y:?})");
+                assert_eq!(typed.sequenced_before(x, y), seq, "{name}: seq({x:?}, {y:?})");
+            }
+        }
+        compared += 1;
+    }
+    assert!(compared >= 38, "only {compared} programs without channel variables");
+    assert!(solved >= 9, "only {solved} well-typed programs with channel variables");
 }
 
 /// The snapshot-trim showcase: every read of `config` in `R` is ordered

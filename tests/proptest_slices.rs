@@ -5,7 +5,7 @@
 
 use ppd::analysis::EBlockStrategy;
 use ppd::core::{Controller, PpdSession, RunConfig};
-use ppd::graph::DynNodeKind;
+use ppd::graph::{DynNodeKind, StaticGraph};
 use ppd::lang::{ProcId, StmtId};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -43,12 +43,9 @@ proptest! {
         };
 
         let body = ppd::lang::BodyId::Proc(ProcId(0));
-        let static_slice: HashSet<StmtId> = session
-            .static_graph()
-            .body(body)
-            .backward_slice(root_stmt)
-            .into_iter()
-            .collect();
+        let static_graph = StaticGraph::build(session.rp(), session.analyses());
+        let static_slice: HashSet<StmtId> =
+            static_graph.body(body).backward_slice(root_stmt).into_iter().collect();
 
         for node in controller.backward_slice(root) {
             // Only project nodes belonging to the same body (the
@@ -79,7 +76,8 @@ proptest! {
         controller.start_at(ProcId(0)).unwrap();
         let graph = controller.graph();
         let body = ppd::lang::BodyId::Proc(ProcId(0));
-        let sgraph = session.static_graph().body(body);
+        let static_graph = StaticGraph::build(session.rp(), session.analyses());
+        let sgraph = static_graph.body(body);
 
         for &(from, to, kind) in graph.edges() {
             let DynEdgeKind::Data { var } = kind else { continue };
